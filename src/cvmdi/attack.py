@@ -2,16 +2,21 @@
 
 A two-stage brute-force minimization of the general rate over the physical
 correlation square certifies that the analytic minimized formulas are true
-lower envelopes: the coarse pass scans the full square (both sectors, so
-the bisector symmetry is checked rather than assumed), the refinement pass
-re-grids a small window around the coarse argmin.  Grid evaluation is
-vectorized; the reported minimum is re-evaluated through the scalar
-:func:`cvmdi.keyrate.key_rate` path so the report matches single-point
-calls exactly.
+lower envelopes.  The coarse pass scans the full square (both sectors, so
+the bisector symmetry is checked rather than assumed).  The refinement
+pass re-grids a small window centred on the coarse argmin's projection
+onto the bisector g = -g'; the g' axis is the exact mirror image of the g
+axis, so the refined lattice is symmetric about the bisector even where
+the window is clipped at the edge of the square.  Grid rates come from the
+array backend of the one rate kernel (:func:`cvmdi.keyrate.rate_kernel`),
+evaluated only on physical and admissible lattice points; the reported
+minimum is re-evaluated through the scalar :func:`cvmdi.keyrate.key_rate`
+path so the report matches single-point calls exactly.
 
-Lattice points that are physical but violate the rate formula's domain
-(sqrt(lam lam') below |dtau|, or a vanishing lam lam' product) are
-excluded from the argmin and counted in ``n_skipped``.
+Lattice points that are physical but outside the kernel's domain
+(:func:`cvmdi.keyrate.in_domain`: sqrt(lam lam') below |dtau|, or a
+nonpositive effective noise) are excluded from the argmin and counted in
+``n_skipped``.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ import numpy as np
 
 from .core import (
     PHYSICALITY_TOL,
-    SYMMETRIC_TAU_TOL,
     AncillaState,
     DomainError,
     EmptyDomainError,
@@ -32,14 +36,7 @@ from .core import (
     g_max,
     is_physical,
 )
-from .keyrate import (
-    E_SQUARED,
-    KeyRateReport,
-    key_rate,
-    key_rate_closed_asym,
-    key_rate_closed_sym,
-    key_rate_min_thermal,
-)
+from .keyrate import ARRAY, in_domain, key_rate, key_rate_min_thermal, rate_kernel
 
 
 @dataclass(frozen=True)
@@ -107,13 +104,17 @@ def _axis(lo: float, hi: float, n: int) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _entropy_h_arr(x: np.ndarray) -> np.ndarray:
-    xm = np.maximum(x, 1.0)
-    a = (xm + 1.0) / 2.0
-    b = (xm - 1.0) / 2.0
-    out = a * np.log2(a)
-    np.subtract(out, b * np.log2(np.where(b > 0.0, b, 1.0)), where=b > 0.0, out=out)
-    return out
+def _physical_mask(
+    omega_a: float, omega_b: float, g: np.ndarray, gp: np.ndarray
+) -> np.ndarray:
+    """Elementwise :func:`cvmdi.core.is_physical` over correlation arrays."""
+    m = omega_a * omega_b
+    pos = (m - g * g > 0.0) & (m - gp * gp > 0.0)
+    delta = omega_a * omega_a + omega_b * omega_b + 2.0 * g * gp
+    det = np.where(pos, (m - g * g) * (m - gp * gp), 1.0)
+    disc = np.maximum(delta * delta - 4.0 * det, 0.0)
+    nu_minus = np.sqrt(np.maximum(0.5 * (delta - np.sqrt(disc)), 0.0))
+    return pos & (nu_minus >= 1.0 - PHYSICALITY_TOL)
 
 
 def _grid_rates(
@@ -126,54 +127,21 @@ def _grid_rates(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized general rate over correlation arrays.
 
-    Returns (rates, physical mask, admissible mask); rates are only valid
-    where physical & admissible.
+    Returns (rates, physical mask, admissible mask); the kernel runs only
+    where physical & admissible, and rates are +inf elsewhere.
     """
-    m = omega_a * omega_b
-    pos = (m - g * g > 0.0) & (m - gp * gp > 0.0)
-    delta = omega_a * omega_a + omega_b * omega_b + 2.0 * g * gp
-    det = np.where(pos, (m - g * g) * (m - gp * gp), 1.0)
-    disc = np.maximum(delta * delta - 4.0 * det, 0.0)
-    nu_minus = np.sqrt(np.maximum(0.5 * (delta - np.sqrt(disc)), 0.0))
-    physical = pos & (nu_minus >= 1.0 - PHYSICALITY_TOL)
-
+    physical = _physical_mask(omega_a, omega_b, g, gp)
     kappa = (1.0 - link.tau_a) * omega_a + (1.0 - link.tau_b) * omega_b
-    u = link.u
-    lam = kappa - u * g
-    lam_prime = kappa + u * gp
-    prod = lam * lam_prime
-    mu, xi = protocol.mu, protocol.xi
-    alpha, beta = link.alpha, link.beta
-
-    with np.errstate(invalid="ignore", divide="ignore"):
-        bfac = (beta + lam) * (beta + lam_prime)
-        chi = beta / alpha * np.sqrt(np.maximum(bfac, 0.0))
-        if link.is_symmetric:
-            tau = 0.5 * (link.tau_a + link.tau_b)
-            nfac = (tau + lam) * (tau + lam_prime)
-            admissible = (prod > 0.0) & (bfac > 0.0) & (nfac >= tau * tau * (1.0 - 2e-12))
-            nu1 = np.sqrt(np.maximum(nfac, 0.0)) / tau
-            rates = (
-                np.log2(8.0 * tau * mu ** (xi - 1.0)
-                        / (E_SQUARED * chi ** xi * np.sqrt(np.maximum(prod, 1e-300))))
-                + _entropy_h_arr(nu1)
-            )
-        else:
-            dt = link.delta_tau
-            nfac = (link.tau_a + lam) * (link.tau_a + lam_prime)
-            sq = np.sqrt(np.maximum(prod, 0.0))
-            admissible = (
-                (prod >= 0.0)
-                & (sq >= dt * (1.0 - 1e-12))
-                & (bfac > 0.0)
-                & (nfac >= link.tau_b * link.tau_b * (1.0 - 2e-12))
-            )
-            nu = np.sqrt(np.maximum(nfac, 0.0)) / link.tau_b
-            rates = (
-                np.log2(2.0 * beta * mu ** (xi - 1.0) / (math.e * dt * chi ** xi))
-                + _entropy_h_arr(nu)
-                - _entropy_h_arr(sq / dt)
-            )
+    lam = kappa - link.u * g
+    lam_prime = kappa + link.u * gp
+    admissible = in_domain(link, lam, lam_prime)
+    mask = physical & admissible
+    lam, lam_prime = lam[mask], lam_prime[mask]
+    chi = link.beta / link.alpha * np.sqrt((link.beta + lam) * (link.beta + lam_prime))
+    rates = np.full(g.shape, np.inf)
+    rates[mask] = rate_kernel(
+        ARRAY, protocol.mu, protocol.xi, link, lam, lam_prime, chi
+    )[0]
     return rates, physical, admissible
 
 
@@ -197,9 +165,10 @@ def min_rate_brute(
 ) -> ArgMinReport:
     """Brute-force minimum of the general rate over physical (g, g').
 
-    Coarse scan over the full physicality bounding box, then an
-    801-point-per-axis refinement around the coarse argmin.  Ties are
-    broken toward the bisector (smaller |g + g'|), then lexicographically.
+    Coarse scan over the full physicality bounding box, then a
+    ``refine_n``-point-per-axis refinement on a window centred on the
+    coarse argmin's projection onto the bisector.  Ties are broken toward
+    the bisector (smaller |g + g'|), then lexicographically.
     """
     if grid is None:
         grid = AttackGrid()
@@ -216,10 +185,13 @@ def min_rate_brute(
     n_skip = int((physical & ~admissible).sum())
     g0, gp0 = _argmin_tiebreak(g, gp, rates, mask)
 
-    cell = axis[1] - axis[0]
-    half = grid.refine_margin * cell
-    ax_g = np.linspace(max(lo, g0 - half), min(hi, g0 + half), grid.refine_n)
-    ax_gp = np.linspace(max(lo, gp0 - half), min(hi, gp0 + half), grid.refine_n)
+    # Centre the window on the argmin's projection onto the bisector and
+    # mirror the g axis into the g' axis, so clipping at the edge of the
+    # square cannot tilt the refined lattice off the bisector.
+    gc = 0.5 * (g0 - gp0)
+    half = grid.refine_margin * (axis[1] - axis[0])
+    ax_g = np.linspace(max(lo, gc - half), min(hi, gc + half), grid.refine_n)
+    ax_gp = -ax_g[::-1]
     rg, rgp = np.meshgrid(ax_g, ax_gp, indexing="ij")
     rrates, rphys, radm = _grid_rates(protocol, link, omega_a, omega_b, rg, rgp)
     rmask = rphys & radm
@@ -235,10 +207,7 @@ def min_rate_brute(
     ).rate
     analytic = key_rate_min_thermal(protocol, link, omega_a, omega_b).rate
     gm = g_max(omega_a, omega_b)
-    cell_size = max(
-        float(ax_g[1] - ax_g[0]) if grid.refine_n > 1 else 0.0,
-        float(ax_gp[1] - ax_gp[0]) if grid.refine_n > 1 else 0.0,
-    )
+    cell_size = float(ax_g[1] - ax_g[0])
     return ArgMinReport(
         g_star=g_star,
         g_prime_star=gp_star,
@@ -252,15 +221,6 @@ def min_rate_brute(
         n_evaluated=n_eval,
         n_skipped=n_skip,
     )
-
-
-def _rate_on_bisector_coords(
-    protocol: ProtocolParams, link: LinkPair, lam: float, lam_prime: float
-) -> KeyRateReport:
-    if link.is_symmetric:
-        tau = 0.5 * (link.tau_a + link.tau_b)
-        return key_rate_closed_sym(protocol, tau, lam, lam_prime)
-    return key_rate_closed_asym(protocol, link, lam, lam_prime)
 
 
 def _physical_dprime_max(omega_a: float, omega_b: float, l: float) -> float:
@@ -300,7 +260,8 @@ def rate_profile_y(
 
     Fixed-chi mode (pass ``chi``): y = sqrt(u^2 d'^2 + (alpha chi / beta)^2)
     runs over [alpha chi / beta, ((alpha chi / beta)^2 + beta^2) / (2 beta)];
-    the sample rate comes from the closed forms at lam = delta -+ u d'.
+    the samples come from the array kernel at lam = delta -+ u d', with
+    delta = y - beta, and samples outside its domain are skipped.
 
     When u = 0 the variable y is frozen and the profile is constant.
     Samples are log-spaced toward the d' = 0 endpoint, which is always
@@ -372,30 +333,20 @@ def rate_profile_y(
         y_vals = y_min + np.concatenate(
             [[0.0], np.geomspace(span * 1e-8, span, samples - 1)]
         )
-    ys, ds, rs = [], [], []
-    skipped = 0
-    for y in y_vals:
-        delta = y - beta
-        if u == 0.0:
-            dp = 0.0
-        else:
-            dp = math.sqrt(max(y * y - y_min * y_min, 0.0)) / u
-        lam = delta - u * dp
-        lam_prime = delta + u * dp
-        try:
-            rep = _rate_on_bisector_coords(protocol, link, lam, lam_prime)
-        except DomainError:
-            skipped += 1
-            continue
-        ys.append(float(y))
-        ds.append(dp)
-        rs.append(rep.rate)
-    if not ys:
+    # y = beta + delta and u d' = sqrt(y^2 - y_min^2), so lam = delta -+ u d'
+    ud = np.sqrt(np.maximum(y_vals * y_vals - y_min * y_min, 0.0))
+    lam = y_vals - beta - ud
+    lam_prime = y_vals - beta + ud
+    ok = in_domain(link, lam, lam_prime)
+    if not ok.any():
         raise EmptyDomainError("no admissible sample on the fixed-chi profile")
+    rate, _ = rate_kernel(
+        ARRAY, protocol.mu, protocol.xi, link, lam[ok], lam_prime[ok], chi
+    )
     return RateProfile(
         mode="chi",
-        y=np.asarray(ys),
-        d_prime=np.asarray(ds),
-        rate=np.asarray(rs),
-        skipped=skipped,
+        y=y_vals[ok],
+        d_prime=(ud / u if u > 0.0 else ud)[ok],
+        rate=rate,
+        skipped=int((~ok).sum()),
     )

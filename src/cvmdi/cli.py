@@ -2,10 +2,10 @@
 
 Machine-readable output (JSON, or CSV for sweeps) goes to stdout or the
 ``--output`` file; a short human summary goes to stderr.  Exit status: 0
-on success, 1 on domain errors (and on failed verification verdicts), 2
-on flag validation errors.  Identical argv and seed produce byte-identical
-output.  The ``CVMDI_THREADS`` environment variable caps the sweep worker
-pool (default 1).
+on success, 1 on domain errors and on failed verdicts (``verify``,
+``optics-sim``), 2 on flag validation errors.  Identical argv and seed
+produce byte-identical output.  The ``CVMDI_THREADS`` environment variable
+caps the sweep worker pool (default 1).
 """
 
 from __future__ import annotations
@@ -288,7 +288,7 @@ def _cmd_optics_sim(args: argparse.Namespace) -> int:
         f"control fail fraction {report.control_fail_fraction:.4f}",
         file=sys.stderr,
     )
-    return 0
+    return 0 if report.ok else 1
 
 
 _COMMANDS = {

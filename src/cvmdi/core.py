@@ -19,14 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 H_CLAMP_TOL = 1e-12
 """Arguments of entropy_h within this slack below 1 are clamped to 1."""
 
 PHYSICALITY_TOL = 1e-12
 """Slack on nu_minus >= 1 when testing physicality."""
-
-BISECTION_TOL = 1e-12
-"""Absolute tolerance of the g_max bisection."""
 
 SYMMETRIC_TAU_TOL = 1e-9
 """Below this |tau_a - tau_b| a link pair is treated as symmetric."""
@@ -43,7 +42,7 @@ class NonphysicalStateError(DomainError):
 
 
 class SymmetricDegenerateError(DomainError):
-    """An asymmetric-only formula was evaluated with tau_a == tau_b."""
+    """A formula that needs tau_a != tau_b was evaluated on a symmetric link."""
 
 
 class EmptyDomainError(DomainError):
@@ -181,6 +180,49 @@ def entropy_h(x: float) -> float:
     return a * math.log2(a) - b * math.log2(b)
 
 
+def entropy_h_array(x: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`entropy_h` for arrays.  Arguments below 1 are
+    taken as 1 instead of raising: array callers mask their domain
+    themselves."""
+    xm = np.maximum(x, 1.0)
+    a = (xm + 1.0) / 2.0
+    b = (xm - 1.0) / 2.0
+    out = a * np.log2(a)
+    np.subtract(out, b * np.log2(np.where(b > 0.0, b, 1.0)), where=b > 0.0, out=out)
+    return out
+
+
+def entropy_tail(r: float) -> float:
+    """tail(r) = h(1/r) + log2(r) on 0 <= r <= 1, written without the
+    cancellation between its two terms as r -> 0:
+
+    tail(r) = -1 + (ln(1 - r^2) / 2 + atanh(r) / r) / ln 2,
+
+    continuously extended by tail(0) = log2(e / 2) and tail(1) = 0.  The
+    product (1 - r)(1 + r) keeps ln(1 - r^2) accurate as r -> 1.  Within
+    the entropy clamp slack above 1, h(1/r) is 0 and tail(r) = log2(r);
+    beyond it :class:`DomainError` is raised.
+    """
+    if r == 0.0:
+        return LOG2E - 1.0
+    if r >= 1.0:
+        if r * (1.0 - H_CLAMP_TOL) > 1.0:
+            raise DomainError(f"entropy_tail argument {r!r} > 1: nonphysical value")
+        return math.log2(r)
+    return -1.0 + (0.5 * math.log((1.0 - r) * (1.0 + r)) + math.atanh(r) / r) * LOG2E
+
+
+def entropy_tail_array(r: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`entropy_tail` for arrays with 0 <= r <= 1 up to
+    the clamp slack (array callers mask their domain themselves)."""
+    out = np.log2(np.maximum(r, 1.0))
+    inner = (r > 0.0) & (r < 1.0)
+    x = r[inner]
+    out[inner] = -1.0 + (0.5 * np.log((1.0 - x) * (1.0 + x)) + np.arctanh(x) / x) * LOG2E
+    out[r == 0.0] = LOG2E - 1.0
+    return out
+
+
 def log_ratio_g(x: float) -> float:
     """log2((x+1)/(x-1)) for x > 1; strictly decreasing, pole at x = 1."""
     if x <= 1.0:
@@ -225,52 +267,20 @@ def is_physical(ancilla: AncillaState) -> bool:
     return symplectic_spectrum(ancilla).nu_minus >= 1.0 - PHYSICALITY_TOL
 
 
-def _nu_minus_anticorrelated(omega_a: float, omega_b: float, g: float) -> float:
-    """nu_minus of the ancilla (g, -g) through the factored discriminant
-    (omega_a - omega_b)^2 ((omega_a + omega_b)^2 - 4 g^2), which stays
-    exact when the variances coincide."""
-    s = (omega_a + omega_b) ** 2 - 4.0 * g * g
-    if s < 0.0:
-        return 0.0
-    val = 0.5 * (
-        omega_a * omega_a + omega_b * omega_b - 2.0 * g * g
-        - abs(omega_a - omega_b) * math.sqrt(s)
-    )
-    return math.sqrt(max(val, 0.0))
-
-
 def g_max(omega_a: float, omega_b: float) -> float:
     """Largest g >= 0 such that the anticorrelated ancilla (g, -g) stays
-    physical, located by bisection to ``BISECTION_TOL``.
+    physical: g_max = sqrt((omega_min - 1)(omega_max + 1)).
 
-    On the anticorrelation line nu_minus decreases strictly from
-    min(omega_a, omega_b) at g = 0 to 0 at the positivity bound
-    sqrt(omega_a * omega_b), so the boundary is unique.  The bisection
-    tests nu_minus >= 1 strictly (no physicality slack) so vacuum ancillas
-    yield exactly 0.
+    On the line (g, -g) the invariants are Delta = omega_a^2 + omega_b^2
+    - 2 g^2 and det = (omega_a omega_b - g^2)^2, and nu_minus = 1 solves
+    to g^2 = omega_a omega_b - 1 - |omega_a - omega_b|.  nu_minus decreases
+    strictly in g, so this first crossing is the boundary; a vacuum mode
+    (omega_min = 1) pins it to exactly 0.
     """
     if omega_a < 1.0 or omega_b < 1.0:
         raise ValueError("ancilla variances must be >= 1 SNU")
-    if min(omega_a, omega_b) == 1.0:
-        # nu_minus(0) = min(omega) and decreases strictly, so the boundary
-        # sits at exactly 0; bisecting would stall on sub-ulp rounding.
-        return 0.0
-    bound = math.sqrt(omega_a * omega_b)
-
-    def physical(g: float) -> bool:
-        return g < bound and _nu_minus_anticorrelated(omega_a, omega_b, g) >= 1.0
-
-    lo = 0.0
-    hi = bound
-    if not physical(lo):  # unreachable for omega >= 1; kept as a guard
-        return 0.0
-    while hi - lo > BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        if physical(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    lo, hi = min(omega_a, omega_b), max(omega_a, omega_b)
+    return math.sqrt((lo - 1.0) * (hi + 1.0))
 
 
 def derive_noise(link: LinkPair, ancilla: AncillaState) -> DerivedNoise:

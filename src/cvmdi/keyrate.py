@@ -1,25 +1,40 @@
 """Secret-key-rate formulas for the dual-homodyne relay protocol.
 
-Five evaluation paths are exposed, all returning a :class:`KeyRateReport`
-in bits per relay use (negative rates are reported unclamped and flagged
-via ``secure``):
+Every path evaluates one rate kernel, :func:`rate_kernel`:
 
-- :func:`key_rate` — the general rate xi * I_AB - I_EA for an explicit
-  attack ancilla, with automatic dispatch to the symmetric closed form
-  when the links are degenerate.
-- :func:`key_rate_closed_sym` / :func:`key_rate_closed_asym` — closed
-  forms in the effective noises (lam, lam') for symmetric and asymmetric
-  links.  Algebraically identical to the general rate on the
-  anticorrelation bisector.
+    R = log2(2 beta mu^(xi-1) / (e chi^xi s)) + h(nu) - tail(|dtau| / s),
+    s = sqrt(lam lam'),  nu = sqrt((tau_a + lam)(tau_a + lam')) / tau_b,
+
+with tail(r) = h(1/r) + log2(r) (:func:`cvmdi.core.entropy_tail`).  This
+is the asymmetric closed form with its log2(1/|dtau|) cancelled against
+h(s/|dtau|) analytically, so it holds no 1/|dtau| term: it stays accurate
+as |dtau| -> 0 and at dtau = 0, where tail(0) = log2(e/2), it is exactly
+the symmetric closed form.  Its domain is lam, lam' > 0 with
+sqrt(lam lam') >= |dtau|; the one special case is lossless symmetric
+links (lam = lam' = 0 at dtau = 0), where the adversary is decoupled and
+R = xi log2(mu / 4).
+
+The public functions only pick (lam, lam', chi) and check the domain, and
+return a :class:`KeyRateReport` in bits per relay use (negative rates are
+reported unclamped and flagged via ``secure``):
+
+- :func:`key_rate` — the general rate xi * I_AB - I_EA against an
+  explicit attack ancilla; (lam, lam', chi) from the noise algebra.
+- :func:`key_rate_closed_sym` / :func:`key_rate_closed_asym` — given
+  (lam, lam'), chi = (beta / alpha) sqrt((beta + lam)(beta + lam')).
 - :func:`key_rate_min_thermal` — worst case over the adversary's
   correlations when the thermal noises (omega_a, omega_b) are known:
-  evaluated at lam = lam' = kappa + u * |g|_max.
+  lam = lam' = kappa + u * g_max, chi = beta (beta + lam) / alpha.
 - :func:`key_rate_min_chi` — worst case when the equivalent noise chi is
-  known instead (the operationally estimated quantity).
+  known instead (the operationally estimated quantity):
+  lam = lam' = (alpha chi - beta^2) / beta.
 
-Alice's raw key is always the reference; swapping tau_a and tau_b
-evaluates the opposite reference choice.  The formulas assume the
-large-modulation regime, so mu enters only through mu^(xi-1) and the
+The kernel is written once and evaluated through two backends: ``SCALAR``
+(``math``, for single points) and ``ARRAY`` (numpy, for lattices and
+sampled profiles), because numpy ufuncs on Python floats cost about 20x
+more per call.  Alice's raw key is always the reference; swapping tau_a
+and tau_b evaluates the opposite reference choice.  The formulas assume
+the large-modulation regime, so mu enters only through mu^(xi-1) and the
 mutual information.
 """
 
@@ -27,23 +42,34 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
+
+import numpy as np
 
 from .core import (
-    SYMMETRIC_TAU_TOL,
+    H_CLAMP_TOL,
     AncillaState,
     DerivedNoise,
     DomainError,
     LinkPair,
     NonphysicalStateError,
     ProtocolParams,
-    SymmetricDegenerateError,
     derive_noise,
     entropy_h,
+    entropy_h_array,
+    entropy_tail,
+    entropy_tail_array,
     g_max,
     is_physical,
 )
 
-E_SQUARED = math.e * math.e
+SCALAR = SimpleNamespace(sqrt=math.sqrt, log2=math.log2, h=entropy_h, tail=entropy_tail)
+"""``math`` backend of :func:`rate_kernel`, for single points."""
+
+ARRAY = SimpleNamespace(
+    sqrt=np.sqrt, log2=np.log2, h=entropy_h_array, tail=entropy_tail_array
+)
+"""numpy backend of :func:`rate_kernel`, for arrays of noises."""
 
 
 @dataclass(frozen=True)
@@ -51,8 +77,9 @@ class KeyRateReport:
     """Rate plus the intermediates that produced it.
 
     ``rate = xi * i_ab - i_ea`` holds on every path; ``secure`` is simply
-    ``rate > 0``.  The ``nu*`` symplectic-style intermediates are filled
-    where the producing formula defines them.
+    ``rate > 0``.  The kernel's nu is reported as ``nu1`` on symmetric
+    links and as ``nu`` otherwise; ``nu2`` is lam / |dtau| on the
+    asymmetric minimized-chi path.
     """
 
     rate: float
@@ -65,6 +92,66 @@ class KeyRateReport:
     nu1: float | None = None
     nu2: float | None = None
     nu3: float | None = None
+
+
+def rate_kernel(be, mu, xi, link: LinkPair, lam, lam_prime, chi):
+    """(R, nu) of the module-level kernel formula through backend ``be``
+    (``SCALAR`` or ``ARRAY``).  ``lam``, ``lam_prime`` and ``chi`` are
+    floats, or arrays that broadcast together, inside :func:`in_domain`;
+    nothing is checked here."""
+    s = be.sqrt(lam * lam_prime)
+    nu = be.sqrt((link.tau_a + lam) * (link.tau_a + lam_prime)) / link.tau_b
+    rate = (
+        be.log2(2.0 * link.beta * mu ** (xi - 1.0) / (math.e * chi ** xi * s))
+        + be.h(nu)
+        - be.tail(link.delta_tau / s)
+    )
+    return rate, nu
+
+
+def in_domain(link: LinkPair, lam, lam_prime):
+    """Where :func:`rate_kernel` is defined: lam, lam' > 0 and
+    sqrt(lam lam') >= |dtau|, the last within the entropy clamp slack.
+    Works elementwise on arrays.  (nu >= 1 follows: (tau_a + lam)
+    (tau_a + lam') >= (tau_a + s)^2 >= tau_b^2.)"""
+    floor = link.delta_tau * (1.0 - H_CLAMP_TOL)
+    return (lam > 0.0) & (lam_prime > 0.0) & (lam * lam_prime >= floor * floor)
+
+
+def _check_domain(link: LinkPair, lam: float, lam_prime: float) -> None:
+    if not in_domain(link, lam, lam_prime):
+        raise DomainError(
+            f"rate undefined at lam = {lam}, lam' = {lam_prime}: needs "
+            f"lam, lam' > 0 and sqrt(lam lam') >= |dtau| = {link.delta_tau}"
+        )
+
+
+def _report(
+    protocol: ProtocolParams,
+    link: LinkPair,
+    lam: float,
+    lam_prime: float,
+    chi: float,
+    tag: str,
+    nu2: float | None = None,
+) -> KeyRateReport:
+    mu, xi = protocol.mu, protocol.xi
+    if lam == 0.0 and lam_prime == 0.0 and link.delta_tau == 0.0:
+        # lossless symmetric links: the adversary is decoupled
+        i_ab = mutual_information(mu, 4.0)
+        rate = xi * i_ab
+        return KeyRateReport(
+            rate=rate, i_ab=i_ab, i_ea=0.0, chi=4.0,
+            secure=rate > 0.0, formula_tag=tag, nu1=1.0,
+        )
+    _check_domain(link, lam, lam_prime)
+    rate, nu = rate_kernel(SCALAR, mu, xi, link, lam, lam_prime, chi)
+    i_ab = mutual_information(mu, chi)
+    nus = {"nu1": nu} if link.is_symmetric else {"nu": nu}
+    return KeyRateReport(
+        rate=rate, i_ab=i_ab, i_ea=xi * i_ab - rate, chi=chi,
+        secure=rate > 0.0, formula_tag=tag, nu2=nu2, **nus,
+    )
 
 
 def mutual_information(mu: float, chi: float) -> float:
@@ -82,59 +169,34 @@ def eve_holevo(link: LinkPair, noise: DerivedNoise, mu: float) -> float:
     h(sqrt(lam lam') / |dtau|) + log2(e |dtau| mu / (2 beta)) - h(nu),
     nu = sqrt((tau_a + lam)(tau_a + lam')) / tau_b.
 
-    Only defined for asymmetric links; the symmetric limit is reached
-    through the closed forms.
+    Since R = xi * I_AB - I_EA, this is minus the kernel rate at xi = 0,
+    which keeps it accurate as |dtau| -> 0 and defined at dtau = 0.
     """
-    dt = link.delta_tau
-    if dt < SYMMETRIC_TAU_TOL:
-        raise SymmetricDegenerateError(
-            "Holevo term is degenerate for symmetric links; "
-            "use the symmetric closed form"
-        )
-    prod = noise.lam * noise.lam_prime
-    if prod < 0.0:
-        raise DomainError(f"lam * lam' = {prod} < 0: Holevo bound undefined")
-    nfac = (link.tau_a + noise.lam) * (link.tau_a + noise.lam_prime)
-    if nfac < 0.0:
-        raise DomainError("noise symplectic value undefined")
-    nu = math.sqrt(nfac) / link.tau_b
-    return (
-        entropy_h(math.sqrt(prod) / dt)
-        + math.log2(math.e * dt * mu / (2.0 * link.beta))
-        - entropy_h(nu)
-    )
+    _check_domain(link, noise.lam, noise.lam_prime)
+    rate, _ = rate_kernel(SCALAR, mu, 0.0, link, noise.lam, noise.lam_prime, noise.chi)
+    return -rate
 
 
 def key_rate(
     protocol: ProtocolParams, link: LinkPair, ancilla: AncillaState
 ) -> KeyRateReport:
-    """General rate xi * I_AB - I_EA against an explicit attack ancilla.
-
-    The ancilla must be physical.  Symmetric links dispatch to
-    :func:`key_rate_closed_sym`, which is the analytic limit of the
-    general expression.
-    """
+    """General rate xi * I_AB - I_EA against an explicit attack ancilla,
+    which must be physical.  Symmetric links are tagged
+    ``symmetric-closed``, the form the kernel takes there."""
     if not is_physical(ancilla):
         raise NonphysicalStateError(
             f"attack covariance is not physical: {ancilla}"
         )
     noise = derive_noise(link, ancilla)
-    if link.is_symmetric:
-        tau = 0.5 * (link.tau_a + link.tau_b)
-        return key_rate_closed_sym(protocol, tau, noise.lam, noise.lam_prime)
-    i_ab = mutual_information(protocol.mu, noise.chi)
-    i_ea = eve_holevo(link, noise, protocol.mu)
-    rate = protocol.xi * i_ab - i_ea
-    nu = math.sqrt((link.tau_a + noise.lam) * (link.tau_a + noise.lam_prime)) / link.tau_b
-    return KeyRateReport(
-        rate=rate,
-        i_ab=i_ab,
-        i_ea=i_ea,
-        chi=noise.chi,
-        secure=rate > 0.0,
-        formula_tag="general",
-        nu=nu,
-    )
+    tag = "symmetric-closed" if link.is_symmetric else "general"
+    return _report(protocol, link, noise.lam, noise.lam_prime, noise.chi, tag)
+
+
+def _closed_chi(link: LinkPair, lam: float, lam_prime: float) -> float:
+    bfac = (link.beta + lam) * (link.beta + lam_prime)
+    if bfac <= 0.0:
+        raise DomainError("equivalent noise undefined")
+    return link.beta / link.alpha * math.sqrt(bfac)
 
 
 def key_rate_closed_sym(
@@ -148,71 +210,24 @@ def key_rate_closed_sym(
     lam = lam' = 0 (lossless links, adversary decoupled) degenerates to
     R = xi log2(mu / 4).
     """
-    if not 0.0 < tau <= 1.0:
-        raise ValueError(f"tau must be in (0, 1], got {tau}")
-    mu, xi = protocol.mu, protocol.xi
-    if lam == 0.0 and lam_prime == 0.0:
-        i_ab = mutual_information(mu, 4.0)
-        rate = xi * i_ab
-        return KeyRateReport(
-            rate=rate, i_ab=i_ab, i_ea=0.0, chi=4.0,
-            secure=rate > 0.0, formula_tag="symmetric-closed", nu1=1.0,
-        )
-    if lam <= 0.0 or lam_prime <= 0.0:
-        raise DomainError(
-            f"effective noises must be positive, got lam = {lam}, lam' = {lam_prime}"
-        )
-    alpha = tau * tau
-    beta = 2.0 * tau
-    chi = beta / alpha * math.sqrt((beta + lam) * (beta + lam_prime))
-    nu1 = math.sqrt((tau + lam) * (tau + lam_prime)) / tau
-    rate = (
-        math.log2(8.0 * tau * mu ** (xi - 1.0)
-                  / (E_SQUARED * chi ** xi * math.sqrt(lam * lam_prime)))
-        + entropy_h(nu1)
-    )
-    i_ab = mutual_information(mu, chi)
-    return KeyRateReport(
-        rate=rate, i_ab=i_ab, i_ea=xi * i_ab - rate, chi=chi,
-        secure=rate > 0.0, formula_tag="symmetric-closed", nu1=nu1,
-    )
+    link = LinkPair(tau, tau)
+    chi = _closed_chi(link, lam, lam_prime)
+    return _report(protocol, link, lam, lam_prime, chi, "symmetric-closed")
 
 
 def key_rate_closed_asym(
     protocol: ProtocolParams, link: LinkPair, lam: float, lam_prime: float
 ) -> KeyRateReport:
-    """Closed form for asymmetric links:
+    """Closed form for any link pair:
 
     R = log2(2 beta mu^(xi-1) / (e |dtau| chi^xi))
-        + h(nu) - h(sqrt(lam lam') / |dtau|).
+        + h(nu) - h(sqrt(lam lam') / |dtau|),
+
+    evaluated as the kernel, so it is also defined at dtau = 0, where it
+    equals :func:`key_rate_closed_sym`.
     """
-    dt = link.delta_tau
-    if dt < SYMMETRIC_TAU_TOL:
-        raise SymmetricDegenerateError(
-            "asymmetric closed form requires tau_a != tau_b"
-        )
-    mu, xi = protocol.mu, protocol.xi
-    prod = lam * lam_prime
-    if prod < 0.0:
-        raise DomainError(f"lam * lam' = {prod} < 0")
-    nfac = (link.tau_a + lam) * (link.tau_a + lam_prime)
-    if nfac < 0.0:
-        raise DomainError("noise symplectic value undefined")
-    bfac = (link.beta + lam) * (link.beta + lam_prime)
-    if bfac <= 0.0:
-        raise DomainError("equivalent noise undefined")
-    chi = link.beta / link.alpha * math.sqrt(bfac)
-    nu = math.sqrt(nfac) / link.tau_b
-    rate = (
-        math.log2(2.0 * link.beta * mu ** (xi - 1.0) / (math.e * dt * chi ** xi))
-        + entropy_h(nu)
-        - entropy_h(math.sqrt(prod) / dt)
-    )
-    i_ab = mutual_information(mu, chi)
-    return KeyRateReport(
-        rate=rate, i_ab=i_ab, i_ea=xi * i_ab - rate, chi=chi,
-        secure=rate > 0.0, formula_tag="asymmetric-closed", nu=nu,
-    )
+    chi = _closed_chi(link, lam, lam_prime)
+    return _report(protocol, link, lam, lam_prime, chi, "asymmetric-closed")
 
 
 def key_rate_min_thermal(
@@ -222,109 +237,43 @@ def key_rate_min_thermal(
 
     The minimum over all physical correlations sits on the
     anticorrelation bisector at the physicality boundary, i.e. at
-    lam = lam' = lam_opt = kappa + u |g|_max.  Symmetric branch:
+    lam = lam' = lam_opt = kappa + u |g|_max, with
+    chi_opt = beta (beta + lam_opt) / alpha.  On symmetric links this is
 
     R = h((tau + lam_opt)/tau) + log2(8 tau mu^(xi-1) / (e^2 chi_opt^xi lam_opt)),
-    chi_opt = 2 (2 tau + lam_opt) / tau.
 
-    The asymmetric branch is written so that it coincides exactly with the
-    asymmetric closed form evaluated at lam = lam' = lam_opt (the
-    (tau_a + tau_b)^(1-xi) factor below is required for that identity and
-    for the analytic value to lower-bound the brute-force grid):
-
-    R = h((tau_a + lam_opt)/tau_b) - h(lam_opt/|dtau|)
-        + log2(2 alpha^xi beta^(1-xi) mu^(xi-1) / (e |dtau| (beta + lam_opt)^xi)).
+    and on asymmetric links the asymmetric closed form at lam_opt.
     """
-    gm = g_max(omega_a, omega_b)
     kappa = (1.0 - link.tau_a) * omega_a + (1.0 - link.tau_b) * omega_b
-    lam_opt = kappa + link.u * gm
-    mu, xi = protocol.mu, protocol.xi
-    if link.is_symmetric:
-        tau = 0.5 * (link.tau_a + link.tau_b)
-        if lam_opt == 0.0:  # lossless links: adversary decoupled
-            i_ab = mutual_information(mu, 4.0)
-            rate = xi * i_ab
-            return KeyRateReport(
-                rate=rate, i_ab=i_ab, i_ea=0.0, chi=4.0,
-                secure=rate > 0.0, formula_tag="min-thermal-symmetric", nu1=1.0,
-            )
-        chi_opt = 2.0 * (2.0 * tau + lam_opt) / tau
-        nu1 = (tau + lam_opt) / tau
-        rate = entropy_h(nu1) + math.log2(
-            8.0 * tau * mu ** (xi - 1.0) / (E_SQUARED * chi_opt ** xi * lam_opt)
-        )
-        i_ab = mutual_information(mu, chi_opt)
-        return KeyRateReport(
-            rate=rate, i_ab=i_ab, i_ea=xi * i_ab - rate, chi=chi_opt,
-            secure=rate > 0.0, formula_tag="min-thermal-symmetric", nu1=nu1,
-        )
-    dt = link.delta_tau
-    if lam_opt <= dt * (1.0 - 1e-12):
-        raise DomainError(
-            f"lam_opt = {lam_opt} <= |dtau| = {dt}: rate formula undefined "
-            "in this regime"
-        )
-    alpha, beta = link.alpha, link.beta
-    nu = (link.tau_a + lam_opt) / link.tau_b
-    chi = beta * (beta + lam_opt) / alpha
-    rate = (
-        entropy_h(nu)
-        - entropy_h(lam_opt / dt)
-        + math.log2(
-            2.0 * alpha ** xi * beta ** (1.0 - xi) * mu ** (xi - 1.0)
-            / (math.e * dt * (beta + lam_opt) ** xi)
-        )
-    )
-    i_ab = mutual_information(mu, chi)
-    return KeyRateReport(
-        rate=rate, i_ab=i_ab, i_ea=xi * i_ab - rate, chi=chi,
-        secure=rate > 0.0, formula_tag="min-thermal-asymmetric", nu=nu,
-    )
+    lam_opt = kappa + link.u * g_max(omega_a, omega_b)
+    chi = link.beta * (link.beta + lam_opt) / link.alpha
+    tag = "min-thermal-symmetric" if link.is_symmetric else "min-thermal-asymmetric"
+    return _report(protocol, link, lam_opt, lam_opt, chi, tag)
 
 
 def key_rate_min_chi(
     protocol: ProtocolParams, link: LinkPair, chi: float
 ) -> KeyRateReport:
-    """Worst-case rate when the equivalent noise chi is known.
-
-    Symmetric branch (pole at chi = 4):
+    """Worst-case rate when the equivalent noise chi is known, at
+    lam = lam' = (alpha chi - beta^2) / beta.  On symmetric links (pole at
+    the loss floor chi = 4):
 
     R = h((chi - 2)/2) + log2(16 mu^(xi-1) / (e^2 chi^xi (chi - 4))).
 
-    Asymmetric branch:
+    On asymmetric links:
 
     R = log2(2 beta mu^(xi-1) / (e |dtau| chi^xi))
         + h(tau_a chi / beta - 1) - h((alpha chi - beta^2) / (|dtau| beta)).
     """
-    mu, xi = protocol.mu, protocol.xi
-    if link.is_symmetric:
-        if chi <= 4.0:
-            raise DomainError(
-                f"chi = {chi} <= 4: symmetric rate formula has a pole at 4"
-            )
-        nu1 = (chi - 2.0) / 2.0
-        rate = entropy_h(nu1) + math.log2(
-            16.0 * mu ** (xi - 1.0) / (E_SQUARED * chi ** xi * (chi - 4.0))
-        )
-        i_ab = mutual_information(mu, chi)
-        return KeyRateReport(
-            rate=rate, i_ab=i_ab, i_ea=xi * i_ab - rate, chi=chi,
-            secure=rate > 0.0, formula_tag="min-chi-symmetric", nu1=nu1,
-        )
-    alpha, beta, dt = link.alpha, link.beta, link.delta_tau
-    if chi < beta * beta / alpha:
+    alpha, beta = link.alpha, link.beta
+    lam = (alpha * chi - beta * beta) / beta
+    if lam <= 0.0:
         raise DomainError(
-            f"chi = {chi} below the loss floor beta^2/alpha = {beta * beta / alpha}"
+            f"chi = {chi} is not above the loss floor beta^2/alpha = "
+            f"{beta * beta / alpha}, where the rate formula has its pole"
         )
-    nu = link.tau_a * chi / beta - 1.0
-    x2 = (alpha * chi - beta * beta) / (dt * beta)
-    rate = (
-        math.log2(2.0 * beta * mu ** (xi - 1.0) / (math.e * dt * chi ** xi))
-        + entropy_h(nu)
-        - entropy_h(x2)
-    )
-    i_ab = mutual_information(mu, chi)
-    return KeyRateReport(
-        rate=rate, i_ab=i_ab, i_ea=xi * i_ab - rate, chi=chi,
-        secure=rate > 0.0, formula_tag="min-chi-asymmetric", nu=nu, nu2=x2,
+    if link.is_symmetric:
+        return _report(protocol, link, lam, lam, chi, "min-chi-symmetric")
+    return _report(
+        protocol, link, lam, lam, chi, "min-chi-asymmetric", nu2=lam / link.delta_tau
     )

@@ -25,15 +25,16 @@ from .core import (
     LinkPair,
     ProtocolParams,
     SymmetricDegenerateError,
-    entropy_h,
+    entropy_h_array,
     g_max,
 )
 from .attack import RateProfile, rate_profile_y
 from .keyrate import (
+    ARRAY,
     key_rate_closed_asym,
     key_rate_closed_sym,
     key_rate_min_chi,
-    key_rate_min_thermal,
+    rate_kernel,
 )
 
 STRICT_SLACK = 1e-10
@@ -312,9 +313,11 @@ def verify_lambda_minimization(
     """Monotone decrease of the bisector rate in the effective noise lam,
     hence a minimum at lam = lambda_max.
 
-    The rate is split into the entropy part H and the logarithmic part L;
-    on asymmetric links the convexity of H (positive second differences)
-    is checked alongside the decrease of H + L.
+    The rate comes from the array kernel and is split into the entropy
+    part H = h(nu) (minus h(lam / |dtau|) on asymmetric links) and the
+    logarithmic part L = rate - H; on asymmetric links the convexity of H
+    (positive second differences) is checked alongside the decrease of
+    the rate.
     """
     dt = link.delta_tau
     lo = dt + 1e-9
@@ -323,28 +326,14 @@ def verify_lambda_minimization(
             f"lambda_max = {lambda_max} must exceed |dtau| = {dt}"
         )
     lams = np.linspace(lo, lambda_max, samples)
-    mu, xi = protocol.mu, protocol.xi
-    alpha, beta = link.alpha, link.beta
-    if link.is_symmetric:
-        tau = 0.5 * (link.tau_a + link.tau_b)
-        h_part = np.array([entropy_h((tau + lam) / tau) for lam in lams])
-        chi_lam = 2.0 * (2.0 * tau + lams) / tau
-        log_part = np.log2(
-            8.0 * tau * mu ** (xi - 1.0) / (math.e ** 2 * chi_lam ** xi * lams)
-        )
-        rate = h_part + log_part
-        margins = -np.diff(rate)
-    else:
-        h_part = np.array(
-            [entropy_h((link.tau_a + lam) / link.tau_b) - entropy_h(lam / dt)
-             for lam in lams]
-        )
-        log_part = np.log2(
-            2.0 * alpha ** xi * beta ** (1.0 - xi) * mu ** (xi - 1.0)
-            / (math.e * dt * (beta + lams) ** xi)
-        )
-        rate = h_part + log_part
-        margins = np.concatenate([-np.diff(rate), np.diff(h_part, 2)])
+    chi = link.beta * (link.beta + lams) / link.alpha
+    rate, nu = rate_kernel(ARRAY, protocol.mu, protocol.xi, link, lams, lams, chi)
+    h_part = entropy_h_array(nu)
+    margins = -np.diff(rate)
+    if not link.is_symmetric:
+        h_part -= entropy_h_array(lams / dt)
+        margins = np.concatenate([margins, np.diff(h_part, 2)])
+    log_part = rate - h_part
     worst = float(margins.min())
     return LambdaProbe(
         lam=lams,
@@ -463,12 +452,7 @@ def run_verification_suite(
         probe = verify_lambda_minimization(protocol, link, lam_opt, samples=samples)
         worst = min(worst, probe.worst_margin)
         failures += not probe.verdict
-        if link.is_symmetric:
-            anchor = key_rate_closed_sym(
-                protocol, link.tau_a, lam_opt, lam_opt
-            ).rate
-        else:
-            anchor = key_rate_closed_asym(protocol, link, lam_opt, lam_opt).rate
+        anchor = key_rate_closed_asym(protocol, link, lam_opt, lam_opt).rate
         endpoint = max(endpoint, _rel_err(float(probe.rate[-1]), anchor))
     checks["lambda_minimization"] = {
         "scenarios": scenarios,

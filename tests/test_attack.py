@@ -103,6 +103,22 @@ class TestMinRateBrute:
             assert report.gap >= -1e-4
 
 
+    def test_clipped_window_stays_on_bisector(self):
+        # draw 33 of acceptance criterion 2's generator at seed 1: the
+        # coarse argmin sits one cell off the bisector next to the edge of
+        # the square, so the refinement window is clipped; the refined
+        # lattice must stay symmetric about the bisector
+        link = LinkPair(0.9704660831776306, 0.8345182530973749)
+        report = min_rate_brute(
+            ProtocolParams(xi=0.97), link, 8.120205533555247, 7.83341650485622,
+            AttackGrid(n=201, refine_n=801),
+        )
+        cell = report.cell_size
+        assert report.bisector_distance <= math.sqrt(2.0) * cell
+        assert report.gmax_distance <= cell
+        assert report.gap >= -1e-4
+
+
 class TestGridRateSymmetries:
     def test_bisector_reflection(self):
         # the rate is invariant under (g, g') -> (-g', -g), bitwise on the

@@ -186,6 +186,20 @@ class TestOpticsSim:
         assert payload["max_phase_error"] <= 1e-12
         assert payload["control_fail_fraction"] >= 0.99
 
+    def test_failed_certificate_exit_one(self, capsys, monkeypatch):
+        import cvmdi.cli
+        from cvmdi import AlignmentReport
+
+        failing = AlignmentReport(
+            trials=3, seed=0, max_phase_error=1.0, passed=False,
+            control_fail_fraction=1.0, control_passed=True,
+        )
+        monkeypatch.setattr(cvmdi.cli, "check_self_alignment", lambda **_: failing)
+        code, out, err = run_cli(capsys, "optics-sim", "--trials", "3")
+        assert code == 1
+        assert json.loads(out)["passed"] is False
+        assert "FAIL" in err
+
 
 class TestConsoleEntryPoint:
     def test_module_invocation(self):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import mp_oracle
 from cvmdi import (
     AncillaState,
     DomainError,
@@ -26,6 +27,7 @@ from cvmdi import (
     log_ratio_g,
     symplectic_spectrum,
 )
+from cvmdi.core import entropy_h_array, entropy_tail, entropy_tail_array
 
 
 def symplectic_eigenvalues_generic(sigma):
@@ -94,6 +96,37 @@ class TestEntropyH:
         x = 1.0 + np.geomspace(1e-9, 1e6 - 1.0, 400)
         h = np.array([entropy_h(v) for v in x])
         assert np.all(np.diff(h) > 0.0)
+
+
+class TestEntropyTail:
+    """tail(r) = h(1/r) + log2(r), the cancellation-free part of the rate
+    kernel."""
+
+    def test_anchors(self):
+        assert entropy_tail(0.0) == pytest.approx(math.log2(math.e / 2.0), rel=1e-15)
+        assert entropy_tail(1.0) == 0.0
+
+    def test_against_oracle(self):
+        rs = np.concatenate([
+            np.geomspace(1e-12, 0.5, 40),
+            1.0 - np.geomspace(1e-13, 0.5, 40),
+            np.random.default_rng(41).uniform(0.0, 1.0, 40),
+        ])
+        for r in rs:
+            want = mp_oracle.h(1 / mp_oracle.mp.mpf(r)) + mp_oracle.mp.log(r, 2)
+            assert abs(entropy_tail(r) - float(want)) <= 1e-14
+
+    def test_array_matches_scalar(self):
+        rs = np.concatenate([[0.0, 1.0], np.geomspace(1e-15, 1.0 - 1e-15, 200)])
+        arr = entropy_tail_array(rs)
+        assert np.max(np.abs(arr - [entropy_tail(r) for r in rs])) <= 1e-15
+        x = 1.0 + np.geomspace(1e-9, 1e6, 50)
+        assert np.max(np.abs(entropy_h_array(x) - [entropy_h(v) for v in x])) <= 1e-12
+
+    def test_clamp_window_and_domain(self):
+        assert entropy_tail(1.0 + 5e-13) == pytest.approx(math.log2(1.0 + 5e-13))
+        with pytest.raises(DomainError):
+            entropy_tail(1.001)
 
 
 class TestLogRatioG:
@@ -202,6 +235,13 @@ class TestGMax:
 
     def test_one_vacuum_mode_pins_to_zero(self):
         assert g_max(1.0, 7.3) == 0.0
+
+    def test_closed_form_matches_oracle(self):
+        rng = np.random.default_rng(42)
+        for _ in range(40):
+            wa, wb = rng.uniform(1.0, 10.0, size=2)
+            want = mp_oracle.g_max(wa, wb)
+            assert abs(g_max(wa, wb) - float(want)) <= 1e-15 * float(want)
 
 
 class TestDeriveNoise:

@@ -16,7 +16,6 @@ from cvmdi import (
     DomainError,
     LinkPair,
     ProtocolParams,
-    SymmetricDegenerateError,
     chi_equivalent,
     derive_noise,
     eve_holevo,
@@ -105,11 +104,13 @@ class TestEveHolevo:
         mu = 2.0 * link.beta / (math.e * link.delta_tau)
         assert eve_holevo(link, noise, mu) == pytest.approx(0.0, abs=1e-12)
 
-    def test_symmetric_degenerate(self):
+    def test_symmetric_matches_closed_sym(self):
+        # the Holevo term is defined at dtau = 0 and equals the symmetric
+        # closed form's xi * I_AB - R
         link = LinkPair(0.8, 0.8)
         noise = derive_noise(link, AncillaState(1.5, 1.5, 0.1, -0.1))
-        with pytest.raises(SymmetricDegenerateError):
-            eve_holevo(link, noise, 61.0)
+        closed = key_rate_closed_sym(FIG_PROTOCOL, 0.8, noise.lam, noise.lam_prime)
+        assert rel_err(eve_holevo(link, noise, 61.0), closed.i_ea) <= 1e-14
 
 
 def mp_oracle_h(x):
@@ -203,9 +204,12 @@ class TestClosedAsym:
             via_chi = key_rate_min_chi(FIG_PROTOCOL, link, chi).rate
             assert rel_err(via_lam, via_chi) <= 1e-9
 
-    def test_symmetric_degenerate(self):
-        with pytest.raises(SymmetricDegenerateError):
-            key_rate_closed_asym(FIG_PROTOCOL, LinkPair(0.7, 0.7), 0.5, 0.5)
+    def test_symmetric_matches_closed_sym(self):
+        # the kernel is defined at dtau = 0, where it is the symmetric form
+        for lam, lam_prime in ((0.5, 0.5), (0.2, 0.9)):
+            asym = key_rate_closed_asym(FIG_PROTOCOL, LinkPair(0.7, 0.7), lam, lam_prime)
+            sym = key_rate_closed_sym(FIG_PROTOCOL, 0.7, lam, lam_prime)
+            assert rel_err(asym.rate, sym.rate) <= 1e-14
 
     def test_lambda_domain(self):
         with pytest.raises(DomainError):
@@ -371,3 +375,52 @@ class TestOracleAgreement:
         value = float(mp_oracle.rate_min_thermal("0.97", 61, "0.8", "0.5", "1.3", "2.0"))
         report = key_rate_min_thermal(FIG_PROTOCOL, LinkPair(0.8, 0.5), 1.3, 2.0)
         assert rel_err(report.rate, value) <= 1e-10
+
+
+def _band_links():
+    """Near-symmetric links, both orientations: dtau log-spaced over
+    [1e-12, 1e-2] around tau in {0.3, 0.6, 0.9, 0.99}."""
+    for tau in (0.3, 0.6, 0.9, 0.99):
+        for d in np.geomspace(1e-12, 1e-2, 11):
+            yield LinkPair(tau + d, tau)
+            yield LinkPair(tau, tau + d)
+
+
+def _band_min_chi(link):
+    chi = chi_equivalent(link, 0.01)
+    got = key_rate_min_chi(FIG_PROTOCOL, link, chi).rate
+    return got, mp_oracle.rate_min_chi_asym(0.97, 61, link.tau_a, link.tau_b, chi)
+
+
+def _band_min_thermal(link):
+    got = key_rate_min_thermal(FIG_PROTOCOL, link, 2.0, 3.0).rate
+    return got, mp_oracle.rate_min_thermal(0.97, 61, link.tau_a, link.tau_b, 2.0, 3.0)
+
+
+def _band_closed_asym(link):
+    got = key_rate_closed_asym(FIG_PROTOCOL, link, 0.4, 0.7).rate
+    return got, mp_oracle.rate_asym_closed(0.97, 61, link.tau_a, link.tau_b, 0.4, 0.7)
+
+
+def _band_general(link):
+    g, g_prime = 0.8, -0.5
+    got = key_rate(FIG_PROTOCOL, link, AncillaState(2.0, 3.0, g, g_prime)).rate
+    mp = mp_oracle.mp
+    ta, tb = mp.mpf(link.tau_a), mp.mpf(link.tau_b)
+    kappa = (1 - ta) * 2 + (1 - tb) * 3
+    u = 2 * mp.sqrt((1 - ta) * (1 - tb))
+    lam, lam_prime = kappa - u * g, kappa + u * g_prime
+    return got, mp_oracle.rate_general(0.97, 61, link.tau_a, link.tau_b, lam, lam_prime)
+
+
+@pytest.mark.parametrize(
+    "path", [_band_min_chi, _band_min_thermal, _band_closed_asym, _band_general]
+)
+def test_near_symmetric_band_matches_oracle(path):
+    # the rate kernel has no 1/|dtau| term, so nothing cancels as dtau -> 0
+    worst = 0.0
+    for link in _band_links():
+        got, want = path(link)
+        worst = max(worst, rel_err(got, float(want)))
+    assert worst <= 1e-12
+
