@@ -8,10 +8,11 @@ pass re-grids a small window centred on the coarse argmin's projection
 onto the bisector g = -g'; the g' axis is the exact mirror image of the g
 axis, so the refined lattice is symmetric about the bisector even where
 the window is clipped at the edge of the square.  Grid rates come from the
-array backend of the one rate kernel (:func:`cvmdi.keyrate.rate_kernel`),
-evaluated only on physical and admissible lattice points; the reported
-minimum is re-evaluated through the scalar :func:`cvmdi.keyrate.key_rate`
-path so the report matches single-point calls exactly.
+one rate kernel (:func:`cvmdi.keyrate.rate_kernel`), evaluated only on
+physical and admissible lattice points; the reported minimum is
+re-evaluated through the single-point :func:`cvmdi.keyrate.key_rate` path
+so the report carries its intermediates.  The thermal rate profiles run
+through the same lattice evaluation.
 
 Lattice points that are physical but outside the kernel's domain
 (:func:`cvmdi.keyrate.in_domain`: sqrt(lam lam') below |dtau|, or a
@@ -36,7 +37,7 @@ from .core import (
     g_max,
     is_physical,
 )
-from .keyrate import ARRAY, in_domain, key_rate, key_rate_min_thermal, rate_kernel
+from .keyrate import in_domain, key_rate, key_rate_min_thermal, rate_kernel
 
 
 @dataclass(frozen=True)
@@ -134,13 +135,13 @@ def _grid_rates(
     kappa = (1.0 - link.tau_a) * omega_a + (1.0 - link.tau_b) * omega_b
     lam = kappa - link.u * g
     lam_prime = kappa + link.u * gp
-    admissible = in_domain(link, lam, lam_prime)
+    admissible = in_domain(link.tau_a, link.tau_b, lam, lam_prime)
     mask = physical & admissible
     lam, lam_prime = lam[mask], lam_prime[mask]
     chi = link.beta / link.alpha * np.sqrt((link.beta + lam) * (link.beta + lam_prime))
     rates = np.full(g.shape, np.inf)
     rates[mask] = rate_kernel(
-        ARRAY, protocol.mu, protocol.xi, link, lam, lam_prime, chi
+        protocol.mu, protocol.xi, link.tau_a, link.tau_b, lam, lam_prime, chi
     )[0]
     return rates, physical, admissible
 
@@ -224,22 +225,20 @@ def min_rate_brute(
 
 
 def _physical_dprime_max(omega_a: float, omega_b: float, l: float) -> float:
-    """Largest d' >= 0 keeping the ancilla (d' + l, d' - l) physical."""
+    """Largest d' >= 0 keeping the ancilla (d' + l, d' - l) physical.
 
-    def physical(dp: float) -> bool:
-        return is_physical(AncillaState(omega_a, omega_b, dp + l, dp - l))
-
-    if not physical(0.0):
+    With X = d'^2 and m = omega_a omega_b, nu_minus >= 1 reads
+    det - Delta + 1 = X^2 - 2 b X + c >= 0 with b = l^2 + m + 1 and
+    c = (m - 1 - l^2)^2 - (omega_a - omega_b)^2, so the boundary is the
+    smaller root X1 = c / (b + sqrt(b^2 - c)), where
+    b^2 - c = 4 m l^2 + (omega_a + omega_b)^2 has no cancellation.
+    """
+    if not is_physical(AncillaState(omega_a, omega_b, l, -l)):
         return 0.0
-    lo = 0.0
-    hi = math.sqrt(omega_a * omega_b) + abs(l) + 1.0  # positivity surely broken
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if physical(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    m = omega_a * omega_b
+    c = (m - 1.0 - l * l) ** 2 - (omega_a - omega_b) ** 2
+    root = math.sqrt(4.0 * m * l * l + (omega_a + omega_b) ** 2)
+    return math.sqrt(max(c / (l * l + m + 1.0 + root), 0.0))
 
 
 def rate_profile_y(
@@ -254,9 +253,11 @@ def rate_profile_y(
     """Rate along the monotonicity variable y at d' >= 0.
 
     Fixed-thermal mode (pass ``omegas`` and ``l``): the bisector
-    projection l is held, d' varies, y = u^2 d'^2.  Each sample evaluates
-    the general rate at the ancilla (d' + l, d' - l); nonphysical or
-    inadmissible points are skipped.
+    projection l is held, d' varies, y = u^2 d'^2.  The samples are the
+    general rate at the ancillas (d' + l, d' - l), evaluated as one
+    lattice; nonphysical points are skipped, and so are points outside the
+    kernel's domain unless :func:`cvmdi.keyrate.key_rate` defines them
+    (lossless symmetric links).
 
     Fixed-chi mode (pass ``chi``): y = sqrt(u^2 d'^2 + (alpha chi / beta)^2)
     runs over [alpha chi / beta, ((alpha chi / beta)^2 + beta^2) / (2 beta)];
@@ -292,31 +293,26 @@ def rate_profile_y(
                 d_primes = np.concatenate(
                     [[0.0], np.geomspace(d_cap * 1e-4, d_cap, samples - 1)]
                 )
-        ys, ds, rs = [], [], []
-        skipped = 0
-        for dp in d_primes:
-            ancilla_g = dp + l
-            ancilla_gp = dp - l
+        rates, physical, admissible = _grid_rates(
+            protocol, link, wa, wb, d_primes + l, d_primes - l
+        )
+        ok = physical & admissible
+        for k in np.flatnonzero(physical & ~admissible):
+            ancilla = AncillaState(wa, wb, d_primes[k] + l, d_primes[k] - l)
             try:
-                ancilla = AncillaState(wa, wb, ancilla_g, ancilla_gp)
-                if not is_physical(ancilla):
-                    skipped += 1
-                    continue
-                rep = key_rate(protocol, link, ancilla)
+                rates[k] = key_rate(protocol, link, ancilla).rate
             except DomainError:
-                skipped += 1
                 continue
-            ys.append(u * u * dp * dp)
-            ds.append(dp)
-            rs.append(rep.rate)
-        if not ys:
+            ok[k] = True
+        if not ok.any():
             raise EmptyDomainError("no admissible sample on the thermal profile")
+        ds = d_primes[ok]
         return RateProfile(
             mode="thermal",
-            y=np.asarray(ys),
-            d_prime=np.asarray(ds),
-            rate=np.asarray(rs),
-            skipped=skipped,
+            y=u * u * ds * ds,
+            d_prime=ds,
+            rate=rates[ok],
+            skipped=int((~ok).sum()),
         )
 
     alpha, beta, u = link.alpha, link.beta, link.u
@@ -337,11 +333,11 @@ def rate_profile_y(
     ud = np.sqrt(np.maximum(y_vals * y_vals - y_min * y_min, 0.0))
     lam = y_vals - beta - ud
     lam_prime = y_vals - beta + ud
-    ok = in_domain(link, lam, lam_prime)
+    ok = in_domain(link.tau_a, link.tau_b, lam, lam_prime)
     if not ok.any():
         raise EmptyDomainError("no admissible sample on the fixed-chi profile")
     rate, _ = rate_kernel(
-        ARRAY, protocol.mu, protocol.xi, link, lam[ok], lam_prime[ok], chi
+        protocol.mu, protocol.xi, link.tau_a, link.tau_b, lam[ok], lam_prime[ok], chi
     )
     return RateProfile(
         mode="chi",

@@ -4,8 +4,7 @@ Machine-readable output (JSON, or CSV for sweeps) goes to stdout or the
 ``--output`` file; a short human summary goes to stderr.  Exit status: 0
 on success, 1 on domain errors and on failed verdicts (``verify``,
 ``optics-sim``), 2 on flag validation errors.  Identical argv and seed
-produce byte-identical output.  The ``CVMDI_THREADS`` environment variable
-caps the sweep worker pool (default 1).
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 from .core import DomainError, LinkPair, ProtocolParams, chi_equivalent
@@ -176,13 +174,6 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("CVMDI_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _knowledge_from(args: argparse.Namespace):
     if args.knowledge == "thermal":
         return ThermalKnowledge(args.omega_a, args.omega_b)
@@ -230,7 +221,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         protocol=ProtocolParams(xi=args.xi, phi=args.phi, epsilon=args.epsilon),
         knowledge=_knowledge_from(args),
     )
-    records = run_sweep(config, max_workers=_workers())
+    records = run_sweep(config)
     _emit(export(records, args.format), args.output)
     secure = sum(r.secure for r in records)
     errors = sum(r.error is not None for r in records)

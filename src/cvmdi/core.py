@@ -10,8 +10,7 @@ Conventions used throughout the package:
   (positive definiteness plus smallest symplectic eigenvalue >= 1) defines
   the admissible attack domain.
 
-All functions are pure; the dataclasses are frozen and safe to share
-between workers.
+All functions are pure and the dataclasses are frozen.
 """
 
 from __future__ import annotations

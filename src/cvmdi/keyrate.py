@@ -29,11 +29,12 @@ reported unclamped and flagged via ``secure``):
   known instead (the operationally estimated quantity):
   lam = lam' = (alpha chi - beta^2) / beta.
 
-The kernel is written once and evaluated through two backends: ``SCALAR``
-(``math``, for single points) and ``ARRAY`` (numpy, for lattices and
-sampled profiles), because numpy ufuncs on Python floats cost about 20x
-more per call.  Alice's raw key is always the reference; swapping tau_a
-and tau_b evaluates the opposite reference choice.  The formulas assume
+The kernel is written once, in numpy, and takes the links as (tau_a,
+tau_b) so that lattices of links broadcast.  Single points run it on
+1-element arrays, through the same numpy loops as lattices, so a sweep
+cell equals the single-point call bit for bit (the sweep tests check it).
+Alice's raw key is always the reference; swapping tau_a and tau_b
+evaluates the opposite reference choice.  The formulas assume
 the large-modulation regime, so mu enters only through mu^(xi-1) and the
 mutual information.
 """
@@ -42,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -55,21 +55,11 @@ from .core import (
     NonphysicalStateError,
     ProtocolParams,
     derive_noise,
-    entropy_h,
     entropy_h_array,
-    entropy_tail,
     entropy_tail_array,
     g_max,
     is_physical,
 )
-
-SCALAR = SimpleNamespace(sqrt=math.sqrt, log2=math.log2, h=entropy_h, tail=entropy_tail)
-"""``math`` backend of :func:`rate_kernel`, for single points."""
-
-ARRAY = SimpleNamespace(
-    sqrt=np.sqrt, log2=np.log2, h=entropy_h_array, tail=entropy_tail_array
-)
-"""numpy backend of :func:`rate_kernel`, for arrays of noises."""
 
 
 @dataclass(frozen=True)
@@ -94,36 +84,53 @@ class KeyRateReport:
     nu3: float | None = None
 
 
-def rate_kernel(be, mu, xi, link: LinkPair, lam, lam_prime, chi):
-    """(R, nu) of the module-level kernel formula through backend ``be``
-    (``SCALAR`` or ``ARRAY``).  ``lam``, ``lam_prime`` and ``chi`` are
-    floats, or arrays that broadcast together, inside :func:`in_domain`;
-    nothing is checked here."""
-    s = be.sqrt(lam * lam_prime)
-    nu = be.sqrt((link.tau_a + lam) * (link.tau_a + lam_prime)) / link.tau_b
+def rate_kernel(mu, xi, tau_a, tau_b, lam, lam_prime, chi):
+    """(R, nu) of the module-level kernel formula, elementwise over numpy
+    arrays that broadcast together (``tau_a``/``tau_b`` may be floats).
+    Every element must lie inside :func:`in_domain`; nothing is checked
+    here."""
+    s = np.sqrt(lam * lam_prime)
+    nu = np.sqrt((tau_a + lam) * (tau_a + lam_prime)) / tau_b
     rate = (
-        be.log2(2.0 * link.beta * mu ** (xi - 1.0) / (math.e * chi ** xi * s))
-        + be.h(nu)
-        - be.tail(link.delta_tau / s)
+        np.log2(2.0 * (tau_a + tau_b) * mu ** (xi - 1.0) / (math.e * chi ** xi * s))
+        + entropy_h_array(nu)
+        - entropy_tail_array(abs(tau_a - tau_b) / s)
     )
     return rate, nu
 
 
-def in_domain(link: LinkPair, lam, lam_prime):
+def in_domain(tau_a, tau_b, lam, lam_prime):
     """Where :func:`rate_kernel` is defined: lam, lam' > 0 and
     sqrt(lam lam') >= |dtau|, the last within the entropy clamp slack.
-    Works elementwise on arrays.  (nu >= 1 follows: (tau_a + lam)
-    (tau_a + lam') >= (tau_a + s)^2 >= tau_b^2.)"""
-    floor = link.delta_tau * (1.0 - H_CLAMP_TOL)
+    Works on floats and elementwise on arrays.  (nu >= 1 follows:
+    (tau_a + lam)(tau_a + lam') >= (tau_a + s)^2 >= tau_b^2.)"""
+    floor = abs(tau_a - tau_b) * (1.0 - H_CLAMP_TOL)
     return (lam > 0.0) & (lam_prime > 0.0) & (lam * lam_prime >= floor * floor)
 
 
-def _check_domain(link: LinkPair, lam: float, lam_prime: float) -> None:
-    if not in_domain(link, lam, lam_prime):
+def min_thermal_noise(tau_a, tau_b, omega_a, omega_b):
+    """(lam_opt, chi_opt) of :func:`key_rate_min_thermal`, on floats or
+    elementwise on arrays of links: lam_opt = kappa + u g_max and
+    chi_opt = beta (beta + lam_opt) / alpha."""
+    kappa = (1.0 - tau_a) * omega_a + (1.0 - tau_b) * omega_b
+    u = 2.0 * np.sqrt((1.0 - tau_a) * (1.0 - tau_b))
+    lam = kappa + u * g_max(omega_a, omega_b)
+    beta = tau_a + tau_b
+    return lam, beta * (beta + lam) / (tau_a * tau_b)
+
+
+def _kernel_at(mu, xi, link: LinkPair, lam, lam_prime, chi) -> tuple[float, float]:
+    """:func:`rate_kernel` at one point inside :func:`in_domain`, run on
+    1-element arrays."""
+    if not in_domain(link.tau_a, link.tau_b, lam, lam_prime):
         raise DomainError(
             f"rate undefined at lam = {lam}, lam' = {lam_prime}: needs "
             f"lam, lam' > 0 and sqrt(lam lam') >= |dtau| = {link.delta_tau}"
         )
+    rate, nu = rate_kernel(
+        mu, xi, link.tau_a, link.tau_b, *np.atleast_1d(lam, lam_prime, chi)
+    )
+    return float(rate[0]), float(nu[0])
 
 
 def _report(
@@ -144,8 +151,7 @@ def _report(
             rate=rate, i_ab=i_ab, i_ea=0.0, chi=4.0,
             secure=rate > 0.0, formula_tag=tag, nu1=1.0,
         )
-    _check_domain(link, lam, lam_prime)
-    rate, nu = rate_kernel(SCALAR, mu, xi, link, lam, lam_prime, chi)
+    rate, nu = _kernel_at(mu, xi, link, lam, lam_prime, chi)
     i_ab = mutual_information(mu, chi)
     nus = {"nu1": nu} if link.is_symmetric else {"nu": nu}
     return KeyRateReport(
@@ -172,9 +178,7 @@ def eve_holevo(link: LinkPair, noise: DerivedNoise, mu: float) -> float:
     Since R = xi * I_AB - I_EA, this is minus the kernel rate at xi = 0,
     which keeps it accurate as |dtau| -> 0 and defined at dtau = 0.
     """
-    _check_domain(link, noise.lam, noise.lam_prime)
-    rate, _ = rate_kernel(SCALAR, mu, 0.0, link, noise.lam, noise.lam_prime, noise.chi)
-    return -rate
+    return -_kernel_at(mu, 0.0, link, noise.lam, noise.lam_prime, noise.chi)[0]
 
 
 def key_rate(
@@ -244,9 +248,9 @@ def key_rate_min_thermal(
 
     and on asymmetric links the asymmetric closed form at lam_opt.
     """
-    kappa = (1.0 - link.tau_a) * omega_a + (1.0 - link.tau_b) * omega_b
-    lam_opt = kappa + link.u * g_max(omega_a, omega_b)
-    chi = link.beta * (link.beta + lam_opt) / link.alpha
+    lam_opt, chi = map(
+        float, min_thermal_noise(link.tau_a, link.tau_b, omega_a, omega_b)
+    )
     tag = "min-thermal-symmetric" if link.is_symmetric else "min-thermal-asymmetric"
     return _report(protocol, link, lam_opt, lam_opt, chi, tag)
 

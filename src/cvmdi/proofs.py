@@ -30,10 +30,10 @@ from .core import (
 )
 from .attack import RateProfile, rate_profile_y
 from .keyrate import (
-    ARRAY,
     key_rate_closed_asym,
     key_rate_closed_sym,
     key_rate_min_chi,
+    min_thermal_noise,
     rate_kernel,
 )
 
@@ -327,7 +327,9 @@ def verify_lambda_minimization(
         )
     lams = np.linspace(lo, lambda_max, samples)
     chi = link.beta * (link.beta + lams) / link.alpha
-    rate, nu = rate_kernel(ARRAY, protocol.mu, protocol.xi, link, lams, lams, chi)
+    rate, nu = rate_kernel(
+        protocol.mu, protocol.xi, link.tau_a, link.tau_b, lams, lams, chi
+    )
     h_part = entropy_h_array(nu)
     margins = -np.diff(rate)
     if not link.is_symmetric:
@@ -445,8 +447,7 @@ def run_verification_suite(
         else:
             link = _draw_asym_link(rng)
         wa, wb = rng.uniform(1.1, 5.0, size=2)
-        kappa = (1.0 - link.tau_a) * wa + (1.0 - link.tau_b) * wb
-        lam_opt = kappa + link.u * g_max(wa, wb)
+        lam_opt = min_thermal_noise(link.tau_a, link.tau_b, wa, wb)[0]
         if lam_opt <= link.delta_tau + 2e-9:
             lam_opt = link.delta_tau + 0.5
         probe = verify_lambda_minimization(protocol, link, lam_opt, samples=samples)

@@ -14,12 +14,18 @@ mp.mp.dps = 50
 TWO = mp.mpf(2)
 
 
+H_CLAMP_TOL = mp.mpf("1e-12")
+"""Same slack as cvmdi.core.H_CLAMP_TOL: float arguments that are exactly 1
+(tau_b = 1 at epsilon = 0) can round just below it."""
+
+
 def h(x):
-    """((x+1)/2) log2((x+1)/2) - ((x-1)/2) log2((x-1)/2), with h(1) = 0."""
+    """((x+1)/2) log2((x+1)/2) - ((x-1)/2) log2((x-1)/2), with h(1) = 0;
+    arguments within H_CLAMP_TOL below 1 are taken as 1."""
     x = mp.mpf(x)
-    if x < 1:
+    if x < 1 - H_CLAMP_TOL:
         raise ValueError(f"h undefined below 1, got {x}")
-    if x == 1:
+    if x <= 1:
         return mp.mpf(0)
     a = (x + 1) / 2
     b = (x - 1) / 2
@@ -129,8 +135,11 @@ def g_max(omega_a, omega_b):
 
 def rate_min_thermal(xi, mu, tau_a, tau_b, omega_a, omega_b):
     """Worst-case rate at fixed thermal noise: the general rate evaluated at
-    the anticorrelated physicality boundary (lam = lam' = kappa + u*g_max)."""
+    the anticorrelated physicality boundary (lam = lam' = kappa + u*g_max).
+    Lossless links decouple the adversary: xi log2(mu / 4)."""
     ta, tb = mp.mpf(tau_a), mp.mpf(tau_b)
+    if ta == tb == 1:
+        return mp.mpf(xi) * mp.log(mp.mpf(mu) / 4, 2)
     wa, wb = mp.mpf(omega_a), mp.mpf(omega_b)
     kappa = (1 - ta) * wa + (1 - tb) * wb
     u = 2 * mp.sqrt((1 - ta) * (1 - tb))

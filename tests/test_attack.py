@@ -5,14 +5,17 @@ import math
 import numpy as np
 import pytest
 
+import mp_oracle
 from cvmdi import (
     AncillaState,
     AttackGrid,
     DomainError,
+    EmptyDomainError,
     LinkPair,
     ProtocolParams,
     derive_noise,
     g_max,
+    is_physical,
     key_rate,
     key_rate_closed_asym,
     key_rate_closed_sym,
@@ -22,7 +25,7 @@ from cvmdi import (
     physical_bounds,
     rate_profile_y,
 )
-from cvmdi.attack import _axis, _grid_rates
+from cvmdi.attack import _axis, _grid_rates, _physical_dprime_max
 
 FAST_GRID = AttackGrid(n=101, refine_n=201)
 
@@ -36,6 +39,46 @@ class TestPhysicalBounds:
 
     def test_product(self):
         assert physical_bounds(1.0, 4.0) == (-2.0, 2.0)
+
+
+def _dprime_max_by_bisection(omega_a, omega_b, l):
+    """Reference: 80-step bisection of is_physical along (d' + l, d' - l)."""
+
+    def physical(dp):
+        return is_physical(AncillaState(omega_a, omega_b, dp + l, dp - l))
+
+    if not physical(0.0):
+        return 0.0
+    lo, hi = 0.0, math.sqrt(omega_a * omega_b) + abs(l) + 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if physical(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+class TestPhysicalDPrimeMax:
+    def test_closed_form_is_the_physicality_boundary(self):
+        rng = np.random.default_rng(11)
+        for k in range(300):
+            wa, wb = (float(w) for w in rng.uniform(1.1, 5.0, size=2))
+            l = float(rng.uniform(-0.85, 0.85)) * g_max(wa, wb)
+            d = _physical_dprime_max(wa, wb, l)
+            inner, outer = d * (1.0 - 1e-9), d * (1.0 + 1e-6)
+            assert is_physical(AncillaState(wa, wb, inner + l, inner - l))
+            assert not is_physical(AncillaState(wa, wb, outer + l, outer - l))
+            ref = _dprime_max_by_bisection(wa, wb, l)
+            assert abs(d - ref) <= 1e-8 * ref
+            if k < 20:  # nu_minus = 1 exactly on the boundary
+                nu = mp_oracle.nu_minus(wa, wb, d + l, d - l)
+                assert abs(float(nu) - 1.0) <= 1e-12
+
+    def test_nonphysical_at_zero_gives_zero(self):
+        gm = g_max(2.0, 3.0)
+        assert _physical_dprime_max(2.0, 3.0, 1.01 * gm) == 0.0
+        assert _physical_dprime_max(1.0, 1.0, 0.0) == 0.0  # vacuum ancilla
 
 
 class TestGridConstruction:
@@ -198,6 +241,72 @@ class TestRateProfileThermal:
         with pytest.raises(DomainError):
             rate_profile_y(
                 ProtocolParams(), link, omegas=(1.2, 1.2), l=50.0, samples=10
+            )
+
+
+def _thermal_profile_by_sample(protocol, link, omegas, l, samples):
+    """Reference: the thermal profile as one key_rate call per sample,
+    on the sample grid of rate_profile_y."""
+    wa, wb = omegas
+    kappa = (1.0 - link.tau_a) * wa + (1.0 - link.tau_b) * wb
+    u = link.u
+    delta = kappa - u * l
+    d_phys = _physical_dprime_max(wa, wb, l)
+    if u == 0.0:
+        d_primes = np.linspace(0.0, d_phys if d_phys > 0.0 else 1.0, samples)
+    else:
+        d_cap = min(delta / u, d_phys) * (1.0 - 1e-9)
+        d_primes = np.concatenate(
+            [[0.0], np.geomspace(d_cap * 1e-4, d_cap, samples - 1)]
+        ) if d_cap > 0.0 else np.array([0.0])
+    ys, rates, skipped = [], [], 0
+    for dp in d_primes:
+        try:
+            ancilla = AncillaState(wa, wb, dp + l, dp - l)
+            if not is_physical(ancilla):
+                skipped += 1
+                continue
+            rates.append(key_rate(protocol, link, ancilla).rate)
+        except DomainError:
+            skipped += 1
+            continue
+        ys.append(u * u * dp * dp)
+    return np.asarray(ys), np.asarray(rates), skipped
+
+
+class TestRateProfileThermalLattice:
+    def test_matches_per_sample_key_rate(self):
+        protocol = ProtocolParams()
+        rng = np.random.default_rng(4)
+        cases = [
+            (LinkPair(0.8, 0.5), (1.3, 2.0), -0.3),
+            (LinkPair(0.5, 0.8), (1.3, 2.0), 0.4),
+            (LinkPair(0.9, 0.9), (2.0, 2.0), 0.0),
+            (LinkPair(1.0, 1.0), (2.0, 2.0), 0.1),  # lossless: outside the kernel
+            (LinkPair(1.0, 0.7), (1.5, 3.0), 0.2),  # u = 0 on a lossy link
+            # on the boundary the physical d' range is the single point 0
+            (LinkPair(0.8, 0.5), (1.3, 2.0), -g_max(1.3, 2.0)),
+        ]
+        for _ in range(6):
+            ta, tb = (float(t) for t in rng.uniform(0.3, 1.0, size=2))
+            wa, wb = (float(w) for w in rng.uniform(1.0, 5.0, size=2))
+            cases.append((LinkPair(ta, tb), (wa, wb),
+                          float(rng.uniform(-0.9, 0.9)) * g_max(wa, wb)))
+        for link, omegas, l in cases:
+            profile = rate_profile_y(protocol, link, omegas=omegas, l=l, samples=60)
+            ys, rates, skipped = _thermal_profile_by_sample(
+                protocol, link, omegas, l, 60
+            )
+            assert np.array_equal(profile.y, ys)
+            assert np.array_equal(profile.rate, rates)  # 0 ulp
+            assert profile.skipped == skipped
+
+    def test_no_physical_sample_raises(self):
+        # u = 0 and l beyond the boundary: every sample is nonphysical
+        with pytest.raises(EmptyDomainError):
+            rate_profile_y(
+                ProtocolParams(), LinkPair(1.0, 1.0),
+                omegas=(2.0, 2.0), l=2.0, samples=20,
             )
 
 

@@ -424,3 +424,20 @@ def test_near_symmetric_band_matches_oracle(path):
         worst = max(worst, rel_err(got, float(want)))
     assert worst <= 1e-12
 
+
+
+def test_tau_one_edges_match_oracle():
+    # tau_b = 1 at epsilon = 0 puts an entropy argument at exactly 1, which
+    # float chi can round just below 1; lossless links decouple the adversary
+    protocol = ProtocolParams(xi=0.97, phi=60.0, epsilon=0.0)
+    worst = 0.0
+    for tau_a in np.linspace(0.3, 0.99, 200):
+        link = LinkPair(float(tau_a), 1.0)
+        chi = chi_equivalent(link, 0.0)
+        got = key_rate_min_chi(protocol, link, chi).rate
+        want = mp_oracle.rate_min_chi_asym(0.97, 61, link.tau_a, 1.0, chi)
+        worst = max(worst, rel_err(got, float(want)))
+    assert worst <= 1e-12
+    got = key_rate_min_thermal(protocol, LinkPair(1.0, 1.0), 1.5, 2.0).rate
+    want = mp_oracle.rate_min_thermal(0.97, 61, 1.0, 1.0, 1.5, 2.0)
+    assert rel_err(got, float(want)) <= 1e-12

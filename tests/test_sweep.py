@@ -7,6 +7,7 @@ import pytest
 
 from cvmdi import (
     ChiKnowledge,
+    DomainError,
     LinkPair,
     ProtocolParams,
     SweepConfig,
@@ -70,17 +71,55 @@ class TestRunSweep:
         assert seen == sorted(seen)  # tau_a outer, tau_b inner, ascending
 
     def test_cells_match_single_point_calls_exactly(self):
-        config = SweepConfig(
-            tau_a_range=(0.55, 0.95), tau_b_range=(0.6, 1.0), steps_a=5, steps_b=5,
-            protocol=FIG_PROTOCOL,
-        )
-        for record in run_sweep(config):
-            link = LinkPair(record.tau_a, record.tau_b)
-            expected = key_rate_min_chi(
-                FIG_PROTOCOL, link, chi_equivalent(link, 0.01)
-            )
-            assert record.rate == expected.rate  # 0 ulp: same code path
-            assert record.secure == expected.secure
+        # lattice cells come from one kernel call, out-of-domain cells from
+        # the single-point functions; either way a record must equal the
+        # single-point call bit for bit, error text included
+        no_excess = ProtocolParams(xi=0.97, phi=60.0, epsilon=0.0)
+        thermal = ThermalKnowledge(1.5, 2.0)
+        cases = [
+            (FIG_PROTOCOL, ChiKnowledge(), run_sweep(SweepConfig(
+                tau_a_range=(0.55, 0.95), tau_b_range=(0.6, 1.0),
+                steps_a=5, steps_b=5, protocol=FIG_PROTOCOL,
+            ))),
+            (FIG_PROTOCOL, thermal, run_sweep(SweepConfig(
+                tau_a_range=(0.5, 1.0), tau_b_range=(0.5, 1.0),
+                steps_a=6, steps_b=6, protocol=FIG_PROTOCOL, knowledge=thermal,
+            ))),
+            # reaches tau = 1: the chi-pole cell at (1, 1)
+            (no_excess, ChiKnowledge(), run_sweep(SweepConfig(
+                tau_a_range=(0.9, 1.0), tau_b_range=(0.8, 1.0),
+                steps_a=3, steps_b=5, protocol=no_excess,
+            ))),
+            (FIG_PROTOCOL, ChiKnowledge(),
+             relay_scan(0.5, FIG_PROTOCOL, steps=9).records),
+            (FIG_PROTOCOL, thermal,
+             relay_scan(0.7, FIG_PROTOCOL, steps=9, knowledge=thermal).records),
+        ]
+        errors = 0
+        for protocol, knowledge, records in cases:
+            for record in records:
+                link = LinkPair(record.tau_a, record.tau_b)
+                chi = math.nan
+                try:
+                    if isinstance(knowledge, ThermalKnowledge):
+                        wa, wb = knowledge.omega_a, knowledge.omega_b
+                        expected = key_rate_min_thermal(protocol, link, wa, wb)
+                        chi = expected.chi
+                    else:
+                        chi = chi_equivalent(link, protocol.epsilon)
+                        expected = key_rate_min_chi(protocol, link, chi)
+                except DomainError as exc:
+                    errors += 1
+                    assert record.error == str(exc)
+                    assert math.isnan(record.rate) and not record.secure
+                    both_nan = math.isnan(record.chi) and math.isnan(chi)
+                    assert record.chi == chi or both_nan
+                    continue
+                assert record.error is None
+                assert record.rate == expected.rate  # 0 ulp
+                assert record.chi == chi
+                assert record.secure == expected.secure
+        assert errors == 1  # the pole; the thermal (1, 1) corner is lossless
 
     def test_thermal_knowledge(self):
         config = SweepConfig(
@@ -115,12 +154,6 @@ class TestRunSweep:
         taus = sorted({k[0] for k in records})
         for lo, hi in zip(taus, taus[1:]):
             assert records[(lo, lo)] < records[(hi, hi)]
-
-    def test_parallel_matches_serial(self):
-        config = SweepConfig(
-            tau_a_range=(0.6, 0.9), tau_b_range=(0.6, 0.9), steps_a=4, steps_b=4
-        )
-        assert run_sweep(config, max_workers=2) == run_sweep(config, max_workers=1)
 
 
 class TestRelayScan:
