@@ -8,10 +8,11 @@ pass re-grids a small window centred on the coarse argmin's projection
 onto the bisector g = -g'; the g' axis is the exact mirror image of the g
 axis, so the refined lattice is symmetric about the bisector even where
 the window is clipped at the edge of the square.  Grid rates come from the
-one rate kernel (:func:`cvmdi.keyrate.rate_kernel`), evaluated only on
-physical and admissible lattice points; the reported minimum is
-re-evaluated through the single-point :func:`cvmdi.keyrate.key_rate` path
-so the report carries its intermediates.  The thermal rate profiles run
+one rate kernel (:func:`cvmdi.keyrate.rate_kernel`) on the physical and
+admissible lattice points, with the physicality test and noise algebra of
+:mod:`cvmdi.core`; the reported minimum is re-evaluated through
+:func:`cvmdi.keyrate.key_rate`, which runs the same code on the single
+ancilla and reports its intermediates.  The thermal rate profiles run
 through the same lattice evaluation.
 
 Lattice points that are physical but outside the kernel's domain
@@ -28,35 +29,38 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    PHYSICALITY_TOL,
     AncillaState,
     DomainError,
     EmptyDomainError,
     LinkPair,
     ProtocolParams,
+    attack_coords,
+    effective_noise,
+    equivalent_chi,
     g_max,
     is_physical,
 )
 from .keyrate import in_domain, key_rate, key_rate_min_thermal, rate_kernel
 
 
+REFINE_MARGIN = 2
+"""Coarse cells spanned by the refinement window on each side of its centre."""
+
+
 @dataclass(frozen=True)
 class AttackGrid:
     """Resolution of the two-stage search.  ``n`` points per axis on the
     coarse pass, ``refine_n`` on the refinement window, which spans
-    ``refine_margin`` coarse cells on each side of the coarse argmin.
+    ``REFINE_MARGIN`` coarse cells on each side of the coarse argmin.
     Odd counts keep the bisector on lattice points."""
 
     n: int = 201
     refine_n: int = 801
-    refine_margin: int = 2
 
     def __post_init__(self) -> None:
         for name, n in (("n", self.n), ("refine_n", self.refine_n)):
             if n < 3 or n % 2 == 0:
                 raise ValueError(f"{name} must be odd and >= 3, got {n}")
-        if self.refine_margin < 1:
-            raise ValueError("refine_margin must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -105,19 +109,6 @@ def _axis(lo: float, hi: float, n: int) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _physical_mask(
-    omega_a: float, omega_b: float, g: np.ndarray, gp: np.ndarray
-) -> np.ndarray:
-    """Elementwise :func:`cvmdi.core.is_physical` over correlation arrays."""
-    m = omega_a * omega_b
-    pos = (m - g * g > 0.0) & (m - gp * gp > 0.0)
-    delta = omega_a * omega_a + omega_b * omega_b + 2.0 * g * gp
-    det = np.where(pos, (m - g * g) * (m - gp * gp), 1.0)
-    disc = np.maximum(delta * delta - 4.0 * det, 0.0)
-    nu_minus = np.sqrt(np.maximum(0.5 * (delta - np.sqrt(disc)), 0.0))
-    return pos & (nu_minus >= 1.0 - PHYSICALITY_TOL)
-
-
 def _grid_rates(
     protocol: ProtocolParams,
     link: LinkPair,
@@ -129,20 +120,18 @@ def _grid_rates(
     """Vectorized general rate over correlation arrays.
 
     Returns (rates, physical mask, admissible mask); the kernel runs only
-    where physical & admissible, and rates are +inf elsewhere.
+    where physical & admissible, with the physicality test and noise
+    algebra of :func:`cvmdi.keyrate.key_rate`, and rates are +inf elsewhere.
     """
-    physical = _physical_mask(omega_a, omega_b, g, gp)
-    kappa = (1.0 - link.tau_a) * omega_a + (1.0 - link.tau_b) * omega_b
-    lam = kappa - link.u * g
-    lam_prime = kappa + link.u * gp
-    admissible = in_domain(link.tau_a, link.tau_b, lam, lam_prime)
+    ta, tb = link.tau_a, link.tau_b
+    physical = is_physical(AncillaState(omega_a, omega_b, g, gp))
+    lam, lam_prime = effective_noise(ta, tb, omega_a, omega_b, g, gp)
+    admissible = in_domain(ta, tb, lam, lam_prime)
     mask = physical & admissible
     lam, lam_prime = lam[mask], lam_prime[mask]
-    chi = link.beta / link.alpha * np.sqrt((link.beta + lam) * (link.beta + lam_prime))
+    chi = equivalent_chi(ta, tb, lam, lam_prime)
     rates = np.full(g.shape, np.inf)
-    rates[mask] = rate_kernel(
-        protocol.mu, protocol.xi, link.tau_a, link.tau_b, lam, lam_prime, chi
-    )[0]
+    rates[mask] = rate_kernel(protocol.mu, protocol.xi, ta, tb, lam, lam_prime, chi)[0]
     return rates, physical, admissible
 
 
@@ -189,8 +178,8 @@ def min_rate_brute(
     # Centre the window on the argmin's projection onto the bisector and
     # mirror the g axis into the g' axis, so clipping at the edge of the
     # square cannot tilt the refined lattice off the bisector.
-    gc = 0.5 * (g0 - gp0)
-    half = grid.refine_margin * (axis[1] - axis[0])
+    gc = attack_coords(g0, gp0).l
+    half = REFINE_MARGIN * (axis[1] - axis[0])
     ax_g = np.linspace(max(lo, gc - half), min(hi, gc + half), grid.refine_n)
     ax_gp = -ax_g[::-1]
     rg, rgp = np.meshgrid(ax_g, ax_gp, indexing="ij")
@@ -213,7 +202,7 @@ def min_rate_brute(
         g_star=g_star,
         g_prime_star=gp_star,
         rate_star=rate_star,
-        bisector_distance=abs(g_star + gp_star) / math.sqrt(2.0),
+        bisector_distance=attack_coords(g_star, gp_star).d,
         analytic_rate=analytic,
         gap=rate_star - analytic,
         g_max=gm,
@@ -241,6 +230,18 @@ def _physical_dprime_max(omega_a: float, omega_b: float, l: float) -> float:
     return math.sqrt(max(c / (l * l + m + 1.0 + root), 0.0))
 
 
+def chi_y_domain(link: LinkPair, chi: float) -> tuple[float, float]:
+    """Range of the fixed-chi variable y: y_min = alpha chi / beta and y_max =
+    (y_min^2 + beta^2) / (2 beta); :class:`DomainError` below the loss floor."""
+    alpha, beta = link.alpha, link.beta
+    if chi < beta * beta / alpha:
+        raise DomainError(
+            f"chi = {chi} below the loss floor beta^2/alpha = {beta * beta / alpha}"
+        )
+    y_min = alpha * chi / beta
+    return y_min, (y_min * y_min + beta * beta) / (2.0 * beta)
+
+
 def rate_profile_y(
     protocol: ProtocolParams,
     link: LinkPair,
@@ -260,9 +261,9 @@ def rate_profile_y(
     (lossless symmetric links).
 
     Fixed-chi mode (pass ``chi``): y = sqrt(u^2 d'^2 + (alpha chi / beta)^2)
-    runs over [alpha chi / beta, ((alpha chi / beta)^2 + beta^2) / (2 beta)];
-    the samples come from the array kernel at lam = delta -+ u d', with
-    delta = y - beta, and samples outside its domain are skipped.
+    runs over :func:`chi_y_domain`; the samples come from the array kernel
+    at lam = delta -+ u d', with delta = y - beta, and samples outside its
+    domain are skipped.
 
     When u = 0 the variable y is frozen and the profile is constant.
     Samples are log-spaced toward the d' = 0 endpoint, which is always
@@ -277,9 +278,8 @@ def rate_profile_y(
         if l is None:
             raise ValueError("thermal mode requires the bisector coordinate l")
         wa, wb = omegas
-        kappa = (1.0 - link.tau_a) * wa + (1.0 - link.tau_b) * wb
         u = link.u
-        delta = kappa - u * l
+        delta = effective_noise(link.tau_a, link.tau_b, wa, wb, l, -l)[0]
         if delta <= 0.0 and u > 0.0:
             raise DomainError(f"delta = kappa - u l = {delta} must be positive")
         d_phys = _physical_dprime_max(wa, wb, l)
@@ -315,13 +315,8 @@ def rate_profile_y(
             skipped=int((~ok).sum()),
         )
 
-    alpha, beta, u = link.alpha, link.beta, link.u
-    if chi < beta * beta / alpha:
-        raise DomainError(
-            f"chi = {chi} below the loss floor beta^2/alpha = {beta * beta / alpha}"
-        )
-    y_min = alpha * chi / beta
-    y_max = (y_min * y_min + beta * beta) / (2.0 * beta)
+    beta, u = link.beta, link.u
+    y_min, y_max = chi_y_domain(link, chi)
     span = y_max - y_min  # zero only at chi exactly on the loss floor
     if u == 0.0 or span <= 0.0:
         y_vals = np.full(1, y_min)

@@ -14,7 +14,7 @@ import dataclasses
 import json
 import sys
 
-from .core import DomainError, LinkPair, ProtocolParams, chi_equivalent
+from .core import LinkPair, ProtocolParams, chi_equivalent
 from .keyrate import key_rate_min_chi, key_rate_min_thermal
 from .attack import AttackGrid, min_rate_brute
 from .proofs import run_verification_suite
@@ -305,9 +305,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return _COMMANDS[args.command](args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,11 +10,14 @@ Conventions used throughout the package:
   (positive definiteness plus smallest symplectic eigenvalue >= 1) defines
   the admissible attack domain.
 
-All functions are pure and the dataclasses are frozen.
+All functions are pure and the dataclasses are frozen.  Each formula runs
+on floats and elementwise on numpy arrays (a float gives a float back);
+only this module maps an ancilla to (lam, lam', chi) and to physicality.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -162,38 +165,45 @@ class SymplecticPair:
     nu_plus: float
 
 
-def entropy_h(x: float) -> float:
-    """Thermal-spectrum entropy ((x+1)/2) log2((x+1)/2) - ((x-1)/2) log2((x-1)/2).
+def _floats_or_arrays(body):
+    """Run an array formula on floats too: a float is evaluated as a
+    1-element array, through the same numpy loops as a lattice element,
+    and handed back as a float."""
+    @functools.wraps(body)
+    def formula(x):
+        arr = np.asarray(x, dtype=float)
+        return body(arr) if arr.ndim else float(body(arr.reshape(1))[0])
+    return formula
 
-    Continuously extended by h(1) = 0; arguments within ``H_CLAMP_TOL``
-    below 1 are clamped to 1 so rounding at physical boundaries does not
-    raise.  Raises :class:`DomainError` below the clamp window, which
+
+def _plain(x):
+    """A Python float for a scalar result, arrays unchanged."""
+    return x if isinstance(x, np.ndarray) else float(x)
+
+
+@_floats_or_arrays
+def entropy_h(x):
+    """Thermal-spectrum entropy ((x+1)/2) log2((x+1)/2) - ((x-1)/2) log2((x-1)/2)
+    of a float, or elementwise of an array.  Continuously extended by
+    h(1) = 0; arguments within ``H_CLAMP_TOL`` below 1 are clamped to 1 so
+    rounding at physical boundaries does not raise.  Raises
+    :class:`DomainError` if any argument lies below the clamp window, which
     signals a nonphysical intermediate quantity.
     """
-    if x < 1.0 - H_CLAMP_TOL:
-        raise DomainError(f"entropy_h argument {x!r} < 1: nonphysical value")
-    if x <= 1.0:
-        return 0.0
-    a = (x + 1.0) / 2.0
-    b = (x - 1.0) / 2.0
-    return a * math.log2(a) - b * math.log2(b)
-
-
-def entropy_h_array(x: np.ndarray) -> np.ndarray:
-    """Elementwise :func:`entropy_h` for arrays.  Arguments below 1 are
-    taken as 1 instead of raising: array callers mask their domain
-    themselves."""
+    lo = x.min(initial=np.inf)
+    if lo < 1.0 - H_CLAMP_TOL:
+        raise DomainError(f"entropy_h argument {float(lo)!r} < 1: nonphysical value")
     xm = np.maximum(x, 1.0)
     a = (xm + 1.0) / 2.0
     b = (xm - 1.0) / 2.0
-    out = a * np.log2(a)
-    np.subtract(out, b * np.log2(np.where(b > 0.0, b, 1.0)), where=b > 0.0, out=out)
-    return out
+    return a * np.log2(a) - b * np.log2(np.where(b > 0.0, b, 1.0))
 
 
-def entropy_tail(r: float) -> float:
-    """tail(r) = h(1/r) + log2(r) on 0 <= r <= 1, written without the
-    cancellation between its two terms as r -> 0:
+@_floats_or_arrays
+def entropy_tail(r):
+    """tail(r) = h(1/r) + log2(r) on 0 <= r <= 1, on a float or elementwise
+    on an array, written without the cancellation between its two terms as
+    r -> 0:
 
     tail(r) = -1 + (ln(1 - r^2) / 2 + atanh(r) / r) / ln 2,
 
@@ -202,18 +212,9 @@ def entropy_tail(r: float) -> float:
     the entropy clamp slack above 1, h(1/r) is 0 and tail(r) = log2(r);
     beyond it :class:`DomainError` is raised.
     """
-    if r == 0.0:
-        return LOG2E - 1.0
-    if r >= 1.0:
-        if r * (1.0 - H_CLAMP_TOL) > 1.0:
-            raise DomainError(f"entropy_tail argument {r!r} > 1: nonphysical value")
-        return math.log2(r)
-    return -1.0 + (0.5 * math.log((1.0 - r) * (1.0 + r)) + math.atanh(r) / r) * LOG2E
-
-
-def entropy_tail_array(r: np.ndarray) -> np.ndarray:
-    """Elementwise :func:`entropy_tail` for arrays with 0 <= r <= 1 up to
-    the clamp slack (array callers mask their domain themselves)."""
+    hi = r.max(initial=0.0)
+    if hi * (1.0 - H_CLAMP_TOL) > 1.0:
+        raise DomainError(f"entropy_tail argument {float(hi)!r} > 1: nonphysical value")
     out = np.log2(np.maximum(r, 1.0))
     inner = (r > 0.0) & (r < 1.0)
     x = r[inner]
@@ -222,48 +223,56 @@ def entropy_tail_array(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def log_ratio_g(x: float) -> float:
-    """log2((x+1)/(x-1)) for x > 1; strictly decreasing, pole at x = 1."""
-    if x <= 1.0:
-        raise DomainError(f"log_ratio_g argument {x!r} <= 1")
-    return math.log2((x + 1.0) / (x - 1.0))
+@_floats_or_arrays
+def log_ratio_g(x):
+    """log2((x+1)/(x-1)) for x > 1, on a float or elementwise on an array;
+    strictly decreasing, pole at x = 1."""
+    lo = x.min(initial=np.inf)
+    if lo <= 1.0:
+        raise DomainError(f"log_ratio_g argument {float(lo)!r} <= 1")
+    return np.log2((x + 1.0) / (x - 1.0))
+
+
+def _invariants(ancilla: AncillaState):
+    """Positive-definiteness margins m - g^2, m - g'^2 (m = omega_a omega_b),
+    Delta = omega_a^2 + omega_b^2 + 2 g g', Delta^2 - 4 det with det =
+    (m - g^2)(m - g'^2), and nu_minus^2 = (Delta - sqrt(Delta^2 - 4 det)) / 2
+    (clamped at 0), on floats or elementwise when ``g``/``g_prime`` are
+    arrays (Weedbrook et al., Rev. Mod. Phys. 84, 621)."""
+    wa, wb, g, gp = ancilla.omega_a, ancilla.omega_b, ancilla.g, ancilla.g_prime
+    m = wa * wb
+    pos_g, pos_gp = m - g * g, m - gp * gp
+    delta = wa * wa + wb * wb + 2.0 * g * gp
+    det = pos_g * pos_gp
+    disc = delta * delta - 4.0 * det
+    nu_minus = np.sqrt(np.maximum(0.5 * (delta - np.sqrt(np.maximum(disc, 0.0))), 0.0))
+    return pos_g, pos_gp, delta, disc, nu_minus
 
 
 def symplectic_spectrum(ancilla: AncillaState) -> SymplecticPair:
-    """Symplectic eigenvalues of the two-mode ancilla covariance.
-
-    Uses the block invariants Delta = omega_a^2 + omega_b^2 + 2 g g' and
-    det = (omega_a omega_b - g^2)(omega_a omega_b - g'^2):
-    nu_pm^2 = (Delta +- sqrt(Delta^2 - 4 det)) / 2.
-    """
-    wa, wb, g, gp = ancilla.omega_a, ancilla.omega_b, ancilla.g, ancilla.g_prime
-    m = wa * wb
-    if m <= g * g or m <= gp * gp:
+    """Symplectic eigenvalues of the two-mode ancilla covariance from its
+    invariants (:func:`_invariants`), with nu_plus^2 = Delta - nu_minus^2."""
+    pos_g, pos_gp, delta, disc, nu_minus = _invariants(ancilla)
+    if pos_g <= 0.0 or pos_gp <= 0.0:
+        m, g, gp = ancilla.omega_a * ancilla.omega_b, ancilla.g, ancilla.g_prime
         raise NonphysicalStateError(
             f"covariance not positive definite: omega_a*omega_b = {m} "
             f"vs g = {g}, g_prime = {gp}"
         )
-    delta = wa * wa + wb * wb + 2.0 * g * gp
-    det = (m - g * g) * (m - gp * gp)
-    disc = delta * delta - 4.0 * det
     if disc < -1e-9 * max(1.0, delta * delta):
         raise NonphysicalStateError("complex symplectic spectrum")
-    root = math.sqrt(max(disc, 0.0))
-    return SymplecticPair(
-        nu_minus=math.sqrt((delta - root) / 2.0),
-        nu_plus=math.sqrt((delta + root) / 2.0),
-    )
+    nu_minus = float(nu_minus)
+    return SymplecticPair(nu_minus, math.sqrt(delta - nu_minus * nu_minus))
 
 
-def is_physical(ancilla: AncillaState) -> bool:
+def is_physical(ancilla: AncillaState):
     """True iff the ancilla covariance is a bona fide Gaussian state:
     both quadrature blocks positive definite and nu_minus >= 1 (within
-    ``PHYSICALITY_TOL``).  Never raises."""
-    wa, wb, g, gp = ancilla.omega_a, ancilla.omega_b, ancilla.g, ancilla.g_prime
-    m = wa * wb
-    if m - g * g <= 0.0 or m - gp * gp <= 0.0:
-        return False
-    return symplectic_spectrum(ancilla).nu_minus >= 1.0 - PHYSICALITY_TOL
+    ``PHYSICALITY_TOL``).  A bool for float correlations, a boolean array
+    elementwise when ``g``/``g_prime`` are arrays.  Never raises."""
+    pos_g, pos_gp, _, _, nu_minus = _invariants(ancilla)
+    ok = (pos_g > 0.0) & (pos_gp > 0.0) & (nu_minus >= 1.0 - PHYSICALITY_TOL)
+    return ok if isinstance(ok, np.ndarray) else bool(ok)
 
 
 def g_max(omega_a: float, omega_b: float) -> float:
@@ -282,26 +291,47 @@ def g_max(omega_a: float, omega_b: float) -> float:
     return math.sqrt((lo - 1.0) * (hi + 1.0))
 
 
-def derive_noise(link: LinkPair, ancilla: AncillaState) -> DerivedNoise:
-    """Noise algebra induced by a link/ancilla pair:
+def effective_noise(tau_a, tau_b, omega_a, omega_b, g, g_prime):
+    """Noises (lam, lam') = (kappa - u g, kappa + u g') of the two quadrature
+    branches: kappa = (1 - tau_a) omega_a + (1 - tau_b) omega_b is the
+    back-injected thermal noise, u = 2 sqrt((1 - tau_a)(1 - tau_b)) the
+    loss coupling.  Floats give floats; arrays broadcast."""
+    kappa = (1.0 - tau_a) * omega_a + (1.0 - tau_b) * omega_b
+    u = 2.0 * np.sqrt((1.0 - tau_a) * (1.0 - tau_b))
+    return _plain(kappa - u * g), _plain(kappa + u * g_prime)
 
-    kappa = (1 - tau_a) omega_a + (1 - tau_b) omega_b,
-    lam = kappa - u g,  lam' = kappa + u g',  delta = kappa - u l,
-    chi = (beta / alpha) sqrt((beta + lam)(beta + lam')).
-    """
-    kappa = (1.0 - link.tau_a) * ancilla.omega_a + (1.0 - link.tau_b) * ancilla.omega_b
-    u = link.u
-    lam = kappa - u * ancilla.g
-    lam_prime = kappa + u * ancilla.g_prime
-    l = (ancilla.g - ancilla.g_prime) / 2.0
-    delta = kappa - u * l
-    fa = link.beta + lam
-    fb = link.beta + lam_prime
-    if fa <= 0.0 or fb <= 0.0:
+
+def equivalent_chi(tau_a, tau_b, lam, lam_prime):
+    """Equivalent noise chi = (beta / alpha) sqrt((beta + lam)(beta + lam'))
+    of effective noises, on floats or arrays.  Raises :class:`DomainError`
+    if any beta + lam or beta + lam' is not positive."""
+    beta = tau_a + tau_b
+    fa, fb = beta + lam, beta + lam_prime
+    if np.minimum(fa, fb).min(initial=np.inf) <= 0.0:
         raise DomainError(
-            f"equivalent noise undefined: beta + lam = {fa}, beta + lam' = {fb}"
+            f"equivalent noise undefined: beta + lam = {np.min(fa)}, "
+            f"beta + lam' = {np.min(fb)}"
         )
-    chi = link.beta / link.alpha * math.sqrt(fa * fb)
+    return _plain(beta / (tau_a * tau_b) * np.sqrt(fa * fb))
+
+
+def bisector_lam(tau_a, tau_b, chi):
+    """Bisector noise lam = lam' = (alpha chi - beta^2) / beta of equivalent
+    noise chi (:func:`equivalent_chi` inverted at lam = lam'); floats or arrays."""
+    alpha, beta = tau_a * tau_b, tau_a + tau_b
+    return (alpha * chi - beta * beta) / beta
+
+
+def derive_noise(link: LinkPair, ancilla: AncillaState) -> DerivedNoise:
+    """Noise algebra of a link/ancilla pair (:func:`effective_noise`,
+    :func:`equivalent_chi`): kappa is the noise at zero correlation,
+    (lam, lam') the noise at (g, g'), delta = kappa - u l at l = (g - g')/2."""
+    ta, tb, wa, wb = link.tau_a, link.tau_b, ancilla.omega_a, ancilla.omega_b
+    kappa, _ = effective_noise(ta, tb, wa, wb, 0.0, 0.0)
+    lam, lam_prime = effective_noise(ta, tb, wa, wb, ancilla.g, ancilla.g_prime)
+    l = attack_coords(ancilla.g, ancilla.g_prime).l
+    delta, _ = effective_noise(ta, tb, wa, wb, l, -l)
+    chi = equivalent_chi(ta, tb, lam, lam_prime)
     return DerivedNoise(kappa=kappa, lam=lam, lam_prime=lam_prime, delta=delta, chi=chi)
 
 

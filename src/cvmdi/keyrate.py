@@ -14,20 +14,14 @@ sqrt(lam lam') >= |dtau|; the one special case is lossless symmetric
 links (lam = lam' = 0 at dtau = 0), where the adversary is decoupled and
 R = xi log2(mu / 4).
 
-The public functions only pick (lam, lam', chi) and check the domain, and
-return a :class:`KeyRateReport` in bits per relay use (negative rates are
-reported unclamped and flagged via ``secure``):
-
-- :func:`key_rate` — the general rate xi * I_AB - I_EA against an
-  explicit attack ancilla; (lam, lam', chi) from the noise algebra.
-- :func:`key_rate_closed_sym` / :func:`key_rate_closed_asym` — given
-  (lam, lam'), chi = (beta / alpha) sqrt((beta + lam)(beta + lam')).
-- :func:`key_rate_min_thermal` — worst case over the adversary's
-  correlations when the thermal noises (omega_a, omega_b) are known:
-  lam = lam' = kappa + u * g_max, chi = beta (beta + lam) / alpha.
-- :func:`key_rate_min_chi` — worst case when the equivalent noise chi is
-  known instead (the operationally estimated quantity):
-  lam = lam' = (alpha chi - beta^2) / beta.
+The public functions only pick (lam, lam', chi) through the noise algebra
+of :mod:`cvmdi.core` and check the domain, and return a
+:class:`KeyRateReport` in bits per relay use (negative rates are reported
+unclamped and flagged via ``secure``): the general rate :func:`key_rate`
+against an explicit ancilla, the closed forms :func:`key_rate_closed_sym`
+/ :func:`key_rate_closed_asym` at given (lam, lam'), and the worst cases
+:func:`key_rate_min_thermal` (known thermal noises) and
+:func:`key_rate_min_chi` (known equivalent noise chi).
 
 The kernel is written once, in numpy, and takes the links as (tau_a,
 tau_b) so that lattices of links broadcast.  Single points run it on
@@ -54,9 +48,12 @@ from .core import (
     LinkPair,
     NonphysicalStateError,
     ProtocolParams,
+    bisector_lam,
     derive_noise,
-    entropy_h_array,
-    entropy_tail_array,
+    effective_noise,
+    entropy_h,
+    entropy_tail,
+    equivalent_chi,
     g_max,
     is_physical,
 )
@@ -93,8 +90,8 @@ def rate_kernel(mu, xi, tau_a, tau_b, lam, lam_prime, chi):
     nu = np.sqrt((tau_a + lam) * (tau_a + lam_prime)) / tau_b
     rate = (
         np.log2(2.0 * (tau_a + tau_b) * mu ** (xi - 1.0) / (math.e * chi ** xi * s))
-        + entropy_h_array(nu)
-        - entropy_tail_array(abs(tau_a - tau_b) / s)
+        + entropy_h(nu)
+        - entropy_tail(abs(tau_a - tau_b) / s)
     )
     return rate, nu
 
@@ -109,14 +106,12 @@ def in_domain(tau_a, tau_b, lam, lam_prime):
 
 
 def min_thermal_noise(tau_a, tau_b, omega_a, omega_b):
-    """(lam_opt, chi_opt) of :func:`key_rate_min_thermal`, on floats or
-    elementwise on arrays of links: lam_opt = kappa + u g_max and
-    chi_opt = beta (beta + lam_opt) / alpha."""
-    kappa = (1.0 - tau_a) * omega_a + (1.0 - tau_b) * omega_b
-    u = 2.0 * np.sqrt((1.0 - tau_a) * (1.0 - tau_b))
-    lam = kappa + u * g_max(omega_a, omega_b)
-    beta = tau_a + tau_b
-    return lam, beta * (beta + lam) / (tau_a * tau_b)
+    """(lam_opt, chi_opt) of :func:`key_rate_min_thermal` on floats or arrays
+    of links: the noise lam_opt = kappa + u g_max at the anticorrelated
+    physicality boundary (g, g') = (-g_max, g_max), and its chi."""
+    gm = g_max(omega_a, omega_b)
+    lam = effective_noise(tau_a, tau_b, omega_a, omega_b, -gm, gm)[0]
+    return lam, equivalent_chi(tau_a, tau_b, lam, lam)
 
 
 def _kernel_at(mu, xi, link: LinkPair, lam, lam_prime, chi) -> tuple[float, float]:
@@ -196,13 +191,6 @@ def key_rate(
     return _report(protocol, link, noise.lam, noise.lam_prime, noise.chi, tag)
 
 
-def _closed_chi(link: LinkPair, lam: float, lam_prime: float) -> float:
-    bfac = (link.beta + lam) * (link.beta + lam_prime)
-    if bfac <= 0.0:
-        raise DomainError("equivalent noise undefined")
-    return link.beta / link.alpha * math.sqrt(bfac)
-
-
 def key_rate_closed_sym(
     protocol: ProtocolParams, tau: float, lam: float, lam_prime: float
 ) -> KeyRateReport:
@@ -215,7 +203,7 @@ def key_rate_closed_sym(
     R = xi log2(mu / 4).
     """
     link = LinkPair(tau, tau)
-    chi = _closed_chi(link, lam, lam_prime)
+    chi = equivalent_chi(tau, tau, lam, lam_prime)
     return _report(protocol, link, lam, lam_prime, chi, "symmetric-closed")
 
 
@@ -230,7 +218,7 @@ def key_rate_closed_asym(
     evaluated as the kernel, so it is also defined at dtau = 0, where it
     equals :func:`key_rate_closed_sym`.
     """
-    chi = _closed_chi(link, lam, lam_prime)
+    chi = equivalent_chi(link.tau_a, link.tau_b, lam, lam_prime)
     return _report(protocol, link, lam, lam_prime, chi, "asymmetric-closed")
 
 
@@ -239,18 +227,16 @@ def key_rate_min_thermal(
 ) -> KeyRateReport:
     """Worst-case rate when the thermal noises are known.
 
-    The minimum over all physical correlations sits on the
-    anticorrelation bisector at the physicality boundary, i.e. at
-    lam = lam' = lam_opt = kappa + u |g|_max, with
-    chi_opt = beta (beta + lam_opt) / alpha.  On symmetric links this is
+    The minimum over all physical correlations sits on the anticorrelation
+    bisector at the physicality boundary, lam = lam' = lam_opt = kappa +
+    u |g|_max, with chi_opt = beta (beta + lam_opt) / alpha.  On symmetric
+    links this is
 
     R = h((tau + lam_opt)/tau) + log2(8 tau mu^(xi-1) / (e^2 chi_opt^xi lam_opt)),
 
     and on asymmetric links the asymmetric closed form at lam_opt.
     """
-    lam_opt, chi = map(
-        float, min_thermal_noise(link.tau_a, link.tau_b, omega_a, omega_b)
-    )
+    lam_opt, chi = min_thermal_noise(link.tau_a, link.tau_b, omega_a, omega_b)
     tag = "min-thermal-symmetric" if link.is_symmetric else "min-thermal-asymmetric"
     return _report(protocol, link, lam_opt, lam_opt, chi, tag)
 
@@ -269,12 +255,11 @@ def key_rate_min_chi(
     R = log2(2 beta mu^(xi-1) / (e |dtau| chi^xi))
         + h(tau_a chi / beta - 1) - h((alpha chi - beta^2) / (|dtau| beta)).
     """
-    alpha, beta = link.alpha, link.beta
-    lam = (alpha * chi - beta * beta) / beta
+    lam = bisector_lam(link.tau_a, link.tau_b, chi)
     if lam <= 0.0:
         raise DomainError(
             f"chi = {chi} is not above the loss floor beta^2/alpha = "
-            f"{beta * beta / alpha}, where the rate formula has its pole"
+            f"{link.beta * link.beta / link.alpha}, where the rate formula has its pole"
         )
     if link.is_symmetric:
         return _report(protocol, link, lam, lam, chi, "min-chi-symmetric")

@@ -25,10 +25,14 @@ from .core import (
     LinkPair,
     ProtocolParams,
     SymmetricDegenerateError,
-    entropy_h_array,
+    chi_equivalent,
+    effective_noise,
+    entropy_h,
+    equivalent_chi,
     g_max,
+    log_ratio_g,
 )
-from .attack import RateProfile, rate_profile_y
+from .attack import RateProfile, chi_y_domain, rate_profile_y
 from .keyrate import (
     key_rate_closed_asym,
     key_rate_closed_sym,
@@ -102,24 +106,22 @@ class RegionVerdict:
     min_gap: float
 
 
-def _chi_coeffs(link: LinkPair, chi: float) -> tuple[float, float, float, float]:
-    """(a1, b1, a2, b2) with nu1 = sqrt(b1 - a1 y), nu2 = sqrt(b2 - a2 y)
-    on the fixed-chi domain."""
+def _chi_nus(link: LinkPair, chi: float, y: np.ndarray):
+    """(a1, a2, nu1, nu2) on the fixed-chi domain, where nu1 = sqrt(b1 - a1 y)
+    and nu2 = sqrt(b2 - a2 y), each clamped at 0."""
     alpha, beta = link.alpha, link.beta
     if link.is_symmetric:
         tau = 0.5 * (link.tau_a + link.tau_b)
-        return 2.0 / tau, chi * chi / 4.0 + 1.0, 4.0 / tau, chi * chi / 4.0 + 4.0
-    denom = beta * beta - 4.0 * alpha  # = dtau^2 > 0
-    a1 = 2.0 / link.tau_b
-    b1 = 1.0 + link.tau_a ** 2 * chi ** 2 / beta ** 2
-    a2 = 2.0 * beta / denom
-    b2 = (beta * beta + alpha ** 2 * chi ** 2 / beta ** 2) / denom
-    return a1, b1, a2, b2
-
-
-def _chi_domain(link: LinkPair, chi: float) -> tuple[float, float]:
-    y_min = link.alpha * chi / link.beta
-    return y_min, (y_min * y_min + link.beta ** 2) / (2.0 * link.beta)
+        a1, a2 = 2.0 / tau, 4.0 / tau
+        b1, b2 = chi * chi / 4.0 + 1.0, chi * chi / 4.0 + 4.0
+    else:
+        denom = beta * beta - 4.0 * alpha  # = dtau^2 > 0
+        a1 = 2.0 / link.tau_b
+        b1 = 1.0 + link.tau_a ** 2 * chi ** 2 / beta ** 2
+        a2 = 2.0 * beta / denom
+        b2 = (beta * beta + alpha ** 2 * chi ** 2 / beta ** 2) / denom
+    nu1 = np.sqrt(np.maximum(b1 - a1 * y, 0.0))
+    return a1, a2, nu1, np.sqrt(np.maximum(b2 - a2 * y, 0.0))
 
 
 def _finalize_monotone(
@@ -133,12 +135,7 @@ def _finalize_monotone(
 ) -> MonotoneProbe:
     degenerate = profile.y.size < 2 or float(profile.y[-1] - profile.y[0]) == 0.0
     diffs = np.diff(profile.rate) if not degenerate else np.empty(0)
-    margins = [diffs]
-    if bound is not None and bound.size:
-        margins.append(bound)
-    if extra_margins is not None and extra_margins.size:
-        margins.append(extra_margins)
-    allm = np.concatenate(margins) if margins else np.empty(0)
+    allm = np.concatenate([m for m in (diffs, bound, extra_margins) if m is not None])
     worst = float(allm.min()) if allm.size else math.inf
     return MonotoneProbe(
         y=profile.y,
@@ -175,21 +172,18 @@ def verify_monotone_thermal(
     profile = rate_profile_y(
         protocol, link, omegas=(omega_a, omega_b), l=l, samples=samples
     )
-    nu1 = nu2 = nu3 = bound = None
-    extra = None
+    nu1 = nu2 = nu3 = bound = extra = None
     label = ""
     if link.is_symmetric and link.u > 0.0:
         tau = 0.5 * (link.tau_a + link.tau_b)
-        kappa = (1.0 - link.tau_a) * omega_a + (1.0 - link.tau_b) * omega_b
-        delta = kappa - link.u * l
+        delta = effective_noise(link.tau_a, link.tau_b, omega_a, omega_b, l, -l)[0]
         y = profile.y
         nu1 = np.sqrt((tau + delta) ** 2 - y) / tau
         nu3 = np.sqrt(np.maximum(delta * delta - y, 0.0)) / tau
         chi_y = 2.0 * np.sqrt((2.0 * tau + delta) ** 2 - y) / tau
         nu2 = protocol.mu ** (1.0 - protocol.xi) * chi_y ** protocol.xi
-        g1 = np.log2((nu1 + 1.0) / (nu1 - 1.0))
-        with np.errstate(divide="ignore"):
-            bound = LOG2E / np.where(nu3 > 0.0, nu3, np.inf) - 0.5 * g1
+        g1 = log_ratio_g(nu1)
+        bound = LOG2E / np.where(nu3 > 0.0, nu3, np.inf) - 0.5 * g1
         label = "F"
         if bound.size > 1:
             extra = bound[1:] - bound[0]  # F(y) >= F(0)
@@ -209,15 +203,12 @@ def verify_monotone_chi(
     if link.is_symmetric and chi <= 4.0:
         raise DomainError(f"chi = {chi} <= 4 is outside the symmetric domain")
     profile = rate_profile_y(protocol, link, chi=chi, samples=samples)
-    a1, b1, a2, b2 = _chi_coeffs(link, chi)
-    y = profile.y
-    nu1 = np.sqrt(np.maximum(b1 - a1 * y, 0.0))
-    nu2 = np.sqrt(np.maximum(b2 - a2 * y, 0.0))
+    a1, a2, nu1, nu2 = _chi_nus(link, chi, profile.y)
     if link.is_symmetric:
         # nu2 can round to 0 at the last admissible sample; the bound is
         # only claimed on the open interior.
         ok = nu2 > 0.0
-        g1 = np.log2((nu1 + 1.0) / (nu1 - 1.0))
+        g1 = log_ratio_g(nu1)
         bound = (a2 * LOG2E / np.where(ok, nu2, 1.0) - 0.5 * a1 * g1)[ok]
         return _finalize_monotone(profile, nu1, nu2, None, bound, "L")
     k = a2 * nu1 - a1 * nu2
@@ -226,8 +217,8 @@ def verify_monotone_chi(
     # in the crossing regime the comparison function D = d(nu1) - d(nu2)
     # with d(x) = (x - 1) log2((x+1)/(x-1)) must stay negative
     ok = crossing & (nu1 > 1.0) & (nu2 > 1.0)
-    d1 = (nu1[ok] - 1.0) * np.log2((nu1[ok] + 1.0) / (nu1[ok] - 1.0))
-    d2 = (nu2[ok] - 1.0) * np.log2((nu2[ok] + 1.0) / (nu2[ok] - 1.0))
+    d1 = (nu1[ok] - 1.0) * log_ratio_g(nu1[ok])
+    d2 = (nu2[ok] - 1.0) * log_ratio_g(nu2[ok])
     return _finalize_monotone(profile, nu1, nu2, None, bound, "A", d2 - d1)
 
 
@@ -245,10 +236,8 @@ def classify_nu_regions(
     """
     if link.is_symmetric:
         raise SymmetricDegenerateError("region classification requires tau_a != tau_b")
-    alpha, beta = link.alpha, link.beta
-    if chi < beta * beta / alpha:
-        raise DomainError(f"chi = {chi} below the loss floor beta^2/alpha")
-    ta, tb = link.tau_a, link.tau_b
+    y_min, y_max = chi_y_domain(link, chi)
+    beta, ta, tb = link.beta, link.tau_a, link.tau_b
     threshold = None
     if ta >= 2.0 * tb:
         predicted = "greater"
@@ -260,11 +249,9 @@ def classify_nu_regions(
             predicted = "less"
         else:
             predicted = "greater"
-    a1, b1, a2, b2 = _chi_coeffs(link, chi)
-    y_min, y_max = _chi_domain(link, chi)
     ys = np.linspace(y_min, y_max, samples) if link.u > 0.0 else np.array([y_min])
-    gap = np.sqrt(np.maximum(b1 - a1 * ys, 0.0)) - np.sqrt(np.maximum(b2 - a2 * ys, 0.0))
-    min_gap = float(gap.min())
+    _, _, nu1, nu2 = _chi_nus(link, chi, ys)
+    min_gap = float((nu1 - nu2).min())
     atol = 1e-9
     if min_gap < -atol:
         observed = "less"
@@ -286,17 +273,10 @@ def verify_p_prime_positive(
 ) -> PositivityProbe:
     """Positivity of p'(y) = (a2 nu1 - a1 nu2) / (4 nu1 nu2) over the
     fixed-chi domain (upper endpoint excluded, where nu2 vanishes)."""
-    alpha, beta = link.alpha, link.beta
-    if chi < beta * beta / alpha:
-        raise DomainError(f"chi = {chi} below the loss floor beta^2/alpha")
-    a1, b1, a2, b2 = _chi_coeffs(link, chi)
-    y_min, y_max = _chi_domain(link, chi)
-    if link.u > 0.0:
-        ys = y_min + (y_max - y_min) * np.linspace(0.0, 1.0 - 1e-9, samples)
-    else:
-        ys = np.array([y_min])
-    nu1 = np.sqrt(np.maximum(b1 - a1 * ys, 0.0))
-    nu2 = np.sqrt(np.maximum(b2 - a2 * ys, 0.0))
+    y_min, y_max = chi_y_domain(link, chi)
+    frac = np.linspace(0.0, 1.0 - 1e-9, samples) if link.u > 0.0 else np.zeros(1)
+    ys = y_min + (y_max - y_min) * frac
+    a1, a2, nu1, nu2 = _chi_nus(link, chi, ys)
     values = (a2 * nu1 - a1 * nu2) / (4.0 * nu1 * nu2)
     worst = float(values.min())
     return PositivityProbe(
@@ -326,14 +306,14 @@ def verify_lambda_minimization(
             f"lambda_max = {lambda_max} must exceed |dtau| = {dt}"
         )
     lams = np.linspace(lo, lambda_max, samples)
-    chi = link.beta * (link.beta + lams) / link.alpha
+    chi = equivalent_chi(link.tau_a, link.tau_b, lams, lams)
     rate, nu = rate_kernel(
         protocol.mu, protocol.xi, link.tau_a, link.tau_b, lams, lams, chi
     )
-    h_part = entropy_h_array(nu)
+    h_part = entropy_h(nu)
     margins = -np.diff(rate)
     if not link.is_symmetric:
-        h_part -= entropy_h_array(lams / dt)
+        h_part -= entropy_h(lams / dt)
         margins = np.concatenate([margins, np.diff(h_part, 2)])
     log_part = rate - h_part
     worst = float(margins.min())
@@ -356,6 +336,18 @@ def _draw_asym_link(rng: np.random.Generator) -> LinkPair:
         ta, tb = rng.uniform(0.3, 0.999, size=2)
         if abs(ta - tb) >= 0.02:
             return LinkPair(ta, tb)
+
+
+def _summary(
+    scenarios: int, failures: int, worst: float, endpoint: float | None = None
+) -> dict:
+    """One check's report entry; an endpoint error, where the check has
+    one, must also stay within 1e-9."""
+    entry = {"scenarios": scenarios, "failures": failures, "worst_margin": worst}
+    if endpoint is None:
+        return {**entry, "pass": failures == 0}
+    return {**entry, "worst_endpoint_rel_err": endpoint,
+            "pass": failures == 0 and endpoint <= 1e-9}
 
 
 def run_verification_suite(
@@ -385,17 +377,10 @@ def run_verification_suite(
         probe = verify_monotone_thermal(protocol, link, wa, wb, l, samples=samples)
         worst = min(worst, probe.worst_margin)
         failures += not probe.verdict
-        kappa = (1.0 - tau) * wa + (1.0 - tau) * wb
-        lam0 = kappa - link.u * l
+        lam0 = effective_noise(tau, tau, wa, wb, l, -l)[0]
         anchor = key_rate_closed_sym(protocol, tau, lam0, lam0).rate
         endpoint = max(endpoint, _rel_err(float(probe.rate[0]), anchor))
-    checks["monotone_thermal"] = {
-        "scenarios": scenarios,
-        "failures": failures,
-        "worst_margin": worst,
-        "worst_endpoint_rel_err": endpoint,
-        "pass": failures == 0 and endpoint <= 1e-9,
-    }
+    checks["monotone_thermal"] = _summary(scenarios, failures, worst, endpoint)
 
     # Fixed equivalent noise, alternating symmetric/asymmetric links.
     worst, endpoint, failures = math.inf, 0.0, 0
@@ -406,34 +391,23 @@ def run_verification_suite(
             link = LinkPair(tau, tau)
         else:
             link = _draw_asym_link(rng)
-        chi = 2.0 * link.beta / link.alpha + rng.uniform(0.01, 0.8)
+        chi = chi_equivalent(link, rng.uniform(0.01, 0.8))
         probe = verify_monotone_chi(protocol, link, chi, samples=samples)
         worst = min(worst, probe.worst_margin)
         failures += not probe.verdict
         anchor = key_rate_min_chi(protocol, link, chi).rate
         endpoint = max(endpoint, _rel_err(float(probe.rate[0]), anchor))
-    checks["monotone_chi"] = {
-        "scenarios": scenarios,
-        "failures": failures,
-        "worst_margin": worst,
-        "worst_endpoint_rel_err": endpoint,
-        "pass": failures == 0 and endpoint <= 1e-9,
-    }
+    checks["monotone_chi"] = _summary(scenarios, failures, worst, endpoint)
 
     # p'(y) positivity on asymmetric links.
     worst, failures = math.inf, 0
     for i in range(scenarios):
         link = _draw_asym_link(rng)
-        chi = 2.0 * link.beta / link.alpha + rng.uniform(0.01, 1.0)
+        chi = chi_equivalent(link, rng.uniform(0.01, 1.0))
         probe = verify_p_prime_positive(link, chi, samples=samples)
         worst = min(worst, probe.worst_margin)
         failures += not probe.verdict
-    checks["p_prime_positive"] = {
-        "scenarios": scenarios,
-        "failures": failures,
-        "worst_margin": worst,
-        "pass": failures == 0,
-    }
+    checks["p_prime_positive"] = _summary(scenarios, failures, worst)
 
     # Minimization over lam, alternating symmetric/asymmetric links; the
     # lam endpoint is pinned to lam_opt of a random thermal environment so
@@ -455,13 +429,7 @@ def run_verification_suite(
         failures += not probe.verdict
         anchor = key_rate_closed_asym(protocol, link, lam_opt, lam_opt).rate
         endpoint = max(endpoint, _rel_err(float(probe.rate[-1]), anchor))
-    checks["lambda_minimization"] = {
-        "scenarios": scenarios,
-        "failures": failures,
-        "worst_margin": worst,
-        "worst_endpoint_rel_err": endpoint,
-        "pass": failures == 0 and endpoint <= 1e-9,
-    }
+    checks["lambda_minimization"] = _summary(scenarios, failures, worst, endpoint)
 
     # nu1/nu2 region classification on asymmetric links.
     failures, disagreements = 0, 0

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, LinkPair, ProtocolParams, chi_equivalent
+from .core import DomainError, LinkPair, ProtocolParams, bisector_lam, chi_equivalent
 from .keyrate import in_domain, min_thermal_noise, rate_kernel
 from .keyrate import key_rate_min_chi, key_rate_min_thermal
 
@@ -114,12 +114,10 @@ def _eval_cells(
     :func:`_eval_cell` bit for bit: the in-domain cells are one kernel
     call, the others go through :func:`_eval_cell` itself."""
     if isinstance(knowledge, ThermalKnowledge):
-        wa, wb = knowledge.omega_a, knowledge.omega_b
-        lam, chi = min_thermal_noise(tau_a, tau_b, wa, wb)
+        lam, chi = min_thermal_noise(tau_a, tau_b, knowledge.omega_a, knowledge.omega_b)
     else:
-        alpha, beta = tau_a * tau_b, tau_a + tau_b
-        chi = 2.0 * beta / alpha + protocol.epsilon
-        lam = (alpha * chi - beta * beta) / beta
+        chi = 2.0 * (tau_a + tau_b) / (tau_a * tau_b) + protocol.epsilon
+        lam = bisector_lam(tau_a, tau_b, chi)
     ok = in_domain(tau_a, tau_b, lam, lam)
     rate = np.full(tau_a.shape, math.nan)
     rate[ok] = rate_kernel(

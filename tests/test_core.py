@@ -5,12 +5,14 @@ High-precision expected values are frozen from tests/mp_oracle.py
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import mp_oracle
+from cvmdi import core
 from cvmdi import (
     AncillaState,
     DomainError,
@@ -27,7 +29,8 @@ from cvmdi import (
     log_ratio_g,
     symplectic_spectrum,
 )
-from cvmdi.core import entropy_h_array, entropy_tail, entropy_tail_array
+from cvmdi.attack import _axis, physical_bounds
+from cvmdi.core import entropy_tail
 
 
 def symplectic_eigenvalues_generic(sigma):
@@ -116,12 +119,36 @@ class TestEntropyTail:
             want = mp_oracle.h(1 / mp_oracle.mp.mpf(r)) + mp_oracle.mp.log(r, 2)
             assert abs(entropy_tail(r) - float(want)) <= 1e-14
 
-    def test_array_matches_scalar(self):
-        rs = np.concatenate([[0.0, 1.0], np.geomspace(1e-15, 1.0 - 1e-15, 200)])
-        arr = entropy_tail_array(rs)
-        assert np.max(np.abs(arr - [entropy_tail(r) for r in rs])) <= 1e-15
-        x = 1.0 + np.geomspace(1e-9, 1e6, 50)
-        assert np.max(np.abs(entropy_h_array(x) - [entropy_h(v) for v in x])) <= 1e-12
+    def test_array_call_equals_float_calls(self):
+        # floats and arrays run one code path: an array call equals the
+        # per-element float calls bit for bit, and floats come back as floats
+        above_one = np.concatenate([[1.0, 1.0 - 5e-13],
+                                    1.0 + np.geomspace(1e-12, 1e6, 200)])
+        cases = (
+            (entropy_h, above_one),
+            (entropy_tail, np.concatenate([[0.0, 1.0, 1.0 + 5e-13],
+                                           np.geomspace(1e-15, 1.0 - 1e-15, 200)])),
+            (log_ratio_g, above_one[2:]),
+        )
+        for fn, xs in cases:
+            floats = [fn(float(x)) for x in xs]
+            assert all(type(v) is float for v in floats)
+            arr = fn(xs)
+            assert arr.shape == xs.shape
+            assert np.array_equal(arr.view(np.int64), np.array(floats).view(np.int64))
+
+    @pytest.mark.parametrize("fn, good, bad", [
+        (entropy_h, 2.0, 1.0 - 1e-9),
+        (entropy_tail, 0.5, 1.001),
+        (log_ratio_g, 2.0, 1.0),
+    ])
+    def test_array_domain_error(self, fn, good, bad):
+        # one element out of the domain fails the whole array call
+        xs = np.array([good, good, bad, good])
+        with pytest.raises(DomainError, match=re.escape(repr(bad))):
+            fn(xs)
+        with pytest.raises(DomainError):
+            fn(xs.reshape(2, 2))
 
     def test_clamp_window_and_domain(self):
         assert entropy_tail(1.0 + 5e-13) == pytest.approx(math.log2(1.0 + 5e-13))
@@ -207,6 +234,36 @@ class TestIsPhysical:
 
     def test_strongly_but_admissibly_correlated(self):
         assert is_physical(AncillaState(2, 2, 1.7, -1.7))
+
+    def test_lattice_matches_points_and_oracle(self):
+        # criterion 2's generator: the whole 201^2 correlation lattice in
+        # one call equals per-point calls, and agrees with the 50-digit
+        # nu_minus >= 1 away from a +-1e-9 band around the boundary
+        rng, pick = np.random.default_rng(202), np.random.default_rng(0)
+        for _ in range(5):
+            rng.uniform(0.3, 0.99, size=2)  # the draw's transmissivities
+            wa, wb = rng.uniform(1.0, 10.0, size=2)
+            axis = _axis(*physical_bounds(wa, wb), 201)
+            g, gp = np.meshgrid(axis, axis, indexing="ij")
+            mask = is_physical(AncillaState(wa, wb, g, gp))
+            assert mask.dtype == bool and mask.shape == g.shape
+            points = [is_physical(AncillaState(wa, wb, a, b))
+                      for a, b in zip(g.ravel().tolist(), gp.ravel().tolist())]
+            assert mask.ravel().tolist() == points
+            # the oracle on every point near the boundary and on a sample
+            # of the rest (one 50-digit call costs about 40 us)
+            _, _, _, _, nu = core._invariants(AncillaState(wa, wb, g, gp))
+            near = np.flatnonzero(np.abs(nu.ravel() - 1.0) < 0.05)
+            rest = pick.choice(g.size, size=300, replace=False)
+            for k in np.union1d(near, rest):
+                a, b = g.flat[k], gp.flat[k]
+                m = mp_oracle.mp.mpf(wa) * wb
+                if m - mp_oracle.mp.mpf(a) ** 2 <= 0 or m - mp_oracle.mp.mpf(b) ** 2 <= 0:
+                    assert not mask.flat[k]
+                    continue
+                nu_exact = mp_oracle.nu_minus(wa, wb, a, b)
+                if abs(nu_exact - 1) > 1e-9:
+                    assert mask.flat[k] == (nu_exact >= 1)
 
     def test_boundary_transition_random(self):
         rng = np.random.default_rng(13)

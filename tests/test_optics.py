@@ -15,9 +15,11 @@ from cvmdi import (
     propagate,
 )
 from cvmdi.optics import (
+    BATCH,
     FaradayMirror,
     Fiber,
     Splitter,
+    _wrap,
     left_path,
     relative_phase,
     right_path,
@@ -87,10 +89,6 @@ class TestPropagate:
             4e-4, rel=1e-9
         )
 
-    def test_fixed_bob_phase_enforced(self):
-        with pytest.raises(ValueError):
-            SchemeConfig(bob_extra_phase=0.0)
-
 
 class TestRoutingContracts:
     def test_mirror_mutation_detected(self):
@@ -120,6 +118,59 @@ class TestRoutingContracts:
         assert pulse.polarization == "H"
         assert all(not (isinstance(s, Fiber) and s.name == "fiber_a")
                    for s in right_path(config, skip_fiber_a=True))
+
+    def test_array_config_routes_once_and_still_detects_mutation(self):
+        rng = np.random.default_rng(3)
+        config = SchemeConfig(phi_fiber_a=rng.uniform(0.0, 6.0, 50),
+                              phi_fiber_b=rng.uniform(0.0, 6.0, 50))
+        pulse = run_path(left_path(config))
+        assert pulse.polarization == "H" and pulse.phase.shape == (50,)
+        broken = [FaradayMirror("fm_b", flip=False) if s.name == "fm_b" else s
+                  for s in left_path(config)]
+        with pytest.raises(RoutingError):
+            run_path(broken)
+
+
+class TestWrap:
+    def test_matches_ieee_remainder(self):
+        rng = np.random.default_rng(8)
+        angles = np.concatenate([
+            rng.uniform(-40.0, 40.0, 2000),
+            [0.0, -0.0, math.pi, -math.pi, 2.0 * math.pi, 1e-300, 1e6 + 0.5],
+            # exact odd multiples of pi: ties, where the quotient is even
+            [m * math.pi for m in (-7, -5, -3, -1, 1, 3, 5, 7)],
+        ])
+        got = _wrap(angles)
+        want = [math.remainder(a, 2.0 * math.pi) for a in angles]
+        assert np.array_equal(got, want)
+        assert [_wrap(a) for a in angles.tolist()] == want
+
+
+def reference_self_alignment(trials, seed):
+    """The certificate as one trial at a time: a uniform draw per
+    quantity, cmath encodings and one propagate per config."""
+    rng = np.random.default_rng(seed)
+    max_err, control_failures = 0.0, 0
+    for _ in range(trials):
+        phi_a, phi_b = rng.uniform(0.0, 2.0 * math.pi, size=2)
+        enc_a = rng.uniform(0.5, 2.0) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        enc_b = rng.uniform(0.5, 2.0) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        config = SchemeConfig(phi_fiber_a=phi_a, phi_fiber_b=phi_b,
+                              alice_encoding=enc_a, bob_encoding=enc_b)
+        expected = math.remainder(
+            math.pi / 2.0 + cmath.phase(enc_b) - cmath.phase(enc_a), 2.0 * math.pi
+        )
+        left, right = propagate(config)
+        err = abs(math.remainder(
+            math.remainder(left.phase - right.phase, 2.0 * math.pi) - expected,
+            2.0 * math.pi))
+        max_err = max(max_err, err)
+        broken = run_path(right_path(config, skip_fiber_a=True))
+        broken_err = abs(math.remainder(
+            math.remainder(left.phase - broken.phase, 2.0 * math.pi) - expected,
+            2.0 * math.pi))
+        control_failures += broken_err > 1e-3
+    return max_err, control_failures / trials
 
 
 class TestBsmMeasure:
@@ -175,3 +226,13 @@ class TestSelfAlignment:
     def test_trial_validation(self):
         with pytest.raises(ValueError):
             check_self_alignment(trials=0)
+
+    @pytest.mark.parametrize("trials", [1, BATCH - 1, BATCH, BATCH + 1, 2500])
+    def test_batches_match_per_trial_reference(self, trials):
+        for seed in range(10):
+            report = check_self_alignment(trials=trials, seed=seed)
+            max_err, fail_fraction = reference_self_alignment(trials, seed)
+            assert report.control_fail_fraction == fail_fraction
+            assert report.control_passed == (fail_fraction >= 0.99)
+            assert report.passed == (max_err <= 1e-12)
+            assert abs(report.max_phase_error - max_err) <= 2e-15
