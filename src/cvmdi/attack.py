@@ -1,14 +1,14 @@
 """Worst-case search over the adversary's ancilla correlations.
 
-A two-stage brute-force minimization of the general rate over the physical
+A brute-force minimization of the general rate over the physical
 correlation square certifies that the analytic minimized formulas are true
 lower envelopes.  The coarse pass scans the full square (both sectors, so
-the bisector symmetry is checked rather than assumed).  The refinement
-pass re-grids a small window centred on the coarse argmin's projection
-onto the bisector g = -g'; the g' axis is the exact mirror image of the g
-axis, so the refined lattice is symmetric about the bisector even where
-the window is clipped at the edge of the square.  Grid rates come from the
-one rate kernel (:func:`cvmdi.keyrate.rate_kernel`) on the physical and
+the bisector symmetry is checked rather than assumed).  Each zoom level
+re-grids a window centred on the previous argmin's projection onto the
+bisector g = -g'; the g' axis is the exact mirror image of the g axis, so
+every level is symmetric about the bisector even where the window is
+clipped at the edge of the square.  Grid rates come from the one rate
+kernel (:func:`cvmdi.keyrate.rate_kernel`) on the physical and
 admissible lattice points, with the physicality test and noise algebra of
 :mod:`cvmdi.core`; the reported minimum is re-evaluated through
 :func:`cvmdi.keyrate.key_rate`, which runs the same code on the single
@@ -44,15 +44,16 @@ from .keyrate import in_domain, key_rate, key_rate_min_thermal, rate_kernel
 
 
 REFINE_MARGIN = 2
-"""Coarse cells spanned by the refinement window on each side of its centre."""
+"""Cells of the previous level a zoom window spans on each side of its centre."""
+ZOOM_N = 41
+"""Points per axis of a zoom level, which cuts the cell (ZOOM_N - 1) / 4 = 10x."""
 
 
 @dataclass(frozen=True)
 class AttackGrid:
-    """Resolution of the two-stage search.  ``n`` points per axis on the
-    coarse pass, ``refine_n`` on the refinement window, which spans
-    ``REFINE_MARGIN`` coarse cells on each side of the coarse argmin.
-    Odd counts keep the bisector on lattice points."""
+    """Resolution of the search: ``n`` points per axis on the coarse pass,
+    and a final cell of 2 ``REFINE_MARGIN`` coarse cells / (``refine_n`` - 1)
+    for the zoom levels.  Odd counts keep the bisector on lattice points."""
 
     n: int = 201
     refine_n: int = 801
@@ -101,12 +102,10 @@ def physical_bounds(omega_a: float, omega_b: float) -> tuple[float, float]:
     return -b, b
 
 
-def _axis(lo: float, hi: float, n: int) -> np.ndarray:
-    # Mirror-build symmetric axes so 0 and +-v pairs are exact lattice points.
-    if lo == -hi:
-        half = np.linspace(0.0, hi, (n + 1) // 2)
-        return np.concatenate([-half[:0:-1], half])
-    return np.linspace(lo, hi, n)
+def _axis(hi: float, n: int) -> np.ndarray:
+    # Mirror-build [-hi, hi] so 0 and +-v pairs are exact lattice points.
+    half = np.linspace(0.0, hi, (n + 1) // 2)
+    return np.concatenate([-half[:0:-1], half])
 
 
 def _grid_rates(
@@ -155,49 +154,45 @@ def min_rate_brute(
 ) -> ArgMinReport:
     """Brute-force minimum of the general rate over physical (g, g').
 
-    Coarse scan over the full physicality bounding box, then a
-    ``refine_n``-point-per-axis refinement on a window centred on the
-    coarse argmin's projection onto the bisector.  Ties are broken toward
-    the bisector (smaller |g + g'|), then lexicographically.
+    Coarse scan over the full physicality bounding box, then zoom levels
+    down to the final cell of ``grid``, each spanning ``REFINE_MARGIN``
+    cells of the previous level on each side of its argmin's projection
+    onto the bisector.  Ties are broken toward the bisector (smaller
+    |g + g'|), then lexicographically.
     """
     if grid is None:
         grid = AttackGrid()
+    # ZOOM_N levels cut the next window's span, counted in final cells, 10x
+    # while it stays an integer; then span + 1 points land on the final cell.
+    levels, span = [grid.n], grid.refine_n - 1
+    while span > ZOOM_N - 1 and 2 * REFINE_MARGIN * span % (ZOOM_N - 1) == 0:
+        levels.append(ZOOM_N)
+        span = 2 * REFINE_MARGIN * span // (ZOOM_N - 1)
     lo, hi = physical_bounds(omega_a, omega_b)
-    axis = _axis(lo, hi, grid.n)
-    g, gp = np.meshgrid(axis, axis, indexing="ij")
-    rates, physical, admissible = _grid_rates(protocol, link, omega_a, omega_b, g, gp)
-    mask = physical & admissible
-    if not mask.any():
-        raise EmptyDomainError(
-            "no admissible lattice point in the physical correlation region"
-        )
-    n_eval = int(mask.sum())
-    n_skip = int((physical & ~admissible).sum())
-    g0, gp0 = _argmin_tiebreak(g, gp, rates, mask)
+    ax = _axis(hi, grid.n)
+    n_eval = n_skip = 0
+    for level, n in enumerate(levels + [span + 1]):
+        if level:
+            # the g' axis mirrors the g axis: clipped windows stay on the bisector
+            gc = attack_coords(g_star, gp_star).l
+            half = REFINE_MARGIN * (ax[1] - ax[0])
+            ax = np.linspace(max(lo, gc - half), min(hi, gc + half), n)
+        g, gp = np.meshgrid(ax, -ax[::-1], indexing="ij")
+        rates, phys, adm = _grid_rates(protocol, link, omega_a, omega_b, g, gp)
+        mask = phys & adm
+        n_eval += int(mask.sum())
+        n_skip += int((phys & ~adm).sum())
+        if mask.any():  # a zoom window misses only single-point domains
+            g_star, gp_star = _argmin_tiebreak(g, gp, rates, mask)
+        elif not level:
+            raise EmptyDomainError(
+                "no admissible lattice point in the physical correlation region"
+            )
 
-    # Centre the window on the argmin's projection onto the bisector and
-    # mirror the g axis into the g' axis, so clipping at the edge of the
-    # square cannot tilt the refined lattice off the bisector.
-    gc = attack_coords(g0, gp0).l
-    half = REFINE_MARGIN * (axis[1] - axis[0])
-    ax_g = np.linspace(max(lo, gc - half), min(hi, gc + half), grid.refine_n)
-    ax_gp = -ax_g[::-1]
-    rg, rgp = np.meshgrid(ax_g, ax_gp, indexing="ij")
-    rrates, rphys, radm = _grid_rates(protocol, link, omega_a, omega_b, rg, rgp)
-    rmask = rphys & radm
-    n_eval += int(rmask.sum())
-    n_skip += int((rphys & ~radm).sum())
-    if rmask.any():
-        g_star, gp_star = _argmin_tiebreak(rg, rgp, rrates, rmask)
-    else:  # refinement window can miss the physical region only in
-        g_star, gp_star = g0, gp0  # pathological single-point domains
-
-    rate_star = key_rate(
-        protocol, link, AncillaState(omega_a, omega_b, g_star, gp_star)
-    ).rate
+    ancilla = AncillaState(omega_a, omega_b, g_star, gp_star)
+    rate_star = key_rate(protocol, link, ancilla).rate
     analytic = key_rate_min_thermal(protocol, link, omega_a, omega_b).rate
     gm = g_max(omega_a, omega_b)
-    cell_size = float(ax_g[1] - ax_g[0])
     return ArgMinReport(
         g_star=g_star,
         g_prime_star=gp_star,
@@ -207,7 +202,7 @@ def min_rate_brute(
         gap=rate_star - analytic,
         g_max=gm,
         gmax_distance=abs(abs(g_star) - gm),
-        cell_size=cell_size,
+        cell_size=float(ax[1] - ax[0]),
         n_evaluated=n_eval,
         n_skipped=n_skip,
     )

@@ -94,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega-a", type=float, required=True)
     p.add_argument("--omega-b", type=float, required=True)
     _add_protocol_flags(p)
-    p.add_argument("--grid-n", type=int, default=201)
-    p.add_argument("--refine-n", type=int, default=801)
+    p.add_argument("--grid-n", type=int, default=201, help="coarse points per axis")
+    p.add_argument("--refine-n", type=int, default=801, help="sets final resolution")
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("verify", help="run the proof-verification suite")

@@ -335,12 +335,17 @@ def derive_noise(link: LinkPair, ancilla: AncillaState) -> DerivedNoise:
     return DerivedNoise(kappa=kappa, lam=lam, lam_prime=lam_prime, delta=delta, chi=chi)
 
 
+def excess_chi(tau_a, tau_b, epsilon):
+    """2 beta / alpha + epsilon of :func:`chi_equivalent`, on floats or arrays."""
+    return 2.0 * (tau_a + tau_b) / (tau_a * tau_b) + epsilon
+
+
 def chi_equivalent(link: LinkPair, epsilon: float) -> float:
     """Equivalent input-referred noise 2 beta / alpha + epsilon of a lossy
     link pair with excess noise epsilon; always >= beta^2 / alpha."""
     if epsilon < 0.0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    return 2.0 * link.beta / link.alpha + epsilon
+    return excess_chi(link.tau_a, link.tau_b, epsilon)
 
 
 def attack_coords(g: float, g_prime: float) -> AttackCoords:

@@ -115,7 +115,7 @@ def _chi_nus(link: LinkPair, chi: float, y: np.ndarray):
         a1, a2 = 2.0 / tau, 4.0 / tau
         b1, b2 = chi * chi / 4.0 + 1.0, chi * chi / 4.0 + 4.0
     else:
-        denom = beta * beta - 4.0 * alpha  # = dtau^2 > 0
+        denom = link.delta_tau ** 2  # = beta^2 - 4 alpha, without its cancellation
         a1 = 2.0 / link.tau_b
         b1 = 1.0 + link.tau_a ** 2 * chi ** 2 / beta ** 2
         a2 = 2.0 * beta / denom
@@ -432,7 +432,7 @@ def run_verification_suite(
     checks["lambda_minimization"] = _summary(scenarios, failures, worst, endpoint)
 
     # nu1/nu2 region classification on asymmetric links.
-    failures, disagreements = 0, 0
+    disagreements = 0
     for _ in range(scenarios):
         link = _draw_asym_link(rng)
         chi = (link.beta ** 2 / link.alpha) * rng.uniform(1.05, 4.0)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, LinkPair, ProtocolParams, bisector_lam, chi_equivalent
+from .core import DomainError, LinkPair, ProtocolParams, bisector_lam, excess_chi
 from .keyrate import in_domain, min_thermal_noise, rate_kernel
 from .keyrate import key_rate_min_chi, key_rate_min_thermal
 
@@ -97,7 +97,7 @@ def _eval_cell(
             wa, wb = knowledge.omega_a, knowledge.omega_b
             report = key_rate_min_thermal(protocol, link, wa, wb)
         else:
-            chi = chi_equivalent(link, protocol.epsilon)
+            chi = excess_chi(tau_a, tau_b, protocol.epsilon)
             report = key_rate_min_chi(protocol, link, chi)
     except DomainError as exc:
         return SweepRecord(tau_a, tau_b, chi, math.nan, False, error=str(exc))
@@ -116,7 +116,7 @@ def _eval_cells(
     if isinstance(knowledge, ThermalKnowledge):
         lam, chi = min_thermal_noise(tau_a, tau_b, knowledge.omega_a, knowledge.omega_b)
     else:
-        chi = 2.0 * (tau_a + tau_b) / (tau_a * tau_b) + protocol.epsilon
+        chi = excess_chi(tau_a, tau_b, protocol.epsilon)
         lam = bisector_lam(tau_a, tau_b, chi)
     ok = in_domain(tau_a, tau_b, lam, lam)
     rate = np.full(tau_a.shape, math.nan)

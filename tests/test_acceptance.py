@@ -79,13 +79,13 @@ def test_criterion_1_closed_form_consistency():
 
 
 def test_criterion_2_minimization_certificate():
-    """The 201x201 (refined 801x801) grid argmin sits within one refined
-    cell of the bisector and of |g| = g_max, and the analytic minimized
-    value lower-bounds every grid sample within 1e-4, on 100 random
-    scenarios."""
+    """The 201x201 grid argmin, zoomed to a final cell of 1/200 coarse
+    cell (refine_n = 801), sits within one final cell of the bisector and
+    of |g| = g_max, and the analytic minimized value lower-bounds every
+    grid sample within 1e-4, on 100 random scenarios."""
     rng = np.random.default_rng(202)
     grid = AttackGrid(n=201, refine_n=801)
-    worst_bis = worst_gmax = 0.0  # in units of one refined cell
+    worst_bis = worst_gmax = 0.0  # in units of one final cell
     worst_gap = math.inf
     for i in range(100):
         ta, tb = rng.uniform(0.3, 0.99, size=2)

@@ -1,6 +1,7 @@
 """Tests for the brute-force worst-case search and the rate profiles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from cvmdi import (
     EmptyDomainError,
     LinkPair,
     ProtocolParams,
+    attack_coords,
     derive_noise,
     g_max,
     is_physical,
@@ -25,7 +27,13 @@ from cvmdi import (
     physical_bounds,
     rate_profile_y,
 )
-from cvmdi.attack import _axis, _grid_rates, _physical_dprime_max
+from cvmdi.attack import (
+    REFINE_MARGIN,
+    _argmin_tiebreak,
+    _axis,
+    _grid_rates,
+    _physical_dprime_max,
+)
 
 FAST_GRID = AttackGrid(n=101, refine_n=201)
 
@@ -83,7 +91,7 @@ class TestPhysicalDPrimeMax:
 
 class TestGridConstruction:
     def test_symmetric_axis_has_exact_zero_and_pairs(self):
-        ax = _axis(-2.0, 2.0, 201)
+        ax = _axis(2.0, 201)
         assert ax[100] == 0.0
         assert np.all(ax == -ax[::-1])
 
@@ -162,12 +170,88 @@ class TestMinRateBrute:
         assert report.gap >= -1e-4
 
 
+def _min_rate_one_window(protocol, link, wa, wb, grid):
+    """Reference: the coarse pass and one refine_n-point window spanning
+    +-REFINE_MARGIN coarse cells, the search before the zoom levels.
+    Returns (g*, g'*, rate*, cell)."""
+    lo, hi = physical_bounds(wa, wb)
+    axis = _axis(hi, grid.n)
+    g, gp = np.meshgrid(axis, axis, indexing="ij")
+    rates, phys, adm = _grid_rates(protocol, link, wa, wb, g, gp)
+    g0, gp0 = _argmin_tiebreak(g, gp, rates, phys & adm)
+    gc = attack_coords(g0, gp0).l
+    half = REFINE_MARGIN * (axis[1] - axis[0])
+    ax_g = np.linspace(max(lo, gc - half), min(hi, gc + half), grid.refine_n)
+    rg, rgp = np.meshgrid(ax_g, -ax_g[::-1], indexing="ij")
+    rrates, rphys, radm = _grid_rates(protocol, link, wa, wb, rg, rgp)
+    rmask = rphys & radm
+    g_star, gp_star = (
+        _argmin_tiebreak(rg, rgp, rrates, rmask) if rmask.any() else (g0, gp0)
+    )
+    rate = key_rate(protocol, link, AncillaState(wa, wb, g_star, gp_star)).rate
+    return g_star, gp_star, rate, float(ax_g[1] - ax_g[0])
+
+
+class TestZoomLevels:
+    def test_matches_single_refinement_window(self):
+        fig = dict(phi=60.0, epsilon=0.01)
+        cases = [
+            (ProtocolParams(), LinkPair(0.9, 0.7), 2.0, 2.0),
+            (ProtocolParams(), LinkPair(0.85, 0.55), 3.0, 1.7),
+            (ProtocolParams(xi=1.0), LinkPair(0.99, 0.99), 2.0, 2.0),
+            (ProtocolParams(), LinkPair(0.9, 0.6), 1.0, 1.0),  # vacuum
+            # criterion 2's generator, windows clipped at the edge of the
+            # square: seed 1 draws 33 and 84, seed 202 draw 7
+            (ProtocolParams(xi=0.97, **fig),
+             LinkPair(0.9704660831776306, 0.8345182530973749),
+             8.120205533555247, 7.83341650485622),
+            (ProtocolParams(xi=1.0, **fig),
+             LinkPair(0.8147043823216626, 0.38750217636656087),
+             8.257140412357213, 8.481259977717531),
+            (ProtocolParams(xi=0.97, **fig),
+             LinkPair(0.5624047632484349, 0.5777756435689785),
+             9.437611446183974, 9.496580592972716),
+        ]
+        grid = AttackGrid()
+        for protocol, link, wa, wb in cases:
+            report = min_rate_brute(protocol, link, wa, wb, grid)
+            g, gp, rate, cell = _min_rate_one_window(protocol, link, wa, wb, grid)
+            assert abs(report.g_star - g) <= 1e-9 * cell
+            assert abs(report.g_prime_star - gp) <= 1e-9 * cell
+            assert abs(report.rate_star - rate) <= 1e-13 * max(1.0, abs(rate))
+
+    def test_default_grid_cost(self):
+        # the single 801^2 window evaluated 273 250 points at 47 MB traced
+        tracemalloc.start()
+        try:
+            report = min_rate_brute(ProtocolParams(), LinkPair(0.9, 0.7), 2.0, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.n_evaluated <= 27325
+        assert peak < 10e6
+
+    @pytest.mark.parametrize("refine_n", [3, 5, 41, 43, 201, 801])
+    def test_lands_on_final_cell(self, refine_n):
+        # the window around g_max = sqrt(3) is not clipped, so the last
+        # level reaches 2 REFINE_MARGIN coarse cells / (refine_n - 1) up
+        # to the rounding of linspace
+        report = min_rate_brute(
+            ProtocolParams(), LinkPair(0.9, 0.7), 2.0, 2.0,
+            AttackGrid(n=201, refine_n=refine_n),
+        )
+        coarse = _axis(2.0, 201)
+        final = 2 * REFINE_MARGIN * (coarse[1] - coarse[0]) / (refine_n - 1)
+        assert report.cell_size <= final * (1.0 + 1e-9)
+        assert report.cell_size == pytest.approx(final, rel=1e-9)
+
+
 class TestGridRateSymmetries:
     def test_bisector_reflection(self):
         # the rate is invariant under (g, g') -> (-g', -g), bitwise on the
         # mirrored lattice
         link = LinkPair(0.85, 0.55)
-        ax = _axis(*physical_bounds(2.0, 2.0), 41)
+        ax = _axis(physical_bounds(2.0, 2.0)[1], 41)
         g, gp = np.meshgrid(ax, ax, indexing="ij")
         rates, phys, adm = _grid_rates(ProtocolParams(), link, 2.0, 2.0, g, gp)
         mask = phys & adm
@@ -357,7 +441,7 @@ class TestAnalyticLowerBound:
         link = LinkPair(0.9, 0.7)
         wa, wb = 2.5, 1.8
         lo, hi = physical_bounds(wa, wb)
-        ax = _axis(lo, hi, 201)
+        ax = _axis(hi, 201)
         g, gp = np.meshgrid(ax, ax, indexing="ij")
         rates, phys, adm = _grid_rates(protocol, link, wa, wb, g, gp)
         mask = phys & adm

@@ -243,7 +243,7 @@ class TestIsPhysical:
         for _ in range(5):
             rng.uniform(0.3, 0.99, size=2)  # the draw's transmissivities
             wa, wb = rng.uniform(1.0, 10.0, size=2)
-            axis = _axis(*physical_bounds(wa, wb), 201)
+            axis = _axis(physical_bounds(wa, wb)[1], 201)
             g, gp = np.meshgrid(axis, axis, indexing="ij")
             mask = is_physical(AncillaState(wa, wb, g, gp))
             assert mask.dtype == bool and mask.shape == g.shape

@@ -206,6 +206,17 @@ class TestClassifyNuRegions:
         assert disagreements == 0
 
 
+class TestNearSymmetricChiNus:
+    # nu2's denominator is dtau^2; written as beta^2 - 4 alpha it cancels
+    # to zero or below at |dtau| ~ 1e-8
+    @pytest.mark.parametrize("d", [1e-6, 1e-8, 5e-9, 2e-9, 1.1e-9])
+    def test_region_and_positivity_agree(self, d):
+        link = LinkPair(0.6 + d, 0.6)
+        chi = 2.0 * link.beta / link.alpha + 0.1
+        assert classify_nu_regions(link, chi).agree
+        assert verify_p_prime_positive(link, chi).verdict
+
+
 class TestPPrimePositive:
     def test_wide_ratio(self):
         link = LinkPair(0.9, 0.4)
