@@ -60,6 +60,7 @@ from .sweep import (
     RelayScanReport,
     SweepConfig,
     SweepRecord,
+    SweepTable,
     ThermalKnowledge,
     distance_to_tau,
     export,

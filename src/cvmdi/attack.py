@@ -163,19 +163,24 @@ def min_rate_brute(
     if grid is None:
         grid = AttackGrid()
     # ZOOM_N levels cut the next window's span, counted in final cells, 10x
-    # while it stays an integer; then span + 1 points land on the final cell.
-    levels, span = [grid.n], grid.refine_n - 1
-    while span > ZOOM_N - 1 and 2 * REFINE_MARGIN * span % (ZOOM_N - 1) == 0:
+    # each (span = (refine_n - 1) / cut); the last window widens its span to
+    # an even number of final cells, so its last + 1 points land on the
+    # final cell and keep the centre point.
+    levels, span, cut = [grid.n], grid.refine_n - 1, 1
+    while span > (ZOOM_N - 1) * cut:
         levels.append(ZOOM_N)
-        span = 2 * REFINE_MARGIN * span // (ZOOM_N - 1)
+        cut *= (ZOOM_N - 1) // (2 * REFINE_MARGIN)
+    last = 2 * math.ceil(span / (2 * cut))
     lo, hi = physical_bounds(omega_a, omega_b)
     ax = _axis(hi, grid.n)
     n_eval = n_skip = 0
-    for level, n in enumerate(levels + [span + 1]):
+    for level, n in enumerate(levels + [last + 1]):
         if level:
             # the g' axis mirrors the g axis: clipped windows stay on the bisector
             gc = attack_coords(g_star, gp_star).l
             half = REFINE_MARGIN * (ax[1] - ax[0])
+            if level == len(levels):
+                half *= last * cut / span
             ax = np.linspace(max(lo, gc - half), min(hi, gc + half), n)
         g, gp = np.meshgrid(ax, -ax[::-1], indexing="ij")
         rates, phys, adm = _grid_rates(protocol, link, omega_a, omega_b, g, gp)

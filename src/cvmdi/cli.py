@@ -221,11 +221,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         protocol=ProtocolParams(xi=args.xi, phi=args.phi, epsilon=args.epsilon),
         knowledge=_knowledge_from(args),
     )
-    records = run_sweep(config)
-    _emit(export(records, args.format), args.output)
-    secure = sum(r.secure for r in records)
-    errors = sum(r.error is not None for r in records)
-    print(f"{len(records)} cells, {secure} secure, {errors} errors", file=sys.stderr)
+    table = run_sweep(config)
+    _emit(export(table, args.format), args.output)
+    secure = int((table.rate > 0.0).sum())
+    print(f"{len(table)} cells, {secure} secure, {len(table.errors)} errors",
+          file=sys.stderr)
     return 0
 
 

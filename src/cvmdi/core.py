@@ -317,9 +317,11 @@ def equivalent_chi(tau_a, tau_b, lam, lam_prime):
 
 def bisector_lam(tau_a, tau_b, chi):
     """Bisector noise lam = lam' = (alpha chi - beta^2) / beta of equivalent
-    noise chi (:func:`equivalent_chi` inverted at lam = lam'); floats or arrays."""
-    alpha, beta = tau_a * tau_b, tau_a + tau_b
-    return (alpha * chi - beta * beta) / beta
+    noise chi (:func:`equivalent_chi` inverted at lam = lam'); floats or arrays.
+    Computed as (alpha / beta)((chi - 4) - dtau^2 / alpha), by beta^2 = 4 alpha +
+    dtau^2: chi - 4 is exact near the loss-floor pole, so nothing cancels there."""
+    alpha, beta, dtau = tau_a * tau_b, tau_a + tau_b, tau_a - tau_b
+    return alpha / beta * ((chi - 4.0) - dtau * dtau / alpha)
 
 
 def derive_noise(link: LinkPair, ancilla: AncillaState) -> DerivedNoise:

@@ -4,7 +4,7 @@ Two pulses leave the relay splitter, retro-reflect off the far mirrors of
 both parties and interfere back at the relay.  Polarization is tracked as
 a discrete H/V label (the layout keeps every pulse in a definite linear
 polarization), phase as an accumulated real number and the field as a
-complex mean amplitude.  No quantum noise is sampled: the attack model
+real gain at that phase.  No quantum noise is sampled: the attack model
 lives in the covariance-matrix modules, while this module certifies the
 routing and the phase bookkeeping behind the drift-immunity claim.
 
@@ -59,8 +59,13 @@ class RoutingError(RuntimeError):
 class Pulse:
     polarization: str
     phase: float | np.ndarray = 0.0
-    amplitude: complex | np.ndarray = 1.0 + 0.0j
+    gain: float | np.ndarray = 1.0
     trace: list[str] = field(default_factory=list)
+
+    @property
+    def amplitude(self) -> complex | np.ndarray:
+        """Complex mean field: the real gain at the accumulated phase."""
+        return self.gain * np.exp(1j * self.phase)
 
 
 @dataclass(frozen=True)
@@ -109,7 +114,6 @@ class Fiber:
 
     def apply(self, pulse: Pulse) -> None:
         pulse.phase += self.phase
-        pulse.amplitude *= np.exp(1j * self.phase)
         pulse.trace.append(self.name)
 
 
@@ -132,7 +136,7 @@ class Encoder:
 
     def apply(self, pulse: Pulse) -> None:
         pulse.phase += self.extra_phase + np.angle(self.value)
-        pulse.amplitude *= self.value * np.exp(1j * self.extra_phase)
+        pulse.gain *= np.abs(self.value)
         pulse.trace.append(self.name)
 
 

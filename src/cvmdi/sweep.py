@@ -1,12 +1,12 @@
 """Transmissivity sweeps, relay-placement scans and tabular export.
 
 Sweeps evaluate the minimized rate formulas on a deterministic (tau_a
-outer, tau_b inner, both ascending) lattice: every cell inside the rate
-kernel's domain in one kernel call, the rest through the single-point
-functions.  Cells whose rate formula is undefined are recorded with a NaN
-rate and the single-point error message instead of aborting the sweep.
-Output is CSV or JSON with 9 significant digits; records round-trip
-byte-identically.
+outer, tau_b inner, both ascending) lattice into a :class:`SweepTable` of
+columns: every cell inside the rate kernel's domain in one kernel call,
+the rest through the single-point functions.  Cells whose rate formula is
+undefined get a NaN rate and the single-point error message instead of
+aborting the sweep.  Output is CSV or JSON with 9 significant digits; CSV
+round-trips byte-identically.
 """
 
 from __future__ import annotations
@@ -61,6 +61,8 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepRecord:
+    """One cell of a :class:`SweepTable`, built on demand."""
+
     tau_a: float
     tau_b: float
     chi: float
@@ -69,12 +71,34 @@ class SweepRecord:
     error: str | None = None
 
 
+@dataclass(frozen=True, eq=False)
+class SweepTable:
+    """Sweep cells as float columns plus, by cell index, the error text of
+    each cell whose rate formula is undefined (NaN rate).  A cell is secure
+    where rate > 0; ``table[k]`` and iteration give :class:`SweepRecord`s."""
+
+    tau_a: np.ndarray
+    tau_b: np.ndarray
+    chi: np.ndarray
+    rate: np.ndarray
+    errors: dict[int, str]
+
+    def __len__(self) -> int:
+        return len(self.rate)
+
+    def __getitem__(self, k: int) -> SweepRecord:
+        k = range(len(self))[k]
+        rate = float(self.rate[k])
+        return SweepRecord(float(self.tau_a[k]), float(self.tau_b[k]),
+                           float(self.chi[k]), rate, rate > 0.0, self.errors.get(k))
+
+
 @dataclass(frozen=True)
 class RelayScanReport:
-    """Records along a fixed total-transmissivity contour plus the
+    """The cells along a fixed total-transmissivity contour plus the
     best-rate placement found on it."""
 
-    records: list[SweepRecord]
+    records: SweepTable
     argmax: SweepRecord
 
 
@@ -89,7 +113,8 @@ def distance_to_tau(d_km: float, loss_db_per_km: float = 0.2) -> float:
 
 def _eval_cell(
     protocol: ProtocolParams, knowledge: Knowledge, tau_a: float, tau_b: float
-) -> SweepRecord:
+) -> tuple[float, float, str | None]:
+    """(chi, rate, error) of one cell by the single-point functions."""
     link = LinkPair(tau_a, tau_b)
     chi = math.nan
     try:
@@ -100,8 +125,8 @@ def _eval_cell(
             chi = excess_chi(tau_a, tau_b, protocol.epsilon)
             report = key_rate_min_chi(protocol, link, chi)
     except DomainError as exc:
-        return SweepRecord(tau_a, tau_b, chi, math.nan, False, error=str(exc))
-    return SweepRecord(tau_a, tau_b, report.chi, report.rate, report.secure)
+        return chi, math.nan, str(exc)
+    return report.chi, report.rate, None
 
 
 def _eval_cells(
@@ -109,8 +134,8 @@ def _eval_cells(
     knowledge: Knowledge,
     tau_a: np.ndarray,
     tau_b: np.ndarray,
-) -> list[SweepRecord]:
-    """Records of the cells (tau_a[k], tau_b[k]), each equal to
+) -> SweepTable:
+    """Table of the cells (tau_a[k], tau_b[k]), each equal to
     :func:`_eval_cell` bit for bit: the in-domain cells are one kernel
     call, the others go through :func:`_eval_cell` itself."""
     if isinstance(knowledge, ThermalKnowledge):
@@ -123,16 +148,16 @@ def _eval_cells(
     rate[ok] = rate_kernel(
         protocol.mu, protocol.xi, tau_a[ok], tau_b[ok], lam[ok], lam[ok], chi[ok]
     )[0]
-    return [
-        SweepRecord(tau_a=ta, tau_b=tb, chi=c, rate=r, secure=r > 0.0) if good
-        else _eval_cell(protocol, knowledge, ta, tb)
-        for ta, tb, c, r, good in zip(
-            tau_a.tolist(), tau_b.tolist(), chi.tolist(), rate.tolist(), ok.tolist()
-        )
-    ]
+    errors = {}
+    for k in np.flatnonzero(~ok).tolist():
+        ta, tb = float(tau_a[k]), float(tau_b[k])
+        chi[k], rate[k], error = _eval_cell(protocol, knowledge, ta, tb)
+        if error is not None:
+            errors[k] = error
+    return SweepTable(tau_a, tau_b, chi, rate, errors)
 
 
-def run_sweep(config: SweepConfig) -> list[SweepRecord]:
+def run_sweep(config: SweepConfig) -> SweepTable:
     """Evaluate the minimized rate on the configured lattice, in row order
     tau_a outer ascending, tau_b inner ascending."""
     taus_a = np.linspace(*config.tau_a_range, config.steps_a)
@@ -161,63 +186,50 @@ def relay_scan(
         raise ValueError(f"steps must be >= 2, got {steps}")
     taus_a = np.linspace(total_transmissivity, 1.0, steps)
     taus_b = np.minimum(1.0, total_transmissivity / taus_a)
-    records = _eval_cells(protocol, knowledge, taus_a, taus_b)
-    finite = [r for r in records if not math.isnan(r.rate)]
-    if not finite:
+    table = _eval_cells(protocol, knowledge, taus_a, taus_b)
+    if np.isnan(table.rate).all():
         raise DomainError("every contour cell failed its rate formula")
-    argmax = max(finite, key=lambda r: r.rate)
-    return RelayScanReport(records=records, argmax=argmax)
+    return RelayScanReport(records=table, argmax=table[int(np.nanargmax(table.rate))])
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".9g")
+def _fmt_axis(values: np.ndarray) -> list[str]:
+    """9-digit text of each cell, formatting each distinct value once."""
+    distinct, index = np.unique(values, return_inverse=True)
+    text = [format(x, ".9g") for x in distinct.tolist()]
+    return [text[k] for k in index.tolist()]
 
 
-def export(records: list[SweepRecord], fmt: str = "csv") -> str:
-    """Serialize records; CSV header is exactly `tau_a,tau_b,chi,rate,secure`
+def export(table: SweepTable, fmt: str = "csv") -> str:
+    """Serialize a table; CSV header is exactly `tau_a,tau_b,chi,rate,secure`
     and NaN rate/chi cells become empty fields (CSV) or nulls plus an
     `error` tag (JSON)."""
-    if not records:
+    if not len(table):
         raise ValueError("no records to export")
+    secure = (table.rate > 0.0).tolist()
     if fmt == "csv":
-        lines = ["tau_a,tau_b,chi,rate,secure"]
-        for r in records:
-            chi = "" if math.isnan(r.chi) else _fmt(r.chi)
-            rate = "" if math.isnan(r.rate) else _fmt(r.rate)
-            secure = "true" if r.secure else "false"
-            lines.append(f"{_fmt(r.tau_a)},{_fmt(r.tau_b)},{chi},{rate},{secure}")
-        return "\n".join(lines) + "\n"
+        chi, rate = (("" if math.isnan(x) else format(x, ".9g") for x in c.tolist())
+                     for c in (table.chi, table.rate))
+        rows = zip(_fmt_axis(table.tau_a), _fmt_axis(table.tau_b), chi, rate,
+                   ("true" if s else "false" for s in secure))
+        return "tau_a,tau_b,chi,rate,secure\n" + "\n".join(map(",".join, rows)) + "\n"
     if fmt == "json":
+        chi, rate = ([None if math.isnan(x) else x for x in c.tolist()]
+                     for c in (table.chi, table.rate))
+        rows = zip(table.tau_a.tolist(), table.tau_b.tolist(), chi, rate, secure)
         payload = [
-            {
-                "tau_a": r.tau_a,
-                "tau_b": r.tau_b,
-                "chi": None if math.isnan(r.chi) else r.chi,
-                "rate": None if math.isnan(r.rate) else r.rate,
-                "secure": r.secure,
-                "error": r.error,
-            }
-            for r in records
+            {"tau_a": ta, "tau_b": tb, "chi": c, "rate": r, "secure": sec,
+             "error": table.errors.get(k)}
+            for k, (ta, tb, c, r, sec) in enumerate(rows)
         ]
         return json.dumps(payload) + "\n"
     raise ValueError(f"unknown export format {fmt!r}")
 
 
-def parse_csv(text: str) -> list[SweepRecord]:
-    """Inverse of CSV export (used for round-trip checks)."""
+def parse_csv(text: str) -> SweepTable:
+    """Inverse of CSV export (used for round-trip checks), without error text."""
     lines = text.strip().split("\n")
     if lines[0] != "tau_a,tau_b,chi,rate,secure":
         raise ValueError(f"unexpected CSV header {lines[0]!r}")
-    records = []
-    for line in lines[1:]:
-        ta, tb, chi, rate, secure = line.split(",")
-        records.append(
-            SweepRecord(
-                tau_a=float(ta),
-                tau_b=float(tb),
-                chi=float(chi) if chi else math.nan,
-                rate=float(rate) if rate else math.nan,
-                secure=secure == "true",
-            )
-        )
-    return records
+    cells = [[float(x) if x else math.nan for x in line.split(",")[:4]]
+             for line in lines[1:]]
+    return SweepTable(*np.array(cells, dtype=float).reshape(-1, 4).T, errors={})

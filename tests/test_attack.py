@@ -192,28 +192,30 @@ def _min_rate_one_window(protocol, link, wa, wb, grid):
     return g_star, gp_star, rate, float(ax_g[1] - ax_g[0])
 
 
+_FIG = dict(phi=60.0, epsilon=0.01)
+ZOOM_CASES = [
+    (ProtocolParams(), LinkPair(0.9, 0.7), 2.0, 2.0),
+    (ProtocolParams(), LinkPair(0.85, 0.55), 3.0, 1.7),
+    (ProtocolParams(xi=1.0), LinkPair(0.99, 0.99), 2.0, 2.0),
+    (ProtocolParams(), LinkPair(0.9, 0.6), 1.0, 1.0),  # vacuum
+    # criterion 2's generator, windows clipped at the edge of the
+    # square: seed 1 draws 33 and 84, seed 202 draw 7
+    (ProtocolParams(xi=0.97, **_FIG),
+     LinkPair(0.9704660831776306, 0.8345182530973749),
+     8.120205533555247, 7.83341650485622),
+    (ProtocolParams(xi=1.0, **_FIG),
+     LinkPair(0.8147043823216626, 0.38750217636656087),
+     8.257140412357213, 8.481259977717531),
+    (ProtocolParams(xi=0.97, **_FIG),
+     LinkPair(0.5624047632484349, 0.5777756435689785),
+     9.437611446183974, 9.496580592972716),
+]
+
+
 class TestZoomLevels:
     def test_matches_single_refinement_window(self):
-        fig = dict(phi=60.0, epsilon=0.01)
-        cases = [
-            (ProtocolParams(), LinkPair(0.9, 0.7), 2.0, 2.0),
-            (ProtocolParams(), LinkPair(0.85, 0.55), 3.0, 1.7),
-            (ProtocolParams(xi=1.0), LinkPair(0.99, 0.99), 2.0, 2.0),
-            (ProtocolParams(), LinkPair(0.9, 0.6), 1.0, 1.0),  # vacuum
-            # criterion 2's generator, windows clipped at the edge of the
-            # square: seed 1 draws 33 and 84, seed 202 draw 7
-            (ProtocolParams(xi=0.97, **fig),
-             LinkPair(0.9704660831776306, 0.8345182530973749),
-             8.120205533555247, 7.83341650485622),
-            (ProtocolParams(xi=1.0, **fig),
-             LinkPair(0.8147043823216626, 0.38750217636656087),
-             8.257140412357213, 8.481259977717531),
-            (ProtocolParams(xi=0.97, **fig),
-             LinkPair(0.5624047632484349, 0.5777756435689785),
-             9.437611446183974, 9.496580592972716),
-        ]
         grid = AttackGrid()
-        for protocol, link, wa, wb in cases:
+        for protocol, link, wa, wb in ZOOM_CASES:
             report = min_rate_brute(protocol, link, wa, wb, grid)
             g, gp, rate, cell = _min_rate_one_window(protocol, link, wa, wb, grid)
             assert abs(report.g_star - g) <= 1e-9 * cell
@@ -231,7 +233,27 @@ class TestZoomLevels:
         assert report.n_evaluated <= 27325
         assert peak < 10e6
 
-    @pytest.mark.parametrize("refine_n", [3, 5, 41, 43, 201, 801])
+    @pytest.mark.parametrize("refine_n", [803, 1003])
+    def test_non_nested_within_a_final_cell(self, refine_n):
+        # (refine_n - 1) / 40 final cells is no whole number, so the zoom
+        # lattices do not nest in the single window's; both argmins still
+        # sit within one final cell of each other
+        grid = AttackGrid(refine_n=refine_n)
+        for protocol, link, wa, wb in ZOOM_CASES:
+            report = min_rate_brute(protocol, link, wa, wb, grid)
+            g, gp, _, cell = _min_rate_one_window(protocol, link, wa, wb, grid)
+            assert abs(report.g_star - g) <= cell * (1.0 + 1e-9)
+            assert abs(report.g_prime_star - gp) <= cell * (1.0 + 1e-9)
+            assert report.gap >= -1e-12
+
+    @pytest.mark.parametrize("refine_n", [803, 1003])
+    def test_non_nested_cost(self, refine_n):
+        # a whole refine_n^2 window evaluated 274 505 points at 803
+        grid = AttackGrid(refine_n=refine_n)
+        report = min_rate_brute(ProtocolParams(), LinkPair(0.9, 0.7), 2.0, 2.0, grid)
+        assert report.n_evaluated <= 27325
+
+    @pytest.mark.parametrize("refine_n", [3, 5, 41, 43, 201, 801, 803, 1003])
     def test_lands_on_final_cell(self, refine_n):
         # the window around g_max = sqrt(3) is not clipped, so the last
         # level reaches 2 REFINE_MARGIN coarse cells / (refine_n - 1) up

@@ -441,3 +441,16 @@ def test_tau_one_edges_match_oracle():
     got = key_rate_min_thermal(protocol, LinkPair(1.0, 1.0), 1.5, 2.0).rate
     want = mp_oracle.rate_min_thermal(0.97, 61, 1.0, 1.0, 1.5, 2.0)
     assert rel_err(got, float(want)) <= 1e-12
+
+
+def test_loss_floor_pole_matches_oracle():
+    # chi = 4 (1 + eps) puts a symmetric link eps above the loss-floor pole
+    # chi = beta^2 / alpha, where alpha chi - beta^2 would cancel
+    worst = 0.0
+    for tau in (0.6, 0.9, 0.97):
+        for eps in (1e-6, 1e-9, 1e-12):
+            chi = 4.0 * (1.0 + eps)
+            got = key_rate_min_chi(FIG_PROTOCOL, LinkPair(tau, tau), chi).rate
+            want = mp_oracle.rate_min_chi_sym(0.97, 61, chi)
+            worst = max(worst, rel_err(got, float(want)))
+    assert worst <= 1e-12

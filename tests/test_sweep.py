@@ -3,8 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+import cvmdi.sweep as sweep_module
 from cvmdi import (
     ChiKnowledge,
     DomainError,
@@ -12,6 +14,7 @@ from cvmdi import (
     ProtocolParams,
     SweepConfig,
     SweepRecord,
+    SweepTable,
     ThermalKnowledge,
     chi_equivalent,
     distance_to_tau,
@@ -24,6 +27,41 @@ from cvmdi import (
 )
 
 FIG_PROTOCOL = ProtocolParams(xi=0.97, phi=60.0, epsilon=0.01)
+
+
+def table_of(*rows: SweepRecord) -> SweepTable:
+    """The SweepTable whose rows are `rows`."""
+    tau_a, tau_b, chi, rate = (np.array(col, dtype=float) for col in
+                               zip(*((r.tau_a, r.tau_b, r.chi, r.rate) for r in rows)))
+    errors = {k: r.error for k, r in enumerate(rows) if r.error is not None}
+    return SweepTable(tau_a, tau_b, chi, rate, errors)
+
+
+def reference_export(records: list[SweepRecord], fmt: str) -> str:
+    """Record-per-cell export, kept as the reference for the columnar one."""
+    def fmt9(x: float) -> str:
+        return format(x, ".9g")
+
+    if fmt == "csv":
+        lines = ["tau_a,tau_b,chi,rate,secure"]
+        for r in records:
+            chi = "" if math.isnan(r.chi) else fmt9(r.chi)
+            rate = "" if math.isnan(r.rate) else fmt9(r.rate)
+            secure = "true" if r.secure else "false"
+            lines.append(f"{fmt9(r.tau_a)},{fmt9(r.tau_b)},{chi},{rate},{secure}")
+        return "\n".join(lines) + "\n"
+    payload = [
+        {
+            "tau_a": r.tau_a,
+            "tau_b": r.tau_b,
+            "chi": None if math.isnan(r.chi) else r.chi,
+            "rate": None if math.isnan(r.rate) else r.rate,
+            "secure": r.secure,
+            "error": r.error,
+        }
+        for r in records
+    ]
+    return json.dumps(payload) + "\n"
 
 
 class TestDistanceToTau:
@@ -193,7 +231,7 @@ class TestRelayScan:
 
 class TestExport:
     def test_single_record_csv(self):
-        text = export([SweepRecord(1.0, 1.0, 4.0, 0.123456789, True)], "csv")
+        text = export(table_of(SweepRecord(1.0, 1.0, 4.0, 0.123456789, True)), "csv")
         lines = text.splitlines()
         assert lines[0] == "tau_a,tau_b,chi,rate,secure"
         assert lines[1] == "1,1,4,0.123456789,true"
@@ -208,17 +246,17 @@ class TestExport:
 
     def test_error_cell_fields(self):
         record = SweepRecord(1.0, 1.0, 4.0, math.nan, False, error="pole")
-        line = export([record], "csv").splitlines()[1]
+        line = export(table_of(record), "csv").splitlines()[1]
         assert line == "1,1,4,,false"
-        payload = json.loads(export([record], "json"))
+        payload = json.loads(export(table_of(record), "json"))
         assert payload[0]["rate"] is None
         assert payload[0]["error"] == "pole"
 
     def test_json_keys_identical(self):
-        records = [
+        records = table_of(
             SweepRecord(0.9, 0.8, 5.0, 0.5, True),
             SweepRecord(1.0, 1.0, 4.0, math.nan, False, error="pole"),
-        ]
+        )
         payload = json.loads(export(records, "json"))
         assert [set(obj) for obj in payload] == [
             {"tau_a", "tau_b", "chi", "rate", "secure", "error"}
@@ -230,13 +268,73 @@ class TestExport:
         assert len(text.splitlines()) == 2602
 
     def test_nine_significant_digits(self):
-        text = export([SweepRecord(0.123456789123, 0.9, 5.0, 1.0 / 3.0, True)], "csv")
+        record = SweepRecord(0.123456789123, 0.9, 5.0, 1.0 / 3.0, True)
+        text = export(table_of(record), "csv")
         assert text.splitlines()[1].split(",")[0] == "0.123456789"
         assert text.splitlines()[1].split(",")[3] == "0.333333333"
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
             export([], "csv")
+
+
+NO_EXCESS = ProtocolParams(xi=0.97, phi=60.0, epsilon=0.0)
+THERMAL = ThermalKnowledge(1.5, 2.0)
+
+
+class TestSweepTable:
+    @pytest.mark.parametrize("make", [
+        # epsilon = 0 reaches the chi pole at the (1, 1) corner
+        lambda: run_sweep(SweepConfig(
+            tau_a_range=(0.5, 1.0), tau_b_range=(0.5, 1.0),
+            steps_a=11, steps_b=11, protocol=NO_EXCESS,
+        )),
+        # thermal knowledge with the lossless (1, 1) corner
+        lambda: run_sweep(SweepConfig(
+            tau_a_range=(0.5, 1.0), tau_b_range=(0.5, 1.0),
+            steps_a=11, steps_b=11, protocol=FIG_PROTOCOL, knowledge=THERMAL,
+        )),
+        lambda: relay_scan(0.5, FIG_PROTOCOL, steps=21).records,
+        lambda: relay_scan(0.5, FIG_PROTOCOL, steps=21, knowledge=THERMAL).records,
+    ], ids=["chi-pole", "thermal-lossless", "relay-chi", "relay-thermal"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_export_matches_record_reference(self, make, fmt):
+        table = make()
+        assert export(table, fmt) == reference_export(list(table), fmt)
+
+    def test_sweep_and_export_build_no_rows(self, monkeypatch):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a SweepRecord row was built")
+
+        monkeypatch.setattr(sweep_module, "SweepRecord", no_rows)
+        table = run_sweep(SweepConfig(protocol=NO_EXCESS))  # reaches the pole
+        assert len(table.errors) == 1
+        export(table, "csv")
+        export(table, "json")
+
+    def test_row_view(self):
+        table = run_sweep(SweepConfig(
+            tau_a_range=(0.9, 1.0), tau_b_range=(0.8, 1.0),
+            steps_a=3, steps_b=5, protocol=NO_EXCESS,
+        ))
+        assert len(table) == 15
+        rate = key_rate_min_chi(
+            NO_EXCESS, LinkPair(0.9, 0.8), chi_equivalent(LinkPair(0.9, 0.8), 0.0)
+        ).rate
+        assert table[0] == SweepRecord(0.9, 0.8, table.chi[0], rate, rate > 0.0)
+        with pytest.raises(DomainError) as pole:
+            key_rate_min_chi(NO_EXCESS, LinkPair(1.0, 1.0), 4.0)
+        assert table[-15] == table[0]
+        assert (table[-1].tau_a, table[-1].tau_b, table[-1].chi) == (1.0, 1.0, 4.0)
+        assert math.isnan(table[-1].rate) and not table[-1].secure
+        assert table[-1].error == str(pole.value)
+        assert table.errors == {14: str(pole.value)}
+        rows = list(table)
+        assert len(rows) == 15 and rows[0] == table[0]
+        assert [r.secure for r in rows] == (table.rate > 0.0).tolist()
+        assert [r.error is None for r in rows] == [True] * 14 + [False]
+        with pytest.raises(IndexError):
+            table[15]
 
 
 class TestSweepConfigValidation:
