@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .core import (
     LinkPair,
     ProtocolParams,
     attack_coords,
+    bisector_lam,
     effective_noise,
     equivalent_chi,
     g_max,
@@ -108,25 +110,20 @@ def _axis(hi: float, n: int) -> np.ndarray:
     return np.concatenate([-half[:0:-1], half])
 
 
-def _grid_rates(
-    protocol: ProtocolParams,
-    link: LinkPair,
-    omega_a: float,
-    omega_b: float,
-    g: np.ndarray,
-    gp: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _grid_rates(protocol: ProtocolParams, tau_a, tau_b, omega_a, omega_b, g, gp):
     """Vectorized general rate over correlation arrays.
 
     Returns (rates, physical mask, admissible mask); the kernel runs only
     where physical & admissible, with the physicality test and noise
     algebra of :func:`cvmdi.keyrate.key_rate`, and rates are +inf elsewhere.
+    Links and ancilla variances are floats or arrays broadcasting with ``g``.
     """
-    ta, tb = link.tau_a, link.tau_b
     physical = is_physical(AncillaState(omega_a, omega_b, g, gp))
-    lam, lam_prime = effective_noise(ta, tb, omega_a, omega_b, g, gp)
-    admissible = in_domain(ta, tb, lam, lam_prime)
+    lam, lam_prime = effective_noise(tau_a, tau_b, omega_a, omega_b, g, gp)
+    admissible = in_domain(tau_a, tau_b, lam, lam_prime)
     mask = physical & admissible
+    ta, tb = (t if np.ndim(t) == 0 else np.broadcast_to(t, g.shape)[mask]
+              for t in (tau_a, tau_b))
     lam, lam_prime = lam[mask], lam_prime[mask]
     chi = equivalent_chi(ta, tb, lam, lam_prime)
     rates = np.full(g.shape, np.inf)
@@ -183,7 +180,8 @@ def min_rate_brute(
                 half *= last * cut / span
             ax = np.linspace(max(lo, gc - half), min(hi, gc + half), n)
         g, gp = np.meshgrid(ax, -ax[::-1], indexing="ij")
-        rates, phys, adm = _grid_rates(protocol, link, omega_a, omega_b, g, gp)
+        ta, tb = link.tau_a, link.tau_b
+        rates, phys, adm = _grid_rates(protocol, ta, tb, omega_a, omega_b, g, gp)
         mask = phys & adm
         n_eval += int(mask.sum())
         n_skip += int((phys & ~adm).sum())
@@ -213,8 +211,8 @@ def min_rate_brute(
     )
 
 
-def _physical_dprime_max(omega_a: float, omega_b: float, l: float) -> float:
-    """Largest d' >= 0 keeping the ancilla (d' + l, d' - l) physical.
+def _physical_dprime_max(omega_a, omega_b, l):
+    """Largest d' >= 0 keeping the ancilla (d' + l, d' - l) physical, elementwise.
 
     With X = d'^2 and m = omega_a omega_b, nu_minus >= 1 reads
     det - Delta + 1 = X^2 - 2 b X + c >= 0 with b = l^2 + m + 1 and
@@ -222,24 +220,113 @@ def _physical_dprime_max(omega_a: float, omega_b: float, l: float) -> float:
     smaller root X1 = c / (b + sqrt(b^2 - c)), where
     b^2 - c = 4 m l^2 + (omega_a + omega_b)^2 has no cancellation.
     """
-    if not is_physical(AncillaState(omega_a, omega_b, l, -l)):
-        return 0.0
     m = omega_a * omega_b
     c = (m - 1.0 - l * l) ** 2 - (omega_a - omega_b) ** 2
-    root = math.sqrt(4.0 * m * l * l + (omega_a + omega_b) ** 2)
-    return math.sqrt(max(c / (l * l + m + 1.0 + root), 0.0))
+    root = np.sqrt(4.0 * m * l * l + (omega_a + omega_b) ** 2)
+    d = np.sqrt(np.maximum(c / (l * l + m + 1.0 + root), 0.0))
+    return np.where(is_physical(AncillaState(omega_a, omega_b, l, -l)), d, 0.0)
 
 
-def chi_y_domain(link: LinkPair, chi: float) -> tuple[float, float]:
-    """Range of the fixed-chi variable y: y_min = alpha chi / beta and y_max =
-    (y_min^2 + beta^2) / (2 beta); :class:`DomainError` below the loss floor."""
-    alpha, beta = link.alpha, link.beta
-    if chi < beta * beta / alpha:
-        raise DomainError(
-            f"chi = {chi} below the loss floor beta^2/alpha = {beta * beta / alpha}"
-        )
+def chi_y_domain(tau_a: np.ndarray, tau_b: np.ndarray, chi: np.ndarray):
+    """Range of the fixed-chi variable y, elementwise on arrays of links:
+    y_min = alpha chi / beta and y_max = (y_min^2 + beta^2) / (2 beta);
+    :class:`DomainError` if any chi is below the loss floor."""
+    alpha, beta = tau_a * tau_b, tau_a + tau_b
+    below = chi < beta * beta / alpha
+    if below.any():
+        raise DomainError(f"chi = {chi[below][0]} below the loss floor beta^2/alpha = "
+                          f"{(beta * beta / alpha)[below][0]}")
     y_min = alpha * chi / beta
     return y_min, (y_min * y_min + beta * beta) / (2.0 * beta)
+
+
+class _Profiles(NamedTuple):
+    """Rate profiles of a batch of scenarios, one per row: the first ``count``
+    samples of a row, in order; the rest of the row repeats its first sample."""
+
+    mode: str
+    y: np.ndarray
+    d_prime: np.ndarray
+    rate: np.ndarray
+    count: np.ndarray
+    skipped: np.ndarray
+
+    def first(self) -> RateProfile:
+        n = self.count[0]
+        return RateProfile(self.mode, self.y[0, :n], self.d_prime[0, :n],
+                           self.rate[0, :n], int(self.skipped[0]))
+
+
+def _profiles(mode, present, ok, y, d_prime, rate) -> _Profiles:
+    """Move each row's ``ok`` samples to its front, in order; samples that
+    are ``present`` but not ``ok`` count as skipped."""
+    count = ok.sum(axis=1)
+    if not count.all():
+        where = "fixed-chi" if mode == "chi" else mode
+        raise EmptyDomainError(f"no admissible sample on the {where} profile")
+    if not ok.all():
+        order = np.argsort(~ok, axis=1, kind="stable")
+        order = np.where(np.arange(ok.shape[1]) < count[:, None], order, order[:, :1])
+        y, d_prime, rate = (np.take_along_axis(a, order, 1) for a in (y, d_prime, rate))
+    return _Profiles(mode, y, d_prime, rate, count, (present & ~ok).sum(axis=1))
+
+
+def _thermal_profiles(protocol, tau_a, tau_b, omega_a, omega_b, l, samples):
+    """Fixed-thermal profiles of :func:`rate_profile_y` from 1-D parameter arrays."""
+    if samples < 2:
+        raise ValueError("samples must be >= 2")
+    u = 2.0 * np.sqrt((1.0 - tau_a) * (1.0 - tau_b))
+    delta = effective_noise(tau_a, tau_b, omega_a, omega_b, l, -l)[0]
+    bad = (delta <= 0.0) & (u > 0.0)
+    if bad.any():
+        raise DomainError(f"delta = kappa - u l = {delta[bad][0]} must be positive")
+    d_phys = _physical_dprime_max(omega_a, omega_b, l)
+    d_cap = np.minimum(delta / np.where(u > 0.0, u, 1.0), d_phys) * (1.0 - 1e-9)
+    spread, frozen = (u > 0.0) & (d_cap > 0.0), u == 0.0
+    cap = np.where(spread, d_cap, 1.0)
+    d = np.zeros((u.size, samples))
+    d[:, 1:] = np.geomspace(cap * 1e-4, cap, samples - 1).T * spread[:, None]
+    top = np.where(d_phys > 0.0, d_phys, 1.0)
+    d = np.where(frozen[:, None], np.linspace(0.0, top, samples).T, d)
+    present = (spread | frozen)[:, None] | (np.arange(samples) == 0)
+    ta, tb, wa, wb, lc, uc = (x[:, None] for x in (tau_a, tau_b, omega_a, omega_b, l, u))
+    rates, physical, admissible = _grid_rates(protocol, ta, tb, wa, wb, d + lc, d - lc)
+    ok = present & physical & admissible
+    for r, k in zip(*np.nonzero(present & physical & ~admissible)):
+        # key_rate defines the lossless symmetric point outside the kernel
+        ancilla = AncillaState(omega_a[r], omega_b[r], d[r, k] + l[r], d[r, k] - l[r])
+        try:
+            rates[r, k] = key_rate(protocol, LinkPair(tau_a[r], tau_b[r]), ancilla).rate
+        except DomainError:
+            continue
+        ok[r, k] = True
+    return _profiles("thermal", present, ok, uc * uc * d * d, d, rates)
+
+
+def _chi_profiles(protocol, tau_a, tau_b, chi, samples):
+    """Fixed-chi profiles of :func:`rate_profile_y` from 1-D parameter arrays."""
+    if samples < 2:
+        raise ValueError("samples must be >= 2")
+    y_min, y_max = chi_y_domain(tau_a, tau_b, chi)
+    u = 2.0 * np.sqrt((1.0 - tau_a) * (1.0 - tau_b))
+    span = y_max - y_min  # zero only at chi exactly on the loss floor
+    spread = (u > 0.0) & (span > 0.0)
+    top = np.where(spread, span, 1.0)
+    off = np.zeros((u.size, samples))
+    off[:, 1:] = np.geomspace(top * 1e-8, top, samples - 1).T * spread[:, None]
+    present = spread[:, None] | (np.arange(samples) == 0)
+    ta, tb, chi, y_min, u = (x[:, None] for x in (tau_a, tau_b, chi, y_min, u))
+    y = y_min + off
+    # y = beta + delta and u d' = sqrt(y^2 - y_min^2); lam = delta -+ u d',
+    # taken from the bisector noise at d' = 0, where beta + lam = y_min
+    ud = np.sqrt(np.maximum(y * y - y_min * y_min, 0.0))
+    lam_b = bisector_lam(ta, tb, chi) + off
+    lam, lam_prime = lam_b - ud, lam_b + ud
+    ok = present & in_domain(ta, tb, lam, lam_prime)
+    rates = np.zeros(ok.shape)
+    rates[ok] = rate_kernel(protocol.mu, protocol.xi, *(
+        np.broadcast_to(x, ok.shape)[ok] for x in (ta, tb, lam, lam_prime, chi)))[0]
+    return _profiles("chi", present, ok, y, ud / np.where(u > 0.0, u, 1.0), rates)
 
 
 def rate_profile_y(
@@ -262,82 +349,20 @@ def rate_profile_y(
 
     Fixed-chi mode (pass ``chi``): y = sqrt(u^2 d'^2 + (alpha chi / beta)^2)
     runs over :func:`chi_y_domain`; the samples come from the array kernel
-    at lam = delta -+ u d', with delta = y - beta, and samples outside its
+    at lam = delta -+ u d', with delta = y - beta counted from the bisector
+    noise of chi (:func:`cvmdi.core.bisector_lam`), and samples outside its
     domain are skipped.
 
     When u = 0 the variable y is frozen and the profile is constant.
     Samples are log-spaced toward the d' = 0 endpoint, which is always
-    included exactly.
+    included exactly.  Runs the batched profile on a single row.
     """
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
     if (omegas is None) == (chi is None):
         raise ValueError("pass exactly one of omegas+l (thermal) or chi")
-
-    if omegas is not None:
-        if l is None:
-            raise ValueError("thermal mode requires the bisector coordinate l")
-        wa, wb = omegas
-        u = link.u
-        delta = effective_noise(link.tau_a, link.tau_b, wa, wb, l, -l)[0]
-        if delta <= 0.0 and u > 0.0:
-            raise DomainError(f"delta = kappa - u l = {delta} must be positive")
-        d_phys = _physical_dprime_max(wa, wb, l)
-        if u == 0.0:
-            d_primes = np.linspace(0.0, d_phys if d_phys > 0.0 else 1.0, samples)
-        else:
-            d_cap = min(delta / u, d_phys) * (1.0 - 1e-9)
-            if d_cap <= 0.0:
-                d_primes = np.array([0.0])
-            else:
-                d_primes = np.concatenate(
-                    [[0.0], np.geomspace(d_cap * 1e-4, d_cap, samples - 1)]
-                )
-        rates, physical, admissible = _grid_rates(
-            protocol, link, wa, wb, d_primes + l, d_primes - l
-        )
-        ok = physical & admissible
-        for k in np.flatnonzero(physical & ~admissible):
-            ancilla = AncillaState(wa, wb, d_primes[k] + l, d_primes[k] - l)
-            try:
-                rates[k] = key_rate(protocol, link, ancilla).rate
-            except DomainError:
-                continue
-            ok[k] = True
-        if not ok.any():
-            raise EmptyDomainError("no admissible sample on the thermal profile")
-        ds = d_primes[ok]
-        return RateProfile(
-            mode="thermal",
-            y=u * u * ds * ds,
-            d_prime=ds,
-            rate=rates[ok],
-            skipped=int((~ok).sum()),
-        )
-
-    beta, u = link.beta, link.u
-    y_min, y_max = chi_y_domain(link, chi)
-    span = y_max - y_min  # zero only at chi exactly on the loss floor
-    if u == 0.0 or span <= 0.0:
-        y_vals = np.full(1, y_min)
-    else:
-        y_vals = y_min + np.concatenate(
-            [[0.0], np.geomspace(span * 1e-8, span, samples - 1)]
-        )
-    # y = beta + delta and u d' = sqrt(y^2 - y_min^2), so lam = delta -+ u d'
-    ud = np.sqrt(np.maximum(y_vals * y_vals - y_min * y_min, 0.0))
-    lam = y_vals - beta - ud
-    lam_prime = y_vals - beta + ud
-    ok = in_domain(link.tau_a, link.tau_b, lam, lam_prime)
-    if not ok.any():
-        raise EmptyDomainError("no admissible sample on the fixed-chi profile")
-    rate, _ = rate_kernel(
-        protocol.mu, protocol.xi, link.tau_a, link.tau_b, lam[ok], lam_prime[ok], chi
-    )
-    return RateProfile(
-        mode="chi",
-        y=y_vals[ok],
-        d_prime=(ud / u if u > 0.0 else ud)[ok],
-        rate=rate,
-        skipped=int((~ok).sum()),
-    )
+    ta, tb = np.array([link.tau_a]), np.array([link.tau_b])
+    if chi is not None:
+        return _chi_profiles(protocol, ta, tb, np.array([chi], float), samples).first()
+    if l is None:
+        raise ValueError("thermal mode requires the bisector coordinate l")
+    wa, wb, l = (np.array([x], float) for x in (*omegas, l))
+    return _thermal_profiles(protocol, ta, tb, wa, wb, l, samples).first()

@@ -114,7 +114,7 @@ class LinkPair:
 class AncillaState:
     """Parameters of the adversary's two-mode ancilla covariance:
     variances ``omega_a, omega_b`` (SNU, >= 1) and quadrature correlations
-    ``g`` (position block) and ``g_prime`` (momentum block)."""
+    ``g`` (position block) and ``g_prime`` (momentum block), or arrays."""
 
     omega_a: float
     omega_b: float
@@ -123,7 +123,7 @@ class AncillaState:
 
     def __post_init__(self) -> None:
         for name, w in (("omega_a", self.omega_a), ("omega_b", self.omega_b)):
-            if w < 1.0:
+            if np.min(w) < 1.0:
                 raise ValueError(f"{name} must be >= 1 SNU, got {w}")
 
 

@@ -14,17 +14,18 @@ are reported so callers can see how far from zero the checks sit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     LOG2E,
+    SYMMETRIC_TAU_TOL,
     DomainError,
     LinkPair,
     ProtocolParams,
     SymmetricDegenerateError,
+    bisector_lam,
     chi_equivalent,
     effective_noise,
     entropy_h,
@@ -32,14 +33,8 @@ from .core import (
     g_max,
     log_ratio_g,
 )
-from .attack import RateProfile, chi_y_domain, rate_profile_y
-from .keyrate import (
-    key_rate_closed_asym,
-    key_rate_closed_sym,
-    key_rate_min_chi,
-    min_thermal_noise,
-    rate_kernel,
-)
+from .attack import _chi_profiles, _thermal_profiles, chi_y_domain
+from .keyrate import min_thermal_noise, rate_kernel
 
 STRICT_SLACK = 1e-10
 """Allowed rounding noise on strictly-positive checks."""
@@ -106,51 +101,70 @@ class RegionVerdict:
     min_gap: float
 
 
-def _chi_nus(link: LinkPair, chi: float, y: np.ndarray):
+def _chi_nus(tau_a, tau_b, chi, y):
     """(a1, a2, nu1, nu2) on the fixed-chi domain, where nu1 = sqrt(b1 - a1 y)
-    and nu2 = sqrt(b2 - a2 y), each clamped at 0."""
-    alpha, beta = link.alpha, link.beta
-    if link.is_symmetric:
-        tau = 0.5 * (link.tau_a + link.tau_b)
-        a1, a2 = 2.0 / tau, 4.0 / tau
-        b1, b2 = chi * chi / 4.0 + 1.0, chi * chi / 4.0 + 4.0
-    else:
-        denom = link.delta_tau ** 2  # = beta^2 - 4 alpha, without its cancellation
-        a1 = 2.0 / link.tau_b
-        b1 = 1.0 + link.tau_a ** 2 * chi ** 2 / beta ** 2
-        a2 = 2.0 * beta / denom
-        b2 = (beta * beta + alpha ** 2 * chi ** 2 / beta ** 2) / denom
+    and nu2 = sqrt(b2 - a2 y), each clamped at 0; one scenario per row of
+    ``y``, whose link and chi are 1-D arrays."""
+    tau_a, tau_b, chi = tau_a[:, None], tau_b[:, None], chi[:, None]
+    alpha, beta, dtau = tau_a * tau_b, tau_a + tau_b, abs(tau_a - tau_b)
+    sym = dtau < SYMMETRIC_TAU_TOL
+    tau = 0.5 * beta
+    denom = np.where(sym, 1.0, dtau ** 2)  # beta^2 - 4 alpha, without its cancellation
+    a1 = np.where(sym, 2.0 / tau, 2.0 / tau_b)
+    b1 = np.where(sym, chi * chi / 4.0 + 1.0, 1.0 + tau_a ** 2 * chi ** 2 / beta ** 2)
+    a2 = np.where(sym, 4.0 / tau, 2.0 * beta / denom)
+    b2 = np.where(sym, chi * chi / 4.0 + 4.0,
+                  (beta * beta + alpha ** 2 * chi ** 2 / beta ** 2) / denom)
     nu1 = np.sqrt(np.maximum(b1 - a1 * y, 0.0))
     return a1, a2, nu1, np.sqrt(np.maximum(b2 - a2 * y, 0.0))
 
 
-def _finalize_monotone(
-    profile: RateProfile,
-    nu1: np.ndarray | None,
-    nu2: np.ndarray | None,
-    nu3: np.ndarray | None,
-    bound: np.ndarray | None,
-    bound_label: str,
-    extra_margins: np.ndarray | None = None,
-) -> MonotoneProbe:
-    degenerate = profile.y.size < 2 or float(profile.y[-1] - profile.y[0]) == 0.0
-    diffs = np.diff(profile.rate) if not degenerate else np.empty(0)
-    allm = np.concatenate([m for m in (diffs, bound, extra_margins) if m is not None])
-    worst = float(allm.min()) if allm.size else math.inf
+def _row_min(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    return np.where(mask, values, np.inf).min(axis=1, initial=np.inf)
+
+
+def _margins(prof, nus, bound, mask, label, extra, extra_mask):
+    """A monotone batch is (profiles, (nu1, nu2, nu3), bound, its mask, label,
+    extra margins, their mask), one scenario per row.  Per scenario: the worst
+    of its rate differences (none if degenerate: u = 0 or y frozen), bound and
+    extra margins; whether it is degenerate; and the mask of its differences."""
+    n = prof.count[:, None]
+    degenerate = (n < 2) | (np.take_along_axis(prof.y, n - 1, axis=1) == prof.y[:, :1])
+    diff_mask = (np.arange(prof.y.shape[1] - 1) < n - 1) & ~degenerate
+    worst = np.minimum(_row_min(np.diff(prof.rate, axis=1), diff_mask),
+                       np.minimum(_row_min(bound, mask), _row_min(extra, extra_mask)))
+    return worst, degenerate[:, 0], diff_mask
+
+
+def _monotone_probe(rows) -> MonotoneProbe:
+    """The probe of a one-scenario monotone batch; an empty label: no bound."""
+    prof, nus, bound, mask, label, _, _ = rows
+    worst, degenerate, diff_mask = _margins(*rows)
+    profile, label = prof.first(), str(label[0])
+    nus = (v[0, :prof.count[0]] if label and v is not None else None for v in nus)
     return MonotoneProbe(
-        y=profile.y,
-        rate=profile.rate,
-        diffs=diffs,
-        nu1=nu1,
-        nu2=nu2,
-        nu3=nu3,
-        bound=bound,
-        bound_label=bound_label,
-        worst_margin=worst,
-        verdict=worst > -STRICT_SLACK,
-        degenerate=degenerate,
-        skipped=profile.skipped,
-    )
+        profile.y, profile.rate, np.diff(prof.rate[0])[diff_mask[0]], *nus,
+        bound[0][mask[0]] if label else None, label, float(worst[0]),
+        bool(worst[0] > -STRICT_SLACK), bool(degenerate[0]), profile.skipped)
+
+
+def _monotone_thermal_rows(protocol, tau_a, tau_b, omega_a, omega_b, l, samples):
+    prof = _thermal_profiles(protocol, tau_a, tau_b, omega_a, omega_b, l, samples)
+    valid = np.arange(samples) < prof.count[:, None]
+    # F is evaluated on the symmetric lossy (u > 0) scenarios only
+    has = (abs(tau_a - tau_b) < SYMMETRIC_TAU_TOL) & (tau_a < 1.0) & (tau_b < 1.0)
+    nu1, nu2, nu3, bound = np.full((4,) + prof.y.shape, np.nan)
+    delta = effective_noise(tau_a, tau_b, omega_a, omega_b, l, -l)[0][has, None]
+    tau = 0.5 * (tau_a + tau_b)[has, None]
+    y = prof.y[has]
+    nu1[has] = np.sqrt((tau + delta) ** 2 - y) / tau
+    nu3[has] = n3 = np.sqrt(np.maximum(delta * delta - y, 0.0)) / tau
+    chi_y = 2.0 * np.sqrt((2.0 * tau + delta) ** 2 - y) / tau
+    nu2[has] = protocol.mu ** (1.0 - protocol.xi) * chi_y ** protocol.xi
+    bound[has] = LOG2E / np.where(n3 > 0.0, n3, np.inf) - 0.5 * log_ratio_g(nu1[has])
+    mask = valid & has[:, None]
+    return (prof, (nu1, nu2, nu3), bound, mask, np.where(has, "F", ""),
+            bound[:, 1:] - bound[:, :1], mask[:, 1:])  # F(y) >= F(0)
 
 
 def verify_monotone_thermal(
@@ -169,25 +183,34 @@ def verify_monotone_thermal(
     F(y) >= F(0) on the sampled range (the increasing-F property that
     makes the monotonicity argument work).
     """
-    profile = rate_profile_y(
-        protocol, link, omegas=(omega_a, omega_b), l=l, samples=samples
-    )
-    nu1 = nu2 = nu3 = bound = extra = None
-    label = ""
-    if link.is_symmetric and link.u > 0.0:
-        tau = 0.5 * (link.tau_a + link.tau_b)
-        delta = effective_noise(link.tau_a, link.tau_b, omega_a, omega_b, l, -l)[0]
-        y = profile.y
-        nu1 = np.sqrt((tau + delta) ** 2 - y) / tau
-        nu3 = np.sqrt(np.maximum(delta * delta - y, 0.0)) / tau
-        chi_y = 2.0 * np.sqrt((2.0 * tau + delta) ** 2 - y) / tau
-        nu2 = protocol.mu ** (1.0 - protocol.xi) * chi_y ** protocol.xi
-        g1 = log_ratio_g(nu1)
-        bound = LOG2E / np.where(nu3 > 0.0, nu3, np.inf) - 0.5 * g1
-        label = "F"
-        if bound.size > 1:
-            extra = bound[1:] - bound[0]  # F(y) >= F(0)
-    return _finalize_monotone(profile, nu1, nu2, nu3, bound, label, extra)
+    args = (np.array([x], float) for x in (link.tau_a, link.tau_b, omega_a, omega_b, l))
+    return _monotone_probe(_monotone_thermal_rows(protocol, *args, samples))
+
+
+def _monotone_chi_rows(protocol, tau_a, tau_b, chi, samples):
+    sym = abs(tau_a - tau_b) < SYMMETRIC_TAU_TOL
+    low = sym & (chi <= 4.0)
+    if low.any():
+        raise DomainError(f"chi = {chi[low][0]} <= 4 is outside the symmetric domain")
+    prof = _chi_profiles(protocol, tau_a, tau_b, chi, samples)
+    valid = np.arange(samples) < prof.count[:, None]
+    a1, a2, nu1, nu2 = _chi_nus(tau_a, tau_b, chi, prof.y)
+    s = sym[:, None]
+    crossing = nu1 < nu2
+    ok = valid & ~s & crossing & (nu1 > 1.0) & (nu2 > 1.0)
+    g1, g2 = np.zeros_like(nu1), np.zeros_like(nu2)
+    at = valid & s | ok
+    g1[at] = log_ratio_g(nu1[at])
+    g2[ok] = log_ratio_g(nu2[ok])
+    # symmetric: L(y) > 0, claimed on the open interior (nu2 can round to 0
+    # at the last admissible sample); asymmetric: A(y) >= 0 where nu1 < nu2
+    bound = np.where(s, a2 * LOG2E / np.where(nu2 > 0.0, nu2, 1.0) - 0.5 * a1 * g1,
+                     (a2 * nu1 * nu1 - a1 * nu2 * nu2) - (a2 * nu1 - a1 * nu2))
+    mask = valid & np.where(s, nu2 > 0.0, crossing)
+    # in the crossing regime the comparison function D = d(nu1) - d(nu2)
+    # with d(x) = (x - 1) log2((x+1)/(x-1)) must stay negative
+    extra = (nu2 - 1.0) * g2 - (nu1 - 1.0) * g1
+    return prof, (nu1, nu2, None), bound, mask, np.where(sym, "L", "A"), extra, ok
 
 
 def verify_monotone_chi(
@@ -200,26 +223,32 @@ def verify_monotone_chi(
     L(y) (claimed positive) on symmetric links, A(y) (claimed nonnegative
     wherever nu1 < nu2) on asymmetric links.
     """
-    if link.is_symmetric and chi <= 4.0:
-        raise DomainError(f"chi = {chi} <= 4 is outside the symmetric domain")
-    profile = rate_profile_y(protocol, link, chi=chi, samples=samples)
-    a1, a2, nu1, nu2 = _chi_nus(link, chi, profile.y)
-    if link.is_symmetric:
-        # nu2 can round to 0 at the last admissible sample; the bound is
-        # only claimed on the open interior.
-        ok = nu2 > 0.0
-        g1 = log_ratio_g(nu1)
-        bound = (a2 * LOG2E / np.where(ok, nu2, 1.0) - 0.5 * a1 * g1)[ok]
-        return _finalize_monotone(profile, nu1, nu2, None, bound, "L")
-    k = a2 * nu1 - a1 * nu2
-    crossing = nu1 < nu2
-    bound = ((a2 * nu1 * nu1 - a1 * nu2 * nu2) - k)[crossing]
-    # in the crossing regime the comparison function D = d(nu1) - d(nu2)
-    # with d(x) = (x - 1) log2((x+1)/(x-1)) must stay negative
-    ok = crossing & (nu1 > 1.0) & (nu2 > 1.0)
-    d1 = (nu1[ok] - 1.0) * log_ratio_g(nu1[ok])
-    d2 = (nu2[ok] - 1.0) * log_ratio_g(nu2[ok])
-    return _finalize_monotone(profile, nu1, nu2, None, bound, "A", d2 - d1)
+    args = (np.array([x], float) for x in (link.tau_a, link.tau_b, chi))
+    return _monotone_probe(_monotone_chi_rows(protocol, *args, samples))
+
+
+_RELATIONS = ("less", "equal", "greater")  # indexed by sign(nu1 - nu2) + 1
+
+
+def _region_rows(tau_a, tau_b, chi, samples):
+    """(predicted, observed) signs of nu1 - nu2 per scenario, with the
+    threshold (NaN where tau_a >= 2 tau_b) and the smallest sampled gap."""
+    if (abs(tau_a - tau_b) < SYMMETRIC_TAU_TOL).any():
+        raise SymmetricDegenerateError("region classification requires tau_a != tau_b")
+    y_min, y_max = chi_y_domain(tau_a, tau_b, chi)
+    beta, dtau = tau_a + tau_b, abs(tau_a - tau_b)
+    crossing = tau_a < 2.0 * tau_b
+    threshold = np.where(crossing, beta * (3.0 * tau_b - tau_a + dtau) / (
+        tau_a * np.where(crossing, 2.0 * tau_b - tau_a, 1.0)), np.nan)
+    predicted = np.where(~crossing, 1, np.where(
+        abs(chi - threshold) <= 1e-9 * threshold, 0, np.where(chi > threshold, -1, 1)))
+    lossy = (1.0 - tau_a) * (1.0 - tau_b) > 0.0
+    ys = np.where(lossy[:, None], np.linspace(y_min, y_max, samples).T,
+                  y_min[:, None])
+    _, _, nu1, nu2 = _chi_nus(tau_a, tau_b, chi, ys)
+    min_gap = (nu1 - nu2).min(axis=1)
+    observed = (min_gap > 1e-9).astype(int) - (min_gap < -1e-9)
+    return predicted, observed, threshold, min_gap
 
 
 def classify_nu_regions(
@@ -234,38 +263,25 @@ def classify_nu_regions(
     that includes the lower domain endpoint.  Classifications within
     ~1e-9 of the threshold resolve to "equal".
     """
-    if link.is_symmetric:
-        raise SymmetricDegenerateError("region classification requires tau_a != tau_b")
-    y_min, y_max = chi_y_domain(link, chi)
-    beta, ta, tb = link.beta, link.tau_a, link.tau_b
-    threshold = None
-    if ta >= 2.0 * tb:
-        predicted = "greater"
-    else:
-        threshold = beta * (3.0 * tb - ta + link.delta_tau) / (ta * (2.0 * tb - ta))
-        if abs(chi - threshold) <= 1e-9 * threshold:
-            predicted = "equal"
-        elif chi > threshold:
-            predicted = "less"
-        else:
-            predicted = "greater"
-    ys = np.linspace(y_min, y_max, samples) if link.u > 0.0 else np.array([y_min])
-    _, _, nu1, nu2 = _chi_nus(link, chi, ys)
-    min_gap = float((nu1 - nu2).min())
-    atol = 1e-9
-    if min_gap < -atol:
-        observed = "less"
-    elif min_gap > atol:
-        observed = "greater"
-    else:
-        observed = "equal"
+    args = (np.array([x], float) for x in (link.tau_a, link.tau_b, chi))
+    predicted, observed, threshold, min_gap = _region_rows(*args, samples)
     return RegionVerdict(
-        predicted_relation=predicted,
-        observed_relation=observed,
-        chi_threshold_used=threshold,
-        agree=predicted == observed,
-        min_gap=min_gap,
+        predicted_relation=_RELATIONS[predicted[0] + 1],
+        observed_relation=_RELATIONS[observed[0] + 1],
+        chi_threshold_used=None if np.isnan(threshold[0]) else float(threshold[0]),
+        agree=bool(predicted[0] == observed[0]),
+        min_gap=float(min_gap[0]),
     )
+
+
+def _p_prime_rows(tau_a, tau_b, chi, samples):
+    """(y, p'(y), sample count) per scenario; u = 0 leaves the one point y_min."""
+    y_min, y_max = chi_y_domain(tau_a, tau_b, chi)
+    lossy = (1.0 - tau_a) * (1.0 - tau_b) > 0.0
+    frac = np.where(lossy[:, None], np.linspace(0.0, 1.0 - 1e-9, samples), 0.0)
+    ys = y_min[:, None] + (y_max - y_min)[:, None] * frac
+    a1, a2, nu1, nu2 = _chi_nus(tau_a, tau_b, chi, ys)
+    return ys, (a2 * nu1 - a1 * nu2) / (4.0 * nu1 * nu2), np.where(lossy, samples, 1)
 
 
 def verify_p_prime_positive(
@@ -273,15 +289,32 @@ def verify_p_prime_positive(
 ) -> PositivityProbe:
     """Positivity of p'(y) = (a2 nu1 - a1 nu2) / (4 nu1 nu2) over the
     fixed-chi domain (upper endpoint excluded, where nu2 vanishes)."""
-    y_min, y_max = chi_y_domain(link, chi)
-    frac = np.linspace(0.0, 1.0 - 1e-9, samples) if link.u > 0.0 else np.zeros(1)
-    ys = y_min + (y_max - y_min) * frac
-    a1, a2, nu1, nu2 = _chi_nus(link, chi, ys)
-    values = (a2 * nu1 - a1 * nu2) / (4.0 * nu1 * nu2)
+    args = (np.array([x], float) for x in (link.tau_a, link.tau_b, chi))
+    ys, values, count = _p_prime_rows(*args, samples)
+    values = values[0, :count[0]]
     worst = float(values.min())
-    return PositivityProbe(
-        y=ys, values=values, worst_margin=worst, verdict=worst > -STRICT_SLACK
-    )
+    return PositivityProbe(ys[0, :count[0]], values, worst, worst > -STRICT_SLACK)
+
+
+def _lambda_rows(protocol, tau_a, tau_b, lambda_max, samples):
+    """(lam, H, rate, worst margin) of :func:`verify_lambda_minimization`."""
+    dt = abs(tau_a - tau_b)
+    lo = dt + 1e-9
+    bad = lambda_max <= lo
+    if bad.any():
+        raise DomainError(
+            f"lambda_max = {lambda_max[bad][0]} must exceed |dtau| = {dt[bad][0]}")
+    lams = np.linspace(lo, lambda_max, samples).T
+    ta, tb = tau_a[:, None], tau_b[:, None]
+    chi = equivalent_chi(ta, tb, lams, lams)
+    rate, nu = rate_kernel(protocol.mu, protocol.xi, ta, tb, lams, lams, chi)
+    h_part = entropy_h(nu)
+    asym = dt >= SYMMETRIC_TAU_TOL
+    h_part[asym] -= entropy_h(lams[asym] / dt[asym, None])
+    convexity = np.where(asym[:, None], np.diff(h_part, 2, axis=1), np.inf)
+    worst = np.minimum((-np.diff(rate, axis=1)).min(axis=1),
+                       convexity.min(axis=1, initial=np.inf))
+    return lams, h_part, rate, worst
 
 
 def verify_lambda_minimization(
@@ -299,36 +332,10 @@ def verify_lambda_minimization(
     (positive second differences) is checked alongside the decrease of
     the rate.
     """
-    dt = link.delta_tau
-    lo = dt + 1e-9
-    if lambda_max <= lo:
-        raise DomainError(
-            f"lambda_max = {lambda_max} must exceed |dtau| = {dt}"
-        )
-    lams = np.linspace(lo, lambda_max, samples)
-    chi = equivalent_chi(link.tau_a, link.tau_b, lams, lams)
-    rate, nu = rate_kernel(
-        protocol.mu, protocol.xi, link.tau_a, link.tau_b, lams, lams, chi
-    )
-    h_part = entropy_h(nu)
-    margins = -np.diff(rate)
-    if not link.is_symmetric:
-        h_part -= entropy_h(lams / dt)
-        margins = np.concatenate([margins, np.diff(h_part, 2)])
-    log_part = rate - h_part
-    worst = float(margins.min())
-    return LambdaProbe(
-        lam=lams,
-        h_part=h_part,
-        log_part=log_part,
-        rate=rate,
-        worst_margin=worst,
-        verdict=worst > -STRICT_SLACK,
-    )
-
-
-def _rel_err(a: float, b: float) -> float:
-    return float(abs(a - b) / max(1.0, abs(a), abs(b)))
+    args = (np.array([x], float) for x in (link.tau_a, link.tau_b, lambda_max))
+    lams, h_part, rate, worst = (a[0] for a in _lambda_rows(protocol, *args, samples))
+    return LambdaProbe(lams, h_part, rate - h_part, rate, float(worst),
+                       bool(worst > -STRICT_SLACK))
 
 
 def _draw_asym_link(rng: np.random.Generator) -> LinkPair:
@@ -338,16 +345,115 @@ def _draw_asym_link(rng: np.random.Generator) -> LinkPair:
             return LinkPair(ta, tb)
 
 
-def _summary(
-    scenarios: int, failures: int, worst: float, endpoint: float | None = None
-) -> dict:
-    """One check's report entry; an endpoint error, where the check has
-    one, must also stay within 1e-9."""
-    entry = {"scenarios": scenarios, "failures": failures, "worst_margin": worst}
-    if endpoint is None:
+# protocols of the even and of the odd scenarios
+_PROTOCOLS = tuple(ProtocolParams(xi=xi, phi=60.0, epsilon=0.01) for xi in (1.0, 0.97))
+
+
+def _by_parity(draws: list[tuple]):
+    """(protocol, parameter arrays) of each parity: mu, xi scalar per batch."""
+    for parity, protocol in enumerate(_PROTOCOLS):
+        if draws[parity::2]:
+            yield protocol, np.array(draws[parity::2], float).T
+
+
+def _summary(scenarios: int, worst: list, endpoints: list | None = None) -> dict:
+    """One check's report entry from its per-scenario worst margins; the
+    relative error of its (endpoint, anchor) rates, where it has them, must
+    also stay within 1e-9."""
+    worst = np.concatenate(worst)
+    failures = int((~(worst > -STRICT_SLACK)).sum())
+    entry = {"scenarios": scenarios, "failures": failures,
+             "worst_margin": float(worst.min())}
+    if endpoints is None:
         return {**entry, "pass": failures == 0}
+    a, b = (np.concatenate(x) for x in zip(*endpoints))
+    endpoint = float((abs(a - b) / np.maximum(1.0, np.maximum(abs(a), abs(b)))).max())
     return {**entry, "worst_endpoint_rel_err": endpoint,
             "pass": failures == 0 and endpoint <= 1e-9}
+
+
+def _monotone_thermal_check(rng, scenarios: int, samples: int) -> dict:
+    """Fixed thermal noise: symmetric links, random bisector slice; the
+    d' = 0 sample must reproduce the symmetric closed form."""
+    draws = []
+    for _ in range(scenarios):
+        tau = rng.uniform(0.55, 0.95)
+        wa, wb = rng.uniform(1.1, 5.0, size=2)
+        draws.append((tau, wa, wb, rng.uniform(-0.85, 0.5) * g_max(wa, wb)))
+    worst, endpoint = [], []
+    for protocol, (tau, wa, wb, l) in _by_parity(draws):
+        rows = _monotone_thermal_rows(protocol, tau, tau, wa, wb, l, samples)
+        worst.append(_margins(*rows)[0])
+        lam0 = effective_noise(tau, tau, wa, wb, l, -l)[0]
+        chi = equivalent_chi(tau, tau, lam0, lam0)
+        anchor = rate_kernel(protocol.mu, protocol.xi, tau, tau, lam0, lam0, chi)[0]
+        endpoint.append((rows[0].rate[:, 0], anchor))
+    return _summary(scenarios, worst, endpoint)
+
+
+def _monotone_chi_check(rng, scenarios: int, samples: int) -> dict:
+    """Fixed equivalent noise, alternating symmetric/asymmetric links; the
+    d' = 0 sample must reproduce the minimized chi form."""
+    draws = []
+    for i in range(scenarios):
+        link = (_draw_asym_link(rng) if i % 2
+                else LinkPair(*[rng.uniform(0.55, 0.999)] * 2))
+        chi = chi_equivalent(link, rng.uniform(0.01, 0.8))
+        draws.append((link.tau_a, link.tau_b, chi))
+    worst, endpoint = [], []
+    for protocol, (ta, tb, chi) in _by_parity(draws):
+        rows = _monotone_chi_rows(protocol, ta, tb, chi, samples)
+        worst.append(_margins(*rows)[0])
+        lam = bisector_lam(ta, tb, chi)
+        anchor = rate_kernel(protocol.mu, protocol.xi, ta, tb, lam, lam, chi)[0]
+        endpoint.append((rows[0].rate[:, 0], anchor))
+    return _summary(scenarios, worst, endpoint)
+
+
+def _p_prime_check(rng, scenarios: int, samples: int) -> dict:
+    """p'(y) positivity on asymmetric links."""
+    draws = []
+    for _ in range(scenarios):
+        link = _draw_asym_link(rng)
+        chi = chi_equivalent(link, rng.uniform(0.01, 1.0))
+        draws.append((link.tau_a, link.tau_b, chi))
+    _, values, count = _p_prime_rows(*np.array(draws, float).T, samples)
+    return _summary(scenarios, [_row_min(values, np.arange(samples) < count[:, None])])
+
+
+def _lambda_check(rng, scenarios: int, samples: int) -> dict:
+    """Minimization over lam, alternating symmetric/asymmetric links; the
+    lam endpoint is pinned to lam_opt of a random thermal environment so
+    the final sample reproduces the minimized thermal closed form."""
+    draws = []
+    for i in range(scenarios):
+        link = (_draw_asym_link(rng) if i % 2
+                else LinkPair(*[rng.uniform(0.55, 0.95)] * 2))
+        wa, wb = rng.uniform(1.1, 5.0, size=2)
+        lam_opt = min_thermal_noise(link.tau_a, link.tau_b, wa, wb)[0]
+        if lam_opt <= link.delta_tau + 2e-9:
+            lam_opt = link.delta_tau + 0.5
+        draws.append((link.tau_a, link.tau_b, lam_opt))
+    worst, endpoint = [], []
+    for protocol, (ta, tb, lam_opt) in _by_parity(draws):
+        _, _, rate, margins = _lambda_rows(protocol, ta, tb, lam_opt, samples)
+        chi = equivalent_chi(ta, tb, lam_opt, lam_opt)
+        anchor = rate_kernel(protocol.mu, protocol.xi, ta, tb, lam_opt, lam_opt, chi)[0]
+        worst.append(margins)
+        endpoint.append((rate[:, -1], anchor))
+    return _summary(scenarios, worst, endpoint)
+
+
+def _region_check(rng, scenarios: int) -> dict:
+    """nu1/nu2 region classification on asymmetric links."""
+    draws = []
+    for _ in range(scenarios):
+        link = _draw_asym_link(rng)
+        draws.append((link.tau_a, link.tau_b,
+                      (link.beta ** 2 / link.alpha) * rng.uniform(1.05, 4.0)))
+    predicted, observed, _, _ = _region_rows(*np.array(draws, float).T, 65)
+    failures = int((predicted != observed).sum())
+    return {"scenarios": scenarios, "failures": failures, "pass": failures == 0}
 
 
 def run_verification_suite(
@@ -357,93 +463,18 @@ def run_verification_suite(
 
     Returns a JSON-ready report with per-check failure counts, the worst
     margin seen, and the worst relative disagreement between profile
-    endpoints and the corresponding minimized closed forms.
+    endpoints and the corresponding minimized closed forms.  Each check, in
+    its own function, draws all its scenarios, then evaluates them as one
+    (scenario x sample) array per protocol.
     """
     rng = np.random.default_rng(seed)
-    checks: dict[str, dict] = {}
-
-    def protocol_for(i: int) -> ProtocolParams:
-        return ProtocolParams(xi=1.0 if i % 2 == 0 else 0.97, phi=60.0, epsilon=0.01)
-
-    # Fixed thermal noise: symmetric links, random bisector slice.
-    worst, endpoint, failures = math.inf, 0.0, 0
-    for i in range(scenarios):
-        protocol = protocol_for(i)
-        tau = rng.uniform(0.55, 0.95)
-        link = LinkPair(tau, tau)
-        wa, wb = rng.uniform(1.1, 5.0, size=2)
-        gm = g_max(wa, wb)
-        l = rng.uniform(-0.85, 0.5) * gm
-        probe = verify_monotone_thermal(protocol, link, wa, wb, l, samples=samples)
-        worst = min(worst, probe.worst_margin)
-        failures += not probe.verdict
-        lam0 = effective_noise(tau, tau, wa, wb, l, -l)[0]
-        anchor = key_rate_closed_sym(protocol, tau, lam0, lam0).rate
-        endpoint = max(endpoint, _rel_err(float(probe.rate[0]), anchor))
-    checks["monotone_thermal"] = _summary(scenarios, failures, worst, endpoint)
-
-    # Fixed equivalent noise, alternating symmetric/asymmetric links.
-    worst, endpoint, failures = math.inf, 0.0, 0
-    for i in range(scenarios):
-        protocol = protocol_for(i)
-        if i % 2 == 0:
-            tau = rng.uniform(0.55, 0.999)
-            link = LinkPair(tau, tau)
-        else:
-            link = _draw_asym_link(rng)
-        chi = chi_equivalent(link, rng.uniform(0.01, 0.8))
-        probe = verify_monotone_chi(protocol, link, chi, samples=samples)
-        worst = min(worst, probe.worst_margin)
-        failures += not probe.verdict
-        anchor = key_rate_min_chi(protocol, link, chi).rate
-        endpoint = max(endpoint, _rel_err(float(probe.rate[0]), anchor))
-    checks["monotone_chi"] = _summary(scenarios, failures, worst, endpoint)
-
-    # p'(y) positivity on asymmetric links.
-    worst, failures = math.inf, 0
-    for i in range(scenarios):
-        link = _draw_asym_link(rng)
-        chi = chi_equivalent(link, rng.uniform(0.01, 1.0))
-        probe = verify_p_prime_positive(link, chi, samples=samples)
-        worst = min(worst, probe.worst_margin)
-        failures += not probe.verdict
-    checks["p_prime_positive"] = _summary(scenarios, failures, worst)
-
-    # Minimization over lam, alternating symmetric/asymmetric links; the
-    # lam endpoint is pinned to lam_opt of a random thermal environment so
-    # the final sample reproduces the minimized thermal closed form.
-    worst, endpoint, failures = math.inf, 0.0, 0
-    for i in range(scenarios):
-        protocol = protocol_for(i)
-        if i % 2 == 0:
-            tau = rng.uniform(0.55, 0.95)
-            link = LinkPair(tau, tau)
-        else:
-            link = _draw_asym_link(rng)
-        wa, wb = rng.uniform(1.1, 5.0, size=2)
-        lam_opt = min_thermal_noise(link.tau_a, link.tau_b, wa, wb)[0]
-        if lam_opt <= link.delta_tau + 2e-9:
-            lam_opt = link.delta_tau + 0.5
-        probe = verify_lambda_minimization(protocol, link, lam_opt, samples=samples)
-        worst = min(worst, probe.worst_margin)
-        failures += not probe.verdict
-        anchor = key_rate_closed_asym(protocol, link, lam_opt, lam_opt).rate
-        endpoint = max(endpoint, _rel_err(float(probe.rate[-1]), anchor))
-    checks["lambda_minimization"] = _summary(scenarios, failures, worst, endpoint)
-
-    # nu1/nu2 region classification on asymmetric links.
-    disagreements = 0
-    for _ in range(scenarios):
-        link = _draw_asym_link(rng)
-        chi = (link.beta ** 2 / link.alpha) * rng.uniform(1.05, 4.0)
-        verdict = classify_nu_regions(link, chi)
-        disagreements += not verdict.agree
-    checks["classify_nu_regions"] = {
-        "scenarios": scenarios,
-        "failures": disagreements,
-        "pass": disagreements == 0,
+    checks = {
+        "monotone_thermal": _monotone_thermal_check(rng, scenarios, samples),
+        "monotone_chi": _monotone_chi_check(rng, scenarios, samples),
+        "p_prime_positive": _p_prime_check(rng, scenarios, samples),
+        "lambda_minimization": _lambda_check(rng, scenarios, samples),
+        "classify_nu_regions": _region_check(rng, scenarios),
     }
-
     return {
         "seed": seed,
         "scenarios": scenarios,

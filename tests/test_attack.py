@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -177,13 +178,13 @@ def _min_rate_one_window(protocol, link, wa, wb, grid):
     lo, hi = physical_bounds(wa, wb)
     axis = _axis(hi, grid.n)
     g, gp = np.meshgrid(axis, axis, indexing="ij")
-    rates, phys, adm = _grid_rates(protocol, link, wa, wb, g, gp)
+    rates, phys, adm = _grid_rates(protocol, link.tau_a, link.tau_b, wa, wb, g, gp)
     g0, gp0 = _argmin_tiebreak(g, gp, rates, phys & adm)
     gc = attack_coords(g0, gp0).l
     half = REFINE_MARGIN * (axis[1] - axis[0])
     ax_g = np.linspace(max(lo, gc - half), min(hi, gc + half), grid.refine_n)
     rg, rgp = np.meshgrid(ax_g, -ax_g[::-1], indexing="ij")
-    rrates, rphys, radm = _grid_rates(protocol, link, wa, wb, rg, rgp)
+    rrates, rphys, radm = _grid_rates(protocol, link.tau_a, link.tau_b, wa, wb, rg, rgp)
     rmask = rphys & radm
     g_star, gp_star = (
         _argmin_tiebreak(rg, rgp, rrates, rmask) if rmask.any() else (g0, gp0)
@@ -275,7 +276,9 @@ class TestGridRateSymmetries:
         link = LinkPair(0.85, 0.55)
         ax = _axis(physical_bounds(2.0, 2.0)[1], 41)
         g, gp = np.meshgrid(ax, ax, indexing="ij")
-        rates, phys, adm = _grid_rates(ProtocolParams(), link, 2.0, 2.0, g, gp)
+        rates, phys, adm = _grid_rates(
+            ProtocolParams(), link.tau_a, link.tau_b, 2.0, 2.0, g, gp
+        )
         mask = phys & adm
         mirrored_rates = rates[::-1, ::-1].T
         mirrored_mask = mask[::-1, ::-1].T
@@ -295,7 +298,9 @@ class TestGridRateSymmetries:
         g_violating = (kappa - 0.1) / link.u  # lam = 0.1 < dtau = 0.6
         g = np.array([g_violating, 0.0])
         gp = np.array([-g_violating, 0.0])
-        _, _, admissible = _grid_rates(ProtocolParams(), link, wa, wb, g, gp)
+        _, _, admissible = _grid_rates(
+            ProtocolParams(), link.tau_a, link.tau_b, wa, wb, g, gp
+        )
         assert not admissible[0]
         assert admissible[1]
 
@@ -445,6 +450,25 @@ class TestRateProfileChi:
         assert profile.d_prime[0] == 0.0
         assert np.all(np.diff(profile.d_prime) > 0.0)
 
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_endpoint_near_loss_floor_matches_oracle(self, symmetric):
+        # chi eps above the loss floor beta^2 / alpha, where y_min - beta
+        # cancels; the asymmetric family keeps lam = beta eps = 2 |dtau|
+        protocol = ProtocolParams(xi=0.97)
+        worst = 0.0
+        for tau in (0.6, 0.9, 0.97):
+            for eps in (1e-6, 1e-9, 1e-12):
+                link = LinkPair(tau, tau if symmetric else tau * (1.0 - eps))
+                chi = link.beta ** 2 / link.alpha * (1.0 + eps)
+                if symmetric:
+                    want = mp_oracle.rate_min_chi_sym(0.97, 61, chi)
+                else:
+                    want = mp_oracle.rate_min_chi_asym(0.97, 61, *astuple(link), chi)
+                got = float(rate_profile_y(protocol, link, chi=chi).rate[0])
+                err = abs(got - float(want)) / max(1.0, abs(got), abs(float(want)))
+                worst = max(worst, err)
+        assert worst <= 1e-12
+
     def test_mode_selection_is_exclusive(self):
         with pytest.raises(ValueError):
             rate_profile_y(ProtocolParams(), LinkPair(0.9, 0.6), samples=10)
@@ -465,7 +489,7 @@ class TestAnalyticLowerBound:
         lo, hi = physical_bounds(wa, wb)
         ax = _axis(hi, 201)
         g, gp = np.meshgrid(ax, ax, indexing="ij")
-        rates, phys, adm = _grid_rates(protocol, link, wa, wb, g, gp)
+        rates, phys, adm = _grid_rates(protocol, link.tau_a, link.tau_b, wa, wb, g, gp)
         mask = phys & adm
         analytic = key_rate_min_thermal(protocol, link, wa, wb).rate
         assert float(rates[mask].min()) >= analytic - 1e-4

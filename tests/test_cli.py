@@ -96,6 +96,17 @@ class TestDeterminism:
         _, out2, _ = run_cli(capsys, *argv)
         assert out1 == out2
 
+    def test_parser_reused_after_a_rejected_call(self, capsys):
+        # main builds its parser once per process; a call argparse rejects
+        # must not leave state behind for the next call
+        argv = ("verify", "--seed", "3", "--scenarios", "2", "--samples", "20")
+        code1, out1, _ = run_cli(capsys, *argv)
+        code, _, err = run_cli(capsys, "verify", "--seed", "3", "--bogus", "1")
+        assert code == 2 and "--bogus" in err
+        code2, out2, _ = run_cli(capsys, *argv)
+        assert code1 == code2 == 0
+        assert out1 == out2
+
 
 class TestSweep:
     def test_csv_shape_and_values(self, capsys):

@@ -1,8 +1,13 @@
 """Tests for the numerical certification of the minimization arguments."""
 
+import math
+
 import numpy as np
 import pytest
 
+from cvmdi import attack, keyrate, proofs
+from cvmdi.core import effective_noise
+from cvmdi.keyrate import min_thermal_noise
 from cvmdi import (
     DomainError,
     LinkPair,
@@ -293,3 +298,129 @@ class TestVerificationSuite:
         a = run_verification_suite(seed=3, scenarios=5, samples=60)
         b = run_verification_suite(seed=3, scenarios=5, samples=60)
         assert a == b
+
+
+def reference_suite(seed=7, scenarios=100, samples=200):
+    """The suite as one verifier call and one single-point anchor per
+    scenario: the per-scenario loop the batched suite replaced."""
+    rng = np.random.default_rng(seed)
+    checks = {}
+
+    def protocol_for(i):
+        return ProtocolParams(xi=1.0 if i % 2 == 0 else 0.97, phi=60.0, epsilon=0.01)
+
+    def summary(failures, worst, endpoint=None):
+        entry = {"scenarios": scenarios, "failures": failures, "worst_margin": worst}
+        if endpoint is None:
+            return {**entry, "pass": failures == 0}
+        return {**entry, "worst_endpoint_rel_err": endpoint,
+                "pass": failures == 0 and endpoint <= 1e-9}
+
+    worst, endpoint, failures = math.inf, 0.0, 0
+    for i in range(scenarios):
+        protocol = protocol_for(i)
+        tau = rng.uniform(0.55, 0.95)
+        link = LinkPair(tau, tau)
+        wa, wb = rng.uniform(1.1, 5.0, size=2)
+        l = rng.uniform(-0.85, 0.5) * g_max(wa, wb)
+        probe = verify_monotone_thermal(protocol, link, wa, wb, l, samples=samples)
+        worst = min(worst, probe.worst_margin)
+        failures += not probe.verdict
+        lam0 = effective_noise(tau, tau, wa, wb, l, -l)[0]
+        anchor = key_rate_closed_sym(protocol, tau, lam0, lam0).rate
+        endpoint = max(endpoint, rel_err(float(probe.rate[0]), anchor))
+    checks["monotone_thermal"] = summary(failures, worst, endpoint)
+
+    worst, endpoint, failures = math.inf, 0.0, 0
+    for i in range(scenarios):
+        protocol = protocol_for(i)
+        if i % 2 == 0:
+            tau = rng.uniform(0.55, 0.999)
+            link = LinkPair(tau, tau)
+        else:
+            link = proofs._draw_asym_link(rng)
+        chi = chi_equivalent(link, rng.uniform(0.01, 0.8))
+        probe = verify_monotone_chi(protocol, link, chi, samples=samples)
+        worst = min(worst, probe.worst_margin)
+        failures += not probe.verdict
+        anchor = key_rate_min_chi(protocol, link, chi).rate
+        endpoint = max(endpoint, rel_err(float(probe.rate[0]), anchor))
+    checks["monotone_chi"] = summary(failures, worst, endpoint)
+
+    worst, failures = math.inf, 0
+    for i in range(scenarios):
+        link = proofs._draw_asym_link(rng)
+        chi = chi_equivalent(link, rng.uniform(0.01, 1.0))
+        probe = verify_p_prime_positive(link, chi, samples=samples)
+        worst = min(worst, probe.worst_margin)
+        failures += not probe.verdict
+    checks["p_prime_positive"] = summary(failures, worst)
+
+    worst, endpoint, failures = math.inf, 0.0, 0
+    for i in range(scenarios):
+        protocol = protocol_for(i)
+        if i % 2 == 0:
+            tau = rng.uniform(0.55, 0.95)
+            link = LinkPair(tau, tau)
+        else:
+            link = proofs._draw_asym_link(rng)
+        wa, wb = rng.uniform(1.1, 5.0, size=2)
+        lam_opt = min_thermal_noise(link.tau_a, link.tau_b, wa, wb)[0]
+        if lam_opt <= link.delta_tau + 2e-9:
+            lam_opt = link.delta_tau + 0.5
+        probe = verify_lambda_minimization(protocol, link, lam_opt, samples=samples)
+        worst = min(worst, probe.worst_margin)
+        failures += not probe.verdict
+        anchor = key_rate_closed_asym(protocol, link, lam_opt, lam_opt).rate
+        endpoint = max(endpoint, rel_err(float(probe.rate[-1]), anchor))
+    checks["lambda_minimization"] = summary(failures, worst, endpoint)
+
+    disagreements = 0
+    for _ in range(scenarios):
+        link = proofs._draw_asym_link(rng)
+        chi = (link.beta ** 2 / link.alpha) * rng.uniform(1.05, 4.0)
+        disagreements += not classify_nu_regions(link, chi).agree
+    checks["classify_nu_regions"] = {
+        "scenarios": scenarios, "failures": disagreements, "pass": disagreements == 0,
+    }
+    return {"seed": seed, "scenarios": scenarios, "samples": samples, "checks": checks,
+            "all_pass": all(c["pass"] for c in checks.values())}
+
+
+class TestBatchedSuite:
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_matches_per_scenario_reference(self, seed):
+        for scenarios in (1, 2, 3, 20):
+            for samples in (2, 3, 40, 200):
+                got = run_verification_suite(seed, scenarios, samples)
+                want = reference_suite(seed, scenarios, samples)
+                assert got.keys() == want.keys()
+                assert got["all_pass"] == want["all_pass"]
+                for name, check in want["checks"].items():
+                    new = got["checks"][name]
+                    assert new.keys() == check.keys(), name
+                    for key in ("scenarios", "failures", "pass"):
+                        assert new[key] == check[key], (name, key)
+                    if "worst_margin" in check:
+                        assert abs(new["worst_margin"] - check["worst_margin"]) <= 1e-14
+                    exact = check.get("worst_endpoint_rel_err") == 0.0
+                    if exact or name == "monotone_chi":
+                        assert new["worst_endpoint_rel_err"] == 0.0, name
+
+    def test_kernel_calls_do_not_grow_with_scenarios(self, monkeypatch):
+        # one profile and one anchor call per protocol group and check
+        calls = []
+        original = keyrate.rate_kernel
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        for module in (keyrate, attack, proofs):
+            monkeypatch.setattr(module, "rate_kernel", counted)
+        counts = []
+        for scenarios in (4, 40):
+            calls.clear()
+            run_verification_suite(seed=7, scenarios=scenarios, samples=40)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == 12
