@@ -12,6 +12,7 @@ from .core import (
     EmptyDomainError,
     LinkPair,
     NonphysicalStateError,
+    ParameterError,
     ProtocolParams,
     SymmetricDegenerateError,
     SymplecticPair,

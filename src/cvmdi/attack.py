@@ -41,6 +41,9 @@ from .core import (
     equivalent_chi,
     g_max,
     is_physical,
+    require,
+    require_count,
+    require_omega,
 )
 from .keyrate import in_domain, key_rate, key_rate_min_thermal, rate_kernel
 
@@ -62,8 +65,7 @@ class AttackGrid:
 
     def __post_init__(self) -> None:
         for name, n in (("n", self.n), ("refine_n", self.refine_n)):
-            if n < 3 or n % 2 == 0:
-                raise ValueError(f"{name} must be odd and >= 3, got {n}")
+            require(n >= 3 and n % 2 == 1, name, "be odd and >= 3", n)
 
 
 @dataclass(frozen=True)
@@ -98,8 +100,8 @@ class RateProfile:
 def physical_bounds(omega_a: float, omega_b: float) -> tuple[float, float]:
     """Bounding interval [-sqrt(omega_a omega_b), +sqrt(omega_a omega_b)]
     of the physical correlation region; applies to each of g and g'."""
-    if omega_a < 1.0 or omega_b < 1.0:
-        raise ValueError("ancilla variances must be >= 1 SNU")
+    require_omega("omega_a", omega_a)
+    require_omega("omega_b", omega_b)
     b = math.sqrt(omega_a * omega_b)
     return -b, b
 
@@ -273,8 +275,7 @@ def _profiles(mode, present, ok, y, d_prime, rate) -> _Profiles:
 
 def _thermal_profiles(protocol, tau_a, tau_b, omega_a, omega_b, l, samples):
     """Fixed-thermal profiles of :func:`rate_profile_y` from 1-D parameter arrays."""
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
+    require_count("samples", samples, 2)
     u = 2.0 * np.sqrt((1.0 - tau_a) * (1.0 - tau_b))
     delta = effective_noise(tau_a, tau_b, omega_a, omega_b, l, -l)[0]
     bad = (delta <= 0.0) & (u > 0.0)
@@ -305,8 +306,7 @@ def _thermal_profiles(protocol, tau_a, tau_b, omega_a, omega_b, l, samples):
 
 def _chi_profiles(protocol, tau_a, tau_b, chi, samples):
     """Fixed-chi profiles of :func:`rate_profile_y` from 1-D parameter arrays."""
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
+    require_count("samples", samples, 2)
     y_min, y_max = chi_y_domain(tau_a, tau_b, chi)
     u = 2.0 * np.sqrt((1.0 - tau_a) * (1.0 - tau_b))
     span = y_max - y_min  # zero only at chi exactly on the loss floor

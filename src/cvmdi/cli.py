@@ -3,8 +3,11 @@
 Machine-readable output (JSON, or CSV for sweeps) goes to stdout or the
 ``--output`` file; a short human summary goes to stderr.  Exit status: 0
 on success, 1 on domain errors and on failed verdicts (``verify``,
-``optics-sim``), 2 on flag validation errors.  Identical argv and seed
-produce byte-identical output.
+``optics-sim``), 2 when a parameter fails validation, on every subcommand.
+Flags are checked only by the library types and entry points they reach,
+which raise :class:`cvmdi.core.ParameterError` naming the parameter; the
+front end maps that name to its flag.  Identical argv and seed produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import functools
 import json
 import sys
 
-from .core import LinkPair, ProtocolParams, chi_equivalent
+from .core import LinkPair, ParameterError, ProtocolParams, chi_equivalent
 from .keyrate import key_rate_min_chi, key_rate_min_thermal
 from .attack import AttackGrid, min_rate_brute
 from .proofs import run_verification_suite
@@ -28,10 +31,6 @@ from .sweep import (
     relay_scan,
     run_sweep,
 )
-
-
-class UsageError(Exception):
-    """A flag value failed validation; message names the flag."""
 
 
 def _add_protocol_flags(p: argparse.ArgumentParser) -> None:
@@ -113,58 +112,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_tau(name: str, value: float) -> None:
-    if not 0.0 < value <= 1.0:
-        raise UsageError(f"{name} must be in (0, 1], got {value}")
+# library parameter names whose flag is not "--" + name with "-" for "_"
+_FLAGS = {"n": "--grid-n", "total_transmissivity": "--total",
+          "tau_a_range": "--tau-a-min/--tau-a-max", "tau_b_range": "--tau-b-min/--tau-b-max"}
 
 
-def _validate(args: argparse.Namespace) -> None:
-    if hasattr(args, "xi"):
-        if not 0.0 < args.xi <= 1.0:
-            raise UsageError(f"--xi must be in (0, 1], got {args.xi}")
-        if args.phi <= 0.0:
-            raise UsageError(f"--phi must be > 0, got {args.phi}")
-        if args.epsilon < 0.0:
-            raise UsageError(f"--epsilon must be >= 0, got {args.epsilon}")
-    if getattr(args, "knowledge", None) == "thermal":
-        if args.omega_a is None or args.omega_b is None:
-            raise UsageError("--knowledge thermal requires --omega-a and --omega-b")
-        if args.omega_a < 1.0:
-            raise UsageError(f"--omega-a must be >= 1, got {args.omega_a}")
-        if args.omega_b < 1.0:
-            raise UsageError(f"--omega-b must be >= 1, got {args.omega_b}")
-    if args.command == "rate":
-        _check_tau("--tau-a", args.tau_a)
-        _check_tau("--tau-b", args.tau_b)
-    elif args.command == "sweep":
-        for name, lo, hi in (
-            ("--tau-a-min/--tau-a-max", args.tau_a_min, args.tau_a_max),
-            ("--tau-b-min/--tau-b-max", args.tau_b_min, args.tau_b_max),
-        ):
-            if not 0.0 < lo <= hi <= 1.0:
-                raise UsageError(f"{name} must satisfy 0 < min <= max <= 1")
-        if args.steps_a < 2 or args.steps_b < 2:
-            raise UsageError("--steps-a/--steps-b must be >= 2")
-    elif args.command == "relay-scan":
-        if not 0.0 < args.total <= 1.0:
-            raise UsageError(f"--total must be in (0, 1], got {args.total}")
-        if args.steps < 2:
-            raise UsageError(f"--steps must be >= 2, got {args.steps}")
-    elif args.command == "attack-opt":
-        _check_tau("--tau-a", args.tau_a)
-        _check_tau("--tau-b", args.tau_b)
-        for name, w in (("--omega-a", args.omega_a), ("--omega-b", args.omega_b)):
-            if w < 1.0:
-                raise UsageError(f"{name} must be >= 1, got {w}")
-        for name, n in (("--grid-n", args.grid_n), ("--refine-n", args.refine_n)):
-            if n < 3 or n % 2 == 0:
-                raise UsageError(f"{name} must be odd and >= 3, got {n}")
-    elif args.command == "verify":
-        if args.scenarios < 1 or args.samples < 2:
-            raise UsageError("--scenarios must be >= 1 and --samples >= 2")
-    elif args.command == "optics-sim":
-        if args.trials < 1:
-            raise UsageError(f"--trials must be >= 1, got {args.trials}")
+def _flag(name: str) -> str:
+    return _FLAGS.get(name, "--" + name.replace("_", "-"))
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -184,8 +138,9 @@ def _knowledge_from(args: argparse.Namespace):
 def _cmd_rate(args: argparse.Namespace) -> int:
     protocol = ProtocolParams(xi=args.xi, phi=args.phi, epsilon=args.epsilon)
     link = LinkPair(args.tau_a, args.tau_b)
-    if args.knowledge == "thermal":
-        report = key_rate_min_thermal(protocol, link, args.omega_a, args.omega_b)
+    knowledge = _knowledge_from(args)
+    if isinstance(knowledge, ThermalKnowledge):
+        report = key_rate_min_thermal(protocol, link, knowledge.omega_a, knowledge.omega_b)
     else:
         report = key_rate_min_chi(protocol, link, chi_equivalent(link, args.epsilon))
     payload = {
@@ -302,12 +257,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already reported the problem
         return int(exc.code or 0)
     try:
-        _validate(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         return _COMMANDS[args.command](args)
+    except ParameterError as exc:
+        print(f"error: {_flag(exc.name)} {exc.rule}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

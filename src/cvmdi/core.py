@@ -51,6 +51,46 @@ class EmptyDomainError(DomainError):
     """A search domain contains no admissible point."""
 
 
+class ParameterError(ValueError):
+    """An input parameter is outside its admissible range; ``name`` is its
+    library name, ``rule`` the rest of the message.  Not a :class:`DomainError`:
+    the input is wrong, not a quantity computed from admissible inputs."""
+
+    def __init__(self, name: str, rule: str) -> None:
+        super().__init__(f"{name} {rule}")
+        self.name, self.rule = name, rule
+
+
+def require(ok, name: str, rule: str, value) -> None:
+    """Raise :class:`ParameterError` "<name> must <rule>, got <value>" unless
+    ``ok`` (a bool, or a boolean array that must hold everywhere).  Rules are
+    written in accepting form, ``0.0 < x < math.inf`` rather than ``x <= 0.0``,
+    so that NaN and the infinities fail them."""
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        raise ParameterError(name, f"must {rule}, got {value}")
+
+
+def require_unit(name: str, value: float) -> None:
+    """The rule of xi, of transmissivities and of their products: (0, 1]."""
+    require(0.0 < value <= 1.0, name, "be in (0, 1]", value)
+
+
+def require_epsilon(epsilon: float) -> None:
+    """The excess-noise rule: finite and >= 0 SNU."""
+    require(0.0 <= epsilon < math.inf, "epsilon", "be finite and >= 0", epsilon)
+
+
+def require_omega(name: str, omega) -> None:
+    """The ancilla-variance rule, on floats or arrays: given, finite and >= 1 SNU."""
+    ok = omega is not None and (1.0 <= omega) & (omega < math.inf)
+    require(ok, name, "be finite and >= 1 SNU", omega)
+
+
+def require_count(name: str, value: int, least: int) -> None:
+    """The rule of step, sample, scenario and trial counts: at least ``least``."""
+    require(value >= least, name, f"be >= {least}", value)
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Trusted-party knobs: reconciliation efficiency ``xi`` (dimensionless,
@@ -63,12 +103,9 @@ class ProtocolParams:
     epsilon: float = 0.01
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.xi <= 1.0:
-            raise ValueError(f"xi must be in (0, 1], got {self.xi}")
-        if self.phi <= 0.0:
-            raise ValueError(f"phi must be > 0, got {self.phi}")
-        if self.epsilon < 0.0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+        require_unit("xi", self.xi)
+        require(0.0 < self.phi < math.inf, "phi", "be finite and > 0", self.phi)
+        require_epsilon(self.epsilon)
 
     @property
     def mu(self) -> float:
@@ -84,9 +121,8 @@ class LinkPair:
     tau_b: float
 
     def __post_init__(self) -> None:
-        for name, tau in (("tau_a", self.tau_a), ("tau_b", self.tau_b)):
-            if not 0.0 < tau <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1], got {tau}")
+        require_unit("tau_a", self.tau_a)
+        require_unit("tau_b", self.tau_b)
 
     @property
     def alpha(self) -> float:
@@ -122,9 +158,8 @@ class AncillaState:
     g_prime: float
 
     def __post_init__(self) -> None:
-        for name, w in (("omega_a", self.omega_a), ("omega_b", self.omega_b)):
-            if np.min(w) < 1.0:
-                raise ValueError(f"{name} must be >= 1 SNU, got {w}")
+        require_omega("omega_a", self.omega_a)
+        require_omega("omega_b", self.omega_b)
 
 
 @dataclass(frozen=True)
@@ -285,8 +320,8 @@ def g_max(omega_a: float, omega_b: float) -> float:
     strictly in g, so this first crossing is the boundary; a vacuum mode
     (omega_min = 1) pins it to exactly 0.
     """
-    if omega_a < 1.0 or omega_b < 1.0:
-        raise ValueError("ancilla variances must be >= 1 SNU")
+    require_omega("omega_a", omega_a)
+    require_omega("omega_b", omega_b)
     lo, hi = min(omega_a, omega_b), max(omega_a, omega_b)
     return math.sqrt((lo - 1.0) * (hi + 1.0))
 
@@ -345,8 +380,7 @@ def excess_chi(tau_a, tau_b, epsilon):
 def chi_equivalent(link: LinkPair, epsilon: float) -> float:
     """Equivalent input-referred noise 2 beta / alpha + epsilon of a lossy
     link pair with excess noise epsilon; always >= beta^2 / alpha."""
-    if epsilon < 0.0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    require_epsilon(epsilon)
     return excess_chi(link.tau_a, link.tau_b, epsilon)
 
 

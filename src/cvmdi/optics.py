@@ -33,6 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import require, require_count
+
 H = "H"
 V = "V"
 
@@ -81,8 +83,9 @@ class SchemeConfig:
     drift_rate_b: float | np.ndarray = 0.0
 
     def __post_init__(self) -> None:
-        if np.any(self.alice_encoding == 0) or np.any(self.bob_encoding == 0):
-            raise ValueError("encodings must be nonzero mean fields")
+        for name in ("alice_encoding", "bob_encoding"):
+            encoding = getattr(self, name)
+            require(abs(encoding) > 0.0, name, "be a nonzero mean field", encoding)
 
 
 @dataclass(frozen=True)
@@ -278,8 +281,7 @@ def check_self_alignment(trials: int = 10000, seed: int = 0) -> AlignmentReport:
     draws per trial, scaled as lo + (hi - lo) u, are the numbers that one
     ``rng.uniform`` call per quantity and trial would give.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    require_count("trials", trials, 1)
     rng = np.random.default_rng(seed)
     max_err = 0.0
     control_failures = 0

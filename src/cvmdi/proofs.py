@@ -32,12 +32,16 @@ from .core import (
     equivalent_chi,
     g_max,
     log_ratio_g,
+    require_count,
 )
 from .attack import _chi_profiles, _thermal_profiles, chi_y_domain
 from .keyrate import min_thermal_noise, rate_kernel
 
 STRICT_SLACK = 1e-10
 """Allowed rounding noise on strictly-positive checks."""
+
+REGION_SAMPLES = 65
+"""Grid points of the region classification, in the suite whatever its ``samples``."""
 
 
 @dataclass(frozen=True)
@@ -252,7 +256,7 @@ def _region_rows(tau_a, tau_b, chi, samples):
 
 
 def classify_nu_regions(
-    link: LinkPair, chi: float, samples: int = 65
+    link: LinkPair, chi: float, samples: int = REGION_SAMPLES
 ) -> RegionVerdict:
     """Predicted-versus-observed ordering of nu1 and nu2.
 
@@ -451,9 +455,10 @@ def _region_check(rng, scenarios: int) -> dict:
         link = _draw_asym_link(rng)
         draws.append((link.tau_a, link.tau_b,
                       (link.beta ** 2 / link.alpha) * rng.uniform(1.05, 4.0)))
-    predicted, observed, _, _ = _region_rows(*np.array(draws, float).T, 65)
+    predicted, observed, _, _ = _region_rows(*np.array(draws, float).T, REGION_SAMPLES)
     failures = int((predicted != observed).sum())
-    return {"scenarios": scenarios, "failures": failures, "pass": failures == 0}
+    return {"scenarios": scenarios, "samples": REGION_SAMPLES, "failures": failures,
+            "pass": failures == 0}
 
 
 def run_verification_suite(
@@ -465,8 +470,12 @@ def run_verification_suite(
     margin seen, and the worst relative disagreement between profile
     endpoints and the corresponding minimized closed forms.  Each check, in
     its own function, draws all its scenarios, then evaluates them as one
-    (scenario x sample) array per protocol.
+    (scenario x sample) array per protocol.  ``samples`` (>= 2) sets every
+    check but the region classification, which runs ``REGION_SAMPLES`` and
+    reports them as its entry's ``samples``; ``scenarios`` must be >= 1.
     """
+    require_count("scenarios", scenarios, 1)
+    require_count("samples", samples, 2)
     rng = np.random.default_rng(seed)
     checks = {
         "monotone_thermal": _monotone_thermal_check(rng, scenarios, samples),

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DomainError, LinkPair, ProtocolParams, bisector_lam, excess_chi
+from .core import require, require_count, require_omega, require_unit
 from .keyrate import in_domain, min_thermal_noise, rate_kernel
 from .keyrate import key_rate_min_chi, key_rate_min_thermal
 
@@ -35,6 +36,10 @@ class ThermalKnowledge:
     omega_a: float
     omega_b: float
 
+    def __post_init__(self) -> None:
+        require_omega("omega_a", self.omega_a)
+        require_omega("omega_b", self.omega_b)
+
 
 Knowledge = ChiKnowledge | ThermalKnowledge
 
@@ -49,14 +54,13 @@ class SweepConfig:
     knowledge: Knowledge = ChiKnowledge()
 
     def __post_init__(self) -> None:
-        for name, (lo, hi), steps in (
-            ("tau_a", self.tau_a_range, self.steps_a),
-            ("tau_b", self.tau_b_range, self.steps_b),
+        for axis, (lo, hi), steps in (
+            ("a", self.tau_a_range, self.steps_a),
+            ("b", self.tau_b_range, self.steps_b),
         ):
-            if not (0.0 < lo <= hi <= 1.0):
-                raise ValueError(f"{name}_range must satisfy 0 < lo <= hi <= 1")
-            if steps < 2:
-                raise ValueError(f"steps for {name} must be >= 2")
+            require(0.0 < lo <= hi <= 1.0, f"tau_{axis}_range",
+                    "satisfy 0 < lo <= hi <= 1", (lo, hi))
+            require_count(f"steps_{axis}", steps, 2)
 
 
 @dataclass(frozen=True)
@@ -104,10 +108,9 @@ class RelayScanReport:
 
 def distance_to_tau(d_km: float, loss_db_per_km: float = 0.2) -> float:
     """Fiber transmissivity 10^(-loss * d / 10) of d_km of fiber."""
-    if d_km < 0.0:
-        raise ValueError(f"distance must be >= 0, got {d_km}")
-    if loss_db_per_km <= 0.0:
-        raise ValueError(f"loss must be > 0 dB/km, got {loss_db_per_km}")
+    require(0.0 <= d_km < math.inf, "d_km", "be finite and >= 0", d_km)
+    require(0.0 < loss_db_per_km < math.inf, "loss_db_per_km", "be finite and > 0",
+            loss_db_per_km)
     return 10.0 ** (-loss_db_per_km * d_km / 10.0)
 
 
@@ -178,12 +181,8 @@ def relay_scan(
     Alice).  The argmax record identifies the best placement; NaN cells
     never win.
     """
-    if not 0.0 < total_transmissivity <= 1.0:
-        raise ValueError(
-            f"total transmissivity must be in (0, 1], got {total_transmissivity}"
-        )
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
+    require_unit("total_transmissivity", total_transmissivity)
+    require_count("steps", steps, 2)
     taus_a = np.linspace(total_transmissivity, 1.0, steps)
     taus_b = np.minimum(1.0, total_transmissivity / taus_a)
     table = _eval_cells(protocol, knowledge, taus_a, taus_b)

@@ -221,3 +221,107 @@ class TestConsoleEntryPoint:
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["secure"] is True
+
+
+RATE = ("rate", "--tau-a", "0.9", "--tau-b", "0.8")
+THERMAL = ("--knowledge", "thermal", "--omega-a", "2", "--omega-b", "3")
+ATTACK = ("attack-opt", "--tau-a", "0.9", "--tau-b", "0.7", "--omega-a", "2",
+          "--omega-b", "2", "--grid-n", "61", "--refine-n", "121")
+
+# (argv, flag the error must name): one row per rule per subcommand.  A
+# later flag overrides an earlier one, so each row is a good base argv plus
+# one bad value.
+REJECTED = [
+    (RATE + ("--xi", "0"), "--xi"),
+    (RATE + ("--xi", "1.5"), "--xi"),
+    (RATE + ("--phi", "0"), "--phi"),
+    (RATE + ("--epsilon", "-0.1"), "--epsilon"),
+    (("rate", "--tau-a", "0", "--tau-b", "0.8"), "--tau-a"),
+    (("rate", "--tau-a", "0.9", "--tau-b", "1.5"), "--tau-b"),
+    (RATE + ("--knowledge", "thermal"), "--omega-a"),
+    (RATE + ("--knowledge", "thermal", "--omega-a", "2"), "--omega-b"),
+    (RATE + THERMAL + ("--omega-a", "0.5"), "--omega-a"),
+    (RATE + THERMAL + ("--omega-b", "0.5"), "--omega-b"),
+    (("sweep", "--xi", "2"), "--xi"),
+    (("sweep", "--phi", "-1"), "--phi"),
+    (("sweep", "--epsilon", "-1"), "--epsilon"),
+    (("sweep", "--tau-a-min", "0.9", "--tau-a-max", "0.5"), "--tau-a-min/--tau-a-max"),
+    (("sweep", "--tau-a-min", "0"), "--tau-a-min/--tau-a-max"),
+    (("sweep", "--tau-b-max", "1.5"), "--tau-b-min/--tau-b-max"),
+    (("sweep", "--steps-a", "1"), "--steps-a"),
+    (("sweep", "--steps-b", "1"), "--steps-b"),
+    (("sweep", "--knowledge", "thermal"), "--omega-a"),
+    (("sweep",) + THERMAL + ("--omega-b", "0.5"), "--omega-b"),
+    (("relay-scan", "--total", "1.5"), "--total"),
+    (("relay-scan", "--total", "0"), "--total"),
+    (("relay-scan", "--total", "0.5", "--steps", "1"), "--steps"),
+    (("relay-scan", "--total", "0.5", "--xi", "0"), "--xi"),
+    (("relay-scan", "--total", "0.5", "--phi", "0"), "--phi"),
+    (("relay-scan", "--total", "0.5", "--epsilon", "-1"), "--epsilon"),
+    (ATTACK + ("--tau-a", "0"), "--tau-a"),
+    (ATTACK + ("--tau-b", "1.5"), "--tau-b"),
+    (ATTACK + ("--omega-a", "0.5"), "--omega-a"),
+    (ATTACK + ("--omega-b", "0.5"), "--omega-b"),
+    (ATTACK + ("--grid-n", "100"), "--grid-n"),
+    (ATTACK + ("--grid-n", "1"), "--grid-n"),
+    (ATTACK + ("--refine-n", "4"), "--refine-n"),
+    (ATTACK + ("--xi", "0"), "--xi"),
+    (ATTACK + ("--phi", "0"), "--phi"),
+    (ATTACK + ("--epsilon", "-1"), "--epsilon"),
+    (("verify", "--scenarios", "0"), "--scenarios"),
+    (("verify", "--samples", "1"), "--samples"),
+    (("optics-sim", "--trials", "0"), "--trials"),
+    # non-finite values that a range check written in accepting form rejects
+    (RATE + ("--xi", "nan"), "--xi"),
+    (("rate", "--tau-a", "nan", "--tau-b", "0.8"), "--tau-a"),
+    (("sweep", "--tau-b-min", "nan"), "--tau-b-min/--tau-b-max"),
+    (("relay-scan", "--total", "nan"), "--total"),
+    (ATTACK + ("--tau-a", "inf"), "--tau-a"),
+]
+
+# Rows that exited 0 or 1, with a NaN or infinite result or a misleading
+# message, while the command-line front end kept its own copy of the rules:
+# those copies compared in rejecting form (phi <= 0, omega < 1).
+NON_FINITE = [
+    (RATE + ("--phi", "nan"), "--phi"),
+    (RATE + ("--phi", "inf"), "--phi"),
+    (RATE + ("--epsilon", "nan"), "--epsilon"),
+    (RATE + ("--epsilon", "inf"), "--epsilon"),
+    (RATE + THERMAL + ("--omega-a", "inf"), "--omega-a"),
+    (RATE + THERMAL + ("--omega-b", "nan"), "--omega-b"),
+    (("sweep", "--epsilon", "nan"), "--epsilon"),
+    (("sweep", "--phi", "inf"), "--phi"),
+    (("sweep",) + THERMAL + ("--omega-a", "inf"), "--omega-a"),
+    (("relay-scan", "--total", "0.5", "--phi", "nan"), "--phi"),
+    (("relay-scan", "--total", "0.5", "--epsilon", "inf"), "--epsilon"),
+    (ATTACK + ("--phi", "nan"), "--phi"),
+    (ATTACK + ("--omega-a", "nan"), "--omega-a"),
+    (ATTACK + ("--omega-b", "inf"), "--omega-b"),
+    (ATTACK + ("--epsilon", "nan"), "--epsilon"),
+]
+
+
+class TestParameterErrors:
+    @pytest.mark.parametrize("argv, flag", REJECTED + NON_FINITE,
+                             ids=lambda x: " ".join(x) if isinstance(x, tuple) else None)
+    def test_exit_two_names_the_flag(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and flag in err
+
+    def test_no_output_file_on_rejection(self, capsys, tmp_path):
+        target = tmp_path / "rate.json"
+        code, _, _ = run_cli(capsys, *RATE, "--phi", "nan", "--output", str(target))
+        assert code == 2
+        assert not target.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("relay-scan", "--total", "1.0", "--epsilon", "0"),
+        ("attack-opt", "--tau-a", "1", "--tau-b", "1", "--omega-a", "1",
+         "--omega-b", "1", "--grid-n", "5", "--refine-n", "5"),
+    ])
+    def test_domain_errors_still_exit_one(self, capsys, argv):
+        # admissible inputs on which every rate formula is undefined
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "" and err.startswith("error: ")

@@ -1,0 +1,97 @@
+"""Every library entry point rejects an inadmissible input with a
+ParameterError that names the parameter: still a ValueError, never a
+DomainError, and NaN or infinite values fail like any other."""
+
+import math
+
+import numpy as np
+import pytest
+
+from cvmdi import (
+    AncillaState,
+    AttackGrid,
+    DomainError,
+    LinkPair,
+    ParameterError,
+    ProtocolParams,
+    SchemeConfig,
+    SweepConfig,
+    ThermalKnowledge,
+    chi_equivalent,
+    check_self_alignment,
+    distance_to_tau,
+    g_max,
+    physical_bounds,
+    rate_profile_y,
+    relay_scan,
+    run_verification_suite,
+)
+
+NAN, INF = math.nan, math.inf
+LINK = LinkPair(0.9, 0.7)
+
+# (name the error carries, call)
+CASES = [
+    ("xi", lambda: ProtocolParams(xi=NAN)),
+    ("xi", lambda: ProtocolParams(xi=0.0)),
+    ("phi", lambda: ProtocolParams(phi=NAN)),
+    ("phi", lambda: ProtocolParams(phi=INF)),
+    ("phi", lambda: ProtocolParams(phi=0.0)),
+    ("epsilon", lambda: ProtocolParams(epsilon=NAN)),
+    ("epsilon", lambda: ProtocolParams(epsilon=INF)),
+    ("epsilon", lambda: ProtocolParams(epsilon=-0.1)),
+    ("tau_a", lambda: LinkPair(NAN, 0.5)),
+    ("tau_b", lambda: LinkPair(0.5, INF)),
+    ("omega_a", lambda: AncillaState(NAN, 2.0, 0.0, 0.0)),
+    ("omega_b", lambda: AncillaState(2.0, INF, 0.0, 0.0)),
+    ("omega_a", lambda: AncillaState(np.array([2.0, 0.5]), 2.0, 0.0, 0.0)),
+    ("omega_b", lambda: AncillaState(2.0, np.array([2.0, NAN]), 0.0, 0.0)),
+    ("omega_a", lambda: g_max(NAN, 2.0)),
+    ("omega_b", lambda: g_max(2.0, 0.5)),
+    ("omega_a", lambda: physical_bounds(INF, 2.0)),
+    ("omega_b", lambda: physical_bounds(2.0, 0.5)),
+    ("omega_a", lambda: ThermalKnowledge(None, None)),
+    ("omega_b", lambda: ThermalKnowledge(2.0, None)),
+    ("omega_a", lambda: ThermalKnowledge(INF, 2.0)),
+    ("tau_a_range", lambda: SweepConfig(tau_a_range=(0.5, NAN))),
+    ("tau_b_range", lambda: SweepConfig(tau_b_range=(0.9, 0.5))),
+    ("steps_b", lambda: SweepConfig(steps_b=1)),
+    ("total_transmissivity", lambda: relay_scan(NAN, ProtocolParams())),
+    ("total_transmissivity", lambda: relay_scan(1.5, ProtocolParams())),
+    ("steps", lambda: relay_scan(0.5, ProtocolParams(), steps=1)),
+    ("n", lambda: AttackGrid(n=4)),
+    ("refine_n", lambda: AttackGrid(refine_n=1)),
+    ("scenarios", lambda: run_verification_suite(scenarios=0)),
+    ("samples", lambda: run_verification_suite(samples=1)),
+    ("trials", lambda: check_self_alignment(trials=0)),
+    ("samples", lambda: rate_profile_y(ProtocolParams(), LINK, chi=6.0, samples=1)),
+    ("samples", lambda: rate_profile_y(ProtocolParams(), LINK, omegas=(2.0, 2.0),
+                                       l=0.0, samples=1)),
+    ("epsilon", lambda: chi_equivalent(LINK, NAN)),
+    ("alice_encoding", lambda: SchemeConfig(alice_encoding=0j)),
+    ("bob_encoding", lambda: SchemeConfig(bob_encoding=np.array([1.0, NAN]))),
+    ("d_km", lambda: distance_to_tau(-1.0)),
+    ("loss_db_per_km", lambda: distance_to_tau(10.0, INF)),
+]
+
+
+@pytest.mark.parametrize("name, call", CASES, ids=[name for name, _ in CASES])
+def test_entry_point_raises_parameter_error(name, call):
+    with pytest.raises(ParameterError) as info:
+        call()
+    exc = info.value
+    assert isinstance(exc, ValueError) and not isinstance(exc, DomainError)
+    assert exc.name == name
+    assert str(exc) == f"{name} {exc.rule}" and exc.rule.startswith("must ")
+
+
+def test_admissible_edges_pass():
+    ProtocolParams(xi=1.0, phi=1e-12, epsilon=0.0)
+    LinkPair(1.0, 1e-300)
+    AncillaState(1.0, np.array([1.0, 5.0]), 0.0, 0.0)
+    assert g_max(1.0, 1.0) == 0.0
+    ThermalKnowledge(1.0, 1.0)
+    SweepConfig(tau_a_range=(1.0, 1.0), steps_a=2)
+    AttackGrid(n=3, refine_n=3)
+    assert distance_to_tau(0.0) == 1.0
+

@@ -381,7 +381,8 @@ def reference_suite(seed=7, scenarios=100, samples=200):
         chi = (link.beta ** 2 / link.alpha) * rng.uniform(1.05, 4.0)
         disagreements += not classify_nu_regions(link, chi).agree
     checks["classify_nu_regions"] = {
-        "scenarios": scenarios, "failures": disagreements, "pass": disagreements == 0,
+        "scenarios": scenarios, "samples": 65, "failures": disagreements,
+        "pass": disagreements == 0,
     }
     return {"seed": seed, "scenarios": scenarios, "samples": samples, "checks": checks,
             "all_pass": all(c["pass"] for c in checks.values())}
