@@ -24,7 +24,7 @@ nonpositive effective noise) are excluded from the argmin and counted in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -65,7 +65,8 @@ class AttackGrid:
 
     def __post_init__(self) -> None:
         for name, n in (("n", self.n), ("refine_n", self.refine_n)):
-            require(n >= 3 and n % 2 == 1, name, "be odd and >= 3", n)
+            require_count(name, n, 3)
+            require(n % 2 == 1, name, "be odd", n)
 
 
 @dataclass(frozen=True)
@@ -112,24 +113,29 @@ def _axis(hi: float, n: int) -> np.ndarray:
     return np.concatenate([-half[:0:-1], half])
 
 
+def _at(mask: np.ndarray, x):
+    """``x`` broadcast to ``mask`` and gathered where it holds; a float stays a float."""
+    return x if np.ndim(x) == 0 else np.broadcast_to(x, mask.shape)[mask]
+
+
 def _grid_rates(protocol: ProtocolParams, tau_a, tau_b, omega_a, omega_b, g, gp):
     """Vectorized general rate over correlation arrays.
 
     Returns (rates, physical mask, admissible mask); the kernel runs only
     where physical & admissible, with the physicality test and noise
     algebra of :func:`cvmdi.keyrate.key_rate`, and rates are +inf elsewhere.
-    Links and ancilla variances are floats or arrays broadcasting with ``g``.
+    Links, ancilla variances and ``protocol.xi`` are floats or arrays
+    broadcasting with ``g``.
     """
     physical = is_physical(AncillaState(omega_a, omega_b, g, gp))
     lam, lam_prime = effective_noise(tau_a, tau_b, omega_a, omega_b, g, gp)
     admissible = in_domain(tau_a, tau_b, lam, lam_prime)
     mask = physical & admissible
-    ta, tb = (t if np.ndim(t) == 0 else np.broadcast_to(t, g.shape)[mask]
-              for t in (tau_a, tau_b))
+    ta, tb, xi = (_at(mask, t) for t in (tau_a, tau_b, protocol.xi))
     lam, lam_prime = lam[mask], lam_prime[mask]
     chi = equivalent_chi(ta, tb, lam, lam_prime)
     rates = np.full(g.shape, np.inf)
-    rates[mask] = rate_kernel(protocol.mu, protocol.xi, ta, tb, lam, lam_prime, chi)[0]
+    rates[mask] = rate_kernel(protocol.mu, xi, ta, tb, lam, lam_prime, chi)[0]
     return rates, physical, admissible
 
 
@@ -274,7 +280,8 @@ def _profiles(mode, present, ok, y, d_prime, rate) -> _Profiles:
 
 
 def _thermal_profiles(protocol, tau_a, tau_b, omega_a, omega_b, l, samples):
-    """Fixed-thermal profiles of :func:`rate_profile_y` from 1-D parameter arrays."""
+    """Fixed-thermal profiles of :func:`rate_profile_y` from 1-D parameter
+    arrays; ``protocol.xi`` is a float or a column, one xi per row."""
     require_count("samples", samples, 2)
     u = 2.0 * np.sqrt((1.0 - tau_a) * (1.0 - tau_b))
     delta = effective_noise(tau_a, tau_b, omega_a, omega_b, l, -l)[0]
@@ -293,11 +300,13 @@ def _thermal_profiles(protocol, tau_a, tau_b, omega_a, omega_b, l, samples):
     ta, tb, wa, wb, lc, uc = (x[:, None] for x in (tau_a, tau_b, omega_a, omega_b, l, u))
     rates, physical, admissible = _grid_rates(protocol, ta, tb, wa, wb, d + lc, d - lc)
     ok = present & physical & admissible
+    xi = np.broadcast_to(protocol.xi, (u.size, 1))
     for r, k in zip(*np.nonzero(present & physical & ~admissible)):
         # key_rate defines the lossless symmetric point outside the kernel
         ancilla = AncillaState(omega_a[r], omega_b[r], d[r, k] + l[r], d[r, k] - l[r])
+        row = replace(protocol, xi=float(xi[r, 0]))
         try:
-            rates[r, k] = key_rate(protocol, LinkPair(tau_a[r], tau_b[r]), ancilla).rate
+            rates[r, k] = key_rate(row, LinkPair(tau_a[r], tau_b[r]), ancilla).rate
         except DomainError:
             continue
         ok[r, k] = True
@@ -305,7 +314,8 @@ def _thermal_profiles(protocol, tau_a, tau_b, omega_a, omega_b, l, samples):
 
 
 def _chi_profiles(protocol, tau_a, tau_b, chi, samples):
-    """Fixed-chi profiles of :func:`rate_profile_y` from 1-D parameter arrays."""
+    """Fixed-chi profiles of :func:`rate_profile_y` from 1-D parameter
+    arrays; ``protocol.xi`` is a float or a column, one xi per row."""
     require_count("samples", samples, 2)
     y_min, y_max = chi_y_domain(tau_a, tau_b, chi)
     u = 2.0 * np.sqrt((1.0 - tau_a) * (1.0 - tau_b))
@@ -324,8 +334,8 @@ def _chi_profiles(protocol, tau_a, tau_b, chi, samples):
     lam, lam_prime = lam_b - ud, lam_b + ud
     ok = present & in_domain(ta, tb, lam, lam_prime)
     rates = np.zeros(ok.shape)
-    rates[ok] = rate_kernel(protocol.mu, protocol.xi, *(
-        np.broadcast_to(x, ok.shape)[ok] for x in (ta, tb, lam, lam_prime, chi)))[0]
+    rates[ok] = rate_kernel(protocol.mu, *(
+        _at(ok, x) for x in (protocol.xi, ta, tb, lam, lam_prime, chi)))[0]
     return _profiles("chi", present, ok, y, ud / np.where(u > 0.0, u, 1.0), rates)
 
 

@@ -6,8 +6,10 @@ on success, 1 on domain errors and on failed verdicts (``verify``,
 ``optics-sim``), 2 when a parameter fails validation, on every subcommand.
 Flags are checked only by the library types and entry points they reach,
 which raise :class:`cvmdi.core.ParameterError` naming the parameter; the
-front end maps that name to its flag.  Identical argv and seed produce
-byte-identical output.
+front end maps that name to its flag.  Its one rule of its own is that
+``--omega-a``/``--omega-b`` come only with ``--knowledge thermal``, the
+one model that reads them.  Identical argv and seed produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import functools
 import json
 import sys
 
-from .core import LinkPair, ParameterError, ProtocolParams, chi_equivalent
+from .core import LinkPair, ParameterError, ProtocolParams, chi_equivalent, require
 from .keyrate import key_rate_min_chi, key_rate_min_thermal
 from .attack import AttackGrid, min_rate_brute
 from .proofs import run_verification_suite
@@ -132,6 +134,9 @@ def _emit(text: str, output: str | None) -> None:
 def _knowledge_from(args: argparse.Namespace):
     if args.knowledge == "thermal":
         return ThermalKnowledge(args.omega_a, args.omega_b)
+    for name in ("omega_a", "omega_b"):
+        omega = getattr(args, name)
+        require(omega is None, name, "be given only with --knowledge thermal", omega)
     return ChiKnowledge()
 
 

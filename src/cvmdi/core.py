@@ -70,14 +70,16 @@ def require(ok, name: str, rule: str, value) -> None:
         raise ParameterError(name, f"must {rule}, got {value}")
 
 
-def require_unit(name: str, value: float) -> None:
-    """The rule of xi, of transmissivities and of their products: (0, 1]."""
-    require(0.0 < value <= 1.0, name, "be in (0, 1]", value)
+def require_unit(name: str, value) -> None:
+    """The rule of xi, of transmissivities and of their products, on floats
+    or arrays: (0, 1]."""
+    require((0.0 < value) & (value <= 1.0), name, "be in (0, 1]", value)
 
 
-def require_epsilon(epsilon: float) -> None:
-    """The excess-noise rule: finite and >= 0 SNU."""
-    require(0.0 <= epsilon < math.inf, "epsilon", "be finite and >= 0", epsilon)
+def require_epsilon(epsilon) -> None:
+    """The excess-noise rule, on floats or arrays: finite and >= 0 SNU."""
+    ok = (0.0 <= epsilon) & (epsilon < math.inf)
+    require(ok, "epsilon", "be finite and >= 0", epsilon)
 
 
 def require_omega(name: str, omega) -> None:
@@ -87,8 +89,10 @@ def require_omega(name: str, omega) -> None:
 
 
 def require_count(name: str, value: int, least: int) -> None:
-    """The rule of step, sample, scenario and trial counts: at least ``least``."""
-    require(value >= least, name, f"be >= {least}", value)
+    """The rule of step, sample, scenario and trial counts: an integer (a
+    Python or numpy one, not a float) of at least ``least``."""
+    ok = isinstance(value, (int, np.integer)) and value >= least
+    require(ok, name, f"be an integer >= {least}", value)
 
 
 @dataclass(frozen=True)
@@ -96,7 +100,9 @@ class ProtocolParams:
     """Trusted-party knobs: reconciliation efficiency ``xi`` (dimensionless,
     in (0, 1]), Gaussian modulation variance ``phi`` (SNU, > 0) and excess
     noise ``epsilon`` (SNU, >= 0).  Defaults reproduce the reference
-    simulation parameter set."""
+    simulation parameter set.  ``xi`` may also be an array that broadcasts
+    against the rows of a batch, such as a column of one xi per scenario;
+    ``mu`` stays a float."""
 
     xi: float = 0.97
     phi: float = 60.0
@@ -310,9 +316,10 @@ def is_physical(ancilla: AncillaState):
     return ok if isinstance(ok, np.ndarray) else bool(ok)
 
 
-def g_max(omega_a: float, omega_b: float) -> float:
+def g_max(omega_a, omega_b):
     """Largest g >= 0 such that the anticorrelated ancilla (g, -g) stays
-    physical: g_max = sqrt((omega_min - 1)(omega_max + 1)).
+    physical: g_max = sqrt((omega_min - 1)(omega_max + 1)), on floats or
+    elementwise on arrays.
 
     On the line (g, -g) the invariants are Delta = omega_a^2 + omega_b^2
     - 2 g^2 and det = (omega_a omega_b - g^2)^2, and nu_minus = 1 solves
@@ -322,8 +329,8 @@ def g_max(omega_a: float, omega_b: float) -> float:
     """
     require_omega("omega_a", omega_a)
     require_omega("omega_b", omega_b)
-    lo, hi = min(omega_a, omega_b), max(omega_a, omega_b)
-    return math.sqrt((lo - 1.0) * (hi + 1.0))
+    lo, hi = np.minimum(omega_a, omega_b), np.maximum(omega_a, omega_b)
+    return _plain(np.sqrt((lo - 1.0) * (hi + 1.0)))
 
 
 def effective_noise(tau_a, tau_b, omega_a, omega_b, g, g_prime):

@@ -26,10 +26,10 @@ from .core import (
     ProtocolParams,
     SymmetricDegenerateError,
     bisector_lam,
-    chi_equivalent,
     effective_noise,
     entropy_h,
     equivalent_chi,
+    excess_chi,
     g_max,
     log_ratio_g,
     require_count,
@@ -164,7 +164,8 @@ def _monotone_thermal_rows(protocol, tau_a, tau_b, omega_a, omega_b, l, samples)
     nu1[has] = np.sqrt((tau + delta) ** 2 - y) / tau
     nu3[has] = n3 = np.sqrt(np.maximum(delta * delta - y, 0.0)) / tau
     chi_y = 2.0 * np.sqrt((2.0 * tau + delta) ** 2 - y) / tau
-    nu2[has] = protocol.mu ** (1.0 - protocol.xi) * chi_y ** protocol.xi
+    xi = protocol.xi if np.ndim(protocol.xi) == 0 else protocol.xi[has]
+    nu2[has] = protocol.mu ** (1.0 - xi) * chi_y ** xi
     bound[has] = LOG2E / np.where(n3 > 0.0, n3, np.inf) - 0.5 * log_ratio_g(nu1[has])
     mask = valid & has[:, None]
     return (prof, (nu1, nu2, nu3), bound, mask, np.where(has, "F", ""),
@@ -349,113 +350,96 @@ def _draw_asym_link(rng: np.random.Generator) -> LinkPair:
             return LinkPair(ta, tb)
 
 
-# protocols of the even and of the odd scenarios
-_PROTOCOLS = tuple(ProtocolParams(xi=xi, phi=60.0, epsilon=0.01) for xi in (1.0, 0.97))
+def _scaled(u: np.ndarray, *ranges) -> np.ndarray:
+    """lo + (hi - lo) u of uniform [0, 1) draws ``u``, one (lo, hi) per column,
+    returned one row per column.  This is the arithmetic of ``rng.uniform``,
+    so a row equals the per-scenario ``rng.uniform(lo, hi)`` calls that
+    would have drawn the same numbers."""
+    lo, hi = np.array(ranges).T
+    return (lo + (hi - lo) * u).T
 
 
-def _by_parity(draws: list[tuple]):
-    """(protocol, parameter arrays) of each parity: mu, xi scalar per batch."""
-    for parity, protocol in enumerate(_PROTOCOLS):
-        if draws[parity::2]:
-            yield protocol, np.array(draws[parity::2], float).T
+def _draw_links(rng, scenarios: int, sym_hi: float | None, *ranges):
+    """(tau_a, tau_b, one array per (lo, hi) in ``ranges``), drawn per
+    scenario in this order: a link, then one uniform draw per range.  The
+    link is symmetric, tau uniform in [0.55, sym_hi), on even scenarios if
+    ``sym_hi`` is given, and from :func:`_draw_asym_link` otherwise."""
+    rows = np.empty((scenarios, 2 + len(ranges)))
+    for i, row in enumerate(rows):
+        if sym_hi is not None and i % 2 == 0:
+            row[:2] = rng.uniform(0.55, sym_hi)
+        else:
+            link = _draw_asym_link(rng)
+            row[:2] = link.tau_a, link.tau_b
+        row[2:] = rng.random(len(ranges))
+    return (*rows[:, :2].T, *_scaled(rows[:, 2:], *ranges))
 
 
-def _summary(scenarios: int, worst: list, endpoints: list | None = None) -> dict:
+def _summary(worst: np.ndarray, endpoints: tuple | None = None) -> dict:
     """One check's report entry from its per-scenario worst margins; the
     relative error of its (endpoint, anchor) rates, where it has them, must
     also stay within 1e-9."""
-    worst = np.concatenate(worst)
     failures = int((~(worst > -STRICT_SLACK)).sum())
-    entry = {"scenarios": scenarios, "failures": failures,
+    entry = {"scenarios": worst.size, "failures": failures,
              "worst_margin": float(worst.min())}
     if endpoints is None:
         return {**entry, "pass": failures == 0}
-    a, b = (np.concatenate(x) for x in zip(*endpoints))
+    a, b = endpoints
     endpoint = float((abs(a - b) / np.maximum(1.0, np.maximum(abs(a), abs(b)))).max())
     return {**entry, "worst_endpoint_rel_err": endpoint,
             "pass": failures == 0 and endpoint <= 1e-9}
 
 
-def _monotone_thermal_check(rng, scenarios: int, samples: int) -> dict:
+def _monotone_thermal_check(rng, protocol: ProtocolParams, samples: int) -> dict:
     """Fixed thermal noise: symmetric links, random bisector slice; the
     d' = 0 sample must reproduce the symmetric closed form."""
-    draws = []
-    for _ in range(scenarios):
-        tau = rng.uniform(0.55, 0.95)
-        wa, wb = rng.uniform(1.1, 5.0, size=2)
-        draws.append((tau, wa, wb, rng.uniform(-0.85, 0.5) * g_max(wa, wb)))
-    worst, endpoint = [], []
-    for protocol, (tau, wa, wb, l) in _by_parity(draws):
-        rows = _monotone_thermal_rows(protocol, tau, tau, wa, wb, l, samples)
-        worst.append(_margins(*rows)[0])
-        lam0 = effective_noise(tau, tau, wa, wb, l, -l)[0]
-        chi = equivalent_chi(tau, tau, lam0, lam0)
-        anchor = rate_kernel(protocol.mu, protocol.xi, tau, tau, lam0, lam0, chi)[0]
-        endpoint.append((rows[0].rate[:, 0], anchor))
-    return _summary(scenarios, worst, endpoint)
+    tau, wa, wb, u = _scaled(rng.random((protocol.xi.size, 4)),
+                             (0.55, 0.95), (1.1, 5.0), (1.1, 5.0), (-0.85, 0.5))
+    l = u * g_max(wa, wb)
+    rows = _monotone_thermal_rows(protocol, tau, tau, wa, wb, l, samples)
+    lam0 = effective_noise(tau, tau, wa, wb, l, -l)[0]
+    chi = equivalent_chi(tau, tau, lam0, lam0)
+    anchor = rate_kernel(protocol.mu, protocol.xi[:, 0], tau, tau, lam0, lam0, chi)[0]
+    return _summary(_margins(*rows)[0], (rows[0].rate[:, 0], anchor))
 
 
-def _monotone_chi_check(rng, scenarios: int, samples: int) -> dict:
+def _monotone_chi_check(rng, protocol: ProtocolParams, samples: int) -> dict:
     """Fixed equivalent noise, alternating symmetric/asymmetric links; the
     d' = 0 sample must reproduce the minimized chi form."""
-    draws = []
-    for i in range(scenarios):
-        link = (_draw_asym_link(rng) if i % 2
-                else LinkPair(*[rng.uniform(0.55, 0.999)] * 2))
-        chi = chi_equivalent(link, rng.uniform(0.01, 0.8))
-        draws.append((link.tau_a, link.tau_b, chi))
-    worst, endpoint = [], []
-    for protocol, (ta, tb, chi) in _by_parity(draws):
-        rows = _monotone_chi_rows(protocol, ta, tb, chi, samples)
-        worst.append(_margins(*rows)[0])
-        lam = bisector_lam(ta, tb, chi)
-        anchor = rate_kernel(protocol.mu, protocol.xi, ta, tb, lam, lam, chi)[0]
-        endpoint.append((rows[0].rate[:, 0], anchor))
-    return _summary(scenarios, worst, endpoint)
+    ta, tb, epsilon = _draw_links(rng, protocol.xi.size, 0.999, (0.01, 0.8))
+    chi = excess_chi(ta, tb, epsilon)
+    rows = _monotone_chi_rows(protocol, ta, tb, chi, samples)
+    lam = bisector_lam(ta, tb, chi)
+    anchor = rate_kernel(protocol.mu, protocol.xi[:, 0], ta, tb, lam, lam, chi)[0]
+    return _summary(_margins(*rows)[0], (rows[0].rate[:, 0], anchor))
 
 
 def _p_prime_check(rng, scenarios: int, samples: int) -> dict:
     """p'(y) positivity on asymmetric links."""
-    draws = []
-    for _ in range(scenarios):
-        link = _draw_asym_link(rng)
-        chi = chi_equivalent(link, rng.uniform(0.01, 1.0))
-        draws.append((link.tau_a, link.tau_b, chi))
-    _, values, count = _p_prime_rows(*np.array(draws, float).T, samples)
-    return _summary(scenarios, [_row_min(values, np.arange(samples) < count[:, None])])
+    ta, tb, epsilon = _draw_links(rng, scenarios, None, (0.01, 1.0))
+    _, values, count = _p_prime_rows(ta, tb, excess_chi(ta, tb, epsilon), samples)
+    return _summary(_row_min(values, np.arange(samples) < count[:, None]))
 
 
-def _lambda_check(rng, scenarios: int, samples: int) -> dict:
+def _lambda_check(rng, protocol: ProtocolParams, samples: int) -> dict:
     """Minimization over lam, alternating symmetric/asymmetric links; the
     lam endpoint is pinned to lam_opt of a random thermal environment so
     the final sample reproduces the minimized thermal closed form."""
-    draws = []
-    for i in range(scenarios):
-        link = (_draw_asym_link(rng) if i % 2
-                else LinkPair(*[rng.uniform(0.55, 0.95)] * 2))
-        wa, wb = rng.uniform(1.1, 5.0, size=2)
-        lam_opt = min_thermal_noise(link.tau_a, link.tau_b, wa, wb)[0]
-        if lam_opt <= link.delta_tau + 2e-9:
-            lam_opt = link.delta_tau + 0.5
-        draws.append((link.tau_a, link.tau_b, lam_opt))
-    worst, endpoint = [], []
-    for protocol, (ta, tb, lam_opt) in _by_parity(draws):
-        _, _, rate, margins = _lambda_rows(protocol, ta, tb, lam_opt, samples)
-        chi = equivalent_chi(ta, tb, lam_opt, lam_opt)
-        anchor = rate_kernel(protocol.mu, protocol.xi, ta, tb, lam_opt, lam_opt, chi)[0]
-        worst.append(margins)
-        endpoint.append((rate[:, -1], anchor))
-    return _summary(scenarios, worst, endpoint)
+    ta, tb, wa, wb = _draw_links(rng, protocol.xi.size, 0.95, (1.1, 5.0), (1.1, 5.0))
+    dt = abs(ta - tb)
+    lam_opt = min_thermal_noise(ta, tb, wa, wb)[0]
+    lam_opt = np.where(lam_opt <= dt + 2e-9, dt + 0.5, lam_opt)
+    _, _, rate, margins = _lambda_rows(protocol, ta, tb, lam_opt, samples)
+    chi = equivalent_chi(ta, tb, lam_opt, lam_opt)
+    anchor = rate_kernel(protocol.mu, protocol.xi[:, 0], ta, tb, lam_opt, lam_opt, chi)[0]
+    return _summary(margins, (rate[:, -1], anchor))
 
 
 def _region_check(rng, scenarios: int) -> dict:
     """nu1/nu2 region classification on asymmetric links."""
-    draws = []
-    for _ in range(scenarios):
-        link = _draw_asym_link(rng)
-        draws.append((link.tau_a, link.tau_b,
-                      (link.beta ** 2 / link.alpha) * rng.uniform(1.05, 4.0)))
-    predicted, observed, _, _ = _region_rows(*np.array(draws, float).T, REGION_SAMPLES)
+    ta, tb, factor = _draw_links(rng, scenarios, None, (1.05, 4.0))
+    chi = (ta + tb) ** 2 / (ta * tb) * factor
+    predicted, observed, _, _ = _region_rows(ta, tb, chi, REGION_SAMPLES)
     failures = int((predicted != observed).sum())
     return {"scenarios": scenarios, "samples": REGION_SAMPLES, "failures": failures,
             "pass": failures == 0}
@@ -469,19 +453,23 @@ def run_verification_suite(
     Returns a JSON-ready report with per-check failure counts, the worst
     margin seen, and the worst relative disagreement between profile
     endpoints and the corresponding minimized closed forms.  Each check, in
-    its own function, draws all its scenarios, then evaluates them as one
-    (scenario x sample) array per protocol.  ``samples`` (>= 2) sets every
-    check but the region classification, which runs ``REGION_SAMPLES`` and
-    reports them as its entry's ``samples``; ``scenarios`` must be >= 1.
+    its own function, draws all its scenarios, derives their parameters as
+    arrays, then evaluates them as one (scenario x sample) array: the
+    protocol's xi is a column, 1 on even scenarios and 0.97 on odd ones, at
+    phi = 60.  ``samples`` (integer >= 2) sets every check but the region
+    classification, which runs ``REGION_SAMPLES`` and reports them as its
+    entry's ``samples``; ``scenarios`` must be an integer >= 1.
     """
     require_count("scenarios", scenarios, 1)
     require_count("samples", samples, 2)
     rng = np.random.default_rng(seed)
+    xi = np.where(np.arange(scenarios) % 2, 0.97, 1.0)[:, None]
+    protocol = ProtocolParams(xi=xi, phi=60.0, epsilon=0.01)
     checks = {
-        "monotone_thermal": _monotone_thermal_check(rng, scenarios, samples),
-        "monotone_chi": _monotone_chi_check(rng, scenarios, samples),
+        "monotone_thermal": _monotone_thermal_check(rng, protocol, samples),
+        "monotone_chi": _monotone_chi_check(rng, protocol, samples),
         "p_prime_positive": _p_prime_check(rng, scenarios, samples),
-        "lambda_minimization": _lambda_check(rng, scenarios, samples),
+        "lambda_minimization": _lambda_check(rng, protocol, samples),
         "classify_nu_regions": _region_check(rng, scenarios),
     }
     return {

@@ -300,9 +300,18 @@ NON_FINITE = [
     (ATTACK + ("--epsilon", "nan"), "--epsilon"),
 ]
 
+# Rows that exited 0 with the chi-knowledge result: the ancilla variances
+# were accepted and ignored unless --knowledge thermal was also given.
+IGNORED_OMEGA = [
+    (RATE + ("--omega-a", "nan"), "--omega-a"),
+    (RATE + ("--omega-b", "2"), "--omega-b"),
+    (("sweep", "--omega-a", "2"), "--omega-a"),
+    (("sweep",) + THERMAL + ("--knowledge", "chi"), "--omega-a"),
+]
+
 
 class TestParameterErrors:
-    @pytest.mark.parametrize("argv, flag", REJECTED + NON_FINITE,
+    @pytest.mark.parametrize("argv, flag", REJECTED + NON_FINITE + IGNORED_OMEGA,
                              ids=lambda x: " ".join(x) if isinstance(x, tuple) else None)
     def test_exit_two_names_the_flag(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, *argv)

@@ -74,8 +74,25 @@ CASES = [
     ("loss_db_per_km", lambda: distance_to_tau(10.0, INF)),
 ]
 
+# Arrays with one inadmissible element, and counts that are not integers;
+# keyed by test id, so that the ids of CASES stay as they are.
+ARRAY_AND_COUNT_CASES = {
+    "xi-array": ("xi", lambda: ProtocolParams(xi=np.array([0.5, 2.0]))),
+    "xi-array-nan": ("xi", lambda: ProtocolParams(xi=np.array([[1.0], [NAN]]))),
+    "epsilon-array": ("epsilon", lambda: ProtocolParams(epsilon=np.array([0.01, -1.0]))),
+    "epsilon-array-nan": ("epsilon", lambda: ProtocolParams(epsilon=np.array([0.0, NAN]))),
+    "steps_a-float": ("steps_a", lambda: SweepConfig(steps_a=2.5)),
+    "steps_b-float": ("steps_b", lambda: SweepConfig(steps_b=51.0)),
+    "steps-float": ("steps", lambda: relay_scan(0.5, ProtocolParams(), steps=2.5)),
+    "n-float": ("n", lambda: AttackGrid(n=5.0)),
+    "scenarios-float": ("scenarios", lambda: run_verification_suite(scenarios=2.5)),
+    "samples-float": ("samples", lambda: run_verification_suite(samples=40.0)),
+    "trials-float": ("trials", lambda: check_self_alignment(trials=2.5)),
+}
 
-@pytest.mark.parametrize("name, call", CASES, ids=[name for name, _ in CASES])
+
+@pytest.mark.parametrize("name, call", CASES + list(ARRAY_AND_COUNT_CASES.values()),
+                         ids=[name for name, _ in CASES] + list(ARRAY_AND_COUNT_CASES))
 def test_entry_point_raises_parameter_error(name, call):
     with pytest.raises(ParameterError) as info:
         call()
@@ -87,11 +104,14 @@ def test_entry_point_raises_parameter_error(name, call):
 
 def test_admissible_edges_pass():
     ProtocolParams(xi=1.0, phi=1e-12, epsilon=0.0)
+    ProtocolParams(xi=np.array([[1.0], [1e-300]]), epsilon=np.array([0.0, 1e300]))
     LinkPair(1.0, 1e-300)
     AncillaState(1.0, np.array([1.0, 5.0]), 0.0, 0.0)
     assert g_max(1.0, 1.0) == 0.0
+    assert g_max(np.array([1.0, 3.0]), 3.0).tolist() == [0.0, g_max(3.0, 3.0)]
     ThermalKnowledge(1.0, 1.0)
     SweepConfig(tau_a_range=(1.0, 1.0), steps_a=2)
+    SweepConfig(steps_a=np.int64(2), steps_b=np.int32(3))
     AttackGrid(n=3, refine_n=3)
     assert distance_to_tau(0.0) == 1.0
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cvmdi import attack, keyrate, proofs
-from cvmdi.core import effective_noise
+from cvmdi.core import effective_noise, excess_chi
 from cvmdi.keyrate import min_thermal_noise
 from cvmdi import (
     DomainError,
@@ -409,7 +409,7 @@ class TestBatchedSuite:
                         assert new["worst_endpoint_rel_err"] == 0.0, name
 
     def test_kernel_calls_do_not_grow_with_scenarios(self, monkeypatch):
-        # one profile and one anchor call per protocol group and check
+        # one profile and one anchor call per check, whatever the xi mix
         calls = []
         original = keyrate.rate_kernel
 
@@ -424,4 +424,42 @@ class TestBatchedSuite:
             calls.clear()
             run_verification_suite(seed=7, scenarios=scenarios, samples=40)
             counts.append(len(calls))
-        assert counts[0] == counts[1] == 12
+        assert counts[0] == counts[1] == 6
+
+    def test_mixed_xi_batch_matches_parity_groups(self):
+        # the suite's one batch, xi a column (1 on even rows, 0.97 on odd
+        # ones), against the same rows run as one batch per xi
+        n, samples = 9, 40
+        rng = np.random.default_rng(5)
+        xi = np.where(np.arange(n) % 2, 0.97, 1.0)[:, None]
+        mixed = ProtocolParams(xi=xi, phi=60.0, epsilon=0.01)
+        groups = [(slice(parity, None, 2), ProtocolParams(xi=x, phi=60.0, epsilon=0.01))
+                  for parity, x in enumerate((1.0, 0.97))]
+        tau, wa, wb, u = rng.uniform((0.55, 1.1, 1.1, -0.85), (0.95, 5.0, 5.0, 0.5),
+                                     (n, 4)).T
+        ta, tb, epsilon = proofs._draw_links(rng, n, 0.999, (0.01, 0.8))
+        lam_max = abs(ta - tb) + rng.uniform(0.1, 1.0, n)
+        cases = [
+            (proofs._monotone_thermal_rows, (tau, tau, wa, wb, u * g_max(wa, wb))),
+            (proofs._monotone_chi_rows, (ta, tb, excess_chi(ta, tb, epsilon))),
+            (proofs._lambda_rows, (ta, tb, lam_max)),
+        ]
+
+        def leaves(x):
+            if isinstance(x, tuple):
+                for v in x:
+                    yield from leaves(v)
+            else:
+                yield x
+
+        for rows, args in cases:
+            got = list(leaves(rows(mixed, *args, samples)))
+            for rows_of, protocol in groups:
+                want = list(leaves(rows(protocol, *(a[rows_of] for a in args), samples)))
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    if isinstance(w, np.ndarray):
+                        assert g[rows_of].shape == w.shape
+                        assert g[rows_of].tobytes() == w.tobytes(), rows.__name__
+                    else:
+                        assert g == w, rows.__name__
