@@ -44,6 +44,7 @@ from .core import (
     require,
     require_count,
     require_omega,
+    require_unit,
 )
 from .keyrate import in_domain, key_rate, key_rate_min_thermal, rate_kernel
 
@@ -238,7 +239,11 @@ def _physical_dprime_max(omega_a, omega_b, l):
 def chi_y_domain(tau_a: np.ndarray, tau_b: np.ndarray, chi: np.ndarray):
     """Range of the fixed-chi variable y, elementwise on arrays of links:
     y_min = alpha chi / beta and y_max = (y_min^2 + beta^2) / (2 beta);
-    :class:`DomainError` if any chi is below the loss floor."""
+    :class:`ParameterError` if any tau is outside (0, 1] or any chi is not
+    finite, :class:`DomainError` if any chi is below the loss floor."""
+    require_unit("tau_a", tau_a)
+    require_unit("tau_b", tau_b)
+    require(np.isfinite(chi), "chi", "be finite", chi)
     alpha, beta = tau_a * tau_b, tau_a + tau_b
     below = chi < beta * beta / alpha
     if below.any():
@@ -283,6 +288,11 @@ def _thermal_profiles(protocol, tau_a, tau_b, omega_a, omega_b, l, samples):
     """Fixed-thermal profiles of :func:`rate_profile_y` from 1-D parameter
     arrays; ``protocol.xi`` is a float or a column, one xi per row."""
     require_count("samples", samples, 2)
+    require_unit("tau_a", tau_a)
+    require_unit("tau_b", tau_b)
+    require_omega("omega_a", omega_a)
+    require_omega("omega_b", omega_b)
+    require(np.isfinite(l), "l", "be finite", l)
     u = 2.0 * np.sqrt((1.0 - tau_a) * (1.0 - tau_b))
     delta = effective_noise(tau_a, tau_b, omega_a, omega_b, l, -l)[0]
     bad = (delta <= 0.0) & (u > 0.0)

@@ -1,11 +1,16 @@
 """Numerical certification of the rate-minimization arguments.
 
-Each verifier samples the rate (or one of the auxiliary bounding
-functions) along the relevant scalar variable and checks the claimed sign
-conditions: monotone growth of the rate in the off-bisector variable y
-under both knowledge models, positivity of the bounding functions F / L /
-A, positivity of p'(y), the region classification of the nu1/nu2
-crossing, and monotone decrease of the rate in the effective noise lam.
+Each verifier takes 1-D arrays of links and parameters, one scenario per
+row (a single link is a one-row call), samples the rate or one of the
+auxiliary bounding functions along the relevant scalar variable as one
+(scenario x sample) array, and checks the claimed sign conditions row by
+row: monotone growth of the rate in the off-bisector variable y under
+both knowledge models, positivity of the bounding functions F / L / A,
+positivity of p'(y), the region classification of the nu1/nu2 crossing,
+and monotone decrease of the rate in the effective noise lam.  Results
+hold the sampled traces, rows x samples, with each row's sample count or
+mask, and per-row margins and verdicts; ``protocol.xi`` may be a column
+of one xi per row.
 
 Strict inequalities are tested with slack ``STRICT_SLACK`` so rounding at
 non-strict boundary points does not fail a verdict; the margins themselves
@@ -32,7 +37,9 @@ from .core import (
     excess_chi,
     g_max,
     log_ratio_g,
+    require,
     require_count,
+    require_unit,
 )
 from .attack import _chi_profiles, _thermal_profiles, chi_y_domain
 from .keyrate import min_thermal_noise, rate_kernel
@@ -46,63 +53,91 @@ REGION_SAMPLES = 65
 
 @dataclass(frozen=True)
 class MonotoneProbe:
-    """Sampled rate profile plus the sign margins extracted from it.
+    """Sampled rate profiles plus the sign margins extracted from them.
 
-    ``diffs`` are consecutive rate differences (claimed positive), ``bound``
-    the sampled bounding function (F for fixed thermal noise, L for fixed
-    chi on symmetric links, A on asymmetric links, claimed positive where
-    applicable).  ``worst_margin`` is the smallest of all margins and the
-    verdict is ``worst_margin > -STRICT_SLACK``.  A degenerate probe
-    (u = 0, y frozen) has an empty diff set and passes trivially."""
+    Each row of ``y`` and ``rate`` holds its ``count`` profile samples
+    first, in order (the rest repeats its first sample); ``skipped``
+    counts the samples left out.  ``diffs`` are consecutive rate
+    differences (claimed positive) and ``diff_mask`` marks those a row
+    checks: none on a ``degenerate`` row (u = 0, y frozen), which passes
+    trivially.  ``bound`` is the sampled bounding function named by
+    ``bound_label`` (F for fixed thermal noise on symmetric lossy links,
+    empty where there is none; L for fixed chi on symmetric links, A on
+    asymmetric links), claimed positive where ``bound_mask`` holds.  The
+    nu traces are NaN on rows without a bound.  ``worst_margin`` is the
+    smallest of a row's margins and its verdict is
+    ``worst_margin > -STRICT_SLACK``."""
 
     y: np.ndarray
     rate: np.ndarray
-    diffs: np.ndarray
-    nu1: np.ndarray | None
-    nu2: np.ndarray | None
+    count: np.ndarray
+    skipped: np.ndarray
+    diff_mask: np.ndarray
+    nu1: np.ndarray
+    nu2: np.ndarray
     nu3: np.ndarray | None
-    bound: np.ndarray | None
-    bound_label: str
-    worst_margin: float
-    verdict: bool
-    degenerate: bool
-    skipped: int
+    bound: np.ndarray
+    bound_mask: np.ndarray
+    bound_label: np.ndarray
+    worst_margin: np.ndarray
+    degenerate: np.ndarray
+
+    @property
+    def diffs(self) -> np.ndarray:
+        return np.diff(self.rate, axis=1)
+
+    @property
+    def verdict(self) -> np.ndarray:
+        return self.worst_margin > -STRICT_SLACK
 
 
 @dataclass(frozen=True)
 class PositivityProbe:
-    """Sampled values of a function claimed positive on its domain."""
+    """Sampled values of a function claimed positive on its domain; the
+    first ``count`` samples of a row are its own."""
 
     y: np.ndarray
     values: np.ndarray
-    worst_margin: float
-    verdict: bool
+    count: np.ndarray
+    worst_margin: np.ndarray
+
+    @property
+    def verdict(self) -> np.ndarray:
+        return self.worst_margin > -STRICT_SLACK
 
 
 @dataclass(frozen=True)
 class LambdaProbe:
     """Rate versus the effective noise lam on the anticorrelation
-    bisector, split into entropy and logarithmic parts."""
+    bisector and its entropy part; the logarithmic part is
+    ``rate - h_part``."""
 
     lam: np.ndarray
     h_part: np.ndarray
-    log_part: np.ndarray
     rate: np.ndarray
-    worst_margin: float
-    verdict: bool
+    worst_margin: np.ndarray
+
+    @property
+    def verdict(self) -> np.ndarray:
+        return self.worst_margin > -STRICT_SLACK
 
 
 @dataclass(frozen=True)
 class RegionVerdict:
     """Predicted versus observed ordering of nu1 and nu2 on the fixed-chi
-    domain.  ``less`` means a region with nu1 < nu2 exists (it sits at the
-    lower end of the domain), ``greater`` that nu1 > nu2 throughout."""
+    domain, each as the sign of nu1 - nu2: -1 means a region with
+    nu1 < nu2 exists (it sits at the lower end of the domain), 0 that chi
+    sits on the threshold, 1 that nu1 > nu2 throughout.  ``chi_threshold``
+    is NaN where tau_a >= 2 tau_b, which has none."""
 
-    predicted_relation: str
-    observed_relation: str
-    chi_threshold_used: float | None
-    agree: bool
-    min_gap: float
+    predicted: np.ndarray
+    observed: np.ndarray
+    chi_threshold: np.ndarray
+    min_gap: np.ndarray
+
+    @property
+    def agree(self) -> np.ndarray:
+        return self.predicted == self.observed
 
 
 def _chi_nus(tau_a, tau_b, chi, y):
@@ -127,11 +162,11 @@ def _row_min(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.where(mask, values, np.inf).min(axis=1, initial=np.inf)
 
 
-def _margins(prof, nus, bound, mask, label, extra, extra_mask):
-    """A monotone batch is (profiles, (nu1, nu2, nu3), bound, its mask, label,
-    extra margins, their mask), one scenario per row.  Per scenario: the worst
-    of its rate differences (none if degenerate: u = 0 or y frozen), bound and
-    extra margins; whether it is degenerate; and the mask of its differences."""
+def _margins(prof, bound, mask, extra, extra_mask):
+    """Per row of the profiles ``prof``: the worst of its rate differences
+    (none if degenerate: u = 0 or y frozen), ``bound`` margins where
+    ``mask`` holds and ``extra`` margins where ``extra_mask`` holds; whether
+    it is degenerate; and the mask of its checked differences."""
     n = prof.count[:, None]
     degenerate = (n < 2) | (np.take_along_axis(prof.y, n - 1, axis=1) == prof.y[:, :1])
     diff_mask = (np.arange(prof.y.shape[1] - 1) < n - 1) & ~degenerate
@@ -140,22 +175,20 @@ def _margins(prof, nus, bound, mask, label, extra, extra_mask):
     return worst, degenerate[:, 0], diff_mask
 
 
-def _monotone_probe(rows) -> MonotoneProbe:
-    """The probe of a one-scenario monotone batch; an empty label: no bound."""
-    prof, nus, bound, mask, label, _, _ = rows
-    worst, degenerate, diff_mask = _margins(*rows)
-    profile, label = prof.first(), str(label[0])
-    nus = (v[0, :prof.count[0]] if label and v is not None else None for v in nus)
-    return MonotoneProbe(
-        profile.y, profile.rate, np.diff(prof.rate[0])[diff_mask[0]], *nus,
-        bound[0][mask[0]] if label else None, label, float(worst[0]),
-        bool(worst[0] > -STRICT_SLACK), bool(degenerate[0]), profile.skipped)
+def verify_monotone_thermal(
+    protocol: ProtocolParams, tau_a, tau_b, omega_a, omega_b, l, samples: int = 200
+) -> MonotoneProbe:
+    """Monotonicity of the rate in y = u^2 d'^2 at fixed thermal noise and
+    fixed bisector coordinate l, one scenario per element of the 1-D
+    arrays ``tau_a`` ... ``l``.
 
-
-def _monotone_thermal_rows(protocol, tau_a, tau_b, omega_a, omega_b, l, samples):
+    On symmetric lossy links the probe also evaluates the bounding
+    function F(y) = log2(e)/nu3 - g(nu1)/2 and requires F > 0 as well as
+    F(y) >= F(0) on the sampled range (the increasing-F property that
+    makes the monotonicity argument work).
+    """
     prof = _thermal_profiles(protocol, tau_a, tau_b, omega_a, omega_b, l, samples)
     valid = np.arange(samples) < prof.count[:, None]
-    # F is evaluated on the symmetric lossy (u > 0) scenarios only
     has = (abs(tau_a - tau_b) < SYMMETRIC_TAU_TOL) & (tau_a < 1.0) & (tau_b < 1.0)
     nu1, nu2, nu3, bound = np.full((4,) + prof.y.shape, np.nan)
     delta = effective_noise(tau_a, tau_b, omega_a, omega_b, l, -l)[0][has, None]
@@ -168,36 +201,28 @@ def _monotone_thermal_rows(protocol, tau_a, tau_b, omega_a, omega_b, l, samples)
     nu2[has] = protocol.mu ** (1.0 - xi) * chi_y ** xi
     bound[has] = LOG2E / np.where(n3 > 0.0, n3, np.inf) - 0.5 * log_ratio_g(nu1[has])
     mask = valid & has[:, None]
-    return (prof, (nu1, nu2, nu3), bound, mask, np.where(has, "F", ""),
-            bound[:, 1:] - bound[:, :1], mask[:, 1:])  # F(y) >= F(0)
+    worst, degenerate, diff_mask = _margins(  # with F(y) >= F(0)
+        prof, bound, mask, bound[:, 1:] - bound[:, :1], mask[:, 1:])
+    return MonotoneProbe(prof.y, prof.rate, prof.count, prof.skipped, diff_mask, nu1, nu2,
+                         nu3, bound, mask, np.where(has, "F", ""), worst, degenerate)
 
 
-def verify_monotone_thermal(
-    protocol: ProtocolParams,
-    link: LinkPair,
-    omega_a: float,
-    omega_b: float,
-    l: float,
-    samples: int = 200,
+def verify_monotone_chi(
+    protocol: ProtocolParams, tau_a, tau_b, chi, samples: int = 200
 ) -> MonotoneProbe:
-    """Monotonicity of the rate in y = u^2 d'^2 at fixed thermal noise and
-    fixed bisector coordinate l.
+    """Monotonicity of the rate in y = sqrt(u^2 d'^2 + (alpha chi/beta)^2)
+    at fixed equivalent noise, one scenario per element of the 1-D arrays
+    ``tau_a``, ``tau_b`` and ``chi``.
 
-    For symmetric links the probe also evaluates the bounding function
-    F(y) = log2(e)/nu3 - g(nu1)/2 and requires F > 0 as well as
-    F(y) >= F(0) on the sampled range (the increasing-F property that
-    makes the monotonicity argument work).
+    Also samples the bounding function behind the monotonicity argument:
+    L(y) (claimed positive) on symmetric links, A(y) (claimed nonnegative
+    wherever nu1 < nu2) on asymmetric links.
     """
-    args = (np.array([x], float) for x in (link.tau_a, link.tau_b, omega_a, omega_b, l))
-    return _monotone_probe(_monotone_thermal_rows(protocol, *args, samples))
-
-
-def _monotone_chi_rows(protocol, tau_a, tau_b, chi, samples):
+    prof = _chi_profiles(protocol, tau_a, tau_b, chi, samples)
     sym = abs(tau_a - tau_b) < SYMMETRIC_TAU_TOL
     low = sym & (chi <= 4.0)
     if low.any():
         raise DomainError(f"chi = {chi[low][0]} <= 4 is outside the symmetric domain")
-    prof = _chi_profiles(protocol, tau_a, tau_b, chi, samples)
     valid = np.arange(samples) < prof.count[:, None]
     a1, a2, nu1, nu2 = _chi_nus(tau_a, tau_b, chi, prof.y)
     s = sym[:, None]
@@ -214,33 +239,27 @@ def _monotone_chi_rows(protocol, tau_a, tau_b, chi, samples):
     mask = valid & np.where(s, nu2 > 0.0, crossing)
     # in the crossing regime the comparison function D = d(nu1) - d(nu2)
     # with d(x) = (x - 1) log2((x+1)/(x-1)) must stay negative
-    extra = (nu2 - 1.0) * g2 - (nu1 - 1.0) * g1
-    return prof, (nu1, nu2, None), bound, mask, np.where(sym, "L", "A"), extra, ok
+    worst, degenerate, diff_mask = _margins(
+        prof, bound, mask, (nu2 - 1.0) * g2 - (nu1 - 1.0) * g1, ok)
+    return MonotoneProbe(prof.y, prof.rate, prof.count, prof.skipped, diff_mask, nu1, nu2,
+                         None, bound, mask, np.where(sym, "L", "A"), worst, degenerate)
 
 
-def verify_monotone_chi(
-    protocol: ProtocolParams, link: LinkPair, chi: float, samples: int = 200
-) -> MonotoneProbe:
-    """Monotonicity of the rate in y = sqrt(u^2 d'^2 + (alpha chi/beta)^2)
-    at fixed equivalent noise.
+def classify_nu_regions(tau_a, tau_b, chi, samples: int = REGION_SAMPLES) -> RegionVerdict:
+    """Predicted-versus-observed ordering of nu1 and nu2, one asymmetric
+    link per element of the 1-D arrays ``tau_a``, ``tau_b`` and ``chi``.
 
-    Also samples the bounding function behind the monotonicity argument:
-    L(y) (claimed positive) on symmetric links, A(y) (claimed nonnegative
-    wherever nu1 < nu2) on asymmetric links.
+    Prediction follows the case table: tau_a >= 2 tau_b implies nu1 > nu2
+    everywhere; otherwise a region with nu1 < nu2 exists exactly when chi
+    clears the threshold beta (3 tau_b - tau_a + |dtau|) /
+    (tau_a (2 tau_b - tau_a)).  Observation evaluates nu1 - nu2 on a grid
+    that includes the lower domain endpoint.  Classifications within
+    ~1e-9 of the threshold resolve to "equal".
     """
-    args = (np.array([x], float) for x in (link.tau_a, link.tau_b, chi))
-    return _monotone_probe(_monotone_chi_rows(protocol, *args, samples))
-
-
-_RELATIONS = ("less", "equal", "greater")  # indexed by sign(nu1 - nu2) + 1
-
-
-def _region_rows(tau_a, tau_b, chi, samples):
-    """(predicted, observed) signs of nu1 - nu2 per scenario, with the
-    threshold (NaN where tau_a >= 2 tau_b) and the smallest sampled gap."""
+    require_count("samples", samples, 2)
+    y_min, y_max = chi_y_domain(tau_a, tau_b, chi)
     if (abs(tau_a - tau_b) < SYMMETRIC_TAU_TOL).any():
         raise SymmetricDegenerateError("region classification requires tau_a != tau_b")
-    y_min, y_max = chi_y_domain(tau_a, tau_b, chi)
     beta, dtau = tau_a + tau_b, abs(tau_a - tau_b)
     crossing = tau_a < 2.0 * tau_b
     threshold = np.where(crossing, beta * (3.0 * tau_b - tau_a + dtau) / (
@@ -253,56 +272,43 @@ def _region_rows(tau_a, tau_b, chi, samples):
     _, _, nu1, nu2 = _chi_nus(tau_a, tau_b, chi, ys)
     min_gap = (nu1 - nu2).min(axis=1)
     observed = (min_gap > 1e-9).astype(int) - (min_gap < -1e-9)
-    return predicted, observed, threshold, min_gap
+    return RegionVerdict(predicted, observed, threshold, min_gap)
 
 
-def classify_nu_regions(
-    link: LinkPair, chi: float, samples: int = REGION_SAMPLES
-) -> RegionVerdict:
-    """Predicted-versus-observed ordering of nu1 and nu2.
-
-    Prediction follows the case table: tau_a >= 2 tau_b implies nu1 > nu2
-    everywhere; otherwise a region with nu1 < nu2 exists exactly when chi
-    clears the threshold beta (3 tau_b - tau_a + |dtau|) /
-    (tau_a (2 tau_b - tau_a)).  Observation evaluates nu1 - nu2 on a grid
-    that includes the lower domain endpoint.  Classifications within
-    ~1e-9 of the threshold resolve to "equal".
-    """
-    args = (np.array([x], float) for x in (link.tau_a, link.tau_b, chi))
-    predicted, observed, threshold, min_gap = _region_rows(*args, samples)
-    return RegionVerdict(
-        predicted_relation=_RELATIONS[predicted[0] + 1],
-        observed_relation=_RELATIONS[observed[0] + 1],
-        chi_threshold_used=None if np.isnan(threshold[0]) else float(threshold[0]),
-        agree=bool(predicted[0] == observed[0]),
-        min_gap=float(min_gap[0]),
-    )
-
-
-def _p_prime_rows(tau_a, tau_b, chi, samples):
-    """(y, p'(y), sample count) per scenario; u = 0 leaves the one point y_min."""
+def verify_p_prime_positive(tau_a, tau_b, chi, samples: int = 200) -> PositivityProbe:
+    """Positivity of p'(y) = (a2 nu1 - a1 nu2) / (4 nu1 nu2) over the
+    fixed-chi domain (upper endpoint excluded, where nu2 vanishes), one
+    scenario per element of the 1-D arrays ``tau_a``, ``tau_b`` and
+    ``chi``; u = 0 leaves a row the one point y_min."""
+    require_count("samples", samples, 2)
     y_min, y_max = chi_y_domain(tau_a, tau_b, chi)
     lossy = (1.0 - tau_a) * (1.0 - tau_b) > 0.0
     frac = np.where(lossy[:, None], np.linspace(0.0, 1.0 - 1e-9, samples), 0.0)
     ys = y_min[:, None] + (y_max - y_min)[:, None] * frac
     a1, a2, nu1, nu2 = _chi_nus(tau_a, tau_b, chi, ys)
-    return ys, (a2 * nu1 - a1 * nu2) / (4.0 * nu1 * nu2), np.where(lossy, samples, 1)
+    values = (a2 * nu1 - a1 * nu2) / (4.0 * nu1 * nu2)
+    count = np.where(lossy, samples, 1)
+    return PositivityProbe(ys, values, count,
+                           _row_min(values, np.arange(samples) < count[:, None]))
 
 
-def verify_p_prime_positive(
-    link: LinkPair, chi: float, samples: int = 200
-) -> PositivityProbe:
-    """Positivity of p'(y) = (a2 nu1 - a1 nu2) / (4 nu1 nu2) over the
-    fixed-chi domain (upper endpoint excluded, where nu2 vanishes)."""
-    args = (np.array([x], float) for x in (link.tau_a, link.tau_b, chi))
-    ys, values, count = _p_prime_rows(*args, samples)
-    values = values[0, :count[0]]
-    worst = float(values.min())
-    return PositivityProbe(ys[0, :count[0]], values, worst, worst > -STRICT_SLACK)
+def verify_lambda_minimization(
+    protocol: ProtocolParams, tau_a, tau_b, lambda_max, samples: int = 100
+) -> LambdaProbe:
+    """Monotone decrease of the bisector rate in the effective noise lam,
+    hence a minimum at lam = lambda_max, one scenario per element of the
+    1-D arrays ``tau_a``, ``tau_b`` and ``lambda_max``.
 
-
-def _lambda_rows(protocol, tau_a, tau_b, lambda_max, samples):
-    """(lam, H, rate, worst margin) of :func:`verify_lambda_minimization`."""
+    The rate comes from the array kernel and is split into the entropy
+    part H = h(nu) (minus h(lam / |dtau|) on asymmetric links) and the
+    logarithmic part L = rate - H; on asymmetric links the convexity of H
+    (positive second differences) is checked alongside the decrease of
+    the rate.
+    """
+    require_count("samples", samples, 2)
+    require_unit("tau_a", tau_a)
+    require_unit("tau_b", tau_b)
+    require(np.isfinite(lambda_max), "lambda_max", "be finite", lambda_max)
     dt = abs(tau_a - tau_b)
     lo = dt + 1e-9
     bad = lambda_max <= lo
@@ -319,28 +325,7 @@ def _lambda_rows(protocol, tau_a, tau_b, lambda_max, samples):
     convexity = np.where(asym[:, None], np.diff(h_part, 2, axis=1), np.inf)
     worst = np.minimum((-np.diff(rate, axis=1)).min(axis=1),
                        convexity.min(axis=1, initial=np.inf))
-    return lams, h_part, rate, worst
-
-
-def verify_lambda_minimization(
-    protocol: ProtocolParams,
-    link: LinkPair,
-    lambda_max: float,
-    samples: int = 100,
-) -> LambdaProbe:
-    """Monotone decrease of the bisector rate in the effective noise lam,
-    hence a minimum at lam = lambda_max.
-
-    The rate comes from the array kernel and is split into the entropy
-    part H = h(nu) (minus h(lam / |dtau|) on asymmetric links) and the
-    logarithmic part L = rate - H; on asymmetric links the convexity of H
-    (positive second differences) is checked alongside the decrease of
-    the rate.
-    """
-    args = (np.array([x], float) for x in (link.tau_a, link.tau_b, lambda_max))
-    lams, h_part, rate, worst = (a[0] for a in _lambda_rows(protocol, *args, samples))
-    return LambdaProbe(lams, h_part, rate - h_part, rate, float(worst),
-                       bool(worst > -STRICT_SLACK))
+    return LambdaProbe(lams, h_part, rate, worst)
 
 
 def _draw_asym_link(rng: np.random.Generator) -> LinkPair:
@@ -396,11 +381,11 @@ def _monotone_thermal_check(rng, protocol: ProtocolParams, samples: int) -> dict
     tau, wa, wb, u = _scaled(rng.random((protocol.xi.size, 4)),
                              (0.55, 0.95), (1.1, 5.0), (1.1, 5.0), (-0.85, 0.5))
     l = u * g_max(wa, wb)
-    rows = _monotone_thermal_rows(protocol, tau, tau, wa, wb, l, samples)
+    probe = verify_monotone_thermal(protocol, tau, tau, wa, wb, l, samples)
     lam0 = effective_noise(tau, tau, wa, wb, l, -l)[0]
     chi = equivalent_chi(tau, tau, lam0, lam0)
     anchor = rate_kernel(protocol.mu, protocol.xi[:, 0], tau, tau, lam0, lam0, chi)[0]
-    return _summary(_margins(*rows)[0], (rows[0].rate[:, 0], anchor))
+    return _summary(probe.worst_margin, (probe.rate[:, 0], anchor))
 
 
 def _monotone_chi_check(rng, protocol: ProtocolParams, samples: int) -> dict:
@@ -408,17 +393,17 @@ def _monotone_chi_check(rng, protocol: ProtocolParams, samples: int) -> dict:
     d' = 0 sample must reproduce the minimized chi form."""
     ta, tb, epsilon = _draw_links(rng, protocol.xi.size, 0.999, (0.01, 0.8))
     chi = excess_chi(ta, tb, epsilon)
-    rows = _monotone_chi_rows(protocol, ta, tb, chi, samples)
+    probe = verify_monotone_chi(protocol, ta, tb, chi, samples)
     lam = bisector_lam(ta, tb, chi)
     anchor = rate_kernel(protocol.mu, protocol.xi[:, 0], ta, tb, lam, lam, chi)[0]
-    return _summary(_margins(*rows)[0], (rows[0].rate[:, 0], anchor))
+    return _summary(probe.worst_margin, (probe.rate[:, 0], anchor))
 
 
 def _p_prime_check(rng, scenarios: int, samples: int) -> dict:
     """p'(y) positivity on asymmetric links."""
     ta, tb, epsilon = _draw_links(rng, scenarios, None, (0.01, 1.0))
-    _, values, count = _p_prime_rows(ta, tb, excess_chi(ta, tb, epsilon), samples)
-    return _summary(_row_min(values, np.arange(samples) < count[:, None]))
+    return _summary(verify_p_prime_positive(ta, tb, excess_chi(ta, tb, epsilon),
+                                            samples).worst_margin)
 
 
 def _lambda_check(rng, protocol: ProtocolParams, samples: int) -> dict:
@@ -429,18 +414,17 @@ def _lambda_check(rng, protocol: ProtocolParams, samples: int) -> dict:
     dt = abs(ta - tb)
     lam_opt = min_thermal_noise(ta, tb, wa, wb)[0]
     lam_opt = np.where(lam_opt <= dt + 2e-9, dt + 0.5, lam_opt)
-    _, _, rate, margins = _lambda_rows(protocol, ta, tb, lam_opt, samples)
+    probe = verify_lambda_minimization(protocol, ta, tb, lam_opt, samples)
     chi = equivalent_chi(ta, tb, lam_opt, lam_opt)
     anchor = rate_kernel(protocol.mu, protocol.xi[:, 0], ta, tb, lam_opt, lam_opt, chi)[0]
-    return _summary(margins, (rate[:, -1], anchor))
+    return _summary(probe.worst_margin, (probe.rate[:, -1], anchor))
 
 
 def _region_check(rng, scenarios: int) -> dict:
     """nu1/nu2 region classification on asymmetric links."""
     ta, tb, factor = _draw_links(rng, scenarios, None, (1.05, 4.0))
     chi = (ta + tb) ** 2 / (ta * tb) * factor
-    predicted, observed, _, _ = _region_rows(ta, tb, chi, REGION_SAMPLES)
-    failures = int((predicted != observed).sum())
+    failures = int((~classify_nu_regions(ta, tb, chi, REGION_SAMPLES).agree).sum())
     return {"scenarios": scenarios, "samples": REGION_SAMPLES, "failures": failures,
             "pass": failures == 0}
 
@@ -454,9 +438,8 @@ def run_verification_suite(
     margin seen, and the worst relative disagreement between profile
     endpoints and the corresponding minimized closed forms.  Each check, in
     its own function, draws all its scenarios, derives their parameters as
-    arrays, then evaluates them as one (scenario x sample) array: the
-    protocol's xi is a column, 1 on even scenarios and 0.97 on odd ones, at
-    phi = 60.  ``samples`` (integer >= 2) sets every check but the region
+    arrays, then calls its verifier once over all of them: the protocol's
+    xi is a column, 1 on even scenarios and 0.97 on odd ones, at phi = 60.  ``samples`` (integer >= 2) sets every check but the region
     classification, which runs ``REGION_SAMPLES`` and reports them as its
     entry's ``samples``; ``scenarios`` must be an integer >= 1.
     """

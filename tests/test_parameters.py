@@ -19,12 +19,17 @@ from cvmdi import (
     ThermalKnowledge,
     chi_equivalent,
     check_self_alignment,
+    classify_nu_regions,
     distance_to_tau,
     g_max,
     physical_bounds,
     rate_profile_y,
     relay_scan,
     run_verification_suite,
+    verify_lambda_minimization,
+    verify_monotone_chi,
+    verify_monotone_thermal,
+    verify_p_prime_positive,
 )
 
 NAN, INF = math.nan, math.inf
@@ -91,8 +96,96 @@ ARRAY_AND_COUNT_CASES = {
 }
 
 
-@pytest.mark.parametrize("name, call", CASES + list(ARRAY_AND_COUNT_CASES.values()),
-                         ids=[name for name, _ in CASES] + list(ARRAY_AND_COUNT_CASES))
+
+def rows(*columns):
+    """The verifiers' 1-D arrays, one scenario per element of each column."""
+    return [np.array(c, float) for c in columns]
+
+
+P = ProtocolParams()
+THERMAL = ([0.9, 0.9], [0.9, 0.9], [2.0, 2.0], [2.0, 2.0], [0.0, 0.1])  # tau_a .. l
+CHI = ([0.9, 0.5], [0.7, 0.9], [6.0, 9.0])  # tau_a, tau_b, chi
+LAMBDA = ([0.9, 0.8], [0.7, 0.5], [1.5, 1.2])  # tau_a, tau_b, lambda_max
+
+
+def with_column(columns, index, column):
+    return rows(*columns[:index], column, *columns[index + 1:])
+
+
+# The array verifiers: sample counts, NaN and infinite parameters, and one
+# inadmissible element in an otherwise good array; keyed by test id.
+VERIFIER_CASES = {
+    "thermal-samples-1": ("samples", lambda: verify_monotone_thermal(
+        P, *rows(*THERMAL), samples=1)),
+    "chi-samples-float": ("samples", lambda: verify_monotone_chi(
+        P, *rows(*CHI), samples=2.5)),
+    "p_prime-samples-0": ("samples", lambda: verify_p_prime_positive(*rows(*CHI), samples=0)),
+    "p_prime-samples-1": ("samples", lambda: verify_p_prime_positive(*rows(*CHI), samples=1)),
+    "p_prime-samples-float": ("samples", lambda: verify_p_prime_positive(
+        *rows(*CHI), samples=2.5)),
+    "lambda-samples-0": ("samples", lambda: verify_lambda_minimization(
+        P, *rows(*LAMBDA), samples=0)),
+    "lambda-samples-1": ("samples", lambda: verify_lambda_minimization(
+        P, *rows(*LAMBDA), samples=1)),
+    "lambda-samples-float": ("samples", lambda: verify_lambda_minimization(
+        P, *rows(*LAMBDA), samples=2.5)),
+    "regions-samples-0": ("samples", lambda: classify_nu_regions(*rows(*CHI), samples=0)),
+    "regions-samples-1": ("samples", lambda: classify_nu_regions(*rows(*CHI), samples=1)),
+    "regions-samples-float": ("samples", lambda: classify_nu_regions(
+        *rows(*CHI), samples=2.5)),
+    "chi-nan-monotone_chi": ("chi", lambda: verify_monotone_chi(
+        P, *with_column(CHI, 2, [NAN, NAN]))),
+    "chi-inf-monotone_chi": ("chi", lambda: verify_monotone_chi(
+        P, *with_column(CHI, 2, [INF, INF]))),
+    "chi-array-monotone_chi": ("chi", lambda: verify_monotone_chi(
+        P, *with_column(CHI, 2, [6.0, NAN]))),
+    "chi-nan-p_prime": ("chi", lambda: verify_p_prime_positive(
+        *with_column(CHI, 2, [NAN, NAN]))),
+    "chi-inf-p_prime": ("chi", lambda: verify_p_prime_positive(
+        *with_column(CHI, 2, [INF, INF]))),
+    "chi-array-p_prime": ("chi", lambda: verify_p_prime_positive(
+        *with_column(CHI, 2, [6.0, INF]))),
+    "chi-nan-regions": ("chi", lambda: classify_nu_regions(*with_column(CHI, 2, [NAN, NAN]))),
+    "chi-inf-regions": ("chi", lambda: classify_nu_regions(*with_column(CHI, 2, [INF, INF]))),
+    "chi-array-regions": ("chi", lambda: classify_nu_regions(
+        *with_column(CHI, 2, [6.0, -INF]))),
+    "chi-nan-rate_profile_y": ("chi", lambda: rate_profile_y(P, LINK, chi=NAN)),
+    "chi-inf-rate_profile_y": ("chi", lambda: rate_profile_y(P, LINK, chi=INF)),
+    "tau_a-array-monotone_chi": ("tau_a", lambda: verify_monotone_chi(
+        P, *with_column(CHI, 0, [0.9, NAN]))),
+    "tau_b-array-p_prime": ("tau_b", lambda: verify_p_prime_positive(
+        *with_column(CHI, 1, [0.7, 1.5]))),
+    "tau_a-array-regions": ("tau_a", lambda: classify_nu_regions(
+        *with_column(CHI, 0, [INF, 0.5]))),
+    "tau_b-array-thermal": ("tau_b", lambda: verify_monotone_thermal(
+        P, *with_column(THERMAL, 1, [0.9, 0.0]))),
+    "tau_a-array-lambda": ("tau_a", lambda: verify_lambda_minimization(
+        P, *with_column(LAMBDA, 0, [0.9, NAN]))),
+    "omega_a-array-thermal": ("omega_a", lambda: verify_monotone_thermal(
+        P, *with_column(THERMAL, 2, [2.0, 0.5]))),
+    "omega_b-inf-thermal": ("omega_b", lambda: verify_monotone_thermal(
+        P, *with_column(THERMAL, 3, [INF, INF]))),
+    "l-nan-thermal": ("l", lambda: verify_monotone_thermal(
+        P, *with_column(THERMAL, 4, [NAN, NAN]))),
+    "l-inf-thermal": ("l", lambda: verify_monotone_thermal(
+        P, *with_column(THERMAL, 4, [INF, INF]))),
+    "l-array-thermal": ("l", lambda: verify_monotone_thermal(
+        P, *with_column(THERMAL, 4, [0.0, NAN]))),
+    "l-nan-rate_profile_y": ("l", lambda: rate_profile_y(
+        P, LINK, omegas=(2.0, 2.0), l=NAN)),
+    "lambda_max-nan": ("lambda_max", lambda: verify_lambda_minimization(
+        P, *with_column(LAMBDA, 2, [NAN, NAN]))),
+    "lambda_max-inf": ("lambda_max", lambda: verify_lambda_minimization(
+        P, *with_column(LAMBDA, 2, [INF, INF]))),
+    "lambda_max-array": ("lambda_max", lambda: verify_lambda_minimization(
+        P, *with_column(LAMBDA, 2, [1.5, NAN]))),
+}
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    CASES + list(ARRAY_AND_COUNT_CASES.values()) + list(VERIFIER_CASES.values()),
+    ids=[name for name, _ in CASES] + list(ARRAY_AND_COUNT_CASES) + list(VERIFIER_CASES))
 def test_entry_point_raises_parameter_error(name, call):
     with pytest.raises(ParameterError) as info:
         call()
@@ -114,4 +207,9 @@ def test_admissible_edges_pass():
     SweepConfig(steps_a=np.int64(2), steps_b=np.int32(3))
     AttackGrid(n=3, refine_n=3)
     assert distance_to_tau(0.0) == 1.0
+    assert verify_monotone_thermal(P, *rows(*THERMAL), samples=2).verdict.all()
+    assert verify_monotone_chi(P, *rows(*CHI), samples=2).verdict.all()
+    assert verify_p_prime_positive(*rows(*CHI), samples=2).verdict.all()
+    assert verify_lambda_minimization(P, *rows(*LAMBDA), samples=2).verdict.all()
+    assert classify_nu_regions(*rows(*CHI), samples=2).min_gap.size == 2
 

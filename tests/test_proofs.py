@@ -1,5 +1,6 @@
 """Tests for the numerical certification of the minimization arguments."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -27,6 +28,8 @@ from cvmdi import (
     verify_p_prime_positive,
 )
 
+VERIFIERS = ("verify_monotone_thermal", "verify_monotone_chi", "verify_p_prime_positive",
+             "verify_lambda_minimization", "classify_nu_regions")
 FIG_PROTOCOL = ProtocolParams(xi=0.97, phi=60.0, epsilon=0.01)
 
 
@@ -34,48 +37,58 @@ def rel_err(a, b):
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
+def row(link, *values):
+    """One scenario's link and parameters as the verifiers' one-row arrays."""
+    return [np.array([x], float) for x in (link.tau_a, link.tau_b, *values)]
+
+
 class TestMonotoneThermal:
     def test_lossless_degenerate(self):
         probe = verify_monotone_thermal(
-            FIG_PROTOCOL, LinkPair(1.0, 1.0), 2.0, 2.0, l=0.1, samples=50
+            FIG_PROTOCOL, *row(LinkPair(1.0, 1.0), 2.0, 2.0, 0.1), samples=50
         )
-        assert probe.degenerate
-        assert probe.diffs.size == 0
-        assert probe.verdict
-        assert np.all(probe.rate == probe.rate[0])
+        assert probe.degenerate[0]
+        assert not probe.diff_mask[0].any()
+        assert probe.verdict[0]
+        rate = probe.rate[0, :probe.count[0]]
+        assert np.all(rate == rate[0])
 
     def test_symmetric_reference_scenario(self):
         probe = verify_monotone_thermal(
-            ProtocolParams(xi=1.0), LinkPair(0.9, 0.9), 2.0, 2.0, l=0.0, samples=200
+            ProtocolParams(xi=1.0), *row(LinkPair(0.9, 0.9), 2.0, 2.0, 0.0), samples=200
         )
-        assert probe.verdict
-        assert probe.worst_margin > -1e-10
-        assert np.all(probe.diffs > 0.0)
-        assert probe.bound is not None and np.all(probe.bound > 0.0)
+        assert probe.verdict[0]
+        assert probe.worst_margin[0] > -1e-10
+        assert np.all(probe.diffs[0][probe.diff_mask[0]] > 0.0)
+        assert probe.bound_label[0] == "F"
+        assert np.all(probe.bound[0][probe.bound_mask[0]] > 0.0)
 
     def test_minimum_at_zero_offset(self):
         probe = verify_monotone_thermal(
-            ProtocolParams(xi=1.0), LinkPair(0.9, 0.9), 2.0, 2.0, l=0.0, samples=200
+            ProtocolParams(xi=1.0), *row(LinkPair(0.9, 0.9), 2.0, 2.0, 0.0), samples=200
         )
-        assert probe.y[0] == 0.0
-        assert float(np.argmin(probe.rate)) == 0.0
+        rate = probe.rate[0, :probe.count[0]]
+        assert probe.y[0, 0] == 0.0
+        assert float(np.argmin(rate)) == 0.0
         anchor = key_rate_closed_sym(
             ProtocolParams(xi=1.0), 0.9, 0.4, 0.4
         ).rate  # lam = kappa - u*l = 2*(0.1)*2 = 0.4 at l = 0
-        assert probe.rate[0] == pytest.approx(anchor, rel=1e-12)
+        assert rate[0] == pytest.approx(anchor, rel=1e-12)
 
     def test_bound_growth_from_origin(self):
         probe = verify_monotone_thermal(
-            FIG_PROTOCOL, LinkPair(0.85, 0.85), 1.8, 3.2, l=-0.4, samples=150
+            FIG_PROTOCOL, *row(LinkPair(0.85, 0.85), 1.8, 3.2, -0.4), samples=150
         )
-        assert probe.verdict
-        assert np.all(probe.bound[1:] >= probe.bound[0] - 1e-10)
+        assert probe.verdict[0]
+        bound = probe.bound[0][probe.bound_mask[0]]
+        assert np.all(bound[1:] >= bound[0] - 1e-10)
 
     def test_nu_traces_ordered(self):
         probe = verify_monotone_thermal(
-            FIG_PROTOCOL, LinkPair(0.9, 0.9), 2.5, 2.5, l=0.2, samples=100
+            FIG_PROTOCOL, *row(LinkPair(0.9, 0.9), 2.5, 2.5, 0.2), samples=100
         )
-        assert np.all(probe.nu3 < probe.nu1)
+        n = probe.count[0]
+        assert np.all(probe.nu3[0, :n] < probe.nu1[0, :n])
 
     def test_nu_traces_reproduce_rate(self):
         # the sampled rate rearranges into h(nu1) - log2(nu2) - log2(nu3)
@@ -83,64 +96,81 @@ class TestMonotoneThermal:
         import math
 
         probe = verify_monotone_thermal(
-            FIG_PROTOCOL, LinkPair(0.85, 0.85), 1.7, 3.1, l=-0.25, samples=120
+            FIG_PROTOCOL, *row(LinkPair(0.85, 0.85), 1.7, 3.1, -0.25), samples=120
         )
         from cvmdi import entropy_h
 
+        n = probe.count[0]
         rebuilt = (
-            np.array([entropy_h(v) for v in probe.nu1])
-            - np.log2(probe.nu2)
-            - np.log2(probe.nu3)
+            np.array([entropy_h(v) for v in probe.nu1[0, :n]])
+            - np.log2(probe.nu2[0, :n])
+            - np.log2(probe.nu3[0, :n])
             + math.log2(8.0 / math.e**2)
         )
-        assert np.allclose(rebuilt, probe.rate, rtol=1e-11, atol=1e-11)
+        assert np.allclose(rebuilt, probe.rate[0, :n], rtol=1e-11, atol=1e-11)
+
+    def test_rows_without_bound(self):
+        # asymmetric and lossless rows carry no F and NaN nu traces
+        probe = verify_monotone_thermal(
+            FIG_PROTOCOL, *(np.array(x, float) for x in
+                            ([0.9, 0.9, 1.0], [0.7, 0.9, 1.0], [2.0] * 3, [2.0] * 3,
+                             [0.1] * 3)), samples=40
+        )
+        assert probe.bound_label.tolist() == ["", "F", ""]
+        assert not probe.bound_mask[[0, 2]].any() and probe.bound_mask[1].any()
+        assert np.isnan(probe.nu1[[0, 2]]).all() and np.isfinite(probe.nu1[1]).all()
+        assert probe.verdict.all()
 
 
 class TestMonotoneChi:
     def test_symmetric_endpoint_matches_minimized_form(self):
         link = LinkPair(0.95, 0.95)
         chi = chi_equivalent(link, 0.01)
-        probe = verify_monotone_chi(FIG_PROTOCOL, link, chi, samples=200)
-        assert probe.verdict
+        probe = verify_monotone_chi(FIG_PROTOCOL, *row(link, chi), samples=200)
+        assert probe.verdict[0]
         target = key_rate_min_chi(FIG_PROTOCOL, link, chi).rate
-        assert rel_err(float(probe.rate[0]), target) <= 1e-9
+        assert rel_err(float(probe.rate[0, 0]), target) <= 1e-9
         assert target == pytest.approx(1.41476008143047, rel=1e-10)
 
     def test_asymmetric_endpoint_matches_minimized_form(self):
         link = LinkPair(0.98, 0.6)
         chi = chi_equivalent(link, 0.01)
-        probe = verify_monotone_chi(FIG_PROTOCOL, link, chi, samples=200)
-        assert probe.verdict
+        probe = verify_monotone_chi(FIG_PROTOCOL, *row(link, chi), samples=200)
+        assert probe.verdict[0]
         target = key_rate_min_chi(FIG_PROTOCOL, link, chi).rate
-        assert rel_err(float(probe.rate[0]), target) <= 1e-9
+        assert rel_err(float(probe.rate[0, 0]), target) <= 1e-9
         assert target == pytest.approx(0.379392191958814, rel=1e-10)
 
     def test_d_prime_zero_at_y_min(self):
         link = LinkPair(0.9, 0.6)
         probe = verify_monotone_chi(
-            FIG_PROTOCOL, link, chi_equivalent(link, 0.05), samples=100
+            FIG_PROTOCOL, *row(link, chi_equivalent(link, 0.05)), samples=100
         )
-        assert probe.y[0] == pytest.approx(
+        assert probe.y[0, 0] == pytest.approx(
             link.alpha * chi_equivalent(link, 0.05) / link.beta, rel=1e-15
         )
 
     def test_symmetric_bound_positive(self):
         link = LinkPair(0.9, 0.9)
-        probe = verify_monotone_chi(FIG_PROTOCOL, link, chi_equivalent(link, 0.1))
-        assert probe.bound_label == "L"
-        assert np.all(probe.bound > 0.0)
+        probe = verify_monotone_chi(FIG_PROTOCOL, *row(link, chi_equivalent(link, 0.1)))
+        assert probe.bound_label[0] == "L"
+        assert np.all(probe.bound[0][probe.bound_mask[0]] > 0.0)
 
     def test_asymmetric_bound_positive_where_claimed(self):
         # tau_a < tau_b puts the profile inside the nu1 < nu2 regime
         link = LinkPair(0.5, 0.9)
-        probe = verify_monotone_chi(FIG_PROTOCOL, link, chi_equivalent(link, 0.1))
-        assert probe.bound_label == "A"
-        assert probe.bound.size > 0
-        assert np.all(probe.bound > -1e-10)
+        probe = verify_monotone_chi(FIG_PROTOCOL, *row(link, chi_equivalent(link, 0.1)))
+        assert probe.bound_label[0] == "A"
+        bound = probe.bound[0][probe.bound_mask[0]]
+        assert bound.size > 0
+        assert np.all(bound > -1e-10)
 
     def test_symmetric_chi_domain(self):
         with pytest.raises(DomainError):
-            verify_monotone_chi(FIG_PROTOCOL, LinkPair(0.9, 0.9), 3.9)
+            verify_monotone_chi(FIG_PROTOCOL, *row(LinkPair(0.9, 0.9), 3.9))
+
+
+GREATER, EQUAL, LESS = 1, 0, -1  # sign of nu1 - nu2
 
 
 class TestClassifyNuRegions:
@@ -148,25 +178,25 @@ class TestClassifyNuRegions:
         # tau_a = 3 tau_b
         link = LinkPair(0.9, 0.3)
         for mult in (1.01, 1.5, 3.0):
-            verdict = classify_nu_regions(link, link.beta**2 / link.alpha * mult)
-            assert verdict.predicted_relation == "greater"
-            assert verdict.observed_relation == "greater"
-            assert verdict.agree
+            verdict = classify_nu_regions(*row(link, link.beta**2 / link.alpha * mult))
+            assert verdict.predicted[0] == GREATER
+            assert verdict.observed[0] == GREATER
+            assert verdict.agree[0]
 
     def test_double_ratio_greater(self):
         link = LinkPair(0.9, 0.4)
-        verdict = classify_nu_regions(link, chi_equivalent(link, 0.01))
-        assert verdict.predicted_relation == "greater"
-        assert verdict.agree
+        verdict = classify_nu_regions(*row(link, chi_equivalent(link, 0.01)))
+        assert verdict.predicted[0] == GREATER
+        assert verdict.agree[0]
 
     def test_reversed_links_cross_once_above_threshold(self):
         link = LinkPair(0.5, 0.9)
         threshold = 2.0 * link.beta / link.tau_a
-        verdict = classify_nu_regions(link, threshold * 1.05)
-        assert verdict.chi_threshold_used == pytest.approx(threshold, rel=1e-12)
-        assert verdict.predicted_relation == "less"
-        assert verdict.observed_relation == "less"
-        assert verdict.agree
+        verdict = classify_nu_regions(*row(link, threshold * 1.05))
+        assert verdict.chi_threshold[0] == pytest.approx(threshold, rel=1e-12)
+        assert verdict.predicted[0] == LESS
+        assert verdict.observed[0] == LESS
+        assert verdict.agree[0]
 
     def test_below_threshold_stays_greater(self):
         link = LinkPair(0.7, 0.6)
@@ -176,39 +206,32 @@ class TestClassifyNuRegions:
             / (link.tau_a * (2.0 * link.tau_b - link.tau_a))
         )
         chi = max(link.beta**2 / link.alpha, threshold * 0.9)
-        verdict = classify_nu_regions(link, chi)
-        assert verdict.predicted_relation == "greater"
-        assert verdict.agree
+        verdict = classify_nu_regions(*row(link, chi))
+        assert verdict.predicted[0] == GREATER
+        assert verdict.agree[0]
 
     def test_exact_threshold_is_equal(self):
         link = LinkPair(0.5, 0.9)
-        verdict = classify_nu_regions(link, 2.0 * link.beta / link.tau_a)
-        assert verdict.predicted_relation == "equal"
-        assert verdict.agree
+        verdict = classify_nu_regions(*row(link, 2.0 * link.beta / link.tau_a))
+        assert verdict.predicted[0] == EQUAL
+        assert verdict.agree[0]
 
     def test_symmetric_rejected(self):
         with pytest.raises(SymmetricDegenerateError):
-            classify_nu_regions(LinkPair(0.8, 0.8), 10.0)
+            classify_nu_regions(*row(LinkPair(0.8, 0.8), 10.0))
 
     def test_lattice_agreement(self):
         # predicted classification against direct evaluation over a
-        # 50 x 50 x 20 lattice of (tau_a, tau_b, chi)
+        # 50 x 50 x 20 lattice of (tau_a, tau_b, chi), as one call
         taus = np.linspace(0.3, 0.99, 50)
         mults = np.linspace(1.05, 4.0, 20)
-        disagreements = 0
-        cells = 0
-        for ta in taus:
-            for tb in taus:
-                if abs(ta - tb) < 1e-9:
-                    continue
-                link = LinkPair(float(ta), float(tb))
-                floor = link.beta**2 / link.alpha
-                for m in mults:
-                    verdict = classify_nu_regions(link, floor * float(m), samples=33)
-                    cells += 1
-                    disagreements += not verdict.agree
-        assert cells > 45000
-        assert disagreements == 0
+        ta, tb, m = (a.ravel() for a in np.meshgrid(taus, taus, mults, indexing="ij"))
+        keep = abs(ta - tb) >= 1e-9
+        ta, tb, m = ta[keep], tb[keep], m[keep]
+        floor = (ta + tb) ** 2 / (ta * tb)
+        verdict = classify_nu_regions(ta, tb, floor * m, samples=33)
+        assert verdict.agree.size > 45000
+        assert int((~verdict.agree).sum()) == 0
 
 
 class TestNearSymmetricChiNus:
@@ -218,58 +241,59 @@ class TestNearSymmetricChiNus:
     def test_region_and_positivity_agree(self, d):
         link = LinkPair(0.6 + d, 0.6)
         chi = 2.0 * link.beta / link.alpha + 0.1
-        assert classify_nu_regions(link, chi).agree
-        assert verify_p_prime_positive(link, chi).verdict
+        assert classify_nu_regions(*row(link, chi)).agree[0]
+        assert verify_p_prime_positive(*row(link, chi)).verdict[0]
 
 
 class TestPPrimePositive:
     def test_wide_ratio(self):
         link = LinkPair(0.9, 0.4)
-        probe = verify_p_prime_positive(link, chi_equivalent(link, 0.01))
-        assert probe.verdict
-        assert probe.worst_margin > 0.0
+        probe = verify_p_prime_positive(*row(link, chi_equivalent(link, 0.01)))
+        assert probe.verdict[0]
+        assert probe.worst_margin[0] > 0.0
 
     def test_crossing_regime(self):
         # tau_a < 2 tau_b with chi above the crossing threshold
         link = LinkPair(0.5, 0.9)
-        probe = verify_p_prime_positive(link, 2.0 * link.beta / link.tau_a * 1.2)
-        assert probe.verdict
+        probe = verify_p_prime_positive(*row(link, 2.0 * link.beta / link.tau_a * 1.2))
+        assert probe.verdict[0]
 
     def test_lossless_single_point(self):
         link = LinkPair(1.0, 0.7)  # u = 0
-        probe = verify_p_prime_positive(link, chi_equivalent(link, 0.01))
-        assert probe.y.size == 1
-        assert probe.verdict
+        probe = verify_p_prime_positive(*row(link, chi_equivalent(link, 0.01)))
+        assert probe.count[0] == 1
+        assert probe.verdict[0]
 
 
 class TestLambdaMinimization:
     def test_asymmetric_decreasing(self):
         probe = verify_lambda_minimization(
-            ProtocolParams(xi=1.0, phi=60.0), LinkPair(0.8, 0.5), 1.5, samples=100
+            ProtocolParams(xi=1.0, phi=60.0), *row(LinkPair(0.8, 0.5), 1.5), samples=100
         )
-        assert probe.verdict
-        assert np.all(np.diff(probe.rate) < 0.0)
+        assert probe.verdict[0]
+        assert np.all(np.diff(probe.rate[0]) < 0.0)
+        assert np.all(np.diff(probe.h_part[0], 2) > 0.0)  # H is convex
 
     def test_symmetric_decreasing(self):
         probe = verify_lambda_minimization(
-            FIG_PROTOCOL, LinkPair(0.9, 0.9), 1.5, samples=100
+            FIG_PROTOCOL, *row(LinkPair(0.9, 0.9), 1.5), samples=100
         )
-        assert probe.verdict
+        assert probe.verdict[0]
 
     def test_near_degenerate_endpoint_finite(self):
         probe = verify_lambda_minimization(
-            FIG_PROTOCOL, LinkPair(0.8, 0.5), 0.31, samples=50
+            FIG_PROTOCOL, *row(LinkPair(0.8, 0.5), 0.31), samples=50
         )
-        assert np.all(np.isfinite(probe.rate))
+        assert np.all(np.isfinite(probe.rate[0]))
 
     def test_lambda_max_domain(self):
         with pytest.raises(DomainError):
-            verify_lambda_minimization(FIG_PROTOCOL, LinkPair(0.8, 0.5), 0.2)
+            verify_lambda_minimization(FIG_PROTOCOL, *row(LinkPair(0.8, 0.5), 0.2))
 
     def test_rate_split_matches_closed_form(self):
         link = LinkPair(0.8, 0.5)
-        probe = verify_lambda_minimization(FIG_PROTOCOL, link, 1.5, samples=20)
-        for lam, rate in zip(probe.lam, probe.rate):
+        probe = verify_lambda_minimization(FIG_PROTOCOL, *row(link, 1.5), samples=20)
+        for lam, rate in zip(probe.lam[0], probe.rate[0]):
             direct = key_rate_closed_asym(FIG_PROTOCOL, link, lam, lam).rate
             assert rel_err(float(rate), direct) <= 1e-12
 
@@ -278,9 +302,9 @@ class TestLambdaMinimization:
         wa, wb = 1.3, 2.0
         kappa = (1.0 - 0.8) * wa + (1.0 - 0.5) * wb
         lam_opt = kappa + link.u * g_max(wa, wb)
-        probe = verify_lambda_minimization(FIG_PROTOCOL, link, lam_opt, samples=60)
+        probe = verify_lambda_minimization(FIG_PROTOCOL, *row(link, lam_opt), samples=60)
         target = key_rate_min_thermal(FIG_PROTOCOL, link, wa, wb).rate
-        assert rel_err(float(probe.rate[-1]), target) <= 1e-9
+        assert rel_err(float(probe.rate[0, -1]), target) <= 1e-9
 
 
 class TestVerificationSuite:
@@ -301,8 +325,8 @@ class TestVerificationSuite:
 
 
 def reference_suite(seed=7, scenarios=100, samples=200):
-    """The suite as one verifier call and one single-point anchor per
-    scenario: the per-scenario loop the batched suite replaced."""
+    """The suite as one one-row verifier call and one single-point anchor
+    per scenario: the per-scenario loop the batched suite replaced."""
     rng = np.random.default_rng(seed)
     checks = {}
 
@@ -323,12 +347,12 @@ def reference_suite(seed=7, scenarios=100, samples=200):
         link = LinkPair(tau, tau)
         wa, wb = rng.uniform(1.1, 5.0, size=2)
         l = rng.uniform(-0.85, 0.5) * g_max(wa, wb)
-        probe = verify_monotone_thermal(protocol, link, wa, wb, l, samples=samples)
-        worst = min(worst, probe.worst_margin)
-        failures += not probe.verdict
+        probe = verify_monotone_thermal(protocol, *row(link, wa, wb, l), samples=samples)
+        worst = min(worst, probe.worst_margin[0])
+        failures += not probe.verdict[0]
         lam0 = effective_noise(tau, tau, wa, wb, l, -l)[0]
         anchor = key_rate_closed_sym(protocol, tau, lam0, lam0).rate
-        endpoint = max(endpoint, rel_err(float(probe.rate[0]), anchor))
+        endpoint = max(endpoint, rel_err(float(probe.rate[0, 0]), anchor))
     checks["monotone_thermal"] = summary(failures, worst, endpoint)
 
     worst, endpoint, failures = math.inf, 0.0, 0
@@ -340,20 +364,20 @@ def reference_suite(seed=7, scenarios=100, samples=200):
         else:
             link = proofs._draw_asym_link(rng)
         chi = chi_equivalent(link, rng.uniform(0.01, 0.8))
-        probe = verify_monotone_chi(protocol, link, chi, samples=samples)
-        worst = min(worst, probe.worst_margin)
-        failures += not probe.verdict
+        probe = verify_monotone_chi(protocol, *row(link, chi), samples=samples)
+        worst = min(worst, probe.worst_margin[0])
+        failures += not probe.verdict[0]
         anchor = key_rate_min_chi(protocol, link, chi).rate
-        endpoint = max(endpoint, rel_err(float(probe.rate[0]), anchor))
+        endpoint = max(endpoint, rel_err(float(probe.rate[0, 0]), anchor))
     checks["monotone_chi"] = summary(failures, worst, endpoint)
 
     worst, failures = math.inf, 0
     for i in range(scenarios):
         link = proofs._draw_asym_link(rng)
         chi = chi_equivalent(link, rng.uniform(0.01, 1.0))
-        probe = verify_p_prime_positive(link, chi, samples=samples)
-        worst = min(worst, probe.worst_margin)
-        failures += not probe.verdict
+        probe = verify_p_prime_positive(*row(link, chi), samples=samples)
+        worst = min(worst, probe.worst_margin[0])
+        failures += not probe.verdict[0]
     checks["p_prime_positive"] = summary(failures, worst)
 
     worst, endpoint, failures = math.inf, 0.0, 0
@@ -368,18 +392,18 @@ def reference_suite(seed=7, scenarios=100, samples=200):
         lam_opt = min_thermal_noise(link.tau_a, link.tau_b, wa, wb)[0]
         if lam_opt <= link.delta_tau + 2e-9:
             lam_opt = link.delta_tau + 0.5
-        probe = verify_lambda_minimization(protocol, link, lam_opt, samples=samples)
-        worst = min(worst, probe.worst_margin)
-        failures += not probe.verdict
+        probe = verify_lambda_minimization(protocol, *row(link, lam_opt), samples=samples)
+        worst = min(worst, probe.worst_margin[0])
+        failures += not probe.verdict[0]
         anchor = key_rate_closed_asym(protocol, link, lam_opt, lam_opt).rate
-        endpoint = max(endpoint, rel_err(float(probe.rate[-1]), anchor))
+        endpoint = max(endpoint, rel_err(float(probe.rate[0, -1]), anchor))
     checks["lambda_minimization"] = summary(failures, worst, endpoint)
 
     disagreements = 0
     for _ in range(scenarios):
         link = proofs._draw_asym_link(rng)
         chi = (link.beta ** 2 / link.alpha) * rng.uniform(1.05, 4.0)
-        disagreements += not classify_nu_regions(link, chi).agree
+        disagreements += not classify_nu_regions(*row(link, chi)).agree[0]
     checks["classify_nu_regions"] = {
         "scenarios": scenarios, "samples": 65, "failures": disagreements,
         "pass": disagreements == 0,
@@ -409,21 +433,32 @@ class TestBatchedSuite:
                         assert new["worst_endpoint_rel_err"] == 0.0, name
 
     def test_kernel_calls_do_not_grow_with_scenarios(self, monkeypatch):
-        # one profile and one anchor call per check, whatever the xi mix
-        calls = []
+        # one profile and one anchor call per check, whatever the xi mix,
+        # and one call of each public verifier
+        calls, verifier_calls = [], []
         original = keyrate.rate_kernel
 
         def counted(*args):
             calls.append(1)
             return original(*args)
 
+        def counted_verifier(name, verifier):
+            def call(*args, **kwargs):
+                verifier_calls.append(name)
+                return verifier(*args, **kwargs)
+            return call
+
         for module in (keyrate, attack, proofs):
             monkeypatch.setattr(module, "rate_kernel", counted)
+        for name in VERIFIERS:
+            monkeypatch.setattr(proofs, name, counted_verifier(name, getattr(proofs, name)))
         counts = []
         for scenarios in (4, 40):
             calls.clear()
+            verifier_calls.clear()
             run_verification_suite(seed=7, scenarios=scenarios, samples=40)
             counts.append(len(calls))
+            assert sorted(verifier_calls) == sorted(VERIFIERS), scenarios
         assert counts[0] == counts[1] == 6
 
     def test_mixed_xi_batch_matches_parity_groups(self):
@@ -440,26 +475,22 @@ class TestBatchedSuite:
         ta, tb, epsilon = proofs._draw_links(rng, n, 0.999, (0.01, 0.8))
         lam_max = abs(ta - tb) + rng.uniform(0.1, 1.0, n)
         cases = [
-            (proofs._monotone_thermal_rows, (tau, tau, wa, wb, u * g_max(wa, wb))),
-            (proofs._monotone_chi_rows, (ta, tb, excess_chi(ta, tb, epsilon))),
-            (proofs._lambda_rows, (ta, tb, lam_max)),
+            (verify_monotone_thermal, (tau, tau, wa, wb, u * g_max(wa, wb))),
+            (verify_monotone_chi, (ta, tb, excess_chi(ta, tb, epsilon))),
+            (verify_lambda_minimization, (ta, tb, lam_max)),
         ]
 
-        def leaves(x):
-            if isinstance(x, tuple):
-                for v in x:
-                    yield from leaves(v)
-            else:
-                yield x
+        def leaves(probe):
+            return [getattr(probe, f.name) for f in dataclasses.fields(probe)]
 
-        for rows, args in cases:
-            got = list(leaves(rows(mixed, *args, samples)))
+        for verifier, args in cases:
+            got = leaves(verifier(mixed, *args, samples))
             for rows_of, protocol in groups:
-                want = list(leaves(rows(protocol, *(a[rows_of] for a in args), samples)))
+                want = leaves(verifier(protocol, *(a[rows_of] for a in args), samples))
                 assert len(got) == len(want)
                 for g, w in zip(got, want):
                     if isinstance(w, np.ndarray):
                         assert g[rows_of].shape == w.shape
-                        assert g[rows_of].tobytes() == w.tobytes(), rows.__name__
+                        assert g[rows_of].tobytes() == w.tobytes(), verifier.__name__
                     else:
-                        assert g == w, rows.__name__
+                        assert g == w, verifier.__name__
