@@ -10,10 +10,9 @@ every level is symmetric about the bisector even where the window is
 clipped at the edge of the square.  Grid rates come from the one rate
 kernel (:func:`cvmdi.keyrate.rate_kernel`) on the physical and
 admissible lattice points, with the physicality test and noise algebra of
-:mod:`cvmdi.core`; the reported minimum is re-evaluated through
-:func:`cvmdi.keyrate.key_rate`, which runs the same code on the single
-ancilla and reports its intermediates.  The thermal rate profiles run
-through the same lattice evaluation.
+:mod:`cvmdi.core`; the reported minimum is the lattice's own rate.  The
+thermal rate profiles run through the same lattice evaluation, with
+:func:`cvmdi.keyrate.decoupled_rate` at the decoupled samples.
 
 Lattice points that are physical but outside the kernel's domain
 (:func:`cvmdi.keyrate.in_domain`: sqrt(lam lam') below |dtau|, or a
@@ -24,7 +23,7 @@ nonpositive effective noise) are excluded from the argmin and counted in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -46,7 +45,8 @@ from .core import (
     require_omega,
     require_unit,
 )
-from .keyrate import in_domain, key_rate, key_rate_min_thermal, rate_kernel
+from .keyrate import decoupled, decoupled_rate, in_domain, rate_kernel
+from .keyrate import key_rate_min_thermal
 
 
 REFINE_MARGIN = 2
@@ -196,13 +196,12 @@ def min_rate_brute(
         n_skip += int((phys & ~adm).sum())
         if mask.any():  # a zoom window misses only single-point domains
             g_star, gp_star = _argmin_tiebreak(g, gp, rates, mask)
+            rate_star = float(rates.min())  # +inf off the mask
         elif not level:
             raise EmptyDomainError(
                 "no admissible lattice point in the physical correlation region"
             )
 
-    ancilla = AncillaState(omega_a, omega_b, g_star, gp_star)
-    rate_star = key_rate(protocol, link, ancilla).rate
     analytic = key_rate_min_thermal(protocol, link, omega_a, omega_b).rate
     gm = g_max(omega_a, omega_b)
     return ArgMinReport(
@@ -308,18 +307,11 @@ def _thermal_profiles(protocol, tau_a, tau_b, omega_a, omega_b, l, samples):
     d = np.where(frozen[:, None], np.linspace(0.0, top, samples).T, d)
     present = (spread | frozen)[:, None] | (np.arange(samples) == 0)
     ta, tb, wa, wb, lc, uc = (x[:, None] for x in (tau_a, tau_b, omega_a, omega_b, l, u))
-    rates, physical, admissible = _grid_rates(protocol, ta, tb, wa, wb, d + lc, d - lc)
-    ok = present & physical & admissible
-    xi = np.broadcast_to(protocol.xi, (u.size, 1))
-    for r, k in zip(*np.nonzero(present & physical & ~admissible)):
-        # key_rate defines the lossless symmetric point outside the kernel
-        ancilla = AncillaState(omega_a[r], omega_b[r], d[r, k] + l[r], d[r, k] - l[r])
-        row = replace(protocol, xi=float(xi[r, 0]))
-        try:
-            rates[r, k] = key_rate(row, LinkPair(tau_a[r], tau_b[r]), ancilla).rate
-        except DomainError:
-            continue
-        ok[r, k] = True
+    g, gp = d + lc, d - lc
+    rates, physical, admissible = _grid_rates(protocol, ta, tb, wa, wb, g, gp)
+    free = decoupled(ta, tb, *effective_noise(ta, tb, wa, wb, g, gp))
+    rates = np.where(free, decoupled_rate(protocol.mu, protocol.xi), rates)
+    ok = present & physical & (admissible | free)
     return _profiles("thermal", present, ok, uc * uc * d * d, d, rates)
 
 
@@ -364,8 +356,8 @@ def rate_profile_y(
     projection l is held, d' varies, y = u^2 d'^2.  The samples are the
     general rate at the ancillas (d' + l, d' - l), evaluated as one
     lattice; nonphysical points are skipped, and so are points outside the
-    kernel's domain unless :func:`cvmdi.keyrate.key_rate` defines them
-    (lossless symmetric links).
+    kernel's domain but for :func:`cvmdi.keyrate.decoupled` ones (lossless
+    symmetric links), which get :func:`cvmdi.keyrate.decoupled_rate`.
 
     Fixed-chi mode (pass ``chi``): y = sqrt(u^2 d'^2 + (alpha chi / beta)^2)
     runs over :func:`chi_y_domain`; the samples come from the array kernel

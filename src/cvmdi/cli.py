@@ -20,8 +20,7 @@ import functools
 import json
 import sys
 
-from .core import LinkPair, ParameterError, ProtocolParams, chi_equivalent, require
-from .keyrate import key_rate_min_chi, key_rate_min_thermal
+from .core import LinkPair, ParameterError, ProtocolParams, require
 from .attack import AttackGrid, min_rate_brute
 from .proofs import run_verification_suite
 from .optics import check_self_alignment
@@ -143,30 +142,10 @@ def _knowledge_from(args: argparse.Namespace):
 def _cmd_rate(args: argparse.Namespace) -> int:
     protocol = ProtocolParams(xi=args.xi, phi=args.phi, epsilon=args.epsilon)
     link = LinkPair(args.tau_a, args.tau_b)
-    knowledge = _knowledge_from(args)
-    if isinstance(knowledge, ThermalKnowledge):
-        report = key_rate_min_thermal(protocol, link, knowledge.omega_a, knowledge.omega_b)
-    else:
-        report = key_rate_min_chi(protocol, link, chi_equivalent(link, args.epsilon))
-    payload = {
-        "tau_a": args.tau_a,
-        "tau_b": args.tau_b,
-        "xi": args.xi,
-        "phi": args.phi,
-        "epsilon": args.epsilon,
-        "knowledge": args.knowledge,
-        "chi": report.chi,
-        "rate": report.rate,
-        "i_ab": report.i_ab,
-        "i_ea": report.i_ea,
-        "nu": report.nu,
-        "nu1": report.nu1,
-        "nu2": report.nu2,
-        "nu3": report.nu3,
-        "secure": report.secure,
-        "formula_tag": report.formula_tag,
-    }
-    _emit(json.dumps(payload) + "\n", args.output)
+    report = _knowledge_from(args).report(protocol, link)
+    inputs = {name: getattr(args, name)
+              for name in ("tau_a", "tau_b", "xi", "phi", "epsilon", "knowledge")}
+    _emit(json.dumps({**inputs, **dataclasses.asdict(report)}) + "\n", args.output)
     state = "secure" if report.secure else "insecure"
     print(f"rate {report.rate:.6f} bits/use ({state}) via {report.formula_tag}",
           file=sys.stderr)

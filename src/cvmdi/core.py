@@ -63,10 +63,13 @@ class ParameterError(ValueError):
 
 def require(ok, name: str, rule: str, value) -> None:
     """Raise :class:`ParameterError` "<name> must <rule>, got <value>" unless
-    ``ok`` (a bool, or a boolean array that must hold everywhere).  Rules are
-    written in accepting form, ``0.0 < x < math.inf`` rather than ``x <= 0.0``,
-    so that NaN and the infinities fail them."""
+    ``ok`` (a bool, or a boolean array that must hold everywhere: <value> is
+    its first failing element and flat index).  Rules are written in accepting
+    form, ``0.0 < x < math.inf`` not ``x <= 0.0``, so NaN and infinities fail."""
     if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        if isinstance(ok, np.ndarray):
+            k = int(np.flatnonzero(~ok)[0])
+            value = f"{np.broadcast_to(value, ok.shape).flat[k]} at index {k}"
         raise ParameterError(name, f"must {rule}, got {value}")
 
 
@@ -187,15 +190,11 @@ class DerivedNoise:
 class AttackCoords:
     """Rotated correlation coordinates: ``d`` is the distance of
     ``(g, g_prime)`` from the anticorrelation bisector g = -g', ``d_prime``
-    the signed half-sum, ``l`` the bisector projection.  ``y`` is the
-    monotonicity variable of the proof checks; its definition depends on
-    the knowledge model, so it is optional here and reported alongside the
-    sampled profiles instead."""
+    the signed half-sum, ``l`` the bisector projection."""
 
     d: float
     d_prime: float
     l: float
-    y: float | None = None
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,9 @@ is the asymmetric closed form with its log2(1/|dtau|) cancelled against
 h(s/|dtau|) analytically, so it holds no 1/|dtau| term: it stays accurate
 as |dtau| -> 0 and at dtau = 0, where tail(0) = log2(e/2), it is exactly
 the symmetric closed form.  Its domain is lam, lam' > 0 with
-sqrt(lam lam') >= |dtau|; the one special case is lossless symmetric
-links (lam = lam' = 0 at dtau = 0), where the adversary is decoupled and
-R = xi log2(mu / 4).
+sqrt(lam lam') >= |dtau|.  Outside it only the :func:`decoupled` point
+(lossless symmetric links, lam = lam' = 0 at dtau = 0) has a rate,
+R = xi log2(mu / 4) (:func:`decoupled_rate`).
 
 The public functions only pick (lam, lam', chi) through the noise algebra
 of :mod:`cvmdi.core` and check the domain, and return a
@@ -59,9 +59,9 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class KeyRateReport:
-    """Rate plus the intermediates that produced it.
+    """Rate plus the intermediates that produced it, in ``rate``'s JSON order.
 
     ``rate = xi * i_ab - i_ea`` holds on every path; ``secure`` is simply
     ``rate > 0``.  The kernel's nu is reported as ``nu1`` on symmetric
@@ -69,16 +69,16 @@ class KeyRateReport:
     asymmetric minimized-chi path.
     """
 
+    chi: float
     rate: float
     i_ab: float
     i_ea: float
-    chi: float
-    secure: bool
-    formula_tag: str
     nu: float | None = None
     nu1: float | None = None
     nu2: float | None = None
     nu3: float | None = None
+    secure: bool
+    formula_tag: str
 
 
 def rate_kernel(mu, xi, tau_a, tau_b, lam, lam_prime, chi):
@@ -103,6 +103,17 @@ def in_domain(tau_a, tau_b, lam, lam_prime):
     (tau_a + lam)(tau_a + lam') >= (tau_a + s)^2 >= tau_b^2.)"""
     floor = abs(tau_a - tau_b) * (1.0 - H_CLAMP_TOL)
     return (lam > 0.0) & (lam_prime > 0.0) & (lam * lam_prime >= floor * floor)
+
+
+def decoupled(tau_a, tau_b, lam, lam_prime):
+    """Where the adversary is decoupled: lam = lam' = 0 at dtau = 0 (lossless
+    symmetric links), outside :func:`in_domain`; floats or arrays."""
+    return (lam == 0.0) & (lam_prime == 0.0) & (tau_a == tau_b)
+
+
+def decoupled_rate(mu, xi):
+    """Rate xi log2(mu / 4) at :func:`decoupled` points (chi = 4, I_EA = 0)."""
+    return xi * mutual_information(mu, 4.0)
 
 
 def min_thermal_noise(tau_a, tau_b, omega_a, omega_b):
@@ -138,15 +149,10 @@ def _report(
     nu2: float | None = None,
 ) -> KeyRateReport:
     mu, xi = protocol.mu, protocol.xi
-    if lam == 0.0 and lam_prime == 0.0 and link.delta_tau == 0.0:
-        # lossless symmetric links: the adversary is decoupled
-        i_ab = mutual_information(mu, 4.0)
-        rate = xi * i_ab
-        return KeyRateReport(
-            rate=rate, i_ab=i_ab, i_ea=0.0, chi=4.0,
-            secure=rate > 0.0, formula_tag=tag, nu1=1.0,
-        )
-    rate, nu = _kernel_at(mu, xi, link, lam, lam_prime, chi)
+    if decoupled(link.tau_a, link.tau_b, lam, lam_prime):  # then i_ea = 0.0 exactly
+        chi, rate, nu = 4.0, decoupled_rate(mu, xi), 1.0
+    else:
+        rate, nu = _kernel_at(mu, xi, link, lam, lam_prime, chi)
     i_ab = mutual_information(mu, chi)
     nus = {"nu1": nu} if link.is_symmetric else {"nu": nu}
     return KeyRateReport(

@@ -83,9 +83,13 @@ class SchemeConfig:
     drift_rate_b: float | np.ndarray = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("phi_fiber_a", "phi_fiber_b", "drift_rate_a", "drift_rate_b"):
+            value = getattr(self, name)
+            require(np.isfinite(value), name, "be finite", value)
         for name in ("alice_encoding", "bob_encoding"):
             encoding = getattr(self, name)
-            require(abs(encoding) > 0.0, name, "be a nonzero mean field", encoding)
+            require(np.isfinite(encoding) & (abs(encoding) > 0.0), name,
+                    "be a finite nonzero mean field", encoding)
 
 
 @dataclass(frozen=True)
@@ -146,24 +150,24 @@ class Encoder:
 PathStep = Splitter | Fiber | FaradayMirror | Encoder
 
 
-def left_path(config: SchemeConfig) -> list[PathStep]:
-    """Relay -> fiber A -> mirror A -> back -> cross link -> fiber B ->
-    mirror B (Bob encodes, + pi/2) -> back to the relay splitter."""
-    fa, fb = config.phi_fiber_a, config.phi_fiber_b
-    ra, rb = config.drift_rate_a, config.drift_rate_b
-    return [
-        Splitter("pbs_a", "transmit"),
-        Fiber("fiber_a", fa + ra * 0),
-        FaradayMirror("fm_a"),
-        Fiber("fiber_a", fa + ra * 1),
-        Splitter("pbs_a", "reflect"),
-        Splitter("pbs_b", "reflect"),
-        Fiber("fiber_b", fb + rb * 2),
-        FaradayMirror("fm_b"),
-        Encoder("encode_bob", config.bob_encoding, BOB_EXTRA_PHASE),
-        Fiber("fiber_b", fb + rb * 3),
-        Splitter("pbs_b", "transmit"),
+def _arm(config: SchemeConfig, near: str, far: str, *encoder) -> list[PathStep]:
+    """Relay -> fiber and mirror ``near`` -> back -> fiber and mirror ``far``
+    (``Encoder(*encoder)`` acts) -> back; fiber passes use drift slots 0..3."""
+    def fiber(side: str, slot: int) -> Fiber:
+        rate = getattr(config, f"drift_rate_{side}")
+        return Fiber(f"fiber_{side}", getattr(config, f"phi_fiber_{side}") + rate * slot)
+
+    return [  # out to the near mirror and back, then out to the far one and back
+        Splitter(f"pbs_{near}", "transmit"), fiber(near, 0), FaradayMirror(f"fm_{near}"),
+        fiber(near, 1), Splitter(f"pbs_{near}", "reflect"),
+        Splitter(f"pbs_{far}", "reflect"), fiber(far, 2), FaradayMirror(f"fm_{far}"),
+        Encoder(*encoder), fiber(far, 3), Splitter(f"pbs_{far}", "transmit"),
     ]
+
+
+def left_path(config: SchemeConfig) -> list[PathStep]:
+    """Fiber A first, then Bob's mirror, where Bob encodes (+ pi/2)."""
+    return _arm(config, "a", "b", "encode_bob", config.bob_encoding, BOB_EXTRA_PHASE)
 
 
 def right_path(config: SchemeConfig, skip_fiber_a: bool = False) -> list[PathStep]:
@@ -173,21 +177,7 @@ def right_path(config: SchemeConfig, skip_fiber_a: bool = False) -> list[PathSte
     (the A-side excursion happens without traversing fiber A), which makes
     the relative phase drift-sensitive.
     """
-    fa, fb = config.phi_fiber_a, config.phi_fiber_b
-    ra, rb = config.drift_rate_a, config.drift_rate_b
-    steps: list[PathStep] = [
-        Splitter("pbs_b", "transmit"),
-        Fiber("fiber_b", fb + rb * 0),
-        FaradayMirror("fm_b"),
-        Fiber("fiber_b", fb + rb * 1),
-        Splitter("pbs_b", "reflect"),
-        Splitter("pbs_a", "reflect"),
-        Fiber("fiber_a", fa + ra * 2),
-        FaradayMirror("fm_a"),
-        Encoder("encode_alice", config.alice_encoding),
-        Fiber("fiber_a", fa + ra * 3),
-        Splitter("pbs_a", "transmit"),
-    ]
+    steps = _arm(config, "b", "a", "encode_alice", config.alice_encoding)
     if skip_fiber_a:
         steps = [s for s in steps if not (isinstance(s, Fiber) and s.name == "fiber_a")]
     return steps

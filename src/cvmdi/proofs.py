@@ -147,11 +147,9 @@ def _chi_nus(tau_a, tau_b, chi, y):
     tau_a, tau_b, chi = tau_a[:, None], tau_b[:, None], chi[:, None]
     alpha, beta, dtau = tau_a * tau_b, tau_a + tau_b, abs(tau_a - tau_b)
     sym = dtau < SYMMETRIC_TAU_TOL
-    tau = 0.5 * beta
     denom = np.where(sym, 1.0, dtau ** 2)  # beta^2 - 4 alpha, without its cancellation
-    a1 = np.where(sym, 2.0 / tau, 2.0 / tau_b)
-    b1 = np.where(sym, chi * chi / 4.0 + 1.0, 1.0 + tau_a ** 2 * chi ** 2 / beta ** 2)
-    a2 = np.where(sym, 4.0 / tau, 2.0 * beta / denom)
+    a1, b1 = 2.0 / tau_b, 1.0 + tau_a ** 2 * chi ** 2 / beta ** 2
+    a2 = np.where(sym, 8.0 / beta, 2.0 * beta / denom)
     b2 = np.where(sym, chi * chi / 4.0 + 4.0,
                   (beta * beta + alpha ** 2 * chi ** 2 / beta ** 2) / denom)
     nu1 = np.sqrt(np.maximum(b1 - a1 * y, 0.0))

@@ -2,11 +2,12 @@
 
 Sweeps evaluate the minimized rate formulas on a deterministic (tau_a
 outer, tau_b inner, both ascending) lattice into a :class:`SweepTable` of
-columns: every cell inside the rate kernel's domain in one kernel call,
-the rest through the single-point functions.  Cells whose rate formula is
-undefined get a NaN rate and the single-point error message instead of
-aborting the sweep.  Output is CSV or JSON with 9 significant digits; CSV
-round-trips byte-identically.
+columns.  The knowledge model gives the worst-case (lam, chi) of arrays of
+links, which make the cells inside the rate kernel's domain one kernel
+call, and the single-point report of each other cell.  Cells whose rate
+formula is undefined get a NaN rate and the report's error message instead
+of aborting the sweep.  Output is CSV or JSON with 9 significant digits;
+CSV round-trips byte-identically.
 """
 
 from __future__ import annotations
@@ -17,21 +18,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, LinkPair, ProtocolParams, bisector_lam, excess_chi
-from .core import require, require_count, require_omega, require_unit
-from .keyrate import in_domain, min_thermal_noise, rate_kernel
+from .core import DomainError, LinkPair, ProtocolParams, bisector_lam, chi_equivalent
+from .core import excess_chi, require, require_count, require_omega, require_unit
+from .keyrate import KeyRateReport, in_domain, min_thermal_noise, rate_kernel
 from .keyrate import key_rate_min_chi, key_rate_min_thermal
 
 
 @dataclass(frozen=True)
 class ChiKnowledge:
     """Equivalent-noise knowledge model: chi = 2 beta / alpha + epsilon
-    per lattice cell, with epsilon taken from the protocol parameters."""
+    per link, with epsilon taken from the protocol parameters, and lam on
+    the bisector."""
+
+    def noise(self, protocol: ProtocolParams, tau_a, tau_b):
+        chi = excess_chi(tau_a, tau_b, protocol.epsilon)
+        return bisector_lam(tau_a, tau_b, chi), chi
+
+    def report(self, protocol: ProtocolParams, link: LinkPair) -> KeyRateReport:
+        return key_rate_min_chi(protocol, link, chi_equivalent(link, protocol.epsilon))
 
 
 @dataclass(frozen=True)
 class ThermalKnowledge:
-    """Thermal-noise knowledge model with fixed ancilla variances."""
+    """Thermal-noise knowledge model with fixed ancilla variances, worst at
+    (lam_opt, chi_opt)."""
 
     omega_a: float
     omega_b: float
@@ -39,6 +49,12 @@ class ThermalKnowledge:
     def __post_init__(self) -> None:
         require_omega("omega_a", self.omega_a)
         require_omega("omega_b", self.omega_b)
+
+    def noise(self, protocol: ProtocolParams, tau_a, tau_b):
+        return min_thermal_noise(tau_a, tau_b, self.omega_a, self.omega_b)
+
+    def report(self, protocol: ProtocolParams, link: LinkPair) -> KeyRateReport:
+        return key_rate_min_thermal(protocol, link, self.omega_a, self.omega_b)
 
 
 Knowledge = ChiKnowledge | ThermalKnowledge
@@ -114,38 +130,19 @@ def distance_to_tau(d_km: float, loss_db_per_km: float = 0.2) -> float:
     return 10.0 ** (-loss_db_per_km * d_km / 10.0)
 
 
-def _eval_cell(
-    protocol: ProtocolParams, knowledge: Knowledge, tau_a: float, tau_b: float
-) -> tuple[float, float, str | None]:
-    """(chi, rate, error) of one cell by the single-point functions."""
-    link = LinkPair(tau_a, tau_b)
-    chi = math.nan
-    try:
-        if isinstance(knowledge, ThermalKnowledge):
-            wa, wb = knowledge.omega_a, knowledge.omega_b
-            report = key_rate_min_thermal(protocol, link, wa, wb)
-        else:
-            chi = excess_chi(tau_a, tau_b, protocol.epsilon)
-            report = key_rate_min_chi(protocol, link, chi)
-    except DomainError as exc:
-        return chi, math.nan, str(exc)
-    return report.chi, report.rate, None
-
-
 def _eval_cells(
     protocol: ProtocolParams,
     knowledge: Knowledge,
     tau_a: np.ndarray,
     tau_b: np.ndarray,
 ) -> SweepTable:
-    """Table of the cells (tau_a[k], tau_b[k]), each equal to
-    :func:`_eval_cell` bit for bit: the in-domain cells are one kernel
-    call, the others go through :func:`_eval_cell` itself."""
-    if isinstance(knowledge, ThermalKnowledge):
-        lam, chi = min_thermal_noise(tau_a, tau_b, knowledge.omega_a, knowledge.omega_b)
-    else:
-        chi = excess_chi(tau_a, tau_b, protocol.epsilon)
-        lam = bisector_lam(tau_a, tau_b, chi)
+    """Table of the cells (tau_a[k], tau_b[k]), each equal to the
+    knowledge model's single-point report bit for bit: the in-domain cells
+    are one kernel call, the others go through the report itself.  A cell
+    whose report fails keeps the model's chi: the given chi of the chi
+    model, and NaN under the thermal model, whose lam_opt = kappa + u g_max
+    >= kappa >= |dtau| is in the domain unless it overflowed to NaN."""
+    lam, chi = knowledge.noise(protocol, tau_a, tau_b)
     ok = in_domain(tau_a, tau_b, lam, lam)
     rate = np.full(tau_a.shape, math.nan)
     rate[ok] = rate_kernel(
@@ -153,10 +150,13 @@ def _eval_cells(
     )[0]
     errors = {}
     for k in np.flatnonzero(~ok).tolist():
-        ta, tb = float(tau_a[k]), float(tau_b[k])
-        chi[k], rate[k], error = _eval_cell(protocol, knowledge, ta, tb)
-        if error is not None:
-            errors[k] = error
+        link = LinkPair(float(tau_a[k]), float(tau_b[k]))
+        try:
+            report = knowledge.report(protocol, link)
+        except DomainError as exc:
+            errors[k] = str(exc)
+        else:
+            chi[k], rate[k] = report.chi, report.rate
     return SweepTable(tau_a, tau_b, chi, rate, errors)
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import mp_oracle
+import cvmdi.keyrate as keyrate_module
 from cvmdi import (
     AncillaState,
     AttackGrid,
@@ -34,6 +35,7 @@ from cvmdi.attack import (
     _axis,
     _grid_rates,
     _physical_dprime_max,
+    _thermal_profiles,
 )
 
 FAST_GRID = AttackGrid(n=101, refine_n=201)
@@ -419,6 +421,61 @@ class TestRateProfileThermalLattice:
                 ProtocolParams(), LinkPair(1.0, 1.0),
                 omegas=(2.0, 2.0), l=2.0, samples=20,
             )
+
+
+def count_reports(monkeypatch) -> list:
+    """Record every call of the single-point report builder keyrate._report."""
+    calls, original = [], keyrate_module._report
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(keyrate_module, "_report", counting)
+    return calls
+
+
+class TestArrayPathsSkipSinglePointReports:
+    """The certificate and the profiles evaluate every point in the array
+    path; a single-point report is built only for the analytic minimum."""
+
+    @pytest.mark.parametrize("link, omegas", [
+        (LinkPair(0.9, 0.7), (2.0, 2.0)),
+        (LinkPair(0.8, 0.8), (1.3, 2.5)),
+        (LinkPair(0.6, 0.95), (3.0, 1.5)),
+    ])
+    def test_min_rate_brute_reports_once(self, monkeypatch, link, omegas):
+        protocol = ProtocolParams()
+        calls = count_reports(monkeypatch)
+        report = min_rate_brute(protocol, link, *omegas, FAST_GRID)
+        assert len(calls) == 1  # key_rate_min_thermal's analytic minimum
+        # the lattice's own rate at the argmin is the general rate there
+        ancilla = AncillaState(*omegas, report.g_star, report.g_prime_star)
+        assert report.rate_star == key_rate(protocol, link, ancilla).rate  # 0 ulp
+
+    def test_lossless_profile_reports_nothing(self, monkeypatch):
+        protocol, link = ProtocolParams(), LinkPair(1.0, 1.0)
+        calls = count_reports(monkeypatch)
+        profile = rate_profile_y(protocol, link, omegas=(2.0, 2.0), l=0.1, samples=200)
+        assert calls == []
+        monkeypatch.undo()
+        ys, rates, skipped = _thermal_profile_by_sample(
+            protocol, link, (2.0, 2.0), 0.1, 200)
+        assert profile.rate.size == 200
+        assert np.array_equal(profile.y, ys)
+        assert np.array_equal(profile.rate, rates)  # 0 ulp
+        assert profile.skipped == skipped
+
+    def test_lossless_rows_take_their_own_xi(self):
+        # a batch with one xi per row: each decoupled row gets xi log2(mu / 4)
+        xi = np.array([[1.0], [0.97], [0.5]])
+        ones, omegas = np.ones(3), np.array([2.0, 1.5, 3.0])
+        prof = _thermal_profiles(ProtocolParams(xi=xi), ones, ones, omegas, omegas,
+                                 np.array([0.1, 0.0, -0.2]), 20)
+        for row, x in enumerate(xi[:, 0]):
+            ancilla = AncillaState(omegas[row], omegas[row], 0.0, 0.0)
+            want = key_rate(ProtocolParams(xi=x), LinkPair(1.0, 1.0), ancilla).rate
+            assert np.all(prof.rate[row] == want)
 
 
 class TestRateProfileChi:

@@ -2,8 +2,10 @@
 byte-level determinism."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +77,39 @@ class TestRate:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["secure"] is True
+
+
+def readme_rate_keys() -> list[str]:
+    """The keys of the README's `rate` JSON schema, in its order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    schema = readme.split("`rate` emits a single JSON object:", 1)[1].split("```", 2)[1]
+    return re.findall(r'"(\w+)":', schema)
+
+
+class TestRateSchema:
+    @pytest.mark.parametrize("argv", [
+        ("--tau-a", "0.98", "--tau-b", "0.6"),
+        ("--tau-a", "0.9", "--tau-b", "0.9"),
+        ("--tau-a", "0.9", "--tau-b", "0.8", "--knowledge", "thermal",
+         "--omega-a", "1.5", "--omega-b", "2"),
+        # lossless symmetric links: the decoupled corner
+        ("--tau-a", "1", "--tau-b", "1", "--knowledge", "thermal",
+         "--omega-a", "1.5", "--omega-b", "2"),
+    ], ids=["chi-asymmetric", "chi-symmetric", "thermal", "thermal-decoupled"])
+    def test_keys_in_readme_order(self, capsys, argv):
+        keys = readme_rate_keys()
+        assert len(keys) == 16 and keys[:2] == ["tau_a", "tau_b"]
+        code, out, _ = run_cli(capsys, "rate", *argv)
+        assert code == 0
+        assert list(json.loads(out)) == keys
+
+    def test_decoupled_corner(self, capsys):
+        _, out, _ = run_cli(capsys, "rate", "--tau-a", "1", "--tau-b", "1",
+                            "--knowledge", "thermal", "--omega-a", "1.5", "--omega-b", "2")
+        payload = json.loads(out)
+        assert (payload["chi"], payload["i_ea"], payload["nu1"]) == (4.0, 0.0, 1.0)
+        assert payload["rate"] == payload["xi"] * payload["i_ab"]
+        assert payload["formula_tag"] == "min-thermal-symmetric"
 
 
 class TestDeterminism:

@@ -16,6 +16,8 @@ from cvmdi import (
 )
 from cvmdi.optics import (
     BATCH,
+    BOB_EXTRA_PHASE,
+    Encoder,
     FaradayMirror,
     Fiber,
     Splitter,
@@ -129,6 +131,34 @@ class TestRoutingContracts:
                   for s in left_path(config)]
         with pytest.raises(RoutingError):
             run_path(broken)
+
+
+class TestArmLayout:
+    """Both arms are one near/far layout run from each side; each fiber pass
+    takes its own drift slot 0..3."""
+
+    CONFIG = SchemeConfig(phi_fiber_a=0.5, phi_fiber_b=0.25,
+                          drift_rate_a=1.0, drift_rate_b=2.0)
+    LEFT = ["pbs_a", "fiber_a", "fm_a", "fiber_a", "pbs_a",
+            "pbs_b", "fiber_b", "fm_b", "encode_bob", "fiber_b", "pbs_b"]
+    RIGHT = ["pbs_b", "fiber_b", "fm_b", "fiber_b", "pbs_b",
+             "pbs_a", "fiber_a", "fm_a", "encode_alice", "fiber_a", "pbs_a"]
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_steps_phases_and_trace(self, side):
+        steps = (left_path if side == "left" else right_path)(self.CONFIG)
+        names, phases, extra = ((self.LEFT, [0.5, 1.5, 4.25, 6.25], BOB_EXTRA_PHASE)
+                                if side == "left" else (self.RIGHT, [0.25, 2.25, 2.5, 3.5], 0.0))
+        assert [s.name for s in steps] == names
+        assert [s.port for s in steps if isinstance(s, Splitter)] == [
+            "transmit", "reflect", "reflect", "transmit"]
+        assert [s.phase for s in steps if isinstance(s, Fiber)] == phases
+        assert [s.extra_phase for s in steps if isinstance(s, Encoder)] == [extra]
+        assert run_path(steps, side).trace == names + [f"relay_bs[{side}]"]
+
+    def test_broken_control_drops_only_fiber_a(self):
+        steps = right_path(self.CONFIG, skip_fiber_a=True)
+        assert [s.name for s in steps] == [n for n in self.RIGHT if n != "fiber_a"]
 
 
 class TestWrap:

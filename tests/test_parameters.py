@@ -182,10 +182,32 @@ VERIFIER_CASES = {
 }
 
 
+# Fiber phases and drift rates must be finite, encodings finite and nonzero,
+# elementwise; keyed by test id.
+OPTICS_CASES = {
+    "phi_fiber_a-nan": ("phi_fiber_a", lambda: SchemeConfig(phi_fiber_a=NAN)),
+    "phi_fiber_b-inf": ("phi_fiber_b", lambda: SchemeConfig(phi_fiber_b=-INF)),
+    "phi_fiber_b-array": ("phi_fiber_b", lambda: SchemeConfig(
+        phi_fiber_b=np.array([0.0, 1.0, NAN]))),
+    "drift_rate_a-nan": ("drift_rate_a", lambda: SchemeConfig(drift_rate_a=NAN)),
+    "drift_rate_b-inf": ("drift_rate_b", lambda: SchemeConfig(drift_rate_b=INF)),
+    "drift_rate_a-array": ("drift_rate_a", lambda: SchemeConfig(
+        drift_rate_a=np.array([0.1, INF]))),
+    "alice_encoding-nan": ("alice_encoding", lambda: SchemeConfig(
+        alice_encoding=complex(NAN, 0.0))),
+    "bob_encoding-inf": ("bob_encoding", lambda: SchemeConfig(
+        bob_encoding=complex(INF, 1.0))),
+    "bob_encoding-array": ("bob_encoding", lambda: SchemeConfig(
+        bob_encoding=np.array([1.0, 1j, complex(1.0, INF)]))),
+}
+
+
 @pytest.mark.parametrize(
     "name, call",
-    CASES + list(ARRAY_AND_COUNT_CASES.values()) + list(VERIFIER_CASES.values()),
-    ids=[name for name, _ in CASES] + list(ARRAY_AND_COUNT_CASES) + list(VERIFIER_CASES))
+    CASES + [*ARRAY_AND_COUNT_CASES.values(), *VERIFIER_CASES.values(),
+             *OPTICS_CASES.values()],
+    ids=[name for name, _ in CASES] + [*ARRAY_AND_COUNT_CASES, *VERIFIER_CASES,
+                                       *OPTICS_CASES])
 def test_entry_point_raises_parameter_error(name, call):
     with pytest.raises(ParameterError) as info:
         call()
@@ -193,6 +215,46 @@ def test_entry_point_raises_parameter_error(name, call):
     assert isinstance(exc, ValueError) and not isinstance(exc, DomainError)
     assert exc.name == name
     assert str(exc) == f"{name} {exc.rule}" and exc.rule.startswith("must ")
+
+
+def _column(n, bad: dict, good=6.0):
+    """n ``good`` values, with ``bad[k]`` at each index k."""
+    column = np.full(n, good)
+    column[list(bad)] = list(bad.values())
+    return column
+
+
+LONG = 5000  # beyond numpy's 1000-element print threshold
+ROWS = (np.full(LONG, 0.9), np.full(LONG, 0.7), np.full(LONG, 6.0))
+
+# (call, exact message): an array message names the first failing element and
+# its index, however long the array; scalar messages show the value itself
+MESSAGES = {
+    "chi-nan-long": (lambda: classify_nu_regions(*ROWS[:2], _column(LONG, {3210: NAN})),
+                     "chi must be finite, got nan at index 3210"),
+    "tau_a-long": (lambda: classify_nu_regions(_column(LONG, {4000: 1.5}, 0.9), *ROWS[1:]),
+                   "tau_a must be in (0, 1], got 1.5 at index 4000"),
+    "first-of-two": (lambda: verify_p_prime_positive(*ROWS[:2],
+                                                     _column(LONG, {7: -INF, 9: NAN})),
+                     "chi must be finite, got -inf at index 7"),
+    "xi-column": (lambda: ProtocolParams(xi=np.array([[1.0], [0.5], [NAN]])),
+                  "xi must be in (0, 1], got nan at index 2"),
+    "bob_encoding-array": (lambda: SchemeConfig(bob_encoding=np.array([1.0, 0j])),
+                           "bob_encoding must be a finite nonzero mean field, "
+                           "got 0j at index 1"),
+    "xi-scalar": (lambda: ProtocolParams(xi=2.0), "xi must be in (0, 1], got 2.0"),
+    "omega_b-scalar": (lambda: ThermalKnowledge(2.0, None),
+                       "omega_b must be finite and >= 1 SNU, got None"),
+    "tau_range-scalar": (lambda: SweepConfig(tau_a_range=(0.5, NAN)),
+                         "tau_a_range must satisfy 0 < lo <= hi <= 1, got (0.5, nan)"),
+}
+
+
+@pytest.mark.parametrize("call, message", MESSAGES.values(), ids=MESSAGES)
+def test_message_names_the_bad_value(call, message):
+    with pytest.raises(ParameterError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_admissible_edges_pass():

@@ -194,6 +194,34 @@ class TestRunSweep:
             assert records[(lo, lo)] < records[(hi, hi)]
 
 
+def count_reports(monkeypatch, knowledge_type) -> list:
+    """Record the link of every single-point report a knowledge model builds."""
+    calls, original = [], knowledge_type.report
+
+    def counting(self, protocol, link):
+        calls.append((link.tau_a, link.tau_b))
+        return original(self, protocol, link)
+
+    monkeypatch.setattr(knowledge_type, "report", counting)
+    return calls
+
+
+class TestSinglePointReports:
+    """Only the cells outside the rate kernel's domain reach the knowledge
+    model's single-point report."""
+
+    @pytest.mark.parametrize("config, reached", [
+        (SweepConfig(), []),
+        (SweepConfig(protocol=ProtocolParams(epsilon=0.0)), [(1.0, 1.0)]),
+        (SweepConfig(knowledge=ThermalKnowledge(1.5, 2.0)), [(1.0, 1.0)]),
+    ], ids=["default", "epsilon-0", "thermal"])
+    def test_only_out_of_domain_cells(self, monkeypatch, config, reached):
+        calls = count_reports(monkeypatch, type(config.knowledge))
+        table = run_sweep(config)
+        assert calls == reached
+        assert len(table) == 51 * 51
+
+
 class TestRelayScan:
     def test_placement_ordering(self):
         scan = relay_scan(0.588, FIG_PROTOCOL, steps=25)
