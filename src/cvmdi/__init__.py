@@ -28,10 +28,8 @@ from .core import (
 )
 from .keyrate import (
     KeyRateReport,
-    eve_holevo,
     key_rate,
-    key_rate_closed_asym,
-    key_rate_closed_sym,
+    key_rate_closed,
     key_rate_min_chi,
     key_rate_min_thermal,
     mutual_information,

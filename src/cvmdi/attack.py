@@ -89,8 +89,8 @@ class ArgMinReport:
 
 @dataclass(frozen=True)
 class RateProfile:
-    """Rate sampled along the monotonicity variable y.  Inadmissible or
-    nonphysical sample points are omitted and counted in ``skipped``."""
+    """Rate sampled along the monotonicity variable y on its leading run of
+    physical, admissible points; the rest are omitted and counted in ``skipped``."""
 
     mode: str
     y: np.ndarray
@@ -270,17 +270,17 @@ class _Profiles(NamedTuple):
 
 
 def _profiles(mode, present, ok, y, d_prime, rate) -> _Profiles:
-    """Move each row's ``ok`` samples to its front, in order; samples that
-    are ``present`` but not ``ok`` count as skipped."""
-    count = ok.sum(axis=1)
+    """Keep each row's leading run of ``ok`` samples; samples that are
+    ``present`` but not in that run count as skipped.  The run holds every
+    ``ok`` sample: lam lam' falls with the sample index along both profiles,
+    and the physical d' form an interval."""
+    count = ok.cumprod(axis=1).sum(axis=1)
     if not count.all():
         where = "fixed-chi" if mode == "chi" else mode
         raise EmptyDomainError(f"no admissible sample on the {where} profile")
-    if not ok.all():
-        order = np.argsort(~ok, axis=1, kind="stable")
-        order = np.where(np.arange(ok.shape[1]) < count[:, None], order, order[:, :1])
-        y, d_prime, rate = (np.take_along_axis(a, order, 1) for a in (y, d_prime, rate))
-    return _Profiles(mode, y, d_prime, rate, count, (present & ~ok).sum(axis=1))
+    lead = np.arange(ok.shape[1]) < count[:, None]
+    y, d_prime, rate = (np.where(lead, a, a[:, :1]) for a in (y, d_prime, rate))
+    return _Profiles(mode, y, d_prime, rate, count, (present & ~lead).sum(axis=1))
 
 
 def _thermal_profiles(protocol, tau_a, tau_b, omega_a, omega_b, l, samples):

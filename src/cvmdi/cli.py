@@ -147,8 +147,7 @@ def _cmd_rate(args: argparse.Namespace) -> int:
               for name in ("tau_a", "tau_b", "xi", "phi", "epsilon", "knowledge")}
     _emit(json.dumps({**inputs, **dataclasses.asdict(report)}) + "\n", args.output)
     state = "secure" if report.secure else "insecure"
-    print(f"rate {report.rate:.6f} bits/use ({state}) via {report.formula_tag}",
-          file=sys.stderr)
+    print(f"rate {report.rate:.6f} bits/use ({state})", file=sys.stderr)
     return 0
 
 

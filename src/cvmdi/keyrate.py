@@ -10,7 +10,7 @@ is the asymmetric closed form with its log2(1/|dtau|) cancelled against
 h(s/|dtau|) analytically, so it holds no 1/|dtau| term: it stays accurate
 as |dtau| -> 0 and at dtau = 0, where tail(0) = log2(e/2), it is exactly
 the symmetric closed form.  Its domain is lam, lam' > 0 with
-sqrt(lam lam') >= |dtau|.  Outside it only the :func:`decoupled` point
+|dtau| <= sqrt(lam lam') < inf.  Outside it only the :func:`decoupled` point
 (lossless symmetric links, lam = lam' = 0 at dtau = 0) has a rate,
 R = xi log2(mu / 4) (:func:`decoupled_rate`).
 
@@ -18,10 +18,11 @@ The public functions only pick (lam, lam', chi) through the noise algebra
 of :mod:`cvmdi.core` and check the domain, and return a
 :class:`KeyRateReport` in bits per relay use (negative rates are reported
 unclamped and flagged via ``secure``): the general rate :func:`key_rate`
-against an explicit ancilla, the closed forms :func:`key_rate_closed_sym`
-/ :func:`key_rate_closed_asym` at given (lam, lam'), and the worst cases
-:func:`key_rate_min_thermal` (known thermal noises) and
-:func:`key_rate_min_chi` (known equivalent noise chi).
+against an explicit ancilla, the closed form :func:`key_rate_closed` at
+given (lam, lam'), and the worst cases :func:`key_rate_min_thermal` (known
+thermal noises) and :func:`key_rate_min_chi` (known equivalent noise chi).
+None of them branches on whether the link is symmetric, and all of them
+return the same report shape.
 
 The kernel is written once, in numpy, and takes the links as (tau_a,
 tau_b) so that lattices of links broadcast.  Single points run it on
@@ -43,7 +44,6 @@ import numpy as np
 from .core import (
     H_CLAMP_TOL,
     AncillaState,
-    DerivedNoise,
     DomainError,
     LinkPair,
     NonphysicalStateError,
@@ -63,22 +63,20 @@ from .core import (
 class KeyRateReport:
     """Rate plus the intermediates that produced it, in ``rate``'s JSON order.
 
-    ``rate = xi * i_ab - i_ea`` holds on every path; ``secure`` is simply
-    ``rate > 0``.  The kernel's nu is reported as ``nu1`` on symmetric
-    links and as ``nu`` otherwise; ``nu2`` is lam / |dtau| on the
-    asymmetric minimized-chi path.
+    ``rate = xi * i_ab - i_ea`` holds on every path, and ``i_ea`` is the
+    Holevo bound on the adversary's information about Alice's raw key;
+    ``secure`` is simply ``rate > 0``.  ``nu`` is the kernel's nu (1 at the
+    :func:`decoupled` point), and ``nu2 = sqrt(lam lam') / |dtau|`` is the
+    argument of the h term the kernel cancels, None at dtau = 0.
     """
 
     chi: float
     rate: float
     i_ab: float
     i_ea: float
-    nu: float | None = None
-    nu1: float | None = None
-    nu2: float | None = None
-    nu3: float | None = None
+    nu: float
+    nu2: float | None
     secure: bool
-    formula_tag: str
 
 
 def rate_kernel(mu, xi, tau_a, tau_b, lam, lam_prime, chi):
@@ -98,11 +96,12 @@ def rate_kernel(mu, xi, tau_a, tau_b, lam, lam_prime, chi):
 
 def in_domain(tau_a, tau_b, lam, lam_prime):
     """Where :func:`rate_kernel` is defined: lam, lam' > 0 and
-    sqrt(lam lam') >= |dtau|, the last within the entropy clamp slack.
-    Works on floats and elementwise on arrays.  (nu >= 1 follows:
+    |dtau| <= sqrt(lam lam') < inf, the first bound within the entropy clamp
+    slack.  Works on floats and elementwise on arrays.  (nu >= 1 follows:
     (tau_a + lam)(tau_a + lam') >= (tau_a + s)^2 >= tau_b^2.)"""
     floor = abs(tau_a - tau_b) * (1.0 - H_CLAMP_TOL)
-    return (lam > 0.0) & (lam_prime > 0.0) & (lam * lam_prime >= floor * floor)
+    s2 = lam * lam_prime
+    return (lam > 0.0) & (lam_prime > 0.0) & (s2 >= floor * floor) & (s2 < math.inf)
 
 
 def decoupled(tau_a, tau_b, lam, lam_prime):
@@ -125,39 +124,27 @@ def min_thermal_noise(tau_a, tau_b, omega_a, omega_b):
     return lam, equivalent_chi(tau_a, tau_b, lam, lam)
 
 
-def _kernel_at(mu, xi, link: LinkPair, lam, lam_prime, chi) -> tuple[float, float]:
-    """:func:`rate_kernel` at one point inside :func:`in_domain`, run on
-    1-element arrays."""
-    if not in_domain(link.tau_a, link.tau_b, lam, lam_prime):
+def _report(
+    protocol: ProtocolParams, link: LinkPair, lam: float, lam_prime: float, chi: float
+) -> KeyRateReport:
+    """The report at one point: :func:`rate_kernel` on 1-element arrays, or
+    the :func:`decoupled` rate; a :class:`DomainError` anywhere else."""
+    mu, xi = protocol.mu, protocol.xi
+    if decoupled(link.tau_a, link.tau_b, lam, lam_prime):  # then i_ea = 0.0 exactly
+        chi, rate, nu = 4.0, decoupled_rate(mu, xi), 1.0
+    elif in_domain(link.tau_a, link.tau_b, lam, lam_prime):
+        rate, nu = (float(x[0]) for x in rate_kernel(
+            mu, xi, link.tau_a, link.tau_b, *np.atleast_1d(lam, lam_prime, chi)))
+    else:
         raise DomainError(
             f"rate undefined at lam = {lam}, lam' = {lam_prime}: needs "
             f"lam, lam' > 0 and sqrt(lam lam') >= |dtau| = {link.delta_tau}"
         )
-    rate, nu = rate_kernel(
-        mu, xi, link.tau_a, link.tau_b, *np.atleast_1d(lam, lam_prime, chi)
-    )
-    return float(rate[0]), float(nu[0])
-
-
-def _report(
-    protocol: ProtocolParams,
-    link: LinkPair,
-    lam: float,
-    lam_prime: float,
-    chi: float,
-    tag: str,
-    nu2: float | None = None,
-) -> KeyRateReport:
-    mu, xi = protocol.mu, protocol.xi
-    if decoupled(link.tau_a, link.tau_b, lam, lam_prime):  # then i_ea = 0.0 exactly
-        chi, rate, nu = 4.0, decoupled_rate(mu, xi), 1.0
-    else:
-        rate, nu = _kernel_at(mu, xi, link, lam, lam_prime, chi)
     i_ab = mutual_information(mu, chi)
-    nus = {"nu1": nu} if link.is_symmetric else {"nu": nu}
+    dtau = link.delta_tau
     return KeyRateReport(
-        rate=rate, i_ab=i_ab, i_ea=xi * i_ab - rate, chi=chi,
-        secure=rate > 0.0, formula_tag=tag, nu2=nu2, **nus,
+        chi=chi, rate=rate, i_ab=i_ab, i_ea=xi * i_ab - rate, nu=nu,
+        nu2=math.sqrt(lam * lam_prime) / dtau if dtau else None, secure=rate > 0.0,
     )
 
 
@@ -170,62 +157,38 @@ def mutual_information(mu: float, chi: float) -> float:
     return math.log2(mu / chi)
 
 
-def eve_holevo(link: LinkPair, noise: DerivedNoise, mu: float) -> float:
-    """Holevo bound on the adversary's information about Alice's raw key:
-
-    h(sqrt(lam lam') / |dtau|) + log2(e |dtau| mu / (2 beta)) - h(nu),
-    nu = sqrt((tau_a + lam)(tau_a + lam')) / tau_b.
-
-    Since R = xi * I_AB - I_EA, this is minus the kernel rate at xi = 0,
-    which keeps it accurate as |dtau| -> 0 and defined at dtau = 0.
-    """
-    return -_kernel_at(mu, 0.0, link, noise.lam, noise.lam_prime, noise.chi)[0]
-
-
 def key_rate(
     protocol: ProtocolParams, link: LinkPair, ancilla: AncillaState
 ) -> KeyRateReport:
     """General rate xi * I_AB - I_EA against an explicit attack ancilla,
-    which must be physical.  Symmetric links are tagged
-    ``symmetric-closed``, the form the kernel takes there."""
+    which must be physical."""
     if not is_physical(ancilla):
         raise NonphysicalStateError(
             f"attack covariance is not physical: {ancilla}"
         )
     noise = derive_noise(link, ancilla)
-    tag = "symmetric-closed" if link.is_symmetric else "general"
-    return _report(protocol, link, noise.lam, noise.lam_prime, noise.chi, tag)
+    return _report(protocol, link, noise.lam, noise.lam_prime, noise.chi)
 
 
-def key_rate_closed_sym(
-    protocol: ProtocolParams, tau: float, lam: float, lam_prime: float
-) -> KeyRateReport:
-    """Closed form for symmetric links tau_a = tau_b = tau:
-
-    R = log2(8 tau mu^(xi-1) / (e^2 chi^xi sqrt(lam lam'))) + h(nu1),
-    nu1 = sqrt((tau + lam)(tau + lam')) / tau.
-
-    lam = lam' = 0 (lossless links, adversary decoupled) degenerates to
-    R = xi log2(mu / 4).
-    """
-    link = LinkPair(tau, tau)
-    chi = equivalent_chi(tau, tau, lam, lam_prime)
-    return _report(protocol, link, lam, lam_prime, chi, "symmetric-closed")
-
-
-def key_rate_closed_asym(
+def key_rate_closed(
     protocol: ProtocolParams, link: LinkPair, lam: float, lam_prime: float
 ) -> KeyRateReport:
-    """Closed form for any link pair:
+    """Closed form at given effective noises (lam, lam'), on any link pair:
 
     R = log2(2 beta mu^(xi-1) / (e |dtau| chi^xi))
         + h(nu) - h(sqrt(lam lam') / |dtau|),
 
-    evaluated as the kernel, so it is also defined at dtau = 0, where it
-    equals :func:`key_rate_closed_sym`.
+    evaluated as the kernel, so it is also defined at dtau = 0, where with
+    tau_a = tau_b = tau it is the symmetric form
+
+    R = log2(8 tau mu^(xi-1) / (e^2 chi^xi sqrt(lam lam'))) + h(nu),
+    nu = sqrt((tau + lam)(tau + lam')) / tau,
+
+    and lam = lam' = 0 (lossless links, adversary decoupled) degenerates to
+    R = xi log2(mu / 4).
     """
     chi = equivalent_chi(link.tau_a, link.tau_b, lam, lam_prime)
-    return _report(protocol, link, lam, lam_prime, chi, "asymmetric-closed")
+    return _report(protocol, link, lam, lam_prime, chi)
 
 
 def key_rate_min_thermal(
@@ -243,8 +206,7 @@ def key_rate_min_thermal(
     and on asymmetric links the asymmetric closed form at lam_opt.
     """
     lam_opt, chi = min_thermal_noise(link.tau_a, link.tau_b, omega_a, omega_b)
-    tag = "min-thermal-symmetric" if link.is_symmetric else "min-thermal-asymmetric"
-    return _report(protocol, link, lam_opt, lam_opt, chi, tag)
+    return _report(protocol, link, lam_opt, lam_opt, chi)
 
 
 def key_rate_min_chi(
@@ -267,8 +229,4 @@ def key_rate_min_chi(
             f"chi = {chi} is not above the loss floor beta^2/alpha = "
             f"{link.beta * link.beta / link.alpha}, where the rate formula has its pole"
         )
-    if link.is_symmetric:
-        return _report(protocol, link, lam, lam, chi, "min-chi-symmetric")
-    return _report(
-        protocol, link, lam, lam, chi, "min-chi-asymmetric", nu2=lam / link.delta_tau
-    )
+    return _report(protocol, link, lam, lam, chi)

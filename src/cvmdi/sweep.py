@@ -140,8 +140,8 @@ def _eval_cells(
     knowledge model's single-point report bit for bit: the in-domain cells
     are one kernel call, the others go through the report itself.  A cell
     whose report fails keeps the model's chi: the given chi of the chi
-    model, and NaN under the thermal model, whose lam_opt = kappa + u g_max
-    >= kappa >= |dtau| is in the domain unless it overflowed to NaN."""
+    model, and inf or NaN under the thermal model, whose lam_opt = kappa +
+    u g_max >= kappa >= |dtau| is in the domain unless it overflowed."""
     lam, chi = knowledge.noise(protocol, tau_a, tau_b)
     ok = in_domain(tau_a, tau_b, lam, lam)
     rate = np.full(tau_a.shape, math.nan)

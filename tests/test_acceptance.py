@@ -23,8 +23,7 @@ from cvmdi import (
     entropy_h,
     g_max,
     key_rate,
-    key_rate_closed_asym,
-    key_rate_closed_sym,
+    key_rate_closed,
     key_rate_min_chi,
     key_rate_min_thermal,
     min_rate_brute,
@@ -62,14 +61,7 @@ def test_criterion_1_closed_form_consistency():
         if math.sqrt(noise.lam * noise.lam_prime) <= link.delta_tau * (1 + 1e-9):
             continue
         general = key_rate(FIG_PROTOCOL, link, ancilla).rate
-        if link.is_symmetric:
-            closed = key_rate_closed_sym(
-                FIG_PROTOCOL, ta, noise.lam, noise.lam_prime
-            ).rate
-        else:
-            closed = key_rate_closed_asym(
-                FIG_PROTOCOL, link, noise.lam, noise.lam_prime
-            ).rate
+        closed = key_rate_closed(FIG_PROTOCOL, link, noise.lam, noise.lam_prime).rate
         minimized = key_rate_min_chi(FIG_PROTOCOL, link, noise.chi).rate
         worst = max(worst, rel_err(general, closed), rel_err(general, minimized),
                     rel_err(closed, minimized))
@@ -186,10 +178,10 @@ def test_criterion_6_symmetric_limit_continuity():
         link = LinkPair(tau + d, tau - d)
         chi = chi_equivalent(link, 0.01)
         lam = link.alpha * chi / link.beta - link.beta
-        asymmetric = key_rate_closed_asym(FIG_PROTOCOL, link, lam, lam).rate
+        asymmetric = key_rate_closed(FIG_PROTOCOL, link, lam, lam).rate
         chi_s = chi_equivalent(LinkPair(tau, tau), 0.01)
         lam_s = tau * chi_s / 2.0 - 2.0 * tau
-        symmetric = key_rate_closed_sym(FIG_PROTOCOL, tau, lam_s, lam_s).rate
+        symmetric = key_rate_closed(FIG_PROTOCOL, LinkPair(tau, tau), lam_s, lam_s).rate
         worst = max(worst, abs(asymmetric - symmetric))
     report(6, worst <= 1e-3,
            f"worst |asym - sym| across tau grid: {worst:.3e} <= 1e-3")

@@ -21,8 +21,6 @@ from cvmdi import (
     g_max,
     is_physical,
     key_rate,
-    key_rate_closed_asym,
-    key_rate_closed_sym,
     key_rate_min_chi,
     key_rate_min_thermal,
     min_rate_brute,
@@ -35,6 +33,7 @@ from cvmdi.attack import (
     _axis,
     _grid_rates,
     _physical_dprime_max,
+    _profiles,
     _thermal_profiles,
 )
 
@@ -476,6 +475,29 @@ class TestArrayPathsSkipSinglePointReports:
             ancilla = AncillaState(omegas[row], omegas[row], 0.0, 0.0)
             want = key_rate(ProtocolParams(xi=x), LinkPair(1.0, 1.0), ancilla).rate
             assert np.all(prof.rate[row] == want)
+
+
+class TestProfilesLeadingRun:
+    def test_mask_with_a_gap_is_cut_at_the_gap(self):
+        # profiles keep each row's leading run of admissible samples; an
+        # admissible sample after a skipped one is left out and skipped
+        ok = np.array([[True, True, False, True, True],
+                       [True, True, True, True, True],
+                       [True, False, False, False, True]])
+        present = np.ones_like(ok)
+        y = np.arange(15.0).reshape(3, 5)
+        prof = _profiles("chi", present, ok, y, -y, 2.0 * y)
+        assert prof.count.tolist() == [2, 5, 1]
+        assert prof.skipped.tolist() == [3, 0, 4]
+        assert prof.y.tolist() == [[0, 1, 0, 0, 0], [5, 6, 7, 8, 9], [10] * 5]
+        assert np.array_equal(prof.d_prime, -prof.y)
+        assert np.array_equal(prof.rate, 2.0 * prof.y)
+        assert prof.first().y.tolist() == [0.0, 1.0] and prof.first().skipped == 3
+
+    def test_leading_skip_is_an_empty_profile(self):
+        ok = np.array([[False, True, True]])
+        with pytest.raises(EmptyDomainError, match="fixed-chi"):
+            _profiles("chi", np.ones_like(ok), ok, *np.zeros((3, 1, 3)))
 
 
 class TestRateProfileChi:

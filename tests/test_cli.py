@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cvmdi.cli import main
@@ -25,7 +26,6 @@ class TestRate:
         payload = json.loads(out)
         assert payload["rate"] == pytest.approx(0.379392191958814, rel=1e-10)
         assert payload["secure"] is True
-        assert payload["formula_tag"] == "min-chi-asymmetric"
         assert "rate" in err
 
     def test_mirror_insecure_still_exit_zero(self, capsys):
@@ -65,6 +65,16 @@ class TestRate:
         assert code == 1
         assert "error" in err
 
+    def test_overflowed_thermal_noise_exit_one(self, capsys):
+        # lam_opt overflows to inf: a typed domain error, not a math error
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run_cli(
+                capsys, "rate", "--tau-a", "0.9", "--tau-b", "0.8", "--knowledge",
+                "thermal", "--omega-a", "1e200", "--omega-b", "1e200",
+            )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: rate undefined at lam = inf, lam' = inf: ")
+
     def test_unknown_flag_exit_two(self, capsys):
         assert run_cli(capsys, "rate", "--bogus", "1")[0] == 2
 
@@ -98,7 +108,7 @@ class TestRateSchema:
     ], ids=["chi-asymmetric", "chi-symmetric", "thermal", "thermal-decoupled"])
     def test_keys_in_readme_order(self, capsys, argv):
         keys = readme_rate_keys()
-        assert len(keys) == 16 and keys[:2] == ["tau_a", "tau_b"]
+        assert len(keys) == 13 and keys[:2] == ["tau_a", "tau_b"]
         code, out, _ = run_cli(capsys, "rate", *argv)
         assert code == 0
         assert list(json.loads(out)) == keys
@@ -107,9 +117,8 @@ class TestRateSchema:
         _, out, _ = run_cli(capsys, "rate", "--tau-a", "1", "--tau-b", "1",
                             "--knowledge", "thermal", "--omega-a", "1.5", "--omega-b", "2")
         payload = json.loads(out)
-        assert (payload["chi"], payload["i_ea"], payload["nu1"]) == (4.0, 0.0, 1.0)
+        assert (payload["chi"], payload["i_ea"], payload["nu"]) == (4.0, 0.0, 1.0)
         assert payload["rate"] == payload["xi"] * payload["i_ab"]
-        assert payload["formula_tag"] == "min-thermal-symmetric"
 
 
 class TestDeterminism:

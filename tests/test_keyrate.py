@@ -5,11 +5,13 @@ decimal digits; the worked scenario is tau_a = 0.98, tau_b = 0.6 with
 xi = 0.97, phi = 60, epsilon = 0.01.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import cvmdi
 import mp_oracle
 from cvmdi import (
     AncillaState,
@@ -18,15 +20,15 @@ from cvmdi import (
     ProtocolParams,
     chi_equivalent,
     derive_noise,
-    eve_holevo,
     g_max,
     key_rate,
-    key_rate_closed_asym,
-    key_rate_closed_sym,
+    key_rate_closed,
     key_rate_min_chi,
     key_rate_min_thermal,
     mutual_information,
 )
+from cvmdi.core import bisector_lam
+from cvmdi.keyrate import KeyRateReport, in_domain, min_thermal_noise
 
 FIG_PROTOCOL = ProtocolParams(xi=0.97, phi=60.0, epsilon=0.01)
 
@@ -57,6 +59,13 @@ def bisector_ancilla(link, lam_target, omega=1.1):
     return AncillaState(omega, omega, g, -g)
 
 
+def holevo(link, noise, mu):
+    """I_EA of the report at the noise's (lam, lam'), for coherent-state
+    variance mu."""
+    protocol = ProtocolParams(xi=1.0, phi=mu - 1.0)
+    return key_rate_closed(protocol, link, noise.lam, noise.lam_prime).i_ea
+
+
 class TestMutualInformation:
     def test_equal_arguments(self):
         assert mutual_information(61.0, 61.0) == 0.0
@@ -78,7 +87,7 @@ class TestEveHolevo:
     def test_worked_scenario(self):
         noise = derive_noise(SCEN_LINK, bisector_ancilla(SCEN_LINK, SCEN_LAM))
         assert noise.lam == pytest.approx(SCEN_LAM, rel=1e-12)
-        value = eve_holevo(SCEN_LINK, noise, 61.0)
+        value = holevo(SCEN_LINK, noise, 61.0)
         assert value == pytest.approx(SCEN_I_EA, rel=1e-10)
 
     def test_boundary_lambda_hits_h_limit(self):
@@ -93,7 +102,7 @@ class TestEveHolevo:
         expected = math.log2(math.e * 0.3 * mu / 3.0) - mp_oracle_h(
             (0.9 + 0.3) / 0.6
         )
-        assert eve_holevo(link, noise, mu) == pytest.approx(expected, rel=1e-12)
+        assert holevo(link, noise, mu) == pytest.approx(expected, rel=1e-12)
 
     def test_cancellation_zero(self):
         # lam/dtau == nu makes both entropy terms cancel; the log argument
@@ -102,15 +111,18 @@ class TestEveHolevo:
         lam0 = link.delta_tau * link.tau_a / (link.tau_b - link.delta_tau)
         noise = derive_noise(link, bisector_ancilla(link, lam0, omega=1.6))
         mu = 2.0 * link.beta / (math.e * link.delta_tau)
-        assert eve_holevo(link, noise, mu) == pytest.approx(0.0, abs=1e-12)
+        assert holevo(link, noise, mu) == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetric_matches_closed_sym(self):
         # the Holevo term is defined at dtau = 0 and equals the symmetric
-        # closed form's xi * I_AB - R
+        # closed form's xi * I_AB - R, here from the 50-digit oracle
         link = LinkPair(0.8, 0.8)
         noise = derive_noise(link, AncillaState(1.5, 1.5, 0.1, -0.1))
-        closed = key_rate_closed_sym(FIG_PROTOCOL, 0.8, noise.lam, noise.lam_prime)
-        assert rel_err(eve_holevo(link, noise, 61.0), closed.i_ea) <= 1e-14
+        lam, lam_prime = noise.lam, noise.lam_prime
+        chi = mp_oracle.chi_from_lams(0.8, 0.8, lam, lam_prime)
+        want = (0.97 * mp_oracle.mp.log(61 / chi, 2)
+                - mp_oracle.rate_sym_closed(0.97, 61, 0.8, lam, lam_prime))
+        assert rel_err(holevo(link, noise, 61.0), float(want)) <= 1e-14
 
 
 def mp_oracle_h(x):
@@ -120,7 +132,6 @@ def mp_oracle_h(x):
 class TestKeyRateGeneral:
     def test_worked_scenario(self):
         report = key_rate(FIG_PROTOCOL, SCEN_LINK, bisector_ancilla(SCEN_LINK, SCEN_LAM))
-        assert report.formula_tag == "general"
         assert report.rate == pytest.approx(SCEN_RATE, rel=1e-10)
         assert report.i_ab == pytest.approx(SCEN_I_AB, rel=1e-10)
         assert report.i_ea == pytest.approx(SCEN_I_EA, rel=1e-10)
@@ -132,7 +143,6 @@ class TestKeyRateGeneral:
 
     def test_lossless_symmetric_dispatch(self):
         report = key_rate(FIG_PROTOCOL, LinkPair(1.0, 1.0), AncillaState(1, 1, 0, 0))
-        assert report.formula_tag == "symmetric-closed"
         assert report.rate == pytest.approx(0.97 * math.log2(61.0 / 4.0), rel=1e-14)
         assert report.chi == pytest.approx(4.0, rel=1e-15)
 
@@ -153,12 +163,12 @@ class TestKeyRateGeneral:
 class TestClosedSym:
     def test_pure_loss_frozen(self):
         p = ProtocolParams(xi=1.0, phi=60.0, epsilon=0.0)
-        report = key_rate_closed_sym(p, 0.9, 0.2, 0.2)
+        report = key_rate_closed(p, LinkPair(0.9, 0.9), 0.2, 0.2)
         assert report.rate == pytest.approx(PURE_LOSS_RATE, rel=1e-12)
-        assert report.nu1 == pytest.approx(11.0 / 9.0, rel=1e-14)
+        assert report.nu == pytest.approx(11.0 / 9.0, rel=1e-14)
 
     def test_lossless_limit(self):
-        report = key_rate_closed_sym(FIG_PROTOCOL, 1.0, 0.0, 0.0)
+        report = key_rate_closed(FIG_PROTOCOL, LinkPair(1.0, 1.0), 0.0, 0.0)
         assert report.rate == pytest.approx(0.97 * math.log2(61.0 / 4.0), rel=1e-14)
         assert report.i_ea == 0.0
 
@@ -172,22 +182,22 @@ class TestClosedSym:
             ancilla = AncillaState(omega, omega, g, -g)
             noise = derive_noise(link, ancilla)
             via_general = key_rate(FIG_PROTOCOL, link, ancilla).rate
-            direct = key_rate_closed_sym(
-                FIG_PROTOCOL, tau, noise.lam, noise.lam_prime
+            direct = key_rate_closed(
+                FIG_PROTOCOL, link, noise.lam, noise.lam_prime
             ).rate
             assert rel_err(via_general, direct) <= 1e-9
 
 
 class TestClosedAsym:
     def test_worked_scenario(self):
-        report = key_rate_closed_asym(FIG_PROTOCOL, SCEN_LINK, SCEN_LAM, SCEN_LAM)
+        report = key_rate_closed(FIG_PROTOCOL, SCEN_LINK, SCEN_LAM, SCEN_LAM)
         assert report.rate == pytest.approx(SCEN_RATE, rel=1e-10)
         assert report.nu == pytest.approx(2.33953586497890, rel=1e-10)
 
     def test_mirror_insecure(self):
         mirror = LinkPair(0.6, 0.98)
         lam = mirror.alpha * chi_equivalent(mirror, 0.01) / mirror.beta - mirror.beta
-        report = key_rate_closed_asym(FIG_PROTOCOL, mirror, lam, lam)
+        report = key_rate_closed(FIG_PROTOCOL, mirror, lam, lam)
         assert report.rate == pytest.approx(MIRROR_RATE, rel=1e-10)
         assert not report.secure
 
@@ -200,20 +210,20 @@ class TestClosedAsym:
             link = LinkPair(ta, tb)
             chi = chi_equivalent(link, rng.uniform(0.0, 0.5))
             lam = link.alpha * chi / link.beta - link.beta
-            via_lam = key_rate_closed_asym(FIG_PROTOCOL, link, lam, lam).rate
+            via_lam = key_rate_closed(FIG_PROTOCOL, link, lam, lam).rate
             via_chi = key_rate_min_chi(FIG_PROTOCOL, link, chi).rate
             assert rel_err(via_lam, via_chi) <= 1e-9
 
     def test_symmetric_matches_closed_sym(self):
         # the kernel is defined at dtau = 0, where it is the symmetric form
         for lam, lam_prime in ((0.5, 0.5), (0.2, 0.9)):
-            asym = key_rate_closed_asym(FIG_PROTOCOL, LinkPair(0.7, 0.7), lam, lam_prime)
-            sym = key_rate_closed_sym(FIG_PROTOCOL, 0.7, lam, lam_prime)
-            assert rel_err(asym.rate, sym.rate) <= 1e-14
+            got = key_rate_closed(FIG_PROTOCOL, LinkPair(0.7, 0.7), lam, lam_prime)
+            want = mp_oracle.rate_sym_closed(0.97, 61, 0.7, lam, lam_prime)
+            assert rel_err(got.rate, float(want)) <= 1e-14
 
     def test_lambda_domain(self):
         with pytest.raises(DomainError):
-            key_rate_closed_asym(FIG_PROTOCOL, SCEN_LINK, 0.1, 0.1)
+            key_rate_closed(FIG_PROTOCOL, SCEN_LINK, 0.1, 0.1)
 
 
 class TestMinThermal:
@@ -244,7 +254,7 @@ class TestMinThermal:
             kappa = (1.0 - ta) * wa + (1.0 - tb) * wb
             lam_opt = kappa + link.u * g_max(wa, wb)
             direct = key_rate_min_thermal(FIG_PROTOCOL, link, wa, wb).rate
-            via_closed = key_rate_closed_asym(FIG_PROTOCOL, link, lam_opt, lam_opt).rate
+            via_closed = key_rate_closed(FIG_PROTOCOL, link, lam_opt, lam_opt).rate
             assert rel_err(direct, via_closed) <= 1e-12
 
     def test_lossless(self):
@@ -289,14 +299,7 @@ class TestCrossFormulaInvariants:
             if math.sqrt(noise.lam * noise.lam_prime) <= link.delta_tau * (1 + 1e-9):
                 continue
             r_general = key_rate(FIG_PROTOCOL, link, ancilla).rate
-            if link.is_symmetric:
-                r_closed = key_rate_closed_sym(
-                    FIG_PROTOCOL, ta, noise.lam, noise.lam_prime
-                ).rate
-            else:
-                r_closed = key_rate_closed_asym(
-                    FIG_PROTOCOL, link, noise.lam, noise.lam_prime
-                ).rate
+            r_closed = key_rate_closed(FIG_PROTOCOL, link, noise.lam, noise.lam_prime).rate
             r_chi = key_rate_min_chi(FIG_PROTOCOL, link, noise.chi).rate
             assert rel_err(r_general, r_closed) <= 1e-9
             assert rel_err(r_general, r_chi) <= 1e-9
@@ -308,10 +311,10 @@ class TestCrossFormulaInvariants:
             link = LinkPair(tau + d, tau - d)
             chi = chi_equivalent(link, 0.01)
             lam = link.alpha * chi / link.beta - link.beta
-            asymmetric = key_rate_closed_asym(FIG_PROTOCOL, link, lam, lam).rate
+            asymmetric = key_rate_closed(FIG_PROTOCOL, link, lam, lam).rate
             chi_s = chi_equivalent(LinkPair(tau, tau), 0.01)
             lam_s = tau * chi_s / 2.0 - 2.0 * tau
-            symmetric = key_rate_closed_sym(FIG_PROTOCOL, tau, lam_s, lam_s).rate
+            symmetric = key_rate_closed(FIG_PROTOCOL, LinkPair(tau, tau), lam_s, lam_s).rate
             assert abs(asymmetric - symmetric) <= 1e-3
 
     def test_xi_monotonicity(self):
@@ -366,7 +369,7 @@ class TestOracleAgreement:
         value = float(
             mp_oracle.rate_general("0.97", 61, "0.98", "0.6", SCEN_LAM, SCEN_LAM)
         )
-        report = key_rate_closed_asym(FIG_PROTOCOL, SCEN_LINK, SCEN_LAM, SCEN_LAM)
+        report = key_rate_closed(FIG_PROTOCOL, SCEN_LINK, SCEN_LAM, SCEN_LAM)
         assert rel_err(report.rate, value) <= 1e-12
 
     def test_min_thermal_against_general_oracle(self):
@@ -398,7 +401,7 @@ def _band_min_thermal(link):
 
 
 def _band_closed_asym(link):
-    got = key_rate_closed_asym(FIG_PROTOCOL, link, 0.4, 0.7).rate
+    got = key_rate_closed(FIG_PROTOCOL, link, 0.4, 0.7).rate
     return got, mp_oracle.rate_asym_closed(0.97, 61, link.tau_a, link.tau_b, 0.4, 0.7)
 
 
@@ -454,3 +457,84 @@ def test_loss_floor_pole_matches_oracle():
             want = mp_oracle.rate_min_chi_sym(0.97, 61, chi)
             worst = max(worst, rel_err(got, float(want)))
     assert worst <= 1e-12
+
+
+class TestOverflowedNoise:
+    """lam lam' = inf is outside the kernel's domain: a typed DomainError,
+    never a NaN rate or an untyped math error."""
+
+    def test_in_domain_rejects_infinite_noise(self):
+        assert not in_domain(0.9, 0.8, math.inf, math.inf)
+        assert not in_domain(0.9, 0.8, 1e200, 1e200)  # the product overflows
+        assert in_domain(0.9, 0.8, 1e100, 1e100)
+        lam = np.array([0.5, math.inf, math.nan])
+        assert in_domain(0.9, 0.8, lam, lam).tolist() == [True, False, False]
+
+    @pytest.mark.parametrize("link", [LinkPair(0.9, 0.8), LinkPair(0.9, 0.9)])
+    def test_min_thermal_raises_domain_error(self, link):
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="lam = inf"):
+            key_rate_min_thermal(FIG_PROTOCOL, link, 1e200, 1e200)
+
+    def test_closed_form_raises_domain_error(self):
+        with pytest.raises(DomainError, match="rate undefined"):
+            key_rate_closed(FIG_PROTOCOL, SCEN_LINK, math.inf, 1.0)
+
+
+SHAPE_LINKS = [LinkPair(0.9, 0.9), LinkPair(0.6 + 1e-10, 0.6), LinkPair(0.98, 0.6)]
+"""dtau = 0, 1e-10 and 0.38."""
+
+
+def _shape_general(link):
+    ancilla = AncillaState(2.0, 3.0, 0.8, -0.5)
+    noise = derive_noise(link, ancilla)
+    return key_rate(FIG_PROTOCOL, link, ancilla), noise.lam, noise.lam_prime
+
+
+def _shape_closed(link):
+    return key_rate_closed(FIG_PROTOCOL, link, 0.4, 0.7), 0.4, 0.7
+
+
+def _shape_min_thermal(link):
+    lam = min_thermal_noise(link.tau_a, link.tau_b, 2.0, 3.0)[0]
+    return key_rate_min_thermal(FIG_PROTOCOL, link, 2.0, 3.0), lam, lam
+
+
+def _shape_min_chi(link):
+    chi = chi_equivalent(link, 0.01)
+    lam = bisector_lam(link.tau_a, link.tau_b, chi)
+    return key_rate_min_chi(FIG_PROTOCOL, link, chi), lam, lam
+
+
+class TestReportShape:
+    """Every entry point returns the same report shape on every link."""
+
+    def test_fields_in_schema_order(self):
+        names = [f.name for f in dataclasses.fields(KeyRateReport)]
+        assert names == ["chi", "rate", "i_ab", "i_ea", "nu", "nu2", "secure"]
+        assert "key_rate_closed" in cvmdi.__dict__
+        assert not {"key_rate_closed_sym", "key_rate_closed_asym", "eve_holevo"} & set(
+            cvmdi.__dict__)
+
+    @pytest.mark.parametrize("link", SHAPE_LINKS, ids=["dtau-0", "dtau-1e-10", "dtau-0.38"])
+    @pytest.mark.parametrize(
+        "path", [_shape_general, _shape_closed, _shape_min_thermal, _shape_min_chi])
+    def test_nu_and_nu2(self, path, link):
+        report, lam, lam_prime = path(link)
+        assert math.isfinite(report.nu) and report.nu >= 1.0
+        if link.delta_tau == 0.0:
+            assert report.nu2 is None
+        else:
+            assert report.nu2 == math.sqrt(lam * lam_prime) / link.delta_tau
+        assert report.i_ea == FIG_PROTOCOL.xi * report.i_ab - report.rate
+
+    def test_decoupled_point(self):
+        report = key_rate_closed(FIG_PROTOCOL, LinkPair(1.0, 1.0), 0.0, 0.0)
+        assert (report.nu, report.nu2, report.i_ea) == (1.0, None, 0.0)
+
+    def test_values_from_the_split_reports(self):
+        # literal pins: nu2 on the worked scenario, nu on a symmetric link
+        scen = key_rate_min_chi(FIG_PROTOCOL, SCEN_LINK, chi_equivalent(SCEN_LINK, 0.01))
+        assert scen.nu2 == 1.115056628914057
+        sym = LinkPair(0.9, 0.9)
+        assert key_rate_min_chi(FIG_PROTOCOL, sym, chi_equivalent(sym, 0.01)).nu == (
+            1.2272222222222222)

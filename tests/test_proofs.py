@@ -17,8 +17,7 @@ from cvmdi import (
     chi_equivalent,
     classify_nu_regions,
     g_max,
-    key_rate_closed_asym,
-    key_rate_closed_sym,
+    key_rate_closed,
     key_rate_min_chi,
     key_rate_min_thermal,
     run_verification_suite,
@@ -70,8 +69,8 @@ class TestMonotoneThermal:
         rate = probe.rate[0, :probe.count[0]]
         assert probe.y[0, 0] == 0.0
         assert float(np.argmin(rate)) == 0.0
-        anchor = key_rate_closed_sym(
-            ProtocolParams(xi=1.0), 0.9, 0.4, 0.4
+        anchor = key_rate_closed(
+            ProtocolParams(xi=1.0), LinkPair(0.9, 0.9), 0.4, 0.4
         ).rate  # lam = kappa - u*l = 2*(0.1)*2 = 0.4 at l = 0
         assert rate[0] == pytest.approx(anchor, rel=1e-12)
 
@@ -294,7 +293,7 @@ class TestLambdaMinimization:
         link = LinkPair(0.8, 0.5)
         probe = verify_lambda_minimization(FIG_PROTOCOL, *row(link, 1.5), samples=20)
         for lam, rate in zip(probe.lam[0], probe.rate[0]):
-            direct = key_rate_closed_asym(FIG_PROTOCOL, link, lam, lam).rate
+            direct = key_rate_closed(FIG_PROTOCOL, link, lam, lam).rate
             assert rel_err(float(rate), direct) <= 1e-12
 
     def test_endpoint_reaches_thermal_minimum(self):
@@ -351,7 +350,7 @@ def reference_suite(seed=7, scenarios=100, samples=200):
         worst = min(worst, probe.worst_margin[0])
         failures += not probe.verdict[0]
         lam0 = effective_noise(tau, tau, wa, wb, l, -l)[0]
-        anchor = key_rate_closed_sym(protocol, tau, lam0, lam0).rate
+        anchor = key_rate_closed(protocol, link, lam0, lam0).rate
         endpoint = max(endpoint, rel_err(float(probe.rate[0, 0]), anchor))
     checks["monotone_thermal"] = summary(failures, worst, endpoint)
 
@@ -395,7 +394,7 @@ def reference_suite(seed=7, scenarios=100, samples=200):
         probe = verify_lambda_minimization(protocol, *row(link, lam_opt), samples=samples)
         worst = min(worst, probe.worst_margin[0])
         failures += not probe.verdict[0]
-        anchor = key_rate_closed_asym(protocol, link, lam_opt, lam_opt).rate
+        anchor = key_rate_closed(protocol, link, lam_opt, lam_opt).rate
         endpoint = max(endpoint, rel_err(float(probe.rate[0, -1]), anchor))
     checks["lambda_minimization"] = summary(failures, worst, endpoint)
 

@@ -183,6 +183,19 @@ class TestRunSweep:
         assert corner.error
         assert sum(r.error is not None for r in records) == 1
 
+    def test_overflowed_thermal_noise_is_an_error_cell(self):
+        # omega = 1e200 overflows g_max and lam_opt to inf or NaN; no cell
+        # may come out as a silent NaN rate without its error text
+        config = SweepConfig(
+            steps_a=3, steps_b=3, protocol=FIG_PROTOCOL,
+            knowledge=ThermalKnowledge(1e200, 1e200),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = run_sweep(config)
+        assert sorted(table.errors) == list(range(9))
+        assert all(m.startswith("rate undefined at lam = ") for m in table.errors.values())
+        assert np.isnan(table.rate).all() and not (table.rate > 0.0).any()
+
     def test_surface_decreases_with_loss(self):
         config = SweepConfig(
             tau_a_range=(0.5, 1.0), tau_b_range=(0.5, 1.0), steps_a=6, steps_b=6,
