@@ -85,6 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="contour value tau_a * tau_b")
     p.add_argument("--steps", type=int, default=51)
     _add_protocol_flags(p)
+    _add_knowledge_flags(p)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None)
 
@@ -170,7 +171,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_relay_scan(args: argparse.Namespace) -> int:
     protocol = ProtocolParams(xi=args.xi, phi=args.phi, epsilon=args.epsilon)
-    scan = relay_scan(args.total, protocol, steps=args.steps)
+    scan = relay_scan(args.total, protocol, steps=args.steps,
+                      knowledge=_knowledge_from(args))
     _emit(export(scan.records, args.format), args.output)
     best = scan.argmax
     print(

@@ -6,8 +6,10 @@ columns.  The knowledge model gives the worst-case (lam, chi) of arrays of
 links, which make the cells inside the rate kernel's domain one kernel
 call, and the single-point report of each other cell.  Cells whose rate
 formula is undefined get a NaN rate and the report's error message instead
-of aborting the sweep.  Output is CSV or JSON with 9 significant digits;
-CSV round-trips byte-identically.
+of aborting the sweep.  Export is CSV (9 significant digits, round-trips
+byte-identically) or JSON (``repr`` floats, as ``json.dumps`` writes), made
+by one ``%`` operation over the flat columns with one row template per cell;
+only rows with a non-finite field or an error entry format their own text.
 """
 
 from __future__ import annotations
@@ -191,11 +193,23 @@ def relay_scan(
     return RelayScanReport(records=table, argmax=table[int(np.nanargmax(table.rate))])
 
 
-def _fmt_axis(values: np.ndarray) -> list[str]:
-    """9-digit text of each cell, formatting each distinct value once."""
-    distinct, index = np.unique(values, return_inverse=True)
-    text = [format(x, ".9g") for x in distinct.tolist()]
-    return [text[k] for k in index.tolist()]
+def _fmt_axis(values: np.ndarray, spec: str) -> list[str]:
+    """``spec % x`` of each cell, formatting each distinct value (by bit
+    pattern, so -0.0 is not 0.0) once."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    distinct, index = np.unique(bits, return_inverse=True)
+    text = np.array([spec % x for x in distinct.view(np.float64).tolist()], dtype=object)
+    return text[index].tolist()
+
+
+# head, row template, row separator, tail and axis spec of each format
+_FORMATS = {
+    "csv": ("tau_a,tau_b,chi,rate,secure\n", "%s,%s,%.9g,%.9g,%s\n", "", "", "%.9g"),
+    "json": ("[", '{"tau_a": %s, "tau_b": %s, "chi": %r, "rate": %r, "secure": %s, '
+                  '"error": null}', ", ", "]\n", "%r"),
+}
+_OWN_ROW = "%s" + "%.0s" * 4  # a row's own text; its other four fields print nothing
+_SECURE = np.array(["false", "true"], dtype=object)
 
 
 def export(table: SweepTable, fmt: str = "csv") -> str:
@@ -204,24 +218,31 @@ def export(table: SweepTable, fmt: str = "csv") -> str:
     `error` tag (JSON)."""
     if not len(table):
         raise ValueError("no records to export")
-    secure = (table.rate > 0.0).tolist()
-    if fmt == "csv":
-        chi, rate = (("" if math.isnan(x) else format(x, ".9g") for x in c.tolist())
-                     for c in (table.chi, table.rate))
-        rows = zip(_fmt_axis(table.tau_a), _fmt_axis(table.tau_b), chi, rate,
-                   ("true" if s else "false" for s in secure))
-        return "tau_a,tau_b,chi,rate,secure\n" + "\n".join(map(",".join, rows)) + "\n"
-    if fmt == "json":
-        chi, rate = ([None if math.isnan(x) else x for x in c.tolist()]
-                     for c in (table.chi, table.rate))
-        rows = zip(table.tau_a.tolist(), table.tau_b.tolist(), chi, rate, secure)
-        payload = [
-            {"tau_a": ta, "tau_b": tb, "chi": c, "rate": r, "secure": sec,
-             "error": table.errors.get(k)}
-            for k, (ta, tb, c, r, sec) in enumerate(rows)
-        ]
-        return json.dumps(payload) + "\n"
-    raise ValueError(f"unknown export format {fmt!r}")
+    if fmt not in _FORMATS:
+        raise ValueError(f"unknown export format {fmt!r}")
+    head, row, sep, tail, spec = _FORMATS[fmt]
+    finite = (np.isfinite(table.tau_a) & np.isfinite(table.tau_b)
+              & np.isfinite(table.chi) & np.isfinite(table.rate))
+    cells = [None] * (5 * len(table))  # row-major: tau_a, tau_b, chi, rate, secure
+    cells[0::5], cells[1::5] = _fmt_axis(table.tau_a, spec), _fmt_axis(table.tau_b, spec)
+    cells[2::5], cells[3::5] = table.chi.tolist(), table.rate.tolist()
+    cells[4::5] = _SECURE[(table.rate > 0.0).astype(int)].tolist()
+    rows = [row] * len(table)
+    for k in {*np.flatnonzero(~finite).tolist(), *table.errors}:
+        ta, tb, chi, rate, secure = cells[5 * k:5 * k + 5]
+        chi, rate = (None if math.isnan(x) else x for x in (chi, rate))
+        if fmt == "csv":
+            chi, rate = ("" if x is None else format(x, ".9g") for x in (chi, rate))
+            cells[5 * k] = f"{ta},{tb},{chi},{rate},{secure}\n"
+        else:
+            cells[5 * k] = json.dumps(dict(
+                tau_a=float(table.tau_a[k]), tau_b=float(table.tau_b[k]), chi=chi,
+                rate=rate, secure=secure == "true", error=table.errors.get(k)))
+        rows[k] = _OWN_ROW
+    rows[0] = head + rows[0]  # the framing is part of the template: no copy of the text
+    rows[-1] += tail
+    cells = tuple(cells)  # frees the list before the text is built
+    return sep.join(rows) % cells
 
 
 def parse_csv(text: str) -> SweepTable:

@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cvmdi import ProtocolParams, ThermalKnowledge, export, relay_scan
+from cvmdi import cli
 from cvmdi.cli import main
 
 
@@ -193,6 +195,40 @@ class TestRelayScan:
 
     def test_total_validation(self, capsys):
         assert run_cli(capsys, "relay-scan", "--total", "1.5")[0] == 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_thermal_knowledge(self, capsys, fmt):
+        code, out, _ = run_cli(capsys, "relay-scan", "--total", "0.588", "--steps", "11",
+                               "--knowledge", "thermal", "--omega-a", "1.5",
+                               "--omega-b", "2", "--format", fmt)
+        scan = relay_scan(0.588, ProtocolParams(), steps=11,
+                          knowledge=ThermalKnowledge(1.5, 2.0))
+        assert code == 0
+        assert out == export(scan.records, fmt)
+
+    def test_omega_without_thermal_exit_two(self, capsys):
+        code, out, err = run_cli(capsys, "relay-scan", "--total", "0.588",
+                                 "--omega-a", "1.5")
+        assert code == 2 and out == ""
+        assert "--omega-a must be given only with --knowledge thermal" in err
+
+
+class TestOneExportPerCommand:
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--steps-a", "3", "--steps-b", "3"),
+        ("relay-scan", "--total", "0.588", "--steps", "5"),
+    ], ids=["sweep", "relay-scan"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_call(self, capsys, monkeypatch, argv, fmt):
+        calls = []
+
+        def counting_export(table, fmt):
+            calls.append(fmt)
+            return export(table, fmt)
+
+        monkeypatch.setattr(cli, "export", counting_export)
+        assert run_cli(capsys, *argv, "--format", fmt)[0] == 0
+        assert calls == [fmt]
 
 
 class TestAttackOpt:

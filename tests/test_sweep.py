@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import cvmdi.sweep as sweep_module
 from cvmdi import (
@@ -323,6 +324,12 @@ NO_EXCESS = ProtocolParams(xi=0.97, phi=60.0, epsilon=0.0)
 THERMAL = ThermalKnowledge(1.5, 2.0)
 
 
+# non-finite values, signed zeros, subnormals and values whose repr needs
+# 17 digits, beside any float
+VALUES = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                          2.2250738585072014e-308, 0.1 + 0.2, 1.0 / 3.0, 0.5]) | st.floats()
+
+
 class TestSweepTable:
     @pytest.mark.parametrize("make", [
         # epsilon = 0 reaches the chi pole at the (1, 1) corner
@@ -337,11 +344,30 @@ class TestSweepTable:
         )),
         lambda: relay_scan(0.5, FIG_PROTOCOL, steps=21).records,
         lambda: relay_scan(0.5, FIG_PROTOCOL, steps=21, knowledge=THERMAL).records,
-    ], ids=["chi-pole", "thermal-lossless", "relay-chi", "relay-thermal"])
+        # signed zeros and non-finite values on the axes too
+        lambda: SweepTable(np.array([0.0, -0.0, math.nan, math.inf]),
+                           np.array([-0.0, 0.0, 0.5, 0.5]),
+                           np.array([math.nan, 1.0, -math.inf, 0.1 + 0.2]),
+                           np.array([0.5, -0.0, 5e-324, math.nan]), {3: "pole"}),
+    ], ids=["chi-pole", "thermal-lossless", "relay-chi", "relay-thermal", "edge-values"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_export_matches_record_reference(self, make, fmt):
         table = make()
         assert export(table, fmt) == reference_export(list(table), fmt)
+
+    @given(st.data())
+    def test_export_matches_record_reference_on_any_table(self, data):
+        n = data.draw(st.integers(1, 12))
+        axis = data.draw(st.lists(VALUES, min_size=1, max_size=4))
+        tau_a, tau_b = (data.draw(st.lists(st.sampled_from(axis), min_size=n, max_size=n))
+                        for _ in "ab")
+        chi, rate = (data.draw(st.lists(VALUES, min_size=n, max_size=n))
+                     for _ in "cr")
+        errors = data.draw(st.dictionaries(st.integers(0, n - 1), st.text(max_size=8)))
+        table = SweepTable(*(np.array(c, dtype=float) for c in (tau_a, tau_b, chi, rate)),
+                           errors)
+        for fmt in ("csv", "json"):
+            assert export(table, fmt) == reference_export(list(table), fmt)
 
     def test_sweep_and_export_build_no_rows(self, monkeypatch):
         def no_rows(*args, **kwargs):
