@@ -2,17 +2,20 @@
 
 A brute-force minimization of the general rate over the physical
 correlation square certifies that the analytic minimized formulas are true
-lower envelopes.  The coarse pass scans the full square (both sectors, so
-the bisector symmetry is checked rather than assumed).  Each zoom level
+lower envelopes.  The coarse pass scans the full square.  Each zoom level
 re-grids a window centred on the previous argmin's projection onto the
 bisector g = -g'; the g' axis is the exact mirror image of the g axis, so
 every level is symmetric about the bisector even where the window is
-clipped at the edge of the square.  Grid rates come from the one rate
-kernel (:func:`cvmdi.keyrate.rate_kernel`) on the physical and
-admissible lattice points, with the physicality test and noise algebra of
-:mod:`cvmdi.core`; the reported minimum is the lattice's own rate.  The
-thermal rate profiles run through the same lattice evaluation, with
-:func:`cvmdi.keyrate.decoupled_rate` at the decoupled samples.
+clipped at the edge of the square.  The mirror (g, g') -> (-g', -g) swaps
+lam and lam' and leaves the rate, the physicality test and the kernel's
+domain unchanged bit for bit, so each level evaluates every unordered
+(lam, lam') pair once; the tests check the mirror bitwise.  Grid rates
+come from the one rate kernel (:func:`cvmdi.keyrate.rate_kernel`) on the
+physical and admissible lattice points, with the physicality test and
+noise algebra of :mod:`cvmdi.core`; the reported minimum is the lattice's
+own rate.  The thermal rate profiles run through the same lattice
+evaluation, with :func:`cvmdi.keyrate.decoupled_rate` at the decoupled
+samples.
 
 Lattice points that are physical but outside the kernel's domain
 (:func:`cvmdi.keyrate.in_domain`: sqrt(lam lam') below |dtau|, or a
@@ -140,17 +143,6 @@ def _grid_rates(protocol: ProtocolParams, tau_a, tau_b, omega_a, omega_b, g, gp)
     return rates, physical, admissible
 
 
-def _argmin_tiebreak(
-    g: np.ndarray, gp: np.ndarray, rates: np.ndarray, mask: np.ndarray
-) -> tuple[float, float]:
-    idx = np.flatnonzero(mask.ravel())
-    vals = rates.ravel()[idx]
-    ties = idx[vals == vals.min()]
-    gr, gpr = g.ravel(), gp.ravel()
-    best = min(ties, key=lambda k: (abs(gr[k] + gpr[k]), gr[k], gpr[k]))
-    return float(gr[best]), float(gpr[best])
-
-
 def min_rate_brute(
     protocol: ProtocolParams,
     link: LinkPair,
@@ -179,6 +171,7 @@ def min_rate_brute(
     last = 2 * math.ceil(span / (2 * cut))
     lo, hi = physical_bounds(omega_a, omega_b)
     ax = _axis(hi, grid.n)
+    ta, tb = link.tau_a, link.tau_b
     n_eval = n_skip = 0
     for level, n in enumerate(levels + [last + 1]):
         if level:
@@ -188,15 +181,21 @@ def min_rate_brute(
             if level == len(levels):
                 half *= last * cut / span
             ax = np.linspace(max(lo, gc - half), min(hi, gc + half), n)
-        g, gp = np.meshgrid(ax, -ax[::-1], indexing="ij")
-        ta, tb = link.tau_a, link.tau_b
+        # the lattice (ax[i], -ax[j]) holds each point's mirror (ax[j], -ax[i]):
+        # the pairs i <= j stand for both, and once on the bisector i = j
+        i, j = np.triu_indices(n)
+        g, gp = ax[i], -ax[j]
         rates, phys, adm = _grid_rates(protocol, ta, tb, omega_a, omega_b, g, gp)
-        mask = phys & adm
-        n_eval += int(mask.sum())
-        n_skip += int((phys & ~adm).sum())
+        mask, weight = phys & adm, 2 - (i == j)
+        n_eval += int(weight[mask].sum())
+        n_skip += int(weight[phys & ~adm].sum())
         if mask.any():  # a zoom window misses only single-point domains
-            g_star, gp_star = _argmin_tiebreak(g, gp, rates, mask)
             rate_star = float(rates.min())  # +inf off the mask
+            # a mirror (-g', -g) keeps |g + g'| and has no smaller g (the
+            # pairs hold g <= -g'), so the full square's pick is a pair
+            ties = np.flatnonzero(mask & (rates == rate_star))
+            k = min(ties, key=lambda k: (abs(g[k] + gp[k]), g[k], gp[k]))
+            g_star, gp_star = float(g[k]), float(gp[k])
         elif not level:
             raise EmptyDomainError(
                 "no admissible lattice point in the physical correlation region"

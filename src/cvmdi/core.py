@@ -32,6 +32,10 @@ PHYSICALITY_TOL = 1e-12
 SYMMETRIC_TAU_TOL = 1e-9
 """Below this |tau_a - tau_b| a link pair is treated as symmetric."""
 
+OMEGA_MAX = 1e76
+"""Largest ancilla variance (SNU): the physicality invariants grow as omega^4
+(Delta^2 up to 16 omega^4) and stay finite in double precision up to here."""
+
 LOG2E = math.log2(math.e)
 
 
@@ -86,9 +90,11 @@ def require_epsilon(epsilon) -> None:
 
 
 def require_omega(name: str, omega) -> None:
-    """The ancilla-variance rule, on floats or arrays: given, finite and >= 1 SNU."""
+    """The ancilla-variance rule, on floats or arrays: given, finite and >= 1
+    SNU, and at most ``OMEGA_MAX``."""
     ok = omega is not None and (1.0 <= omega) & (omega < math.inf)
     require(ok, name, "be finite and >= 1 SNU", omega)
+    require(omega <= OMEGA_MAX, name, f"be at most {OMEGA_MAX:g} SNU", omega)
 
 
 def require_count(name: str, value: int, least: int) -> None:

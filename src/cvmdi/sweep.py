@@ -141,9 +141,9 @@ def _eval_cells(
     """Table of the cells (tau_a[k], tau_b[k]), each equal to the
     knowledge model's single-point report bit for bit: the in-domain cells
     are one kernel call, the others go through the report itself.  A cell
-    whose report fails keeps the model's chi: the given chi of the chi
-    model, and inf or NaN under the thermal model, whose lam_opt = kappa +
-    u g_max >= kappa >= |dtau| is in the domain unless it overflowed."""
+    whose report fails keeps the model's chi.  Only the chi model fails
+    cells: the thermal lam_opt = kappa + u g_max >= kappa >= |dtau| is finite
+    up to OMEGA_MAX, so its cells leave the domain only where decoupled."""
     lam, chi = knowledge.noise(protocol, tau_a, tau_b)
     ok = in_domain(tau_a, tau_b, lam, lam)
     rate = np.full(tau_a.shape, math.nan)

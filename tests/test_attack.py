@@ -29,7 +29,8 @@ from cvmdi import (
 )
 from cvmdi.attack import (
     REFINE_MARGIN,
-    _argmin_tiebreak,
+    ZOOM_N,
+    ArgMinReport,
     _axis,
     _grid_rates,
     _physical_dprime_max,
@@ -172,6 +173,54 @@ class TestMinRateBrute:
         assert report.gap >= -1e-4
 
 
+def _argmin_tiebreak(g, gp, rates, mask):
+    """Argmin of ``rates`` on ``mask`` over a whole lattice: ties go toward
+    the bisector (smaller |g + g'|), then lexicographically."""
+    idx = np.flatnonzero(mask.ravel())
+    vals = rates.ravel()[idx]
+    ties = idx[vals == vals.min()]
+    gr, gpr = g.ravel(), gp.ravel()
+    best = min(ties, key=lambda k: (abs(gr[k] + gpr[k]), gr[k], gpr[k]))
+    return float(gr[best]), float(gpr[best])
+
+
+def _min_rate_full_square(protocol, link, wa, wb, grid):
+    """Reference: the zoom levels of :func:`min_rate_brute`, each evaluated
+    on its full meshgrid square, both mirror images of every point."""
+    levels, span, cut = [grid.n], grid.refine_n - 1, 1
+    while span > (ZOOM_N - 1) * cut:
+        levels.append(ZOOM_N)
+        cut *= (ZOOM_N - 1) // (2 * REFINE_MARGIN)
+    last = 2 * math.ceil(span / (2 * cut))
+    lo, hi = physical_bounds(wa, wb)
+    ax = _axis(hi, grid.n)
+    n_eval = n_skip = 0
+    for level, n in enumerate(levels + [last + 1]):
+        if level:
+            gc = attack_coords(g_star, gp_star).l
+            half = REFINE_MARGIN * (ax[1] - ax[0])
+            if level == len(levels):
+                half *= last * cut / span
+            ax = np.linspace(max(lo, gc - half), min(hi, gc + half), n)
+        g, gp = np.meshgrid(ax, -ax[::-1], indexing="ij")
+        rates, phys, adm = _grid_rates(protocol, link.tau_a, link.tau_b, wa, wb, g, gp)
+        mask = phys & adm
+        n_eval += int(mask.sum())
+        n_skip += int((phys & ~adm).sum())
+        if mask.any():
+            g_star, gp_star = _argmin_tiebreak(g, gp, rates, mask)
+            rate_star = float(rates.min())
+        elif not level:
+            raise EmptyDomainError("no admissible lattice point")
+    analytic = key_rate_min_thermal(protocol, link, wa, wb).rate
+    gm = g_max(wa, wb)
+    return ArgMinReport(
+        g_star, gp_star, rate_star, attack_coords(g_star, gp_star).d, analytic,
+        rate_star - analytic, gm, abs(abs(g_star) - gm), float(ax[1] - ax[0]),
+        n_eval, n_skip,
+    )
+
+
 def _min_rate_one_window(protocol, link, wa, wb, grid):
     """Reference: the coarse pass and one refine_n-point window spanning
     +-REFINE_MARGIN coarse cells, the search before the zoom levels.
@@ -272,23 +321,27 @@ class TestZoomLevels:
 
 class TestGridRateSymmetries:
     def test_bisector_reflection(self):
-        # the rate is invariant under (g, g') -> (-g', -g), bitwise on the
-        # mirrored lattice
-        link = LinkPair(0.85, 0.55)
-        ax = _axis(physical_bounds(2.0, 2.0)[1], 41)
-        g, gp = np.meshgrid(ax, ax, indexing="ij")
-        rates, phys, adm = _grid_rates(
-            ProtocolParams(), link.tau_a, link.tau_b, 2.0, 2.0, g, gp
-        )
-        mask = phys & adm
-        mirrored_rates = rates[::-1, ::-1].T
-        mirrored_mask = mask[::-1, ::-1].T
-        both = mask & mirrored_mask
-        assert both.sum() > 100
-        diff = np.abs(rates[both] - mirrored_rates[both])
-        scale = np.maximum(1.0, np.abs(rates[both]))
-        assert np.max(diff / scale) <= 1e-10
-        assert np.array_equal(mask, mirrored_mask)
+        # the rate, the physical mask and the admissible mask are invariant
+        # under (g, g') -> (-g', -g), bit for bit, on the lattice
+        # (ax[i], -ax[j]) of min_rate_brute's levels: the point (i, j) mirrors
+        # (n-1-j, n-1-i) of the meshgrid, on the mirror-built coarse axis
+        # and on a clipped zoom axis that is not symmetric about 0
+        cases = [
+            (ProtocolParams(), LinkPair(0.85, 0.55), 2.0, 2.0),
+            (ProtocolParams(xi=1.0), LinkPair(0.7, 0.7), 3.0, 1.5),
+            (ProtocolParams(xi=0.9), LinkPair(0.6, 0.95), 1.3, 4.0),
+        ]
+        for protocol, link, wa, wb in cases:
+            lo, hi = physical_bounds(wa, wb)
+            zoom = np.linspace(hi - 0.37 * (hi - lo), hi, 41)
+            for ax in (_axis(hi, 41), zoom):
+                g, gp = np.meshgrid(ax, -ax[::-1], indexing="ij")
+                rates, phys, adm = _grid_rates(
+                    protocol, link.tau_a, link.tau_b, wa, wb, g, gp)
+                assert (phys & adm).sum() > 100 and np.isfinite(rates).sum() > 100
+                for a in (rates, phys, adm):
+                    assert np.array_equal(a, a[::-1, ::-1].T)
+        assert not np.array_equal(zoom, -zoom[::-1])
 
     def test_admissibility_mask_excludes_lambda_domain_violations(self):
         # the formula domain requires sqrt(lam lam') >= |dtau|; points below
@@ -304,6 +357,30 @@ class TestGridRateSymmetries:
         )
         assert not admissible[0]
         assert admissible[1]
+
+
+def _seeded_cases(count, seed=15):
+    """Links and ancillas drawn at a recorded seed; every fourth link symmetric."""
+    rng, cases = np.random.default_rng(seed), []
+    for k in range(count):
+        ta, tb = (float(t) for t in rng.uniform(0.3, 0.999, size=2))
+        wa, wb = (float(w) for w in rng.uniform(1.0, 10.0, size=2))
+        link = LinkPair(ta, ta if k % 4 == 0 else tb)
+        cases.append((ProtocolParams(xi=(1.0, 0.97, 0.9)[k % 3]), link, wa, wb))
+    return cases
+
+
+class TestTriangleMatchesFullSquare:
+    @pytest.mark.parametrize("grid", [AttackGrid(3, 3), AttackGrid(5, 41),
+                                      AttackGrid(201, 803)], ids=str)
+    def test_report_equals_full_square_reference(self, grid):
+        # one evaluation per unordered (lam, lam') pair gives the report of
+        # the full square, every field equal with no tolerance
+        for protocol, link, wa, wb in ZOOM_CASES + _seeded_cases(12):
+            report = min_rate_brute(protocol, link, wa, wb, grid)
+            reference = _min_rate_full_square(protocol, link, wa, wb, grid)
+            assert report == reference
+            assert repr(report) == repr(reference)  # signed zeros too
 
 
 class TestRateProfileThermal:

@@ -1,0 +1,100 @@
+"""Schema of the BENCH_<pr>.json records that tools/bench_record.py writes,
+checked on the committed records and on a record assembled from stub runs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "bench_record", ROOT / "tools" / "bench_record.py")
+bench_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_record)
+
+RECORDS = sorted(ROOT.glob("BENCH_*.json"))
+END_TO_END = {"setup_s", "work_per_s", "round_s", "peak_rss_mb"}
+
+
+def check_schema(record: dict) -> None:
+    assert set(record) == {"schema", "pr", "src_lines", "host", "settings", "workloads"}
+    assert record["schema"] == 1
+    assert isinstance(record["pr"], int) and isinstance(record["src_lines"], int)
+    host = record["host"]
+    assert set(host) == {"nproc", "python", "numpy"}
+    assert isinstance(host["nproc"], int) and host["nproc"] >= 1
+    assert all(isinstance(host[k], str) for k in ("python", "numpy"))
+    assert set(record["settings"]) == {"seed", "seconds"}
+    assert set(record["workloads"]) == {"surface", "attack", "certify"}
+    for runs in record["workloads"].values():
+        assert set(runs) == {"end_to_end", "per_layer"}
+        for result in runs.values():
+            assert set(result) == {"correct", "attempted", "failed", "metrics"}
+            assert isinstance(result["correct"], bool)
+            for metric in result["metrics"].values():
+                assert set(metric) == {"value", "unit"}
+                assert isinstance(metric["value"], (int, float))
+                assert isinstance(metric["unit"], str)
+        assert set(runs["end_to_end"]["metrics"]) == END_TO_END
+        assert "attack.lattice_points" in runs["per_layer"]["metrics"]
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=[p.name for p in RECORDS])
+def test_committed_record(path):
+    record = json.loads(path.read_text())
+    check_schema(record)
+    assert path.name == f"BENCH_{record['pr']}.json"
+    for runs in record["workloads"].values():
+        for result in runs.values():
+            assert result["correct"] is True and result["failed"] == 0
+
+
+def test_attack_lattice_halved_with_the_same_points_evaluated():
+    # one evaluation per unordered (lam, lam') pair: 6 x (201^2 + 2 x 41^2 + 9^2)
+    # lattice points per round before, 6 x (20301 + 861 + 861 + 45) after
+    counts = {}
+    for pr in (14, 15):
+        metrics = json.loads((ROOT / f"BENCH_{pr}.json").read_text())[
+            "workloads"]["attack"]["per_layer"]["metrics"]
+        counts[pr] = {k: metrics[f"attack.{k}"]["value"]
+                      for k in ("lattice_points", "n_evaluated", "n_skipped")}
+    assert counts[14]["lattice_points"] == 263064
+    assert counts[15]["lattice_points"] == 132408
+    assert counts[14]["n_evaluated"] == counts[15]["n_evaluated"] > 0
+    assert counts[14]["n_skipped"] == counts[15]["n_skipped"]
+
+
+def _result(workload, trace):
+    names = END_TO_END if trace == 0 else {"attack.lattice_points"}
+    return {"correct": True, "attempted": 6, "failed": 0,
+            "metrics": {n: {"value": len(workload) + trace, "unit": "s"} for n in names}}
+
+
+def test_record_keeps_each_run_unchanged():
+    calls = []
+
+    def run(root, workload, seed, seconds, trace):
+        calls.append((workload, seed, seconds, trace))
+        return _result(workload, trace)
+
+    record = bench_record.record(15, ROOT, 3, 0.5, run=run)
+    check_schema(record)
+    assert sorted(calls) == sorted((w, 3, 0.5, t) for w in ("surface", "attack", "certify")
+                                   for t in (0, 1))
+    for w, runs in record["workloads"].items():
+        assert runs == {"end_to_end": _result(w, 0), "per_layer": _result(w, 1)}
+    assert record["src_lines"] == bench_record.src_lines(ROOT) > 0
+
+
+def test_run_bench_parses_the_last_line(tmp_path):
+    (tmp_path / "bench").mkdir()
+    script = tmp_path / "bench" / "run.py"
+    script.write_text("import json, sys\nprint('warm-up')\n"
+                      "print(json.dumps({'argv': sys.argv[1:]}))\n")
+    got = bench_record.run_bench(tmp_path, "attack", 2, 0.5, 1)
+    assert got == {"argv": ["--workload", "attack", "--seed", "2", "--seconds", "0.5",
+                            "--trace", "1"]}
+    script.write_text("import sys\nsys.exit(1)\n")
+    with pytest.raises(RuntimeError, match="exited 1"):
+        bench_record.run_bench(tmp_path, "attack", 2, 0.5, 1)

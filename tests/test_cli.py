@@ -2,6 +2,7 @@
 byte-level determinism."""
 
 import json
+import math
 import re
 import subprocess
 import sys
@@ -67,15 +68,26 @@ class TestRate:
         assert code == 1
         assert "error" in err
 
-    def test_overflowed_thermal_noise_exit_one(self, capsys):
-        # lam_opt overflows to inf: a typed domain error, not a math error
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, out, err = run_cli(
-                capsys, "rate", "--tau-a", "0.9", "--tau-b", "0.8", "--knowledge",
-                "thermal", "--omega-a", "1e200", "--omega-b", "1e200",
-            )
-        assert (code, out) == (1, "")
-        assert err.startswith("error: rate undefined at lam = inf, lam' = inf: ")
+    @pytest.mark.parametrize("argv, omega", [
+        (("rate", "--tau-a", "0.9", "--tau-b", "0.8", "--knowledge", "thermal"), "1e200"),
+        (("attack-opt", "--tau-a", "0.9", "--tau-b", "0.7"), "1e78"),
+    ], ids=["rate", "attack-opt"])
+    def test_huge_omega_exit_two(self, capsys, argv, omega):
+        # the physicality invariants (omega^4) and g_max's product would
+        # overflow: an input error naming the flag, with no warning (the
+        # suite turns every warning into an error)
+        code, out, err = run_cli(capsys, *argv, "--omega-a", omega, "--omega-b", omega)
+        assert (code, out) == (2, "")
+        assert err == f"error: --omega-a must be at most 1e+76 SNU, got {float(omega)}\n"
+
+    @pytest.mark.parametrize("argv, key", [
+        (("rate", "--tau-a", "0.9", "--tau-b", "0.8", "--knowledge", "thermal"), "rate"),
+        (("attack-opt", "--tau-a", "0.9", "--tau-b", "0.7"), "rate_star"),
+    ], ids=["rate", "attack-opt"])
+    def test_largest_omega_is_a_finite_rate(self, capsys, argv, key):
+        code, out, _ = run_cli(capsys, *argv, "--omega-a", "1e76", "--omega-b", "1e76")
+        rate = json.loads(out)[key]
+        assert code == 0 and math.isfinite(rate) and rate < 0.0
 
     def test_unknown_flag_exit_two(self, capsys):
         assert run_cli(capsys, "rate", "--bogus", "1")[0] == 2

@@ -17,6 +17,7 @@ from cvmdi import (
     AncillaState,
     DomainError,
     LinkPair,
+    ParameterError,
     ProtocolParams,
     chi_equivalent,
     derive_noise,
@@ -27,7 +28,7 @@ from cvmdi import (
     key_rate_min_thermal,
     mutual_information,
 )
-from cvmdi.core import bisector_lam
+from cvmdi.core import OMEGA_MAX, bisector_lam
 from cvmdi.keyrate import KeyRateReport, in_domain, min_thermal_noise
 
 FIG_PROTOCOL = ProtocolParams(xi=0.97, phi=60.0, epsilon=0.01)
@@ -471,9 +472,13 @@ class TestOverflowedNoise:
         assert in_domain(0.9, 0.8, lam, lam).tolist() == [True, False, False]
 
     @pytest.mark.parametrize("link", [LinkPair(0.9, 0.8), LinkPair(0.9, 0.9)])
-    def test_min_thermal_raises_domain_error(self, link):
-        with np.errstate(over="ignore"), pytest.raises(DomainError, match="lam = inf"):
+    def test_min_thermal_rejects_huge_omega(self, link):
+        # omega = 1e200 would overflow g_max and lam_opt: the ancilla
+        # variance is the bad input, a ParameterError, not a DomainError
+        with pytest.raises(ParameterError, match="omega_a must be at most 1e"):
             key_rate_min_thermal(FIG_PROTOCOL, link, 1e200, 1e200)
+        report = key_rate_min_thermal(FIG_PROTOCOL, link, OMEGA_MAX, OMEGA_MAX)
+        assert math.isfinite(report.rate) and math.isfinite(report.chi)
 
     def test_closed_form_raises_domain_error(self):
         with pytest.raises(DomainError, match="rate undefined"):

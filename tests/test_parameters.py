@@ -245,6 +245,10 @@ MESSAGES = {
     "xi-scalar": (lambda: ProtocolParams(xi=2.0), "xi must be in (0, 1], got 2.0"),
     "omega_b-scalar": (lambda: ThermalKnowledge(2.0, None),
                        "omega_b must be finite and >= 1 SNU, got None"),
+    "omega_a-ceiling": (lambda: ThermalKnowledge(1e77, 2.0),
+                        "omega_a must be at most 1e+76 SNU, got 1e+77"),
+    "omega_b-ceiling-array": (lambda: g_max(2.0, np.array([3.0, 1e77])),
+                              "omega_b must be at most 1e+76 SNU, got 1e+77 at index 1"),
     "tau_range-scalar": (lambda: SweepConfig(tau_a_range=(0.5, NAN)),
                          "tau_a_range must satisfy 0 < lo <= hi <= 1, got (0.5, nan)"),
 }
@@ -265,6 +269,7 @@ def test_admissible_edges_pass():
     assert g_max(1.0, 1.0) == 0.0
     assert g_max(np.array([1.0, 3.0]), 3.0).tolist() == [0.0, g_max(3.0, 3.0)]
     ThermalKnowledge(1.0, 1.0)
+    ThermalKnowledge(1e76, 1e76)
     SweepConfig(tau_a_range=(1.0, 1.0), steps_a=2)
     SweepConfig(steps_a=np.int64(2), steps_b=np.int32(3))
     AttackGrid(n=3, refine_n=3)

@@ -12,6 +12,7 @@ from cvmdi import (
     ChiKnowledge,
     DomainError,
     LinkPair,
+    ParameterError,
     ProtocolParams,
     SweepConfig,
     SweepRecord,
@@ -26,6 +27,7 @@ from cvmdi import (
     relay_scan,
     run_sweep,
 )
+from cvmdi.core import OMEGA_MAX
 
 FIG_PROTOCOL = ProtocolParams(xi=0.97, phi=60.0, epsilon=0.01)
 
@@ -184,18 +186,17 @@ class TestRunSweep:
         assert corner.error
         assert sum(r.error is not None for r in records) == 1
 
-    def test_overflowed_thermal_noise_is_an_error_cell(self):
-        # omega = 1e200 overflows g_max and lam_opt to inf or NaN; no cell
-        # may come out as a silent NaN rate without its error text
+    def test_largest_omega_gives_finite_cells(self):
+        # at OMEGA_MAX nothing overflows: every cell is a finite rate (the
+        # lossless corner is decoupled); above it the model is refused
         config = SweepConfig(
             steps_a=3, steps_b=3, protocol=FIG_PROTOCOL,
-            knowledge=ThermalKnowledge(1e200, 1e200),
+            knowledge=ThermalKnowledge(OMEGA_MAX, OMEGA_MAX),
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            table = run_sweep(config)
-        assert sorted(table.errors) == list(range(9))
-        assert all(m.startswith("rate undefined at lam = ") for m in table.errors.values())
-        assert np.isnan(table.rate).all() and not (table.rate > 0.0).any()
+        table = run_sweep(config)
+        assert table.errors == {} and np.isfinite(table.rate).all()
+        with pytest.raises(ParameterError, match="omega_b must be at most"):
+            ThermalKnowledge(2.0, 1e200)
 
     def test_surface_decreases_with_loss(self):
         config = SweepConfig(
