@@ -9,13 +9,14 @@ every level is symmetric about the bisector even where the window is
 clipped at the edge of the square.  The mirror (g, g') -> (-g', -g) swaps
 lam and lam' and leaves the rate, the physicality test and the kernel's
 domain unchanged bit for bit, so each level evaluates every unordered
-(lam, lam') pair once; the tests check the mirror bitwise.  Grid rates
-come from the one rate kernel (:func:`cvmdi.keyrate.rate_kernel`) on the
-physical and admissible lattice points, with the physicality test and
-noise algebra of :mod:`cvmdi.core`; the reported minimum is the lattice's
-own rate.  The thermal rate profiles run through the same lattice
-evaluation, with :func:`cvmdi.keyrate.decoupled_rate` at the decoupled
-samples.
+(lam, lam') pair once, on one cached pair layout per level size; a pair
+counts as two points, a bisector pair as one, and the tests check the
+mirror bitwise.  Grid rates come from the one rate kernel
+(:func:`cvmdi.keyrate.rate_kernel`) on the physical and admissible lattice
+points, with the physicality test and noise algebra of :mod:`cvmdi.core`;
+the reported minimum is the lattice's own rate.  The thermal rate profiles
+run through the same lattice evaluation, with
+:func:`cvmdi.keyrate.decoupled_rate` at the decoupled samples.
 
 Lattice points that are physical but outside the kernel's domain
 (:func:`cvmdi.keyrate.in_domain`: sqrt(lam lam') below |dtau|, or a
@@ -25,6 +26,7 @@ nonpositive effective noise) are excluded from the argmin and counted in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -122,6 +124,16 @@ def _at(mask: np.ndarray, x):
     return x if np.ndim(x) == 0 else np.broadcast_to(x, mask.shape)[mask]
 
 
+@functools.cache
+def _pair_layout(n: int) -> tuple[np.ndarray, ...]:
+    """Read-only pairs i <= j of an n-point level and the positions of those with i = j."""
+    i, j = np.triu_indices(n)
+    layout = i, j, np.flatnonzero(i == j)
+    for a in layout:
+        a.flags.writeable = False
+    return layout
+
+
 def _grid_rates(protocol: ProtocolParams, tau_a, tau_b, omega_a, omega_b, g, gp):
     """Vectorized general rate over correlation arrays.
 
@@ -183,17 +195,18 @@ def min_rate_brute(
             ax = np.linspace(max(lo, gc - half), min(hi, gc + half), n)
         # the lattice (ax[i], -ax[j]) holds each point's mirror (ax[j], -ax[i]):
         # the pairs i <= j stand for both, and once on the bisector i = j
-        i, j = np.triu_indices(n)
+        i, j, diag = _pair_layout(n)
         g, gp = ax[i], -ax[j]
         rates, phys, adm = _grid_rates(protocol, ta, tb, omega_a, omega_b, g, gp)
-        mask, weight = phys & adm, 2 - (i == j)
-        n_eval += int(weight[mask].sum())
-        n_skip += int(weight[phys & ~adm].sum())
-        if mask.any():  # a zoom window misses only single-point domains
+        mask = phys & adm
+        n_level, n_out = (2 * int(np.count_nonzero(m)) - int(np.count_nonzero(m[diag]))
+                          for m in (mask, phys & ~adm))
+        n_eval, n_skip = n_eval + n_level, n_skip + n_out
+        if n_level:  # a zoom window misses only single-point domains
             rate_star = float(rates.min())  # +inf off the mask
             # a mirror (-g', -g) keeps |g + g'| and has no smaller g (the
             # pairs hold g <= -g'), so the full square's pick is a pair
-            ties = np.flatnonzero(mask & (rates == rate_star))
+            ties = np.flatnonzero(rates == rate_star)
             k = min(ties, key=lambda k: (abs(g[k] + gp[k]), g[k], gp[k]))
             g_star, gp_star = float(g[k]), float(gp[k])
         elif not level:

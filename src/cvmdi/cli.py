@@ -15,7 +15,6 @@ output.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -146,7 +145,7 @@ def _cmd_rate(args: argparse.Namespace) -> int:
     report = _knowledge_from(args).report(protocol, link)
     inputs = {name: getattr(args, name)
               for name in ("tau_a", "tau_b", "xi", "phi", "epsilon", "knowledge")}
-    _emit(json.dumps({**inputs, **dataclasses.asdict(report)}) + "\n", args.output)
+    _emit(json.dumps({**inputs, **vars(report)}) + "\n", args.output)
     state = "secure" if report.secure else "insecure"
     print(f"rate {report.rate:.6f} bits/use ({state})", file=sys.stderr)
     return 0
@@ -190,7 +189,7 @@ def _cmd_attack_opt(args: argparse.Namespace) -> int:
         protocol, link, args.omega_a, args.omega_b,
         AttackGrid(n=args.grid_n, refine_n=args.refine_n),
     )
-    _emit(json.dumps(dataclasses.asdict(report)) + "\n", args.output)
+    _emit(json.dumps(vars(report)) + "\n", args.output)
     print(
         f"argmin at g={report.g_star:.9g}, g'={report.g_prime_star:.9g}; "
         f"rate {report.rate_star:.6f} vs analytic {report.analytic_rate:.6f} "
@@ -213,7 +212,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_optics_sim(args: argparse.Namespace) -> int:
     report = check_self_alignment(trials=args.trials, seed=args.seed)
-    _emit(json.dumps(dataclasses.asdict(report)) + "\n", args.output)
+    _emit(json.dumps(vars(report)) + "\n", args.output)
     state = "pass" if report.ok else "FAIL"
     print(
         f"self-alignment {state}: max error {report.max_phase_error:.3e} rad, "

@@ -33,6 +33,7 @@ from cvmdi.attack import (
     ArgMinReport,
     _axis,
     _grid_rates,
+    _pair_layout,
     _physical_dprime_max,
     _profiles,
     _thermal_profiles,
@@ -171,6 +172,20 @@ class TestMinRateBrute:
         assert report.bisector_distance <= math.sqrt(2.0) * cell
         assert report.gmax_distance <= cell
         assert report.gap >= -1e-4
+
+    @pytest.mark.parametrize("tau_b, omegas, g_star", [
+        (0.7, (2.0, 2.0), -1.732),
+        (0.5, (3.0, 1.5), -1.4141782070340354),
+    ])
+    def test_ties_go_to_the_bisector(self, tau_b, omegas, g_star):
+        # at tau_a = 1, u = 0 and the noise does not depend on (g, g'), so
+        # every admissible lattice point ties: the tie-break alone puts the
+        # argmin on the bisector, at its smallest g (a key without |g + g'|
+        # lands 6e-4 off it, at g = -1.6504 and -1.0505)
+        report = min_rate_brute(ProtocolParams(), LinkPair(1.0, tau_b), *omegas)
+        assert report.g_star == g_star == -report.g_prime_star
+        assert report.bisector_distance == 0.0
+        assert report.gap == 0.0
 
 
 def _argmin_tiebreak(g, gp, rates, mask):
@@ -381,6 +396,11 @@ class TestTriangleMatchesFullSquare:
             reference = _min_rate_full_square(protocol, link, wa, wb, grid)
             assert report == reference
             assert repr(report) == repr(reference)  # signed zeros too
+            # an np.int64 count would make json.dumps raise
+            assert type(report.n_evaluated) is int and type(report.n_skipped) is int
+        for n in {grid.n, ZOOM_N}:
+            assert _pair_layout(n) is _pair_layout(n)
+            assert not any(a.flags.writeable for a in _pair_layout(n))
 
 
 class TestRateProfileThermal:

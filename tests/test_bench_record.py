@@ -65,6 +65,17 @@ def test_attack_lattice_halved_with_the_same_points_evaluated():
     assert counts[14]["n_skipped"] == counts[15]["n_skipped"]
 
 
+def test_attack_traced_work_kept_by_the_cached_pair_layout():
+    # the layout cache and the weight-free counts leave every counter as it was
+    names = ("attack.lattice_points", "attack.n_evaluated", "attack.n_skipped",
+             "core.is_physical.calls", "core.entropy_h.calls", "keyrate.key_rate.calls")
+    counts = [{n: json.loads((ROOT / f"BENCH_{pr}.json").read_text())[
+        "workloads"]["attack"]["per_layer"]["metrics"][n]["value"] for n in names}
+        for pr in (15, 16)]
+    assert counts[0] == counts[1]
+    assert counts[1]["attack.n_evaluated"] == 215955
+
+
 def _result(workload, trace):
     names = END_TO_END if trace == 0 else {"attack.lattice_points"}
     return {"correct": True, "attempted": 6, "failed": 0,
