@@ -124,7 +124,7 @@ def _at(mask: np.ndarray, x):
     return x if np.ndim(x) == 0 else np.broadcast_to(x, mask.shape)[mask]
 
 
-@functools.cache
+@functools.lru_cache(maxsize=3)  # a certificate's sizes: grid.n, ZOOM_N, last + 1
 def _pair_layout(n: int) -> tuple[np.ndarray, ...]:
     """Read-only pairs i <= j of an n-point level and the positions of those with i = j."""
     i, j = np.triu_indices(n)

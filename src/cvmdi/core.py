@@ -261,13 +261,10 @@ def entropy_tail(r):
     hi = r.max(initial=0.0)
     if hi * (1.0 - H_CLAMP_TOL) > 1.0:
         raise DomainError(f"entropy_tail argument {float(hi)!r} > 1: nonphysical value")
-    inner = (r > 0.0) & (r < 1.0)
-    x = r if inner.all() else r[inner]  # all interior: no gather, no scatter
-    tail = -1.0 + (0.5 * np.log((1.0 - x) * (1.0 + x)) + np.arctanh(x) / x) * LOG2E
-    if x is r:
-        return tail
     out = np.log2(np.maximum(r, 1.0))
-    out[inner] = tail
+    inner = (r > 0.0) & (r < 1.0)
+    x = r[inner]
+    out[inner] = -1.0 + (0.5 * np.log((1.0 - x) * (1.0 + x)) + np.arctanh(x) / x) * LOG2E
     out[r == 0.0] = LOG2E - 1.0
     return out
 
