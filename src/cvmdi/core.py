@@ -282,16 +282,22 @@ def log_ratio_g(x):
 def _invariants(ancilla: AncillaState):
     """Positive-definiteness margins m - g^2, m - g'^2 (m = omega_a omega_b),
     Delta = omega_a^2 + omega_b^2 + 2 g g', Delta^2 - 4 det with det =
-    (m - g^2)(m - g'^2), and nu_minus^2 = (Delta - sqrt(Delta^2 - 4 det)) / 2
-    (clamped at 0), on floats or elementwise when ``g``/``g_prime`` are
-    arrays (Weedbrook et al., Rev. Mod. Phys. 84, 621)."""
+    (m - g^2)(m - g'^2), and nu_minus, on floats or elementwise when
+    ``g``/``g_prime`` are arrays (Weedbrook et al., Rev. Mod. Phys. 84, 621).
+
+    nu_minus^2 = (Delta - sqrt(Delta^2 - 4 det)) / 2 cancels once Delta >> 1,
+    so it is taken as 2 det / (Delta + sqrt(Delta^2 - 4 det)), clamped at 0.
+    The denominator is positive wherever both margins are; where it is not
+    (at omega = 1, |g| = 1, say) a margin already fails, and a unit
+    denominator keeps the division finite."""
     wa, wb, g, gp = ancilla.omega_a, ancilla.omega_b, ancilla.g, ancilla.g_prime
     m = wa * wb
     pos_g, pos_gp = m - g * g, m - gp * gp
     delta = wa * wa + wb * wb + 2.0 * g * gp
     det = pos_g * pos_gp
     disc = delta * delta - 4.0 * det
-    nu_minus = np.sqrt(np.maximum(0.5 * (delta - np.sqrt(np.maximum(disc, 0.0))), 0.0))
+    big = delta + np.sqrt(np.maximum(disc, 0.0))
+    nu_minus = np.sqrt(np.maximum(2.0 * det / np.where(big > 0.0, big, 1.0), 0.0))
     return pos_g, pos_gp, delta, disc, nu_minus
 
 

@@ -28,9 +28,9 @@ from cvmdi import (
     key_rate_min_thermal,
     min_rate_brute,
     relay_scan,
-    run_verification_suite,
     symplectic_spectrum,
 )
+from test_proofs import suite_endpoint_errors
 
 FIG_PROTOCOL = ProtocolParams(xi=0.97, phi=60.0, epsilon=0.01)
 
@@ -98,21 +98,21 @@ def test_criterion_2_minimization_certificate():
            f"min gap {worst_gap:.3e} >= -1e-4")
 
 
-def test_criterion_3_monotonicity_suite():
+def test_criterion_3_monotonicity_suite(monkeypatch):
     """All five proof verifiers pass on 100 seeded scenarios each with
-    worst margins > -1e-10 and profile endpoints matching the minimized
-    closed forms to 1e-9 relative."""
-    suite = run_verification_suite(seed=7, scenarios=100, samples=200)
+    worst margins > -1e-10, and the thermal, chi and lam profile endpoints
+    match the minimized closed forms of the 50-digit oracle (recomputed
+    here) to 1e-12 relative."""
+    suite, errors = suite_endpoint_errors(monkeypatch, seed=7, scenarios=100, samples=200)
     margins = [c["worst_margin"] for c in suite["checks"].values()
                if "worst_margin" in c]
-    endpoints = [c["worst_endpoint_rel_err"] for c in suite["checks"].values()
-                 if "worst_endpoint_rel_err" in c]
+    endpoints = list(errors.values())
     passed = (suite["all_pass"]
               and min(margins) > -1e-10
-              and max(endpoints) <= 1e-9)
+              and max(endpoints) <= 1e-12)
     report(3, passed,
            f"5 checks x 100 scenarios: worst margin {min(margins):.3e}, "
-           f"worst endpoint mismatch {max(endpoints):.3e}")
+           f"worst endpoint mismatch vs oracle {max(endpoints):.3e}")
 
 
 def test_criterion_4_derived_worked_values():

@@ -115,6 +115,15 @@ class TestMinRateBrute:
         assert report.g_prime_star == 0.0
         assert abs(report.gap) <= 1e-12
 
+    @pytest.mark.parametrize("omega_a", [1e4, 1e6, 1e8, 1e76])
+    def test_vacuum_mode_pins_argmin_to_origin(self, omega_a):
+        # omega_b = 1 leaves g = g' = 0 the one physical lattice point; a
+        # cancelling nu_minus admitted correlated points below the analytic
+        # minimum, and at 1e76 none at all
+        report = min_rate_brute(ProtocolParams(), LinkPair(0.9, 0.7), omega_a, 1.0)
+        assert (report.g_star, report.g_prime_star) == (0.0, 0.0)
+        assert report.gap >= -1e-12
+
     def test_symmetric_argmin_on_boundary(self):
         report = min_rate_brute(
             ProtocolParams(xi=1.0), LinkPair(0.99, 0.99), 2.0, 2.0, FAST_GRID

@@ -235,6 +235,17 @@ class TestIsPhysical:
     def test_strongly_but_admissibly_correlated(self):
         assert is_physical(AncillaState(2, 2, 1.7, -1.7))
 
+    @pytest.mark.parametrize("omega, g", [(1e4, 0.005), (1e6, 1.0), (1e8, 10.0),
+                                          (1e76, 1e35)])
+    def test_vacuum_mode_admits_no_correlation(self, omega, g):
+        # beside a vacuum mode nu_minus^2 ~ 1 - g^2 / omega (g' = 0), far
+        # below 1 - PHYSICALITY_TOL here; written as (Delta - sqrt(Delta^2
+        # - 4 det)) / 2 it cancels at Delta ~ omega^2
+        assert is_physical(AncillaState(omega, 1.0, 0.0, 0.0))
+        for a, b in ((g, 0.0), (-g, 0.0), (0.0, g), (g, -g)):
+            assert not is_physical(AncillaState(omega, 1.0, a, b)), (a, b)
+            assert not is_physical(AncillaState(1.0, omega, a, b)), (a, b)
+
     def test_lattice_matches_points_and_oracle(self):
         # criterion 2's generator: the whole 201^2 correlation lattice in
         # one call equals per-point calls, and agrees with the 50-digit
