@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 H_CLAMP_TOL = 1e-12
-"""Arguments of entropy_h within this slack below 1 are clamped to 1."""
+"""Relative slack below c within which entropy_scaled(a, c) clamps a to c."""
 
 PHYSICALITY_TOL = 1e-12
 """Slack on nu_minus >= 1 when testing physicality."""
@@ -35,6 +35,9 @@ SYMMETRIC_TAU_TOL = 1e-9
 OMEGA_MAX = 1e76
 """Largest ancilla variance (SNU): the physicality invariants grow as omega^4
 (Delta^2 up to 16 omega^4) and stay finite in double precision up to here."""
+
+EPSILON_MAX = 1e76
+"""Largest excess noise (SNU): lam lam' and chi^2 overflow near epsilon = 1e154."""
 
 LOG2E = math.log2(math.e)
 
@@ -84,9 +87,10 @@ def require_unit(name: str, value) -> None:
 
 
 def require_epsilon(epsilon) -> None:
-    """The excess-noise rule, on floats or arrays: finite and >= 0 SNU."""
+    """The excess-noise rule, on floats or arrays: >= 0 and <= ``EPSILON_MAX`` SNU."""
     ok = (0.0 <= epsilon) & (epsilon < math.inf)
     require(ok, "epsilon", "be finite and >= 0", epsilon)
+    require(epsilon <= EPSILON_MAX, "epsilon", f"be at most {EPSILON_MAX:g} SNU", epsilon)
 
 
 def require_omega(name: str, omega) -> None:
@@ -156,10 +160,6 @@ class LinkPair:
     def delta_tau(self) -> float:
         return abs(self.tau_a - self.tau_b)
 
-    @property
-    def is_symmetric(self) -> bool:
-        return self.delta_tau < SYMMETRIC_TAU_TOL
-
 
 @dataclass(frozen=True)
 class AncillaState:
@@ -212,13 +212,14 @@ class SymplecticPair:
 
 
 def _floats_or_arrays(body):
-    """Run an array formula on floats too: a float is evaluated as a
-    1-element array, through the same numpy loops as a lattice element,
-    and handed back as a float."""
+    """Run an array formula on floats too: floats are evaluated as 1-element
+    arrays, through the same numpy loops as a lattice, and give a float."""
     @functools.wraps(body)
-    def formula(x):
-        arr = np.asarray(x, dtype=float)
-        return body(arr) if arr.ndim else float(body(arr.reshape(1))[0])
+    def formula(*xs):
+        arrs = [np.asarray(x, dtype=float) for x in xs]
+        if any(arr.ndim for arr in arrs):
+            return body(*arrs)
+        return float(body(*(arr.reshape(1) for arr in arrs))[0])
     return formula
 
 
@@ -228,55 +229,53 @@ def _plain(x):
 
 
 @_floats_or_arrays
-def entropy_h(x):
-    """Thermal-spectrum entropy ((x+1)/2) log2((x+1)/2) - ((x-1)/2) log2((x-1)/2)
-    of a float, or elementwise of an array.  Continuously extended by
-    h(1) = 0; arguments within ``H_CLAMP_TOL`` below 1 are clamped to 1 so
-    rounding at physical boundaries does not raise.  Raises
-    :class:`DomainError` if any argument lies below the clamp window, which
+def entropy_scaled(a, c):
+    """h(a/c) + log2(c) for a >= c >= 0, on floats or elementwise on arrays
+    that broadcast, as two nonnegative terms, so nothing cancels:
+
+    log2((a + c) / 2) + log2(e) ln(1 + t) / t,  t = 2c / (a - c),
+
+    with ln(1 + t) / t exactly 0 at a = c and exactly 1 at c = 0.  An a
+    within ``H_CLAMP_TOL`` below c is clamped to c, so rounding at physical
+    boundaries does not raise; below that window :class:`DomainError`
     signals a nonphysical intermediate quantity.
     """
-    lo = x.min(initial=np.inf)
-    if lo < 1.0 - H_CLAMP_TOL:
-        raise DomainError(f"entropy_h argument {float(lo)!r} < 1: nonphysical value")
-    xm = np.maximum(x, 1.0)
-    a = (xm + 1.0) / 2.0
-    b = (xm - 1.0) / 2.0
-    return a * np.log2(a) - b * np.log2(np.where(b > 0.0, b, 1.0))
+    low = a < c * (1.0 - H_CLAMP_TOL)
+    if low.any():
+        a, c = (float(np.broadcast_to(v, low.shape)[low][0]) for v in (a, c))
+        raise DomainError(f"entropy argument {a!r} < {c!r}: nonphysical value")
+    # in place after the clamp's copy: each fresh lattice-sized temporary costs page faults
+    a = np.maximum(a, c)
+    t = a - c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(2.0 * c, t, out=t)
+        tail = np.log1p(t)
+        tail /= t
+    # fmax passes over the nan of the two limits: 1 at t = 0, 0 at t = inf
+    np.fmax(tail, t == 0.0, out=tail)
+    a += c
+    a *= 0.5
+    np.log2(a, out=a)
+    a += LOG2E * tail
+    return a
 
 
 @_floats_or_arrays
-def entropy_tail(r):
-    """tail(r) = h(1/r) + log2(r) on 0 <= r <= 1, on a float or elementwise
-    on an array, written without the cancellation between its two terms as
-    r -> 0:
-
-    tail(r) = -1 + (ln(1 - r^2) / 2 + atanh(r) / r) / ln 2,
-
-    continuously extended by tail(0) = log2(e / 2) and tail(1) = 0.  The
-    product (1 - r)(1 + r) keeps ln(1 - r^2) accurate as r -> 1.  Within
-    the entropy clamp slack above 1, h(1/r) is 0 and tail(r) = log2(r);
-    beyond it :class:`DomainError` is raised.
-    """
-    hi = r.max(initial=0.0)
-    if hi * (1.0 - H_CLAMP_TOL) > 1.0:
-        raise DomainError(f"entropy_tail argument {float(hi)!r} > 1: nonphysical value")
-    out = np.log2(np.maximum(r, 1.0))
-    inner = (r > 0.0) & (r < 1.0)
-    x = r[inner]
-    out[inner] = -1.0 + (0.5 * np.log((1.0 - x) * (1.0 + x)) + np.arctanh(x) / x) * LOG2E
-    out[r == 0.0] = LOG2E - 1.0
-    return out
+def entropy_h(x):
+    """Thermal-spectrum entropy ((x+1)/2) log2((x+1)/2) - ((x-1)/2) log2((x-1)/2)
+    of a float, or elementwise of an array: :func:`entropy_scaled` at c = 1,
+    accurate at any x, h(1) = 0 exactly, with its clamp and error below 1."""
+    return entropy_scaled.__wrapped__(x, 1.0)
 
 
 @_floats_or_arrays
 def log_ratio_g(x):
-    """log2((x+1)/(x-1)) for x > 1, on a float or elementwise on an array;
-    strictly decreasing, pole at x = 1."""
+    """log2((x+1)/(x-1)) = log2(e) log1p(2/(x-1)) for x > 1, on a float or
+    elementwise on an array; strictly decreasing, pole at x = 1."""
     lo = x.min(initial=np.inf)
     if lo <= 1.0:
         raise DomainError(f"log_ratio_g argument {float(lo)!r} <= 1")
-    return np.log2((x + 1.0) / (x - 1.0))
+    return LOG2E * np.log1p(2.0 / (x - 1.0))
 
 
 def _invariants(ancilla: AncillaState):

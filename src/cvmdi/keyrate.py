@@ -1,18 +1,19 @@
 """Secret-key-rate formulas for the dual-homodyne relay protocol.
 
-Every path evaluates one rate kernel, :func:`rate_kernel`:
+Every path evaluates one rate kernel, :func:`rate_kernel`, the asymmetric
+closed form (Pirandola et al., arXiv:1312.4104):
 
-    R = log2(2 beta mu^(xi-1) / (e chi^xi s)) + h(nu) - tail(|dtau| / s),
-    s = sqrt(lam lam'),  nu = sqrt((tau_a + lam)(tau_a + lam')) / tau_b,
+    R = log2(2 beta mu^(xi-1) / (e chi^xi)) + h(nu) - [h(nu2) + log2|dtau|],
+    nu = sqrt((tau_a + lam)(tau_a + lam')) / tau_b,  nu2 = s / |dtau|,
+    s = sqrt(lam lam').
 
-with tail(r) = h(1/r) + log2(r) (:func:`cvmdi.core.entropy_tail`).  This
-is the asymmetric closed form with its log2(1/|dtau|) cancelled against
-h(s/|dtau|) analytically, so it holds no 1/|dtau| term: it stays accurate
-as |dtau| -> 0 and at dtau = 0, where tail(0) = log2(e/2), it is exactly
-the symmetric closed form.  Its domain is lam, lam' > 0 with
-|dtau| <= sqrt(lam lam') < inf.  Outside it only the :func:`decoupled` point
-(lossless symmetric links, lam = lam' = 0 at dtau = 0) has a rate,
-R = xi log2(mu / 4) (:func:`decoupled_rate`).
+The bracket is :func:`cvmdi.core.entropy_scaled` at (s, |dtau|), written
+without a 1/|dtau| term: it stays accurate as |dtau| -> 0 and at dtau = 0
+it is log2(e s / 2), where the kernel is exactly the symmetric closed
+form.  Its domain is lam, lam' > 0 with |dtau| <= sqrt(lam lam') < inf.
+Outside it only the :func:`decoupled` point (lossless symmetric links,
+lam = lam' = 0 at dtau = 0) has a rate, R = xi log2(mu / 4)
+(:func:`decoupled_rate`).
 
 The public functions only pick (lam, lam', chi) through the noise algebra
 of :mod:`cvmdi.core` and check the domain, and return a
@@ -52,7 +53,7 @@ from .core import (
     derive_noise,
     effective_noise,
     entropy_h,
-    entropy_tail,
+    entropy_scaled,
     equivalent_chi,
     g_max,
     is_physical,
@@ -67,7 +68,7 @@ class KeyRateReport:
     Holevo bound on the adversary's information about Alice's raw key;
     ``secure`` is simply ``rate > 0``.  ``nu`` is the kernel's nu (1 at the
     :func:`decoupled` point), and ``nu2 = sqrt(lam lam') / |dtau|`` is the
-    argument of the h term the kernel cancels, None at dtau = 0.
+    kernel's nu2, None at dtau = 0.
     """
 
     chi: float
@@ -87,9 +88,9 @@ def rate_kernel(mu, xi, tau_a, tau_b, lam, lam_prime, chi):
     s = np.sqrt(lam * lam_prime)
     nu = np.sqrt((tau_a + lam) * (tau_a + lam_prime)) / tau_b
     rate = (
-        np.log2(2.0 * (tau_a + tau_b) * mu ** (xi - 1.0) / (math.e * chi ** xi * s))
+        np.log2(2.0 * (tau_a + tau_b) * mu ** (xi - 1.0) / (math.e * chi ** xi))
         + entropy_h(nu)
-        - entropy_tail(abs(tau_a - tau_b) / s)
+        - entropy_scaled(s, abs(tau_a - tau_b))
     )
     return rate, nu
 

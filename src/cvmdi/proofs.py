@@ -145,12 +145,11 @@ def _chi_nus(tau_a, tau_b, chi, y):
     ``y``, whose link and chi are 1-D arrays."""
     tau_a, tau_b, chi = tau_a[:, None], tau_b[:, None], chi[:, None]
     alpha, beta, dtau = tau_a * tau_b, tau_a + tau_b, abs(tau_a - tau_b)
-    sym = dtau < SYMMETRIC_TAU_TOL
-    denom = np.where(sym, 1.0, dtau ** 2)  # beta^2 - 4 alpha, without its cancellation
+    # dtau^2 is beta^2 - 4 alpha without its cancellation; symmetric rows take
+    # alpha = beta^2 / 4, which gives their a2 = 8 / beta and b2 = chi^2/4 + 4
+    denom = np.where(dtau < SYMMETRIC_TAU_TOL, alpha, dtau ** 2)
     a1, b1 = 2.0 / tau_b, 1.0 + tau_a ** 2 * chi ** 2 / beta ** 2
-    a2 = np.where(sym, 8.0 / beta, 2.0 * beta / denom)
-    b2 = np.where(sym, chi * chi / 4.0 + 4.0,
-                  (beta * beta + alpha ** 2 * chi ** 2 / beta ** 2) / denom)
+    a2, b2 = 2.0 * beta / denom, (beta * beta + alpha ** 2 * chi ** 2 / beta ** 2) / denom
     nu1 = np.sqrt(np.maximum(b1 - a1 * y, 0.0))
     return a1, a2, nu1, np.sqrt(np.maximum(b2 - a2 * y, 0.0))
 

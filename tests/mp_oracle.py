@@ -19,22 +19,33 @@ H_CLAMP_TOL = mp.mpf("1e-12")
 (tau_b = 1 at epsilon = 0) can round just below it."""
 
 
+def _digits(x):
+    """Working digits for a difference of two terms that are about x times
+    larger than itself: the module's digits plus log10(x) of them."""
+    return mp.mp.dps + 5 + max(0, int(mp.log10(x)))
+
+
 def h(x):
     """((x+1)/2) log2((x+1)/2) - ((x-1)/2) log2((x-1)/2), with h(1) = 0;
-    arguments within H_CLAMP_TOL below 1 are taken as 1."""
+    arguments within H_CLAMP_TOL below 1 are taken as 1.  The subtraction
+    cancels about log10(x) digits, which the working precision adds."""
     x = mp.mpf(x)
     if x < 1 - H_CLAMP_TOL:
         raise ValueError(f"h undefined below 1, got {x}")
     if x <= 1:
         return mp.mpf(0)
-    a = (x + 1) / 2
-    b = (x - 1) / 2
-    return a * mp.log(a, 2) - b * mp.log(b, 2)
+    with mp.workdps(_digits(x)):
+        a = (x + 1) / 2
+        b = (x - 1) / 2
+        return a * mp.log(a, 2) - b * mp.log(b, 2)
 
 
 def log_ratio(x):
+    """log2((x+1)/(x-1)) for x > 1; the ratio rounds toward 1 by about
+    log10(x) digits, which the working precision adds."""
     x = mp.mpf(x)
-    return mp.log((x + 1) / (x - 1), 2)
+    with mp.workdps(_digits(x)):
+        return mp.log((x + 1) / (x - 1), 2)
 
 
 def chi_equivalent(tau_a, tau_b, epsilon):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -678,3 +679,24 @@ class TestAnalyticLowerBound:
         mask = phys & adm
         analytic = key_rate_min_thermal(protocol, link, wa, wb).rate
         assert float(rates[mask].min()) >= analytic - 1e-4
+
+
+SCAN_LINKS = [(0.9, 0.7), (0.8, 0.8), (0.5, 0.99), (0.3, 0.31)]
+SCAN_OMEGA_A = [1.0, 1.5, 10.0, 1e2, 1e4, 1e6, 1e10, 1e20, 1e40, 1e76]
+SCAN_OMEGA_B = [1.0, 2.0, 1e3, 1e10, 1e76]
+
+
+def test_large_noise_scan_never_undercuts_the_minimum():
+    # 200 certificates up to OMEGA_MAX.  Before the entropy had one
+    # non-cancelling form, 26 of them (each with a mode at omega = 1e10)
+    # reported a rate below the analytic minimum, down to -1.2e-5
+    protocol = ProtocolParams()
+    worst = math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for ta, tb in SCAN_LINKS:
+            for wa in SCAN_OMEGA_A:
+                for wb in SCAN_OMEGA_B:
+                    rep = min_rate_brute(protocol, LinkPair(ta, tb), wa, wb)
+                    worst = min(worst, rep.gap / max(1.0, abs(rep.analytic_rate)))
+    assert worst >= -1e-12

@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mp_oracle
+
 from cvmdi import ProtocolParams, ThermalKnowledge, export, relay_scan
 from cvmdi import cli
 from cvmdi.cli import main
@@ -88,6 +90,27 @@ class TestRate:
         code, out, _ = run_cli(capsys, *argv, "--omega-a", "1e76", "--omega-b", "1e76")
         rate = json.loads(out)[key]
         assert code == 0 and math.isfinite(rate) and rate < 0.0
+
+    @pytest.mark.parametrize("noise", [
+        ("--epsilon", "1e3"), ("--epsilon", "1e6"), ("--epsilon", "1e12"), ("--epsilon", "1e20"),
+        ("--knowledge", "thermal", "--omega-a", "1e3", "--omega-b", "1e3"),
+        ("--knowledge", "thermal", "--omega-a", "1e10", "--omega-b", "1e10"),
+        ("--knowledge", "thermal", "--omega-a", "1e20", "--omega-b", "1e20"),
+        ("--knowledge", "thermal", "--omega-a", "1e76", "--omega-b", "1e76"),
+    ], ids=lambda noise: "=".join(noise[-2:]))
+    def test_large_noise_matches_oracle(self, capsys, noise):
+        # the entropy's a log2 a - b log2 b form was off by 3.0e-5 at
+        # epsilon = 1e12 and by 100 % at epsilon = 1e20 and omega >= 1e20
+        code, out, _ = run_cli(capsys, "rate", "--tau-a", "0.9", "--tau-b", "0.7", *noise)
+        got = json.loads(out)["rate"]
+        if noise[0] == "--epsilon":
+            chi = mp_oracle.chi_equivalent(0.9, 0.7, float(noise[1]))
+            want = float(mp_oracle.rate_min_chi_asym(0.97, 61, 0.9, 0.7, chi))
+        else:
+            omega = float(noise[-1])
+            want = float(mp_oracle.rate_min_thermal(0.97, 61, 0.9, 0.7, omega, omega))
+        assert code == 0
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(got), abs(want))
 
     def test_unknown_flag_exit_two(self, capsys):
         assert run_cli(capsys, "rate", "--bogus", "1")[0] == 2
@@ -371,6 +394,15 @@ REJECTED = [
     (ATTACK + ("--tau-a", "inf"), "--tau-a"),
 ]
 
+# Rows that exited 1 or 0 before excess noise had a ceiling: lam lam'
+# overflowed, so rate blamed sqrt(lam lam') >= |dtau| and sweep warned.
+EPSILON_CEILING = [
+    (RATE + ("--epsilon", "1e160"), "--epsilon"),
+    (("sweep", "--epsilon", "1e300"), "--epsilon"),
+    (("relay-scan", "--total", "0.5", "--epsilon", "1e300"), "--epsilon"),
+    (ATTACK + ("--epsilon", "1e77"), "--epsilon"),
+]
+
 # Rows that exited 0 or 1, with a NaN or infinite result or a misleading
 # message, while the command-line front end kept its own copy of the rules:
 # those copies compared in rejecting form (phi <= 0, omega < 1).
@@ -403,7 +435,8 @@ IGNORED_OMEGA = [
 
 
 class TestParameterErrors:
-    @pytest.mark.parametrize("argv, flag", REJECTED + NON_FINITE + IGNORED_OMEGA,
+    @pytest.mark.parametrize("argv, flag",
+                             REJECTED + EPSILON_CEILING + NON_FINITE + IGNORED_OMEGA,
                              ids=lambda x: " ".join(x) if isinstance(x, tuple) else None)
     def test_exit_two_names_the_flag(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, *argv)

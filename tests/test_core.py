@@ -30,7 +30,7 @@ from cvmdi import (
     symplectic_spectrum,
 )
 from cvmdi.attack import _axis, physical_bounds
-from cvmdi.core import entropy_tail
+from cvmdi.core import entropy_scaled
 
 
 def symplectic_eigenvalues_generic(sigma):
@@ -78,12 +78,20 @@ class TestLinkPair:
             LinkPair(0.5, 1.1)
 
 
+# points on [1, 1e300] for the oracle checks of the entropy and log-ratio:
+# uniform on [1, 2], where h -> 0 and only an absolute bound makes sense,
+# and log-spaced (jittered off round values) above
+UNIT_BAND = np.linspace(1.0, 2.0, 101)
+LARGE_BAND = np.geomspace(2.0, 1e300, 301) * (
+    1.0 + np.random.default_rng(18).uniform(0.0, 1e-3, 301))
+
+
 class TestEntropyH:
     def test_limit_value(self):
         assert entropy_h(1.0) == 0.0
 
     def test_exact_anchor(self):
-        assert entropy_h(3.0) == pytest.approx(2.0, abs=1e-15)
+        assert entropy_h(3.0) == 2.0
 
     def test_frozen_value(self):
         assert entropy_h(1.5) == pytest.approx(0.902410118609203, rel=1e-14)
@@ -100,14 +108,36 @@ class TestEntropyH:
         h = np.array([entropy_h(v) for v in x])
         assert np.all(np.diff(h) > 0.0)
 
+    def test_matches_oracle_up_to_1e300(self):
+        # a log2 a - b log2 b cancels: it returned 0.0 at 1e20 and was off
+        # by 4.9e-5 relative on [1e6, 1e12)
+        xs = np.concatenate([UNIT_BAND, LARGE_BAND])
+        got, want = entropy_h(xs), np.array([float(mp_oracle.h(x)) for x in xs])
+        n = UNIT_BAND.size
+        assert np.abs(got[:n] - want[:n]).max() <= 1e-15
+        assert (np.abs(got[n:] - want[n:]) / want[n:]).max() <= 1e-15
 
-class TestEntropyTail:
-    """tail(r) = h(1/r) + log2(r), the cancellation-free part of the rate
-    kernel."""
+    @pytest.mark.parametrize("exponent", [20, 30, 76, 154, 300])
+    def test_oracle_is_a_reference_at_large_x(self, exponent):
+        # h(x) = log2(e x / 2) + O(x^-2) and log_ratio(x) = 2 log2(e) / x
+        # (1 + O(x^-2)); at a fixed 50 digits the oracle's own subtractions
+        # returned h = 0 from about 1e30 and log_ratio = 0 from about 1e50
+        mp = mp_oracle.mp
+        x = mp.mpf(10) ** exponent
+        assert abs(mp_oracle.h(x) - mp.log(mp.e * x / 2, 2)) <= mp.mpf("1e-40")
+        assert abs(mp_oracle.log_ratio(x) * x * mp.log(2) / 2 - 1) <= mp.mpf("1e-40")
 
-    def test_anchors(self):
-        assert entropy_tail(0.0) == pytest.approx(math.log2(math.e / 2.0), rel=1e-15)
-        assert entropy_tail(1.0) == 0.0
+
+class TestEntropyScaled:
+    """entropy_scaled(a, c) = h(a/c) + log2(c), the one entropy: entropy_h
+    is its c = 1 case and the rate kernel subtracts it at (s, |dtau|)."""
+
+    def test_limits(self):
+        # c = 0: log2(e a / 2); a = c: log2(c), exactly
+        assert entropy_scaled(1.0, 0.0) == pytest.approx(math.log2(math.e / 2.0), rel=1e-15)
+        assert entropy_scaled(1.0, 1.0) == 0.0
+        assert entropy_scaled(0.25, 0.25) == -2.0
+        assert entropy_scaled(8.0, 0.0) == pytest.approx(math.log2(4.0 * math.e), rel=1e-15)
 
     def test_against_oracle(self):
         rs = np.concatenate([
@@ -117,29 +147,44 @@ class TestEntropyTail:
         ])
         for r in rs:
             want = mp_oracle.h(1 / mp_oracle.mp.mpf(r)) + mp_oracle.mp.log(r, 2)
-            assert abs(entropy_tail(r) - float(want)) <= 1e-14
+            assert abs(entropy_scaled(1.0, r) - float(want)) <= 1e-14
+
+    def test_scale_invariance(self):
+        # h(a/c) + log2 c: scaling a and c by a power of two shifts it by the power
+        a, c = 3.7, np.array([0.0, 0.1, 1.0, 3.7])
+        np.testing.assert_allclose(entropy_scaled(a * 2.0 ** 40, c * 2.0 ** 40),
+                                   entropy_scaled(a, c) + 40.0, rtol=1e-15, atol=0.0)
+
+    def test_clamp_window_and_domain(self):
+        assert entropy_scaled(1.0, 1.0 + 5e-13) == pytest.approx(math.log2(1.0 + 5e-13))
+        with pytest.raises(DomainError, match=re.escape(f"{1.0!r} < {1.001!r}")):
+            entropy_scaled(1.0, 1.001)
+        with pytest.raises(DomainError):
+            entropy_scaled(-1.0, 0.0)
 
     def test_array_call_equals_float_calls(self):
         # floats and arrays run one code path: an array call equals the
         # per-element float calls bit for bit, and floats come back as floats
         above_one = np.concatenate([[1.0, 1.0 - 5e-13],
                                     1.0 + np.geomspace(1e-12, 1e6, 200)])
+        ratios = np.concatenate([[0.0, 1.0, 1.0 + 5e-13], np.geomspace(1e-15, 1.0 - 1e-15, 200)])
         cases = (
-            (entropy_h, above_one),
-            (entropy_tail, np.concatenate([[0.0, 1.0, 1.0 + 5e-13],
-                                           np.geomspace(1e-15, 1.0 - 1e-15, 200)])),
-            (log_ratio_g, above_one[2:]),
+            (entropy_h, (above_one,)),
+            (entropy_scaled, (np.ones_like(ratios), ratios)),
+            (entropy_scaled, (above_one, 1.0)),
+            (log_ratio_g, (above_one[2:],)),
         )
-        for fn, xs in cases:
-            floats = [fn(float(x)) for x in xs]
+        for fn, args in cases:
+            xs = np.broadcast_arrays(*args)
+            floats = [fn(*(float(x[k]) for x in xs)) for k in range(xs[0].size)]
             assert all(type(v) is float for v in floats)
-            arr = fn(xs)
-            assert arr.shape == xs.shape
+            arr = fn(*args)
+            assert arr.shape == xs[0].shape
             assert np.array_equal(arr.view(np.int64), np.array(floats).view(np.int64))
 
     @pytest.mark.parametrize("fn, good, bad", [
         (entropy_h, 2.0, 1.0 - 1e-9),
-        (entropy_tail, 0.5, 1.001),
+        (lambda r: entropy_scaled(1.0, r), 0.5, 1.001),
         (log_ratio_g, 2.0, 1.0),
     ])
     def test_array_domain_error(self, fn, good, bad):
@@ -149,11 +194,6 @@ class TestEntropyTail:
             fn(xs)
         with pytest.raises(DomainError):
             fn(xs.reshape(2, 2))
-
-    def test_clamp_window_and_domain(self):
-        assert entropy_tail(1.0 + 5e-13) == pytest.approx(math.log2(1.0 + 5e-13))
-        with pytest.raises(DomainError):
-            entropy_tail(1.001)
 
 
 class TestLogRatioG:
@@ -169,6 +209,13 @@ class TestLogRatioG:
         xs = np.linspace(1.001, 50.0, 100)
         vals = [log_ratio_g(x) for x in xs]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+    def test_matches_oracle_up_to_1e300(self):
+        # log2((x+1)/(x-1)) rounds the ratio toward 1: 2.2e-5 relative at
+        # 1e12.  The pole at 1 makes the bound relative on [1, 2] as well.
+        xs = np.concatenate([UNIT_BAND[1:], LARGE_BAND])
+        want = np.array([float(mp_oracle.log_ratio(x)) for x in xs])
+        assert (np.abs(log_ratio_g(xs) - want) / want).max() <= 1e-15
 
 
 class TestSymplecticSpectrum:

@@ -73,6 +73,7 @@ CASES = [
     ("samples", lambda: rate_profile_y(ProtocolParams(), LINK, omegas=(2.0, 2.0),
                                        l=0.0, samples=1)),
     ("epsilon", lambda: chi_equivalent(LINK, NAN)),
+    ("epsilon", lambda: chi_equivalent(LINK, 1e77)),
     ("alice_encoding", lambda: SchemeConfig(alice_encoding=0j)),
     ("bob_encoding", lambda: SchemeConfig(bob_encoding=np.array([1.0, NAN]))),
     ("d_km", lambda: distance_to_tau(-1.0)),
@@ -249,6 +250,8 @@ MESSAGES = {
                         "omega_a must be at most 1e+76 SNU, got 1e+77"),
     "omega_b-ceiling-array": (lambda: g_max(2.0, np.array([3.0, 1e77])),
                               "omega_b must be at most 1e+76 SNU, got 1e+77 at index 1"),
+    "epsilon-ceiling": (lambda: ProtocolParams(epsilon=1e300),
+                        "epsilon must be at most 1e+76 SNU, got 1e+300"),
     "tau_range-scalar": (lambda: SweepConfig(tau_a_range=(0.5, NAN)),
                          "tau_a_range must satisfy 0 < lo <= hi <= 1, got (0.5, nan)"),
 }
@@ -263,7 +266,7 @@ def test_message_names_the_bad_value(call, message):
 
 def test_admissible_edges_pass():
     ProtocolParams(xi=1.0, phi=1e-12, epsilon=0.0)
-    ProtocolParams(xi=np.array([[1.0], [1e-300]]), epsilon=np.array([0.0, 1e300]))
+    ProtocolParams(xi=np.array([[1.0], [1e-300]]), epsilon=np.array([0.0, 1e76]))
     LinkPair(1.0, 1e-300)
     AncillaState(1.0, np.array([1.0, 5.0]), 0.0, 0.0)
     assert g_max(1.0, 1.0) == 0.0
