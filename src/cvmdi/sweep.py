@@ -2,14 +2,18 @@
 
 Sweeps evaluate the minimized rate formulas on a deterministic (tau_a
 outer, tau_b inner, both ascending) lattice into a :class:`SweepTable` of
-columns.  The knowledge model gives the worst-case (lam, chi) of arrays of
-links, which make the cells inside the rate kernel's domain one kernel
-call, and the single-point report of each other cell.  Cells whose rate
-formula is undefined get a NaN rate and the report's error message instead
-of aborting the sweep.  Export is CSV (9 significant digits, round-trips
-byte-identically) or JSON (``repr`` floats, as ``json.dumps`` writes), made
-by one ``%`` operation over the flat columns with one row template per cell;
-only rows with a non-finite field or an error entry format their own text.
+columns.  Evaluation and export both go through the cells in blocks of
+``BLOCK``, so their working memory is a block's, not the table's; every
+step is elementwise, so the blocks change no output byte.  In each block
+the knowledge model gives the worst-case (lam, chi) of the block's links,
+which make its cells inside the rate kernel's domain one kernel call, and
+the single-point report of each other cell.  Cells whose rate formula is
+undefined get a NaN rate and the report's error message instead of
+aborting the sweep.  Export is CSV (9 significant digits, round-trips
+byte-identically) or JSON (``repr`` floats, as ``json.dumps`` writes): one
+``%`` operation per block over its flat fields with one row template per
+cell, the block texts joined into the one returned string.  Only rows with
+a non-finite field or an error entry format their own text.
 """
 
 from __future__ import annotations
@@ -24,6 +28,11 @@ from .core import DomainError, LinkPair, ProtocolParams, bisector_lam, chi_equiv
 from .core import excess_chi, require, require_count, require_omega, require_unit
 from .keyrate import KeyRateReport, in_domain, min_thermal_noise, rate_kernel
 from .keyrate import key_rate_min_chi, key_rate_min_thermal
+
+BLOCK = 4096
+"""Cells per block: sweeps evaluate and export their cells in blocks of
+this many, so the kernel's temporaries and the export's per-field lists
+stay this size whatever the table's."""
 
 
 @dataclass(frozen=True)
@@ -140,25 +149,30 @@ def _eval_cells(
 ) -> SweepTable:
     """Table of the cells (tau_a[k], tau_b[k]), each equal to the
     knowledge model's single-point report bit for bit: the in-domain cells
-    are one kernel call, the others go through the report itself.  A cell
-    whose report fails keeps the model's chi.  Only the chi model fails
-    cells: the thermal lam_opt = kappa + u g_max >= kappa >= |dtau| is finite
-    up to OMEGA_MAX, so its cells leave the domain only where decoupled."""
-    lam, chi = knowledge.noise(protocol, tau_a, tau_b)
-    ok = in_domain(tau_a, tau_b, lam, lam)
+    of each block are one kernel call, the others go through the report
+    itself.  A cell whose report fails keeps the model's chi.  Only the chi
+    model fails cells: the thermal lam_opt = kappa + u g_max >= kappa >=
+    |dtau| is finite up to OMEGA_MAX, so its cells leave the domain only
+    where decoupled."""
+    chi = np.empty(tau_a.shape)
     rate = np.full(tau_a.shape, math.nan)
-    rate[ok] = rate_kernel(
-        protocol.mu, protocol.xi, tau_a[ok], tau_b[ok], lam[ok], lam[ok], chi[ok]
-    )[0]
     errors = {}
-    for k in np.flatnonzero(~ok).tolist():
-        link = LinkPair(float(tau_a[k]), float(tau_b[k]))
-        try:
-            report = knowledge.report(protocol, link)
-        except DomainError as exc:
-            errors[k] = str(exc)
-        else:
-            chi[k], rate[k] = report.chi, report.rate
+    for start in range(0, len(tau_a), BLOCK):
+        cells = slice(start, start + BLOCK)
+        ta, tb = tau_a[cells], tau_b[cells]
+        lam, chi[cells] = knowledge.noise(protocol, ta, tb)
+        ok = in_domain(ta, tb, lam, lam)
+        rate[cells][ok] = rate_kernel(
+            protocol.mu, protocol.xi, ta[ok], tb[ok], lam[ok], lam[ok], chi[cells][ok]
+        )[0]
+        for k in (start + np.flatnonzero(~ok)).tolist():
+            link = LinkPair(float(tau_a[k]), float(tau_b[k]))
+            try:
+                report = knowledge.report(protocol, link)
+            except DomainError as exc:
+                errors[k] = str(exc)
+            else:
+                chi[k], rate[k] = report.chi, report.rate
     return SweepTable(tau_a, tau_b, chi, rate, errors)
 
 
@@ -193,13 +207,18 @@ def relay_scan(
     return RelayScanReport(records=table, argmax=table[int(np.nanargmax(table.rate))])
 
 
-def _fmt_axis(values: np.ndarray, spec: str) -> list[str]:
-    """``spec % x`` of each cell, formatting each distinct value (by bit
-    pattern, so -0.0 is not 0.0) once."""
+def _fmt_axis(values: np.ndarray, spec: str, last: list) -> list[str]:
+    """``spec % x`` of each cell of a block, formatting each distinct value
+    (by bit pattern, so -0.0 is not 0.0) once.  ``last`` is the axis's
+    [distinct values, their text] of the previous block, reused when the
+    values are the same (consecutive blocks of a lattice repeat its inner
+    axis) and replaced in place otherwise."""
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
     distinct, index = np.unique(bits, return_inverse=True)
-    text = np.array([spec % x for x in distinct.view(np.float64).tolist()], dtype=object)
-    return text[index].tolist()
+    if not np.array_equal(distinct, last[0]):
+        last[:] = distinct, np.array(
+            [spec % x for x in distinct.view(np.float64).tolist()], dtype=object)
+    return last[1][index].tolist()
 
 
 # head, row template, row separator, tail and axis spec of each format
@@ -212,6 +231,49 @@ _OWN_ROW = "%s" + "%.0s" * 4  # a row's own text; its other four fields print no
 _SECURE = np.array(["false", "true"], dtype=object)
 
 
+def _block_texts(table: SweepTable, fmt: str) -> list[str]:
+    """The unframed text of each block of rows: one ``%`` operation over the
+    block's flat fields with one row template per row.  Its lists die with
+    this call, so the caller's join holds only the texts."""
+    _, row, sep, _, spec = _FORMATS[fmt]
+    n = len(table)
+    marked = ~(np.isfinite(table.tau_a) & np.isfinite(table.tau_b)
+               & np.isfinite(table.chi) & np.isfinite(table.rate))
+    marked[list(table.errors)] = True
+    own = np.flatnonzero(marked)  # the rows that format their own text, ascending
+    clean = sep.join([row] * BLOCK) if n >= BLOCK else None
+    last_a, last_b = [None, None], [None, None]
+    texts = []
+    for start in range(0, n, BLOCK):
+        cells = slice(start, min(start + BLOCK, n))
+        m = cells.stop - start
+        flat = [None] * (5 * m)  # row-major: tau_a, tau_b, chi, rate, secure
+        flat[0::5] = _fmt_axis(table.tau_a[cells], spec, last_a)
+        flat[1::5] = _fmt_axis(table.tau_b[cells], spec, last_b)
+        flat[2::5], flat[3::5] = table.chi[cells].tolist(), table.rate[cells].tolist()
+        flat[4::5] = _SECURE[(table.rate[cells] > 0.0).astype(int)].tolist()
+        lo, hi = own.searchsorted((start, cells.stop))
+        if lo == hi and m == BLOCK:
+            template = clean
+        else:
+            rows = [row] * m
+            for k in own[lo:hi].tolist():
+                j = 5 * (k - start)
+                ta, tb, chi, rate, secure = flat[j:j + 5]
+                chi, rate = (None if math.isnan(x) else x for x in (chi, rate))
+                if fmt == "csv":
+                    chi, rate = ("" if x is None else format(x, ".9g") for x in (chi, rate))
+                    flat[j] = f"{ta},{tb},{chi},{rate},{secure}\n"
+                else:
+                    flat[j] = json.dumps(dict(
+                        tau_a=float(table.tau_a[k]), tau_b=float(table.tau_b[k]), chi=chi,
+                        rate=rate, secure=secure == "true", error=table.errors.get(k)))
+                rows[k - start] = _OWN_ROW
+            template = sep.join(rows)
+        texts.append(template % tuple(flat))
+    return texts
+
+
 def export(table: SweepTable, fmt: str = "csv") -> str:
     """Serialize a table; CSV header is exactly `tau_a,tau_b,chi,rate,secure`
     and NaN rate/chi cells become empty fields (CSV) or nulls plus an
@@ -220,29 +282,11 @@ def export(table: SweepTable, fmt: str = "csv") -> str:
         raise ValueError("no records to export")
     if fmt not in _FORMATS:
         raise ValueError(f"unknown export format {fmt!r}")
-    head, row, sep, tail, spec = _FORMATS[fmt]
-    finite = (np.isfinite(table.tau_a) & np.isfinite(table.tau_b)
-              & np.isfinite(table.chi) & np.isfinite(table.rate))
-    cells = [None] * (5 * len(table))  # row-major: tau_a, tau_b, chi, rate, secure
-    cells[0::5], cells[1::5] = _fmt_axis(table.tau_a, spec), _fmt_axis(table.tau_b, spec)
-    cells[2::5], cells[3::5] = table.chi.tolist(), table.rate.tolist()
-    cells[4::5] = _SECURE[(table.rate > 0.0).astype(int)].tolist()
-    rows = [row] * len(table)
-    for k in {*np.flatnonzero(~finite).tolist(), *table.errors}:
-        ta, tb, chi, rate, secure = cells[5 * k:5 * k + 5]
-        chi, rate = (None if math.isnan(x) else x for x in (chi, rate))
-        if fmt == "csv":
-            chi, rate = ("" if x is None else format(x, ".9g") for x in (chi, rate))
-            cells[5 * k] = f"{ta},{tb},{chi},{rate},{secure}\n"
-        else:
-            cells[5 * k] = json.dumps(dict(
-                tau_a=float(table.tau_a[k]), tau_b=float(table.tau_b[k]), chi=chi,
-                rate=rate, secure=secure == "true", error=table.errors.get(k)))
-        rows[k] = _OWN_ROW
-    rows[0] = head + rows[0]  # the framing is part of the template: no copy of the text
-    rows[-1] += tail
-    cells = tuple(cells)  # frees the list before the text is built
-    return sep.join(rows) % cells
+    head, _, sep, tail, _ = _FORMATS[fmt]
+    texts = _block_texts(table, fmt)
+    texts[0] = head + texts[0]
+    texts[-1] += tail
+    return sep.join(texts)
 
 
 def parse_csv(text: str) -> SweepTable:

@@ -120,11 +120,16 @@ def rate_min_chi_asym(xi, mu, tau_a, tau_b, chi):
 
 
 def nu_minus(omega_a, omega_b, g, g_prime):
+    """Smaller symplectic eigenvalue, nu_-^2 = 2 det / (Delta + sqrt(Delta^2
+    - 4 det)): the sum does not cancel, as (Delta - sqrt(...)) / 2 does once
+    Delta >> det.  The differences inside det lose up to log10(Delta)
+    digits, which the working precision adds."""
     wa, wb = mp.mpf(omega_a), mp.mpf(omega_b)
     g, gp = mp.mpf(g), mp.mpf(g_prime)
-    delta = wa ** 2 + wb ** 2 + 2 * g * gp
-    det = (wa * wb - g ** 2) * (wa * wb - gp ** 2)
-    return mp.sqrt((delta - mp.sqrt(delta ** 2 - 4 * det)) / 2)
+    with mp.workdps(_digits(wa ** 2 + wb ** 2 + 2 * abs(g * gp))):
+        delta = wa ** 2 + wb ** 2 + 2 * g * gp
+        det = (wa * wb - g ** 2) * (wa * wb - gp ** 2)
+        return mp.sqrt(2 * det / (delta + mp.sqrt(delta ** 2 - 4 * det)))
 
 
 def g_max(omega_a, omega_b):

@@ -15,11 +15,24 @@ _spec.loader.exec_module(bench_record)
 
 RECORDS = sorted(ROOT.glob("BENCH_*.json"))
 END_TO_END = {"setup_s", "work_per_s", "round_s", "peak_rss_mb"}
+KEYS = {"schema", "pr", "src_lines", "host", "settings", "workloads"}
+
+
+def check_cli(cli: dict) -> None:
+    assert set(cli) == {"repeats", "interpreter", "import", "commands"}
+    assert isinstance(cli["repeats"], int) and cli["repeats"] >= 1
+    assert cli["commands"] and all(isinstance(cmd, str) for cmd in cli["commands"])
+    for timing in (cli["interpreter"], cli["import"], *cli["commands"].values()):
+        assert set(timing) == {"s", "peak_rss_mb"}
+        assert all(isinstance(v, float) and v > 0.0 for v in timing.values())
 
 
 def check_schema(record: dict) -> None:
-    assert set(record) == {"schema", "pr", "src_lines", "host", "settings", "workloads"}
-    assert record["schema"] == 1
+    # schema 1 (BENCH_14 to BENCH_18) has no cli timings; schema 2 adds them
+    assert record["schema"] in (1, 2)
+    assert set(record) == KEYS | ({"cli"} if record["schema"] == 2 else set())
+    if record["schema"] == 2:
+        check_cli(record["cli"])
     assert isinstance(record["pr"], int) and isinstance(record["src_lines"], int)
     host = record["host"]
     assert set(host) == {"nproc", "python", "numpy"}
@@ -45,6 +58,7 @@ def test_committed_record(path):
     record = json.loads(path.read_text())
     check_schema(record)
     assert path.name == f"BENCH_{record['pr']}.json"
+    assert record["schema"] == (1 if record["pr"] < 19 else 2)
     for runs in record["workloads"].values():
         for result in runs.values():
             assert result["correct"] is True and result["failed"] == 0
@@ -74,6 +88,12 @@ def _result(workload, trace):
             "metrics": {n: {"value": len(workload) + trace, "unit": "s"} for n in names}}
 
 
+def _cli(root):
+    timing = {"s": 0.5, "peak_rss_mb": 30.0}
+    return {"repeats": 3, "interpreter": timing, "import": timing,
+            "commands": {cmd: timing for cmd in bench_record.readme_commands(root)}}
+
+
 def test_record_keeps_each_run_unchanged():
     calls = []
 
@@ -81,8 +101,9 @@ def test_record_keeps_each_run_unchanged():
         calls.append((workload, seed, seconds, trace))
         return _result(workload, trace)
 
-    record = bench_record.record(15, ROOT, 3, 0.5, run=run)
+    record = bench_record.record(15, ROOT, 3, 0.5, run=run, cli=_cli)
     check_schema(record)
+    assert record["cli"] == _cli(ROOT)
     assert sorted(calls) == sorted((w, 3, 0.5, t) for w in ("surface", "attack", "certify")
                                    for t in (0, 1))
     for w, runs in record["workloads"].items():
@@ -101,3 +122,24 @@ def test_run_bench_parses_the_last_line(tmp_path):
     script.write_text("import sys\nsys.exit(1)\n")
     with pytest.raises(RuntimeError, match="exited 1"):
         bench_record.run_bench(tmp_path, "attack", 2, 0.5, 1)
+
+
+def test_readme_commands(tmp_path):
+    (tmp_path / "README.md").write_text(
+        "```sh\n# a comment\ncvmdi sweep > surface.csv\ncvmdi rate --tau-a 0.9\n"
+        "  cvmdi indented\n```\nrun cvmdi sweep\n")
+    assert bench_record.readme_commands(tmp_path) == ["sweep", "rate --tau-a 0.9"]
+    commands = bench_record.readme_commands(ROOT)
+    assert "sweep" in commands and "verify --seed 7" in commands
+
+
+def test_time_child_runs_on_the_checkout(tmp_path):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "probe.py").write_text("open('ran', 'w').close()\n")
+    timing = bench_record.time_child(tmp_path, tmp_path, ["-c", "import probe"])
+    assert (tmp_path / "ran").exists()  # the child ran in cwd with src on its path
+    assert set(timing) == {"s", "peak_rss_mb"}
+    assert 0.0 < timing["s"] and 1.0 < timing["peak_rss_mb"]
+    with pytest.raises(RuntimeError, match="exited 3: boom"):
+        bench_record.time_child(
+            tmp_path, tmp_path, ["-c", "import sys; print('boom', file=sys.stderr); sys.exit(3)"])

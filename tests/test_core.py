@@ -358,6 +358,33 @@ class TestGMax:
             want = mp_oracle.g_max(wa, wb)
             assert abs(g_max(wa, wb) - float(want)) <= 1e-15 * float(want)
 
+    @pytest.mark.parametrize("wa, wb", [(1e40, 1e10), (1e76, 1e10), (1e76, 2.0)])
+    def test_oracle_is_a_reference_at_large_unequal_omega(self, wa, wb):
+        # (Delta - sqrt(Delta^2 - 4 det)) / 2 at a fixed 50 digits cancelled
+        # to nu_minus < 1 at every g, so the oracle's bisection returned 0
+        mp = mp_oracle.mp
+        want = mp.sqrt((mp.mpf(min(wa, wb)) - 1) * (mp.mpf(max(wa, wb)) + 1))
+        assert abs(mp_oracle.g_max(wa, wb) / want - 1) <= mp.mpf("1e-40")
+
+    def test_oracle_unchanged_where_the_bench_reads_it(self, monkeypatch):
+        # bench/reference.py takes g_max from the oracle at omega <= 10, where
+        # the difference form of nu_minus was exact to the oracle's digits
+        mp = mp_oracle.mp
+
+        def difference_form(omega_a, omega_b, g, g_prime):
+            wa, wb, g, gp = (mp.mpf(x) for x in (omega_a, omega_b, g, g_prime))
+            delta = wa ** 2 + wb ** 2 + 2 * g * gp
+            det = (wa * wb - g ** 2) * (wa * wb - gp ** 2)
+            return mp.sqrt((delta - mp.sqrt(delta ** 2 - 4 * det)) / 2)
+
+        pairs = [(1.5, 3.0), (2.0, 3.0), (10.0, 1.01)]
+        pairs += [tuple(w) for w in np.random.default_rng(5).uniform(1.0, 10.0, (8, 2))]
+        new = [mp_oracle.g_max(wa, wb) for wa, wb in pairs]
+        monkeypatch.setattr(mp_oracle, "nu_minus", difference_form)
+        for (wa, wb), got in zip(pairs, new):
+            want = mp_oracle.g_max(wa, wb)
+            assert abs(got - want) <= mp.mpf("1e-40") * max(want, 1)
+
 
 class TestDeriveNoise:
     def test_lossless_decoupling(self):

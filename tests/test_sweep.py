@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,35 @@ class TestDistanceToTau:
             distance_to_tau(10.0, 0.0)
 
 
+def assert_single_point_cells(protocol, knowledge, records) -> int:
+    """Assert that every record equals the knowledge model's single-point
+    call bit for bit, error text included; return how many cells failed."""
+    errors = 0
+    for record in records:
+        link = LinkPair(record.tau_a, record.tau_b)
+        chi = math.nan
+        try:
+            if isinstance(knowledge, ThermalKnowledge):
+                wa, wb = knowledge.omega_a, knowledge.omega_b
+                expected = key_rate_min_thermal(protocol, link, wa, wb)
+                chi = expected.chi
+            else:
+                chi = chi_equivalent(link, protocol.epsilon)
+                expected = key_rate_min_chi(protocol, link, chi)
+        except DomainError as exc:
+            errors += 1
+            assert record.error == str(exc)
+            assert math.isnan(record.rate) and not record.secure
+            both_nan = math.isnan(record.chi) and math.isnan(chi)
+            assert record.chi == chi or both_nan
+            continue
+        assert record.error is None
+        assert record.rate == expected.rate  # 0 ulp
+        assert record.chi == chi
+        assert record.secure == expected.secure
+    return errors
+
+
 class TestRunSweep:
     def test_two_by_two_corners(self):
         config = SweepConfig(
@@ -136,30 +166,7 @@ class TestRunSweep:
             (FIG_PROTOCOL, thermal,
              relay_scan(0.7, FIG_PROTOCOL, steps=9, knowledge=thermal).records),
         ]
-        errors = 0
-        for protocol, knowledge, records in cases:
-            for record in records:
-                link = LinkPair(record.tau_a, record.tau_b)
-                chi = math.nan
-                try:
-                    if isinstance(knowledge, ThermalKnowledge):
-                        wa, wb = knowledge.omega_a, knowledge.omega_b
-                        expected = key_rate_min_thermal(protocol, link, wa, wb)
-                        chi = expected.chi
-                    else:
-                        chi = chi_equivalent(link, protocol.epsilon)
-                        expected = key_rate_min_chi(protocol, link, chi)
-                except DomainError as exc:
-                    errors += 1
-                    assert record.error == str(exc)
-                    assert math.isnan(record.rate) and not record.secure
-                    both_nan = math.isnan(record.chi) and math.isnan(chi)
-                    assert record.chi == chi or both_nan
-                    continue
-                assert record.error is None
-                assert record.rate == expected.rate  # 0 ulp
-                assert record.chi == chi
-                assert record.secure == expected.secure
+        errors = sum(assert_single_point_cells(*case) for case in cases)
         assert errors == 1  # the pole; the thermal (1, 1) corner is lossless
 
     def test_thermal_knowledge(self):
@@ -403,6 +410,90 @@ class TestSweepTable:
         assert [r.error is None for r in rows] == [True] * 14 + [False]
         with pytest.raises(IndexError):
             table[15]
+
+
+def boundary_table(protocol: ProtocolParams, knowledge, block: int) -> SweepTable:
+    """A sweep of three blocks and five cells whose (1, 1) cells, outside
+    the kernel's domain, sit at the last cell of the first block, the first
+    cell of the second and the table's last cell."""
+    n = 3 * block + 5
+    taus = np.linspace(0.3, 0.99, 97)
+    tau_a, tau_b = np.resize(np.repeat(taus, taus.size), n), np.resize(taus, n)
+    for k in (block - 1, block, n - 1):
+        tau_a[k] = tau_b[k] = 1.0
+    return sweep_module._eval_cells(protocol, knowledge, tau_a, tau_b)
+
+
+class TestBlocks:
+    """Sweeps evaluate and export in blocks of BLOCK cells; a table of
+    several blocks gives what one cell at a time would."""
+
+    @pytest.mark.parametrize("knowledge, errors", [(ChiKnowledge(), 3), (THERMAL, 0)],
+                             ids=["chi-pole", "thermal-lossless"])
+    def test_cells_at_block_edges_match_single_point_calls(self, monkeypatch, knowledge,
+                                                           errors):
+        monkeypatch.setattr(sweep_module, "BLOCK", 8)
+        table = boundary_table(NO_EXCESS, knowledge, 8)
+        assert assert_single_point_cells(NO_EXCESS, knowledge, table) == errors
+        if errors:
+            assert sorted(table.errors) == [7, 8, len(table) - 1]
+
+    @pytest.mark.parametrize("knowledge", [ChiKnowledge(), THERMAL],
+                             ids=["chi-pole", "thermal-lossless"])
+    def test_blocks_match_one_block(self, monkeypatch, knowledge):
+        block = sweep_module.BLOCK
+        blocked = boundary_table(NO_EXCESS, knowledge, block)
+        monkeypatch.setattr(sweep_module, "BLOCK", len(blocked))
+        whole = boundary_table(NO_EXCESS, knowledge, block)
+        for column in ("tau_a", "tau_b", "chi", "rate"):
+            got, want = getattr(blocked, column), getattr(whole, column)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))  # bit for bit
+        assert blocked.errors == whole.errors
+
+    @pytest.mark.parametrize("block", [8, sweep_module.BLOCK], ids=["block-8", "block"])
+    @pytest.mark.parametrize("knowledge", [ChiKnowledge(), THERMAL],
+                             ids=["chi-pole", "thermal-lossless"])
+    def test_export_at_block_edges_matches_record_reference(self, monkeypatch, block,
+                                                            knowledge):
+        monkeypatch.setattr(sweep_module, "BLOCK", block)
+        table = boundary_table(NO_EXCESS, knowledge, block)
+        for fmt in ("csv", "json"):
+            assert export(table, fmt) == reference_export(list(table), fmt)
+        text = export(table, "csv")
+        assert export(parse_csv(text), "csv") == text
+
+
+def traced_peak(fn, *args):
+    """(result, tracemalloc peak in bytes) of one call."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSweepMemory:
+    """A sweep's working memory is a block's: it scales with the output,
+    not with a table's worth of temporaries."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        for fmt in ("csv", "json"):  # first calls import and cache what they use
+            export(run_sweep(SweepConfig(steps_a=2, steps_b=2)), fmt)
+        return run_sweep(SweepConfig(steps_a=301, steps_b=301))
+
+    def test_run_sweep_peak_is_about_its_columns(self, table):
+        # one kernel call over the whole table peaked at 4.6 x its columns
+        _, peak = traced_peak(run_sweep, SweepConfig(steps_a=301, steps_b=301))
+        assert peak <= 2 * 4 * table.rate.nbytes
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_export_peak_is_about_twice_its_text(self, table, fmt):
+        # the block texts and their join; one % operation over the whole
+        # table's fields peaked at 3.5 x (CSV) and 2.4 x (JSON) its text
+        text, peak = traced_peak(export, table, fmt)
+        assert peak <= 2.2 * len(text)
 
 
 class TestSweepConfigValidation:

@@ -6,13 +6,24 @@ Runs the checkout's own ``bench/run.py`` in a subprocess for each workload
 (``surface``, ``attack``, ``certify``), once with ``--trace 0`` for the
 end-to-end metrics and once with ``--trace 1`` for the per-layer ones, and
 keeps the result object each run prints as its last stdout line, unchanged.
-Every run takes seed ``SEED`` and ``SECONDS`` of busy time.  Beside them
-the file holds the ``src/`` line count of the checkout, the settings, and
-the host: processors available (as ``nproc`` counts them), the Python and
-numpy versions.  ``--root`` defaults to the checkout this script lives in;
-point it at a second checkout to record another commit with the same
-settings.  The file goes beside this script's checkout either way.
-Standard library only; a record takes about a minute.
+Every run takes seed ``SEED`` and ``SECONDS`` of busy time.
+
+Under ``cli`` it times the ``cvmdi`` commands as a user runs them, each in
+a fresh ``python -m cvmdi.cli`` child in a temporary directory: every
+example command of the README (its ``--output`` files land in that
+directory) and the ``LARGE_SWEEPS``.  Each gets the best of ``REPEATS``
+runs of its wall time and of its peak RSS, which ``os.wait4`` reports for
+the child alone.  A bare interpreter (``interpreter``) and ``import
+cvmdi.cli`` (``import``, interpreter included) are timed the same way, so
+the import cost of every command can be read off.
+
+Beside them the file holds the ``src/`` line count of the checkout, the
+settings, and the host: processors available (as ``nproc`` counts them),
+the Python and numpy versions.  ``--root`` defaults to the checkout this
+script lives in; point it at a second checkout to record another commit
+with the same settings.  The file goes beside this script's checkout
+either way.  Standard library only; a record takes about a minute and a
+half.  Records before ``BENCH_19.json`` are schema 1, without ``cli``.
 
 The frozen benchmark's own text is stale in three places; read its
 numbers with these corrections:
@@ -36,15 +47,21 @@ import importlib.metadata
 import json
 import os
 import platform
+import shlex
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
-SCHEMA = 1
+SCHEMA = 2
 SEED = 1
 SECONDS = 5.0
 WORKLOADS = ("surface", "attack", "certify")
 TRACES = {"end_to_end": 0, "per_layer": 1}
+REPEATS = 3
+LARGE_SWEEPS = ("sweep --steps-a 1001 --steps-b 1001 --output sweep1001.csv",
+                "sweep --steps-a 1001 --steps-b 1001 --format json --output sweep1001.json")
 
 
 def run_bench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -59,6 +76,50 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float, trace: int) 
     return json.loads(lines[-1])
 
 
+def readme_commands(root: Path) -> list[str]:
+    """The ``cvmdi`` example commands of the README, without ``cvmdi`` and
+    without a ``> FILE`` redirection of stdout."""
+    return [line.removeprefix("cvmdi ").split(" >")[0]
+            for line in (root / "README.md").read_text().splitlines()
+            if line.startswith("cvmdi ")]
+
+
+def time_child(root: Path, cwd: Path, args: list[str]) -> dict:
+    """Best of ``REPEATS`` runs of ``python ARGS`` on the checkout's
+    ``src``: wall seconds and the child's peak RSS in MB."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    runs = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, *args], cwd=cwd, env=env,
+                                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        stderr = proc.stderr.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.stderr.close()
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode != 0:
+            raise RuntimeError(f"python {shlex.join(args)} exited {proc.returncode}: "
+                               f"{stderr.decode().strip()[-500:]}")
+        runs.append((wall, usage.ru_maxrss / 1024.0))  # ru_maxrss is in KiB
+    return {"s": min(w for w, _ in runs), "peak_rss_mb": min(m for _, m in runs)}
+
+
+def time_cli(root: Path) -> dict:
+    """The ``cli`` object of a record: best-of-``REPEATS`` times and peaks
+    of the interpreter, the import and each command."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = Path(tmp)
+        return {
+            "repeats": REPEATS,
+            "interpreter": time_child(root, cwd, ["-c", "pass"]),
+            "import": time_child(root, cwd, ["-c", "import cvmdi.cli"]),
+            "commands": {cmd: time_child(root, cwd, ["-m", "cvmdi.cli", *shlex.split(cmd)])
+                         for cmd in [*readme_commands(root), *LARGE_SWEEPS]},
+        }
+
+
 def src_lines(root: Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in (root / "src").rglob("*.py"))
 
@@ -70,9 +131,10 @@ def host() -> dict:
             "numpy": importlib.metadata.version("numpy")}
 
 
-def record(pr: int, root: Path, seed: int, seconds: float, run) -> dict:
+def record(pr: int, root: Path, seed: int, seconds: float, run, cli) -> dict:
     """The ``BENCH_<pr>.json`` object; ``run(root, workload, seed, seconds,
-    trace)`` returns one run's result object."""
+    trace)`` returns one run's result object and ``cli(root)`` the ``cli``
+    object."""
     return {
         "schema": SCHEMA,
         "pr": pr,
@@ -81,6 +143,7 @@ def record(pr: int, root: Path, seed: int, seconds: float, run) -> dict:
         "settings": {"seed": seed, "seconds": seconds},
         "workloads": {w: {key: run(root, w, seed, seconds, trace)
                           for key, trace in TRACES.items()} for w in WORKLOADS},
+        "cli": cli(root),
     }
 
 
@@ -90,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pr", type=int, required=True)
     parser.add_argument("--root", type=Path, default=here)
     args = parser.parse_args(argv)
-    result = record(args.pr, args.root.resolve(), SEED, SECONDS, run_bench)
+    result = record(args.pr, args.root.resolve(), SEED, SECONDS, run_bench, time_cli)
     (here / f"BENCH_{args.pr}.json").write_text(json.dumps(result, indent=1) + "\n")
     return 0
 
