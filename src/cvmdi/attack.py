@@ -22,6 +22,18 @@ Lattice points that are physical but outside the kernel's domain
 (:func:`cvmdi.keyrate.in_domain`: sqrt(lam lam') below |dtau|, or a
 nonpositive effective noise) are excluded from the argmin and counted in
 ``n_skipped``.
+
+Each level computes in place, in writable arrays cached per level size
+beside its pair layout (:func:`_pair_layout`): the lattice coordinates, a
+mask, and the workspace in which :func:`_grid_rates` runs the shared
+formulas through their ``out`` arrays (:mod:`cvmdi.core`).  A coarse
+level's float arrays are about 160 KB, above glibc's 128 KB mmap
+threshold, and fresh ones were page-faulted in anew at every level, about
+40 % of a certificate.  Every cached array is written before it is read,
+so nothing carries over from one call to the next, and none escapes: the
+report holds floats, and the profiles compute in fresh arrays.  The
+arrays are shared by the process, so two threads must not run
+:func:`min_rate_brute` at once.
 """
 
 from __future__ import annotations
@@ -124,34 +136,63 @@ def _at(mask: np.ndarray, x):
     return x if np.ndim(x) == 0 else np.broadcast_to(x, mask.shape)[mask]
 
 
+class _Level(NamedTuple):
+    """A certificate level of n points per axis: the read-only pairs i <= j
+    and the positions of those with i = j, and writable arrays of the pair
+    count for the lattice coordinates, a mask and the workspace of
+    :func:`_grid_rates`."""
+
+    i: np.ndarray
+    j: np.ndarray
+    diag: np.ndarray
+    g: np.ndarray
+    gp: np.ndarray
+    mask: np.ndarray
+    work: tuple[list[np.ndarray], list[np.ndarray]]
+
+
 @functools.lru_cache(maxsize=3)  # a certificate's sizes: grid.n, ZOOM_N, last + 1
-def _pair_layout(n: int) -> tuple[np.ndarray, ...]:
-    """Read-only pairs i <= j of an n-point level and the positions of those with i = j."""
+def _pair_layout(n: int) -> _Level:
+    """The :class:`_Level` of an n-point level, built once per size."""
     i, j = np.triu_indices(n)
     layout = i, j, np.flatnonzero(i == j)
     for a in layout:
         a.flags.writeable = False
-    return layout
+    g, gp, *floats = (np.empty(i.size) for _ in range(11))
+    mask, *bools = (np.empty(i.size, bool) for _ in range(5))
+    return _Level(*layout, g, gp, mask, (floats, bools))
 
 
-def _grid_rates(protocol: ProtocolParams, tau_a, tau_b, omega_a, omega_b, g, gp):
+def _grid_rates(protocol: ProtocolParams, tau_a, tau_b, omega_a, omega_b, g, gp,
+                work: tuple[list[np.ndarray], list[np.ndarray]] | None = None):
     """Vectorized general rate over correlation arrays.
 
     Returns (rates, physical mask, admissible mask); the kernel runs only
     where physical & admissible, with the physicality test and noise
     algebra of :func:`cvmdi.keyrate.key_rate`, and rates are +inf elsewhere.
     Links, ancilla variances and ``protocol.xi`` are floats or arrays
-    broadcasting with ``g``.
+    broadcasting with ``g``, which has the shape of the lattice.  With
+    ``work``, nine float and four boolean arrays of ``g.size`` (``g`` 1-D),
+    every array is computed in them and the returned ones are views of
+    them; without, each is fresh.
     """
-    physical = is_physical(AncillaState(omega_a, omega_b, g, gp))
-    lam, lam_prime = effective_noise(tau_a, tau_b, omega_a, omega_b, g, gp)
-    admissible = in_domain(tau_a, tau_b, lam, lam_prime)
-    mask = physical & admissible
+    f, b = work or ((None,) * 9, (None,) * 4)
+    physical = is_physical(AncillaState(omega_a, omega_b, g, gp), out=(*f[:6], *b[:2]))
+    lam, lam_prime = effective_noise(tau_a, tau_b, omega_a, omega_b, g, gp, out=f[:2])
+    admissible = in_domain(tau_a, tau_b, lam, lam_prime, out=(f[2], b[1], b[2]))
+    mask = np.logical_and(physical, admissible, out=b[2])
+    # the kernel runs on the first k elements of the workspace's arrays
+    k = int(np.count_nonzero(mask))
+    fk, bk = ([None if a is None else a[:k] for a in arrays] for arrays in (f, b))
     ta, tb, xi = (_at(mask, t) for t in (tau_a, tau_b, protocol.xi))
-    lam, lam_prime = lam[mask], lam_prime[mask]
-    chi = equivalent_chi(ta, tb, lam, lam_prime)
-    rates = np.full(g.shape, np.inf)
-    rates[mask] = rate_kernel(protocol.mu, xi, ta, tb, lam, lam_prime, chi)[0]
+    lam, lam_prime = (np.compress(mask.ravel(), x, out=o)
+                      for x, o in ((lam, fk[2]), (lam_prime, fk[3])))
+    chi = equivalent_chi(ta, tb, lam, lam_prime, out=fk[4:6])
+    kernel = rate_kernel(protocol.mu, xi, ta, tb, lam, lam_prime, chi,
+                         out=(fk[0], fk[1], *fk[5:], bk[3]))[0]
+    rates = np.empty(g.shape) if work is None else f[1]
+    rates.fill(np.inf)
+    rates[mask] = kernel
     return rates, physical, admissible
 
 
@@ -195,18 +236,20 @@ def min_rate_brute(
             ax = np.linspace(max(lo, gc - half), min(hi, gc + half), n)
         # the lattice (ax[i], -ax[j]) holds each point's mirror (ax[j], -ax[i]):
         # the pairs i <= j stand for both, and once on the bisector i = j
-        i, j, diag = _pair_layout(n)
-        g, gp = ax[i], -ax[j]
-        rates, phys, adm = _grid_rates(protocol, ta, tb, omega_a, omega_b, g, gp)
-        mask = phys & adm
-        n_level, n_out = (2 * int(np.count_nonzero(m)) - int(np.count_nonzero(m[diag]))
-                          for m in (mask, phys & ~adm))
-        n_eval, n_skip = n_eval + n_level, n_skip + n_out
+        layout = _pair_layout(n)
+        g = np.take(ax, layout.i, out=layout.g)
+        gp = np.negative(np.take(ax, layout.j, out=layout.gp), out=layout.gp)
+        rates, phys, adm = _grid_rates(protocol, ta, tb, omega_a, omega_b, g, gp,
+                                       layout.work)
+        mask = np.logical_and(phys, adm, out=layout.mask)
+        n_level, n_phys = (2 * int(np.count_nonzero(m)) - int(np.count_nonzero(m[layout.diag]))
+                           for m in (mask, phys))
+        n_eval, n_skip = n_eval + n_level, n_skip + n_phys - n_level  # physical, not admissible
         if n_level:  # a zoom window misses only single-point domains
             rate_star = float(rates.min())  # +inf off the mask
             # a mirror (-g', -g) keeps |g + g'| and has no smaller g (the
             # pairs hold g <= -g'), so the full square's pick is a pair
-            ties = np.flatnonzero(rates == rate_star)
+            ties = np.flatnonzero(np.equal(rates, rate_star, out=layout.mask))
             k = min(ties, key=lambda k: (abs(g[k] + gp[k]), g[k], gp[k]))
             g_star, gp_star = float(g[k]), float(gp[k])
         elif not level:

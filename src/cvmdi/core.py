@@ -13,6 +13,18 @@ Conventions used throughout the package:
 All functions are pure and the dataclasses are frozen.  Each formula runs
 on floats and elementwise on numpy arrays (a float gives a float back);
 only this module maps an ancilla to (lam, lam', chi) and to physicality.
+
+The array formulas here and in :mod:`cvmdi.keyrate` can compute in
+place.  Each takes an optional ``out``: a tuple of writable arrays of the
+broadcast shape of its operands, floats first and then booleans, as many
+as its docstring says, and writes every step of its ufunc chain into one
+of them, in the operation order of the formula as written; the result
+lands in the first array of its kind.  Without ``out`` (or where an entry
+is None) each step allocates its result, as the written expression does;
+both give the same bits.  The arrays must not overlap the operands.  A
+caller that evaluates many lattices of one size passes the same arrays
+each time: a fresh lattice-sized temporary above glibc's mmap threshold
+is page-faulted in anew on every use.
 """
 
 from __future__ import annotations
@@ -213,23 +225,24 @@ class SymplecticPair:
 
 def _floats_or_arrays(body):
     """Run an array formula on floats too: floats are evaluated as 1-element
-    arrays, through the same numpy loops as a lattice, and give a float."""
+    arrays, through the same numpy loops as a lattice, and give a float.
+    Keyword arguments (``out``) pass through on arrays."""
     @functools.wraps(body)
-    def formula(*xs):
+    def formula(*xs, **kwargs):
         arrs = [np.asarray(x, dtype=float) for x in xs]
         if any(arr.ndim for arr in arrs):
-            return body(*arrs)
+            return body(*arrs, **kwargs)
         return float(body(*(arr.reshape(1) for arr in arrs))[0])
     return formula
 
 
 def _plain(x):
-    """A Python float for a scalar result, arrays unchanged."""
-    return x if isinstance(x, np.ndarray) else float(x)
+    """A Python scalar for a 0-d result, arrays unchanged."""
+    return x if np.ndim(x) else x.item()
 
 
 @_floats_or_arrays
-def entropy_scaled(a, c):
+def entropy_scaled(a, c, out=None):
     """h(a/c) + log2(c) for a >= c >= 0, on floats or elementwise on arrays
     that broadcast, as two nonnegative terms, so nothing cancels:
 
@@ -238,34 +251,31 @@ def entropy_scaled(a, c):
     with ln(1 + t) / t exactly 0 at a = c and exactly 1 at c = 0.  An a
     within ``H_CLAMP_TOL`` below c is clamped to c, so rounding at physical
     boundaries does not raise; below that window :class:`DomainError`
-    signals a nonphysical intermediate quantity.
+    signals a nonphysical intermediate quantity.  ``out``: three float
+    arrays and one boolean array (module docstring).
     """
-    low = a < c * (1.0 - H_CLAMP_TOL)
+    o_h, o_t, o_tail, o_flag = out or (None,) * 4
+    low = np.less(a, c * (1.0 - H_CLAMP_TOL), out=o_flag)
     if low.any():
         a, c = (float(np.broadcast_to(v, low.shape)[low][0]) for v in (a, c))
         raise DomainError(f"entropy argument {a!r} < {c!r}: nonphysical value")
-    # in place after the clamp's copy: each fresh lattice-sized temporary costs page faults
-    a = np.maximum(a, c)
-    t = a - c
+    h = np.maximum(a, c, out=o_h)
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(2.0 * c, t, out=t)
-        tail = np.log1p(t)
-        tail /= t
+        t = np.divide(2.0 * c, np.subtract(h, c, out=o_t), out=o_t)
+        tail = np.divide(np.log1p(t, out=o_tail), t, out=o_tail)
     # fmax passes over the nan of the two limits: 1 at t = 0, 0 at t = inf
-    np.fmax(tail, t == 0.0, out=tail)
-    a += c
-    a *= 0.5
-    np.log2(a, out=a)
-    a += LOG2E * tail
-    return a
+    tail = np.fmax(tail, np.equal(t, 0.0, out=o_flag), out=o_tail)
+    h = np.log2(np.multiply(np.add(h, c, out=o_h), 0.5, out=o_h), out=o_h)
+    return np.add(h, np.multiply(LOG2E, tail, out=o_tail), out=o_h)
 
 
 @_floats_or_arrays
-def entropy_h(x):
+def entropy_h(x, out=None):
     """Thermal-spectrum entropy ((x+1)/2) log2((x+1)/2) - ((x-1)/2) log2((x-1)/2)
     of a float, or elementwise of an array: :func:`entropy_scaled` at c = 1,
-    accurate at any x, h(1) = 0 exactly, with its clamp and error below 1."""
-    return entropy_scaled.__wrapped__(x, 1.0)
+    accurate at any x, h(1) = 0 exactly, with its clamp and error below 1;
+    ``out`` as for :func:`entropy_scaled`."""
+    return entropy_scaled.__wrapped__(x, 1.0, out=out)
 
 
 @_floats_or_arrays
@@ -278,11 +288,12 @@ def log_ratio_g(x):
     return LOG2E * np.log1p(2.0 / (x - 1.0))
 
 
-def _invariants(ancilla: AncillaState):
+def _invariants(ancilla: AncillaState, out=None):
     """Positive-definiteness margins m - g^2, m - g'^2 (m = omega_a omega_b),
     Delta = omega_a^2 + omega_b^2 + 2 g g', Delta^2 - 4 det with det =
     (m - g^2)(m - g'^2), and nu_minus, on floats or elementwise when
     ``g``/``g_prime`` are arrays (Weedbrook et al., Rev. Mod. Phys. 84, 621).
+    ``out``: six float arrays and one boolean array (module docstring).
 
     nu_minus^2 = (Delta - sqrt(Delta^2 - 4 det)) / 2 cancels once Delta >> 1,
     so it is taken as 2 det / (Delta + sqrt(Delta^2 - 4 det)), clamped at 0.
@@ -290,13 +301,20 @@ def _invariants(ancilla: AncillaState):
     (at omega = 1, |g| = 1, say) a margin already fails, and a unit
     denominator keeps the division finite."""
     wa, wb, g, gp = ancilla.omega_a, ancilla.omega_b, ancilla.g, ancilla.g_prime
+    o_pos_g, o_pos_gp, o_delta, o_det, o_disc, o_nu, o_flag = out or (None,) * 7
     m = wa * wb
-    pos_g, pos_gp = m - g * g, m - gp * gp
-    delta = wa * wa + wb * wb + 2.0 * g * gp
-    det = pos_g * pos_gp
-    disc = delta * delta - 4.0 * det
-    big = delta + np.sqrt(np.maximum(disc, 0.0))
-    nu_minus = np.sqrt(np.maximum(2.0 * det / np.where(big > 0.0, big, 1.0), 0.0))
+    pos_g = np.subtract(m, np.multiply(g, g, out=o_pos_g), out=o_pos_g)
+    pos_gp = np.subtract(m, np.multiply(gp, gp, out=o_pos_gp), out=o_pos_gp)
+    delta = np.multiply(np.multiply(2.0, g, out=o_delta), gp, out=o_delta)
+    delta = np.add(wa * wa + wb * wb, delta, out=o_delta)
+    det = np.multiply(pos_g, pos_gp, out=o_det)
+    disc = np.subtract(np.multiply(delta, delta, out=o_disc), np.multiply(4.0, det, out=o_nu),
+                       out=o_disc)
+    big = np.add(delta, np.sqrt(np.maximum(disc, 0.0, out=o_nu), out=o_nu), out=o_nu)
+    # np.where(big > 0, big, 1): fmax takes 1 where big > 0 fails, nan included
+    big = np.fmax(big, np.logical_not(np.greater(big, 0.0, out=o_flag), out=o_flag), out=o_nu)
+    nu_minus = np.divide(np.multiply(2.0, det, out=o_det), big, out=o_det)
+    nu_minus = np.sqrt(np.maximum(nu_minus, 0.0, out=o_det), out=o_nu)
     return pos_g, pos_gp, delta, disc, nu_minus
 
 
@@ -316,14 +334,19 @@ def symplectic_spectrum(ancilla: AncillaState) -> SymplecticPair:
     return SymplecticPair(nu_minus, math.sqrt(delta - nu_minus * nu_minus))
 
 
-def is_physical(ancilla: AncillaState):
+def is_physical(ancilla: AncillaState, out=None):
     """True iff the ancilla covariance is a bona fide Gaussian state:
     both quadrature blocks positive definite and nu_minus >= 1 (within
     ``PHYSICALITY_TOL``).  A bool for float correlations, a boolean array
-    elementwise when ``g``/``g_prime`` are arrays.  Never raises."""
-    pos_g, pos_gp, _, _, nu_minus = _invariants(ancilla)
-    ok = (pos_g > 0.0) & (pos_gp > 0.0) & (nu_minus >= 1.0 - PHYSICALITY_TOL)
-    return ok if isinstance(ok, np.ndarray) else bool(ok)
+    elementwise when ``g``/``g_prime`` are arrays.  Never raises.  ``out``:
+    the six float arrays of :func:`_invariants`, then two boolean arrays."""
+    *o_inv, o_ok, o_flag = out or (None,) * 8
+    pos_g, pos_gp, _, _, nu_minus = _invariants(ancilla, out=(*o_inv, o_flag))
+    ok = np.logical_and(np.greater(pos_g, 0.0, out=o_ok), np.greater(pos_gp, 0.0, out=o_flag),
+                        out=o_ok)
+    ok = np.logical_and(ok, np.greater_equal(nu_minus, 1.0 - PHYSICALITY_TOL, out=o_flag),
+                        out=o_ok)
+    return _plain(ok)
 
 
 def g_max(omega_a, omega_b):
@@ -343,28 +366,35 @@ def g_max(omega_a, omega_b):
     return _plain(np.sqrt((lo - 1.0) * (hi + 1.0)))
 
 
-def effective_noise(tau_a, tau_b, omega_a, omega_b, g, g_prime):
+def effective_noise(tau_a, tau_b, omega_a, omega_b, g, g_prime, out=None):
     """Noises (lam, lam') = (kappa - u g, kappa + u g') of the two quadrature
     branches: kappa = (1 - tau_a) omega_a + (1 - tau_b) omega_b is the
     back-injected thermal noise, u = 2 sqrt((1 - tau_a)(1 - tau_b)) the
-    loss coupling.  Floats give floats; arrays broadcast."""
+    loss coupling.  Floats give floats; arrays broadcast.  ``out``: two
+    float arrays, for lam and lam'."""
+    o_lam, o_lam_prime = out or (None, None)
     kappa = (1.0 - tau_a) * omega_a + (1.0 - tau_b) * omega_b
     u = 2.0 * np.sqrt((1.0 - tau_a) * (1.0 - tau_b))
-    return _plain(kappa - u * g), _plain(kappa + u * g_prime)
+    lam = np.subtract(kappa, np.multiply(u, g, out=o_lam), out=o_lam)
+    lam_prime = np.add(kappa, np.multiply(u, g_prime, out=o_lam_prime), out=o_lam_prime)
+    return _plain(lam), _plain(lam_prime)
 
 
-def equivalent_chi(tau_a, tau_b, lam, lam_prime):
+def equivalent_chi(tau_a, tau_b, lam, lam_prime, out=None):
     """Equivalent noise chi = (beta / alpha) sqrt((beta + lam)(beta + lam'))
     of effective noises, on floats or arrays.  Raises :class:`DomainError`
-    if any beta + lam or beta + lam' is not positive."""
+    if any beta + lam or beta + lam' is not positive.  ``out``: two float
+    arrays."""
+    o_fa, o_fb = out or (None, None)
     beta = tau_a + tau_b
-    fa, fb = beta + lam, beta + lam_prime
-    if np.minimum(fa, fb).min(initial=np.inf) <= 0.0:
+    fa, fb = np.add(beta, lam, out=o_fa), np.add(beta, lam_prime, out=o_fb)
+    if np.minimum(fa.min(initial=np.inf), fb.min(initial=np.inf)) <= 0.0:
         raise DomainError(
             f"equivalent noise undefined: beta + lam = {np.min(fa)}, "
             f"beta + lam' = {np.min(fb)}"
         )
-    return _plain(beta / (tau_a * tau_b) * np.sqrt(fa * fb))
+    chi = np.sqrt(np.multiply(fa, fb, out=o_fa), out=o_fa)
+    return _plain(np.multiply(beta / (tau_a * tau_b), chi, out=o_fa))
 
 
 def bisector_lam(tau_a, tau_b, chi):

@@ -80,29 +80,39 @@ class KeyRateReport:
     secure: bool
 
 
-def rate_kernel(mu, xi, tau_a, tau_b, lam, lam_prime, chi):
+def rate_kernel(mu, xi, tau_a, tau_b, lam, lam_prime, chi, out=None):
     """(R, nu) of the module-level kernel formula, elementwise over numpy
     arrays that broadcast together (``tau_a``/``tau_b`` may be floats).
     Every element must lie inside :func:`in_domain`; nothing is checked
-    here."""
-    s = np.sqrt(lam * lam_prime)
-    nu = np.sqrt((tau_a + lam) * (tau_a + lam_prime)) / tau_b
-    rate = (
-        np.log2(2.0 * (tau_a + tau_b) * mu ** (xi - 1.0) / (math.e * chi ** xi))
-        + entropy_h(nu)
-        - entropy_scaled(s, abs(tau_a - tau_b))
-    )
+    here.  ``out``: six float arrays and one boolean array, as for the
+    array formulas of :mod:`cvmdi.core`."""
+    o_rate, o_nu, o_s, *o_h = out or (None,) * 7
+    s = np.sqrt(np.multiply(lam, lam_prime, out=o_s), out=o_s)
+    nu = np.multiply(np.add(tau_a, lam, out=o_nu), np.add(tau_a, lam_prime, out=o_h[1]), out=o_nu)
+    nu = np.divide(np.sqrt(nu, out=o_nu), tau_b, out=o_nu)
+    # log2(2 beta mu^(xi-1) / (e chi^xi)) + h(nu) - entropy_scaled(s, |dtau|)
+    rate = np.multiply(math.e, np.power(chi, xi, out=o_rate), out=o_rate)
+    rate = np.divide(2.0 * (tau_a + tau_b) * mu ** (xi - 1.0), rate, out=o_rate)
+    rate = np.add(np.log2(rate, out=o_rate), entropy_h(nu, out=o_h), out=o_rate)
+    rate = np.subtract(rate, entropy_scaled(s, abs(tau_a - tau_b), out=o_h), out=o_rate)
     return rate, nu
 
 
-def in_domain(tau_a, tau_b, lam, lam_prime):
+def in_domain(tau_a, tau_b, lam, lam_prime, out=None):
     """Where :func:`rate_kernel` is defined: lam, lam' > 0 and
     |dtau| <= sqrt(lam lam') < inf, the first bound within the entropy clamp
     slack.  Works on floats and elementwise on arrays.  (nu >= 1 follows:
-    (tau_a + lam)(tau_a + lam') >= (tau_a + s)^2 >= tau_b^2.)"""
+    (tau_a + lam)(tau_a + lam') >= (tau_a + s)^2 >= tau_b^2.)  ``out``: one
+    float array and two boolean ones."""
+    o_s2, o_ok, o_flag = out or (None,) * 3
     floor = abs(tau_a - tau_b) * (1.0 - H_CLAMP_TOL)
-    s2 = lam * lam_prime
-    return (lam > 0.0) & (lam_prime > 0.0) & (s2 >= floor * floor) & (s2 < math.inf)
+    with np.errstate(over="ignore"):  # an overflowed product is inf, outside the domain
+        s2 = np.multiply(lam, lam_prime, out=o_s2)
+    ok = np.logical_and(np.greater(lam, 0.0, out=o_ok), np.greater(lam_prime, 0.0, out=o_flag),
+                        out=o_ok)
+    ok = np.logical_and(ok, np.greater_equal(s2, floor * floor, out=o_flag), out=o_ok)
+    ok = np.logical_and(ok, np.less(s2, math.inf, out=o_flag), out=o_ok)
+    return ok if np.ndim(ok) else bool(ok)
 
 
 def decoupled(tau_a, tau_b, lam, lam_prime):

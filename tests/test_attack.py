@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import mp_oracle
+import cvmdi.attack as attack_module
 import cvmdi.keyrate as keyrate_module
 from cvmdi import (
     AncillaState,
@@ -309,6 +310,20 @@ class TestZoomLevels:
         assert report.n_evaluated <= 27325
         assert peak < 10e6
 
+    def test_repeated_default_grid_peak(self):
+        # fresh lattice-sized temporaries peaked at 1.75-1.98 MB traced; a
+        # repeated certificate computes in its cached level arrays and stays
+        # below three coarse float arrays (20 301 pairs at 201 points)
+        args = (ProtocolParams(), LinkPair(0.9, 0.7), 2.0, 2.0)
+        min_rate_brute(*args)
+        tracemalloc.start()
+        try:
+            min_rate_brute(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * 20301
+
     @pytest.mark.parametrize("refine_n", [803, 1003])
     def test_non_nested_within_a_final_cell(self, refine_n):
         # (refine_n - 1) / 40 final cells is no whole number, so the zoom
@@ -409,8 +424,77 @@ class TestTriangleMatchesFullSquare:
             # an np.int64 count would make json.dumps raise
             assert type(report.n_evaluated) is int and type(report.n_skipped) is int
         for n in {grid.n, ZOOM_N}:
-            assert _pair_layout(n) is _pair_layout(n)
-            assert not any(a.flags.writeable for a in _pair_layout(n))
+            level = _pair_layout(n)
+            assert level is _pair_layout(n)
+            assert not any(a.flags.writeable for a in (level.i, level.j, level.diag))
+
+
+def _cached_arrays(sizes):
+    """Every writable array of the cached levels of ``sizes``."""
+    arrays = []
+    for n in sizes:
+        level = _pair_layout(n)
+        arrays += [level.g, level.gp, level.mask, *level.work[0], *level.work[1]]
+    return arrays
+
+
+class TestWorkspace:
+    """The cached level arrays carry nothing from one certificate to the next."""
+
+    ARGS = (ProtocolParams(), LinkPair(0.85, 0.55), 3.0, 1.7, FAST_GRID)
+    SIZES = (FAST_GRID.n, ZOOM_N, 21)  # FAST_GRID's levels: 101, 41 and 20 + 1 points
+
+    def fresh(self):
+        _pair_layout.cache_clear()
+        return min_rate_brute(*self.ARGS)
+
+    def test_same_after_eviction(self):
+        want = self.fresh()
+        assert {len(_pair_layout(n).g) for n in self.SIZES} == {5151, 861, 231}
+        evicted = _pair_layout(FAST_GRID.n)
+        for n in (5, 7, 9, 11):  # four other sizes, with 3 for their last level
+            min_rate_brute(ProtocolParams(xi=0.5), LinkPair(0.9, 0.3), 2.0, 5.0,
+                           AttackGrid(n, 3))
+        report = min_rate_brute(*self.ARGS)
+        assert _pair_layout(FAST_GRID.n) is not evicted
+        assert report == want and repr(report) == repr(want)
+        assert all(type(v) in (float, int) for v in astuple(report))
+
+    @pytest.mark.parametrize("raise_at", [1, 3], ids=["coarse", "last"])
+    def test_same_after_a_certificate_raised_mid_level(self, monkeypatch, raise_at):
+        # the kernel of the raising level fills every cached array with
+        # garbage first, as an interrupted level could leave them
+        want = self.fresh()
+        calls = []
+
+        def interrupted(*args, **kwargs):
+            calls.append(1)
+            result = keyrate_module.rate_kernel(*args, **kwargs)
+            if len(calls) == raise_at:
+                for a in _cached_arrays(self.SIZES):
+                    a.fill(np.nan if a.dtype == float else True)
+                raise RuntimeError("interrupted")
+            return result
+
+        monkeypatch.setattr(attack_module, "rate_kernel", interrupted)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            min_rate_brute(*self.ARGS)
+        monkeypatch.undo()
+        report = min_rate_brute(*self.ARGS)
+        assert report == want and repr(report) == repr(want)
+
+    def test_profiles_share_no_cached_array(self):
+        # 231 samples match the pair count of FAST_GRID's last level
+        protocol, link, wa, wb, _ = self.ARGS
+        min_rate_brute(*self.ARGS)
+        profiles = [
+            rate_profile_y(protocol, link, omegas=(wa, wb), l=1.0, samples=231),
+            rate_profile_y(protocol, link, chi=8.0, samples=231),
+        ]
+        cached = _cached_arrays(self.SIZES)
+        for profile in profiles:
+            for a in (profile.y, profile.d_prime, profile.rate):
+                assert not any(np.shares_memory(a, c) for c in cached)
 
 
 class TestRateProfileThermal:

@@ -18,13 +18,17 @@ END_TO_END = {"setup_s", "work_per_s", "round_s", "peak_rss_mb"}
 KEYS = {"schema", "pr", "src_lines", "host", "settings", "workloads"}
 
 
-def check_cli(cli: dict) -> None:
+def check_cli(cli: dict, pr: int) -> None:
+    # the child's minor page faults are timed from BENCH_20 on
     assert set(cli) == {"repeats", "interpreter", "import", "commands"}
     assert isinstance(cli["repeats"], int) and cli["repeats"] >= 1
     assert cli["commands"] and all(isinstance(cmd, str) for cmd in cli["commands"])
     for timing in (cli["interpreter"], cli["import"], *cli["commands"].values()):
-        assert set(timing) == {"s", "peak_rss_mb"}
-        assert all(isinstance(v, float) and v > 0.0 for v in timing.values())
+        assert set(timing) == {"s", "peak_rss_mb"} | ({"minflt"} if pr >= 20 else set())
+        assert all(isinstance(timing[k], float) and timing[k] > 0.0
+                   for k in ("s", "peak_rss_mb"))
+        if pr >= 20:
+            assert isinstance(timing["minflt"], int) and timing["minflt"] > 0
 
 
 def check_schema(record: dict) -> None:
@@ -32,7 +36,7 @@ def check_schema(record: dict) -> None:
     assert record["schema"] in (1, 2)
     assert set(record) == KEYS | ({"cli"} if record["schema"] == 2 else set())
     if record["schema"] == 2:
-        check_cli(record["cli"])
+        check_cli(record["cli"], record["pr"])
     assert isinstance(record["pr"], int) and isinstance(record["src_lines"], int)
     host = record["host"]
     assert set(host) == {"nproc", "python", "numpy"}
@@ -89,7 +93,7 @@ def _result(workload, trace):
 
 
 def _cli(root):
-    timing = {"s": 0.5, "peak_rss_mb": 30.0}
+    timing = {"s": 0.5, "peak_rss_mb": 30.0, "minflt": 4000}
     return {"repeats": 3, "interpreter": timing, "import": timing,
             "commands": {cmd: timing for cmd in bench_record.readme_commands(root)}}
 
@@ -101,7 +105,7 @@ def test_record_keeps_each_run_unchanged():
         calls.append((workload, seed, seconds, trace))
         return _result(workload, trace)
 
-    record = bench_record.record(15, ROOT, 3, 0.5, run=run, cli=_cli)
+    record = bench_record.record(20, ROOT, 3, 0.5, run=run, cli=_cli)
     check_schema(record)
     assert record["cli"] == _cli(ROOT)
     assert sorted(calls) == sorted((w, 3, 0.5, t) for w in ("surface", "attack", "certify")
@@ -138,8 +142,9 @@ def test_time_child_runs_on_the_checkout(tmp_path):
     (tmp_path / "src" / "probe.py").write_text("open('ran', 'w').close()\n")
     timing = bench_record.time_child(tmp_path, tmp_path, ["-c", "import probe"])
     assert (tmp_path / "ran").exists()  # the child ran in cwd with src on its path
-    assert set(timing) == {"s", "peak_rss_mb"}
+    assert set(timing) == {"s", "peak_rss_mb", "minflt"}
     assert 0.0 < timing["s"] and 1.0 < timing["peak_rss_mb"]
+    assert isinstance(timing["minflt"], int) and timing["minflt"] > 0
     with pytest.raises(RuntimeError, match="exited 3: boom"):
         bench_record.time_child(
             tmp_path, tmp_path, ["-c", "import sys; print('boom', file=sys.stderr); sys.exit(3)"])

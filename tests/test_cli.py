@@ -189,6 +189,108 @@ class TestDeterminism:
         assert out1 == out2
 
 
+# stdout of the README attack-opt, of small-grid certificates at the edges
+# (xi 0.5 and 1.0, omega 1e76, symmetric links, tau_a = 1, one run with no
+# admissible point) and of a rate per knowledge mode, recorded before the
+# shared formulas were rewritten in place: they must not move by a bit
+GOLDEN = [
+    ('attack-opt --tau-a 0.9 --tau-b 0.7 --omega-a 2 --omega-b 2', 0,
+     '{"g_star": -1.732, "g_prime_star": 1.732, '
+     '"rate_star": -1.5714548713144894, "bisector_distance": 0.0, '
+     '"analytic_rate": -1.5714699422656473, "gap": 1.5070951157936108e-05, '
+     '"g_max": 1.7320508075688772, "gmax_distance": 5.0807568877209164e-05, '
+     '"cell_size": 9.999999999998899e-05, "n_evaluated": 22548, '
+     '"n_skipped": 0}\n'),
+    ('attack-opt --tau-a 0.85 --tau-b 0.55 --omega-a 3 --omega-b 1.7 '
+     '--xi 0.5 --grid-n 41 --refine-n 81', 0,
+     '{"g_star": -1.6711552890141599, "g_prime_star": 1.6711552890141599, '
+     '"rate_star": -3.2614582439391304, "bisector_distance": 0.0, '
+     '"analytic_rate": -3.261915580665634, "gap": 0.0004573367265034989, '
+     '"g_max": 1.6733200530681511, "gmax_distance": 0.0021647640539912416, '
+     '"cell_size": 0.005645794895318135, "n_evaluated": 1782, "n_skipped": 0}\n'),
+    ('attack-opt --tau-a 0.85 --tau-b 0.55 --omega-a 3 --omega-b 1.7 '
+     '--xi 1.0 --grid-n 41 --refine-n 81', 0,
+     '{"g_star": -1.6711552890141599, "g_prime_star": 1.6711552890141599, '
+     '"rate_star": -1.987523180388384, "bisector_distance": 0.0, '
+     '"analytic_rate": -1.988213416745814, "gap": 0.0006902363574301518, '
+     '"g_max": 1.6733200530681511, "gmax_distance": 0.0021647640539912416, '
+     '"cell_size": 0.005645794895318135, "n_evaluated": 1782, "n_skipped": 0}\n'),
+    ('attack-opt --tau-a 0.9 --tau-b 0.7 --omega-a 1e76 --omega-b 1e76 '
+     '--grid-n 31 --refine-n 61', 0,
+     '{"g_star": -9.975e+75, "g_prime_star": 9.975e+75, '
+     '"rate_star": -245.2138946618876, "bisector_distance": 0.0, '
+     '"analytic_rate": -245.2155192805193, "gap": 0.0016246186316948297, '
+     '"g_max": 1e+76, "gmax_distance": 2.5000000000000234e+73, '
+     '"cell_size": 2.5000000000000234e+73, "n_evaluated": 2477, '
+     '"n_skipped": 0}\n'),
+    ('attack-opt --tau-a 0.6 --tau-b 0.95 --omega-a 1e76 --omega-b 2 '
+     '--xi 0.5 --grid-n 31 --refine-n 61', 0,
+     '{"g_star": -9.993775840769874e+37, "g_prime_star": 9.993775840769874e+37, '
+     '"rate_star": -128.99571566655794, "bisector_distance": 0.0, '
+     '"analytic_rate": -128.99571566655794, "gap": 0.0, "g_max": 1e+38, '
+     '"gmax_distance": 6.224159230125902e+34, '
+     '"cell_size": 6.2853936105470786e+35, "n_evaluated": 1802, '
+     '"n_skipped": 0}\n'),
+    ('attack-opt --tau-a 0.8 --tau-b 0.8 --omega-a 2 --omega-b 3 '
+     '--grid-n 41 --refine-n 401', 0,
+     '{"g_star": -2.000008374982465, "g_prime_star": 1.998783630111073, '
+     '"rate_star": -2.108228694705325, '
+     '"bisector_distance": 0.000866025403784582, '
+     '"analytic_rate": -2.108383248325585, "gap": 0.00015455362026006725, '
+     '"g_max": 2.0, "gmax_distance": 8.3749824648649e-06, '
+     '"cell_size": 0.0012247448713913478, "n_evaluated": 2876, '
+     '"n_skipped": 0}\n'),
+    ('attack-opt --tau-a 0.99 --tau-b 0.99 --omega-a 1.5 --omega-b 1.5 '
+     '--xi 1.0 --grid-n 5 --refine-n 41', 0,
+     '{"g_star": -1.10625, "g_prime_star": 1.10625, '
+     '"rate_star": 2.5011192624734884, "bisector_distance": 0.0, '
+     '"analytic_rate": 2.495072285400469, "gap": 0.006046977073019377, '
+     '"g_max": 1.118033988749895, "gmax_distance": 0.011783988749894947, '
+     '"cell_size": 0.05624999999999991, "n_evaluated": 785, "n_skipped": 0}\n'),
+    ('attack-opt --tau-a 1 --tau-b 0.6 --omega-a 2 --omega-b 2 --grid-n '
+     '21 --refine-n 43', 0,
+     '{"g_star": -1.72, "g_prime_star": 1.72, "rate_star": -0.5957906600568432, '
+     '"bisector_distance": 0.0, "analytic_rate": -0.5957906600568432, '
+     '"gap": 0.0, "g_max": 1.7320508075688772, '
+     '"gmax_distance": 0.01205080756887722, "cell_size": 0.01904761904761898, '
+     '"n_evaluated": 908, "n_skipped": 0}\n'),
+    ('attack-opt --tau-a 0.7 --tau-b 0.4 --omega-a 4 --omega-b 1 --xi '
+     '0.5 --grid-n 3 --refine-n 3', 0,
+     '{"g_star": 0.0, "g_prime_star": -0.0, "rate_star": -3.2291975550479037, '
+     '"bisector_distance": 0.0, "analytic_rate": -3.2291975550479037, '
+     '"gap": 0.0, "g_max": 0.0, "gmax_distance": 0.0, "cell_size": 2.0, '
+     '"n_evaluated": 2, "n_skipped": 0}\n'),
+    ('attack-opt --tau-a 1 --tau-b 1 --omega-a 2 --omega-b 2 --grid-n 11 '
+     '--refine-n 21', 1,
+     ''),
+    ('rate --tau-a 0.98 --tau-b 0.6', 0,
+     '{"tau_a": 0.98, "tau_b": 0.6, "xi": 0.97, "phi": 60.0, "epsilon": 0.01, '
+     '"knowledge": "chi", "chi": 5.384149659863946, "rate": 0.3793921919588146, '
+     '"i_ab": 3.502018825359326, "i_ea": 3.0175660686397316, '
+     '"nu": 2.339535864978903, "nu2": 1.115056628914057, "secure": true}\n'),
+    ('rate --tau-a 0.9 --tau-b 0.8 --xi 0.5 --epsilon 0.3', 0,
+     '{"tau_a": 0.9, "tau_b": 0.8, "xi": 0.5, "phi": 60.0, "epsilon": 0.3, '
+     '"knowledge": "chi", "chi": 5.022222222222222, '
+     '"rate": -1.9346509602514403, "i_ab": 3.602411471477373, '
+     '"i_ea": 3.735856695990127, "nu": 1.6588235294117648, '
+     '"nu2": 4.2705882352941185, "secure": false}\n'),
+    ('rate --tau-a 0.9 --tau-b 0.8 --knowledge thermal --omega-a 1.5 '
+     '--omega-b 2.0', 0,
+     '{"tau_a": 0.9, "tau_b": 0.8, "xi": 0.97, "phi": 60.0, "epsilon": 0.01, '
+     '"knowledge": "thermal", "chi": 6.13041288135197, '
+     '"rate": -1.1155965034466138, "i_ab": 3.314753095323878, '
+     '"i_ea": 4.330907005910776, "nu": 2.2455127018922187, '
+     '"nu2": 8.964101615137753, "secure": false}\n'),
+]
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("argv, code, stdout", GOLDEN, ids=[g[0] for g in GOLDEN])
+    def test_stdout_unchanged(self, capsys, argv, code, stdout):
+        got, out, _ = run_cli(capsys, *argv.split())
+        assert (got, out) == (code, stdout)
+
+
 class TestSweep:
     def test_csv_shape_and_values(self, capsys):
         code, out, err = run_cli(

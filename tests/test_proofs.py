@@ -487,9 +487,9 @@ class TestBatchedSuite:
         calls, verifier_calls = [], []
         original = keyrate.rate_kernel
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(1)
-            return original(*args)
+            return original(*args, **kwargs)
 
         def counted_verifier(name, verifier):
             def call(*args, **kwargs):

@@ -12,10 +12,11 @@ Under ``cli`` it times the ``cvmdi`` commands as a user runs them, each in
 a fresh ``python -m cvmdi.cli`` child in a temporary directory: every
 example command of the README (its ``--output`` files land in that
 directory) and the ``LARGE_SWEEPS``.  Each gets the best of ``REPEATS``
-runs of its wall time and of its peak RSS, which ``os.wait4`` reports for
-the child alone.  A bare interpreter (``interpreter``) and ``import
-cvmdi.cli`` (``import``, interpreter included) are timed the same way, so
-the import cost of every command can be read off.
+runs of its wall time, of its peak RSS and of its minor page faults
+(``minflt``), which ``os.wait4`` reports for the child alone.  A bare
+interpreter (``interpreter``) and ``import cvmdi.cli`` (``import``,
+interpreter included) are timed the same way, so the import cost of every
+command can be read off.
 
 Beside them the file holds the ``src/`` line count of the checkout, the
 settings, and the host: processors available (as ``nproc`` counts them),
@@ -23,7 +24,8 @@ the Python and numpy versions.  ``--root`` defaults to the checkout this
 script lives in; point it at a second checkout to record another commit
 with the same settings.  The file goes beside this script's checkout
 either way.  Standard library only; a record takes about a minute and a
-half.  Records before ``BENCH_19.json`` are schema 1, without ``cli``.
+half.  Records before ``BENCH_19.json`` are schema 1, without ``cli``;
+``minflt`` is in the ``cli`` timings from ``BENCH_20.json`` on.
 
 The frozen benchmark's own text is stale in three places; read its
 numbers with these corrections:
@@ -86,7 +88,8 @@ def readme_commands(root: Path) -> list[str]:
 
 def time_child(root: Path, cwd: Path, args: list[str]) -> dict:
     """Best of ``REPEATS`` runs of ``python ARGS`` on the checkout's
-    ``src``: wall seconds and the child's peak RSS in MB."""
+    ``src``: wall seconds, the child's peak RSS in MB and its minor page
+    faults (``ru_minflt``)."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
     runs = []
@@ -102,8 +105,9 @@ def time_child(root: Path, cwd: Path, args: list[str]) -> dict:
         if proc.returncode != 0:
             raise RuntimeError(f"python {shlex.join(args)} exited {proc.returncode}: "
                                f"{stderr.decode().strip()[-500:]}")
-        runs.append((wall, usage.ru_maxrss / 1024.0))  # ru_maxrss is in KiB
-    return {"s": min(w for w, _ in runs), "peak_rss_mb": min(m for _, m in runs)}
+        runs.append((wall, usage.ru_maxrss / 1024.0, usage.ru_minflt))  # ru_maxrss is in KiB
+    return {key: min(run[k] for run in runs)
+            for k, key in enumerate(("s", "peak_rss_mb", "minflt"))}
 
 
 def time_cli(root: Path) -> dict:
