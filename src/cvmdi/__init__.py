@@ -18,7 +18,6 @@ from .core import (
     SymplecticPair,
     attack_coords,
     chi_equivalent,
-    coords_to_correlations,
     derive_noise,
     entropy_h,
     g_max,
@@ -63,7 +62,6 @@ from .sweep import (
     ThermalKnowledge,
     distance_to_tau,
     export,
-    parse_csv,
     relay_scan,
     run_sweep,
 )

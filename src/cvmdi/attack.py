@@ -51,7 +51,9 @@ from .core import (
     EmptyDomainError,
     LinkPair,
     ProtocolParams,
+    as_point,
     attack_coords,
+    beta_over_alpha,
     bisector_lam,
     effective_noise,
     equivalent_chi,
@@ -258,7 +260,7 @@ def min_rate_brute(
             )
 
     analytic = key_rate_min_thermal(protocol, link, omega_a, omega_b).rate
-    gm = g_max(omega_a, omega_b)
+    gm = float(g_max(omega_a, omega_b))
     return ArgMinReport(
         g_star=g_star,
         g_prime_star=gp_star,
@@ -294,10 +296,11 @@ def chi_y_domain(tau_a: np.ndarray, tau_b: np.ndarray, chi: np.ndarray):
     """Range of the fixed-chi variable y, elementwise on arrays of links:
     y_min = alpha chi / beta and y_max = (y_min^2 + beta^2) / (2 beta);
     :class:`ParameterError` if any tau is outside (0, 1] or any chi is not
-    finite, :class:`DomainError` if any chi is below the loss floor."""
+    finite, :class:`DomainError` if any chi is below the loss floor or alpha underflows."""
     require_unit("tau_a", tau_a)
     require_unit("tau_b", tau_b)
     require(np.isfinite(chi), "chi", "be finite", chi)
+    beta_over_alpha(tau_a, tau_b)  # its rule: alpha must not underflow
     alpha, beta = tau_a * tau_b, tau_a + tau_b
     below = chi < beta * beta / alpha
     if below.any():
@@ -426,10 +429,9 @@ def rate_profile_y(
     """
     if (omegas is None) == (chi is None):
         raise ValueError("pass exactly one of omegas+l (thermal) or chi")
-    ta, tb = np.array([link.tau_a]), np.array([link.tau_b])
+    ta, tb = as_point(link.tau_a, link.tau_b)
     if chi is not None:
-        return _chi_profiles(protocol, ta, tb, np.array([chi], float), samples).first()
+        return _chi_profiles(protocol, ta, tb, *as_point(chi), samples).first()
     if l is None:
         raise ValueError("thermal mode requires the bisector coordinate l")
-    wa, wb, l = (np.array([x], float) for x in (*omegas, l))
-    return _thermal_profiles(protocol, ta, tb, wa, wb, l, samples).first()
+    return _thermal_profiles(protocol, ta, tb, *as_point(*omegas, l), samples).first()

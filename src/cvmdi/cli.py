@@ -2,8 +2,9 @@
 
 Machine-readable output (JSON, or CSV for sweeps) goes to stdout or the
 ``--output`` file; a short human summary goes to stderr.  Exit status: 0
-on success, 1 on domain errors and on failed verdicts (``verify``,
-``optics-sim``), 2 when a parameter fails validation, on every subcommand.
+on success, 1 on domain errors, on failed verdicts (``verify``,
+``optics-sim``) and when the ``--output`` file cannot be written, 2 when a
+parameter fails validation, on every subcommand.
 Flags are checked only by the library types and entry points they reach,
 which raise :class:`cvmdi.core.ParameterError` naming the parameter; the
 front end maps that name to its flag.  Its one rule of its own is that
@@ -64,7 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-b", type=float, required=True)
     _add_protocol_flags(p)
     _add_knowledge_flags(p)
-    p.add_argument("--output", default=None, help="write JSON here instead of stdout")
 
     p = sub.add_parser("sweep", help="rate over a transmissivity lattice")
     p.add_argument("--tau-a-min", type=float, default=0.5)
@@ -76,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_protocol_flags(p)
     _add_knowledge_flags(p)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--output", default=None)
 
     p = sub.add_parser("relay-scan",
                        help="rate along a fixed total-transmissivity contour")
@@ -86,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_protocol_flags(p)
     _add_knowledge_flags(p)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--output", default=None)
 
     p = sub.add_parser("attack-opt",
                        help="brute-force worst-case attack certificate")
@@ -97,19 +95,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_protocol_flags(p)
     p.add_argument("--grid-n", type=int, default=201, help="coarse points per axis")
     p.add_argument("--refine-n", type=int, default=801, help="sets final resolution")
-    p.add_argument("--output", default=None)
 
     p = sub.add_parser("verify", help="run the proof-verification suite")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--scenarios", type=int, default=100)
     p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--output", default=None)
 
     p = sub.add_parser("optics-sim", help="phase self-alignment Monte Carlo")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", default=None)
 
+    for p in sub.choices.values():
+        p.add_argument("--output", default=None, help="write the output here instead of stdout")
     return parser
 
 
@@ -245,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParameterError as exc:
         print(f"error: {_flag(exc.name)} {exc.rule}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # a domain error, or --output not writable
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,26 +10,29 @@ Conventions used throughout the package:
   (positive definiteness plus smallest symplectic eigenvalue >= 1) defines
   the admissible attack domain.
 
-All functions are pure and the dataclasses are frozen.  Each formula runs
-on floats and elementwise on numpy arrays (a float gives a float back);
-only this module maps an ancilla to (lam, lam', chi) and to physicality.
+All functions are pure and the dataclasses are frozen.  Only this module
+maps an ancilla to (lam, lam', chi) and to physicality.  The formulas here
+and in :mod:`cvmdi.keyrate` take numpy arrays that broadcast and return
+arrays (numpy's 0-d results for 0-d operands); none has a float mode.  The
+single-point API (:func:`derive_noise`, :func:`chi_equivalent`,
+:func:`symplectic_spectrum`, the ``key_rate*`` reports) converts once, at
+its report, whose fields are Python floats and bools.
 
-The array formulas here and in :mod:`cvmdi.keyrate` can compute in
-place.  Each takes an optional ``out``: a tuple of writable arrays of the
-broadcast shape of its operands, floats first and then booleans, as many
-as its docstring says, and writes every step of its ufunc chain into one
-of them, in the operation order of the formula as written; the result
-lands in the first array of its kind.  Without ``out`` (or where an entry
-is None) each step allocates its result, as the written expression does;
-both give the same bits.  The arrays must not overlap the operands.  A
-caller that evaluates many lattices of one size passes the same arrays
-each time: a fresh lattice-sized temporary above glibc's mmap threshold
-is page-faulted in anew on every use.
+The array formulas can compute in place.  Each takes an optional ``out``:
+a tuple of writable arrays of the broadcast shape of its operands, floats
+first and then booleans, as many as its docstring says, and writes every
+step of its ufunc chain into one of them, in the operation order of the
+formula as written; the result lands in the first array of its kind.
+Without ``out`` (or where an entry is None) each step allocates its
+result, as the written expression does; both give the same bits.  The
+arrays must not overlap the operands.  A caller that evaluates many
+lattices of one size passes the same arrays each time: a fresh
+lattice-sized temporary above glibc's mmap threshold is page-faulted in
+anew on every use.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -223,28 +226,14 @@ class SymplecticPair:
     nu_plus: float
 
 
-def _floats_or_arrays(body):
-    """Run an array formula on floats too: floats are evaluated as 1-element
-    arrays, through the same numpy loops as a lattice, and give a float.
-    Keyword arguments (``out``) pass through on arrays."""
-    @functools.wraps(body)
-    def formula(*xs, **kwargs):
-        arrs = [np.asarray(x, dtype=float) for x in xs]
-        if any(arr.ndim for arr in arrs):
-            return body(*arrs, **kwargs)
-        return float(body(*(arr.reshape(1) for arr in arrs))[0])
-    return formula
+def as_point(*xs):
+    """Single-point inputs as 1-element float arrays, for the array formulas."""
+    return (np.array([x], dtype=float) for x in xs)
 
 
-def _plain(x):
-    """A Python scalar for a 0-d result, arrays unchanged."""
-    return x if np.ndim(x) else x.item()
-
-
-@_floats_or_arrays
 def entropy_scaled(a, c, out=None):
-    """h(a/c) + log2(c) for a >= c >= 0, on floats or elementwise on arrays
-    that broadcast, as two nonnegative terms, so nothing cancels:
+    """h(a/c) + log2(c) for a >= c >= 0, elementwise on arrays that
+    broadcast, as two nonnegative terms, so nothing cancels:
 
     log2((a + c) / 2) + log2(e) ln(1 + t) / t,  t = 2c / (a - c),
 
@@ -269,20 +258,18 @@ def entropy_scaled(a, c, out=None):
     return np.add(h, np.multiply(LOG2E, tail, out=o_tail), out=o_h)
 
 
-@_floats_or_arrays
 def entropy_h(x, out=None):
     """Thermal-spectrum entropy ((x+1)/2) log2((x+1)/2) - ((x-1)/2) log2((x-1)/2)
-    of a float, or elementwise of an array: :func:`entropy_scaled` at c = 1,
-    accurate at any x, h(1) = 0 exactly, with its clamp and error below 1;
-    ``out`` as for :func:`entropy_scaled`."""
-    return entropy_scaled.__wrapped__(x, 1.0, out=out)
+    elementwise: :func:`entropy_scaled` at c = 1, accurate at any x, h(1) = 0
+    exactly, with its clamp and error below 1; ``out`` as for
+    :func:`entropy_scaled`."""
+    return entropy_scaled(x, 1.0, out=out)
 
 
-@_floats_or_arrays
 def log_ratio_g(x):
-    """log2((x+1)/(x-1)) = log2(e) log1p(2/(x-1)) for x > 1, on a float or
-    elementwise on an array; strictly decreasing, pole at x = 1."""
-    lo = x.min(initial=np.inf)
+    """log2((x+1)/(x-1)) = log2(e) log1p(2/(x-1)) for x > 1, elementwise on
+    an array; strictly decreasing, pole at x = 1."""
+    lo = np.min(x, initial=np.inf)
     if lo <= 1.0:
         raise DomainError(f"log_ratio_g argument {float(lo)!r} <= 1")
     return LOG2E * np.log1p(2.0 / (x - 1.0))
@@ -291,8 +278,8 @@ def log_ratio_g(x):
 def _invariants(ancilla: AncillaState, out=None):
     """Positive-definiteness margins m - g^2, m - g'^2 (m = omega_a omega_b),
     Delta = omega_a^2 + omega_b^2 + 2 g g', Delta^2 - 4 det with det =
-    (m - g^2)(m - g'^2), and nu_minus, on floats or elementwise when
-    ``g``/``g_prime`` are arrays (Weedbrook et al., Rev. Mod. Phys. 84, 621).
+    (m - g^2)(m - g'^2), and nu_minus, elementwise over the ancilla's
+    arrays (Weedbrook et al., Rev. Mod. Phys. 84, 621).
     ``out``: six float arrays and one boolean array (module docstring).
 
     nu_minus^2 = (Delta - sqrt(Delta^2 - 4 det)) / 2 cancels once Delta >> 1,
@@ -337,8 +324,8 @@ def symplectic_spectrum(ancilla: AncillaState) -> SymplecticPair:
 def is_physical(ancilla: AncillaState, out=None):
     """True iff the ancilla covariance is a bona fide Gaussian state:
     both quadrature blocks positive definite and nu_minus >= 1 (within
-    ``PHYSICALITY_TOL``).  A bool for float correlations, a boolean array
-    elementwise when ``g``/``g_prime`` are arrays.  Never raises.  ``out``:
+    ``PHYSICALITY_TOL``), elementwise over the ancilla's arrays: a boolean
+    array.  Never raises.  ``out``:
     the six float arrays of :func:`_invariants`, then two boolean arrays."""
     *o_inv, o_ok, o_flag = out or (None,) * 8
     pos_g, pos_gp, _, _, nu_minus = _invariants(ancilla, out=(*o_inv, o_flag))
@@ -346,13 +333,12 @@ def is_physical(ancilla: AncillaState, out=None):
                         out=o_ok)
     ok = np.logical_and(ok, np.greater_equal(nu_minus, 1.0 - PHYSICALITY_TOL, out=o_flag),
                         out=o_ok)
-    return _plain(ok)
+    return ok
 
 
 def g_max(omega_a, omega_b):
     """Largest g >= 0 such that the anticorrelated ancilla (g, -g) stays
-    physical: g_max = sqrt((omega_min - 1)(omega_max + 1)), on floats or
-    elementwise on arrays.
+    physical: g_max = sqrt((omega_min - 1)(omega_max + 1)), elementwise.
 
     On the line (g, -g) the invariants are Delta = omega_a^2 + omega_b^2
     - 2 g^2 and det = (omega_a omega_b - g^2)^2, and nu_minus = 1 solves
@@ -363,28 +349,40 @@ def g_max(omega_a, omega_b):
     require_omega("omega_a", omega_a)
     require_omega("omega_b", omega_b)
     lo, hi = np.minimum(omega_a, omega_b), np.maximum(omega_a, omega_b)
-    return _plain(np.sqrt((lo - 1.0) * (hi + 1.0)))
+    return np.sqrt((lo - 1.0) * (hi + 1.0))
+
+
+def beta_over_alpha(tau_a, tau_b):
+    """beta / alpha = (tau_a + tau_b) / (tau_a tau_b), elementwise, by which chi
+    scales: :class:`DomainError` where it is not finite, as where alpha
+    underflows (tau_a = tau_b = 1e-300) or it overflows (1, 1e-320)."""
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = np.divide(np.add(tau_a, tau_b), np.multiply(tau_a, tau_b))
+    if not np.isfinite(ratio).all():
+        raise DomainError("beta / alpha = (tau_a + tau_b) / (tau_a tau_b) overflows: "
+                          "the links are too lossy for double precision")
+    return ratio
 
 
 def effective_noise(tau_a, tau_b, omega_a, omega_b, g, g_prime, out=None):
     """Noises (lam, lam') = (kappa - u g, kappa + u g') of the two quadrature
     branches: kappa = (1 - tau_a) omega_a + (1 - tau_b) omega_b is the
     back-injected thermal noise, u = 2 sqrt((1 - tau_a)(1 - tau_b)) the
-    loss coupling.  Floats give floats; arrays broadcast.  ``out``: two
-    float arrays, for lam and lam'."""
+    loss coupling, elementwise.  ``out``: two float arrays, for lam and
+    lam'."""
     o_lam, o_lam_prime = out or (None, None)
     kappa = (1.0 - tau_a) * omega_a + (1.0 - tau_b) * omega_b
     u = 2.0 * np.sqrt((1.0 - tau_a) * (1.0 - tau_b))
     lam = np.subtract(kappa, np.multiply(u, g, out=o_lam), out=o_lam)
     lam_prime = np.add(kappa, np.multiply(u, g_prime, out=o_lam_prime), out=o_lam_prime)
-    return _plain(lam), _plain(lam_prime)
+    return lam, lam_prime
 
 
 def equivalent_chi(tau_a, tau_b, lam, lam_prime, out=None):
     """Equivalent noise chi = (beta / alpha) sqrt((beta + lam)(beta + lam'))
-    of effective noises, on floats or arrays.  Raises :class:`DomainError`
-    if any beta + lam or beta + lam' is not positive.  ``out``: two float
-    arrays."""
+    of effective noises, elementwise.  Raises :class:`DomainError` if any
+    beta + lam or beta + lam' is not positive, or by
+    :func:`beta_over_alpha`.  ``out``: two float arrays."""
     o_fa, o_fb = out or (None, None)
     beta = tau_a + tau_b
     fa, fb = np.add(beta, lam, out=o_fa), np.add(beta, lam_prime, out=o_fb)
@@ -394,14 +392,15 @@ def equivalent_chi(tau_a, tau_b, lam, lam_prime, out=None):
             f"beta + lam' = {np.min(fb)}"
         )
     chi = np.sqrt(np.multiply(fa, fb, out=o_fa), out=o_fa)
-    return _plain(np.multiply(beta / (tau_a * tau_b), chi, out=o_fa))
+    return np.multiply(beta_over_alpha(tau_a, tau_b), chi, out=o_fa)
 
 
 def bisector_lam(tau_a, tau_b, chi):
     """Bisector noise lam = lam' = (alpha chi - beta^2) / beta of equivalent
-    noise chi (:func:`equivalent_chi` inverted at lam = lam'); floats or arrays.
+    noise chi (:func:`equivalent_chi` inverted at lam = lam'), elementwise.
     Computed as (alpha / beta)((chi - 4) - dtau^2 / alpha), by beta^2 = 4 alpha +
     dtau^2: chi - 4 is exact near the loss-floor pole, so nothing cancels there."""
+    beta_over_alpha(tau_a, tau_b)  # its rule: alpha must not underflow
     alpha, beta, dtau = tau_a * tau_b, tau_a + tau_b, tau_a - tau_b
     return alpha / beta * ((chi - 4.0) - dtau * dtau / alpha)
 
@@ -416,19 +415,19 @@ def derive_noise(link: LinkPair, ancilla: AncillaState) -> DerivedNoise:
     l = attack_coords(ancilla.g, ancilla.g_prime).l
     delta, _ = effective_noise(ta, tb, wa, wb, l, -l)
     chi = equivalent_chi(ta, tb, lam, lam_prime)
-    return DerivedNoise(kappa=kappa, lam=lam, lam_prime=lam_prime, delta=delta, chi=chi)
+    return DerivedNoise(*(float(x) for x in (kappa, lam, lam_prime, delta, chi)))
 
 
 def excess_chi(tau_a, tau_b, epsilon):
-    """2 beta / alpha + epsilon of :func:`chi_equivalent`, on floats or arrays."""
-    return 2.0 * (tau_a + tau_b) / (tau_a * tau_b) + epsilon
+    """2 beta / alpha + epsilon of :func:`chi_equivalent`, elementwise."""
+    return 2.0 * beta_over_alpha(tau_a, tau_b) + epsilon
 
 
 def chi_equivalent(link: LinkPair, epsilon: float) -> float:
     """Equivalent input-referred noise 2 beta / alpha + epsilon of a lossy
     link pair with excess noise epsilon; always >= beta^2 / alpha."""
     require_epsilon(epsilon)
-    return excess_chi(link.tau_a, link.tau_b, epsilon)
+    return float(excess_chi(link.tau_a, link.tau_b, epsilon))
 
 
 def attack_coords(g: float, g_prime: float) -> AttackCoords:
@@ -440,8 +439,3 @@ def attack_coords(g: float, g_prime: float) -> AttackCoords:
         d_prime=(g + g_prime) / 2.0,
         l=(g - g_prime) / 2.0,
     )
-
-
-def coords_to_correlations(d_prime: float, l: float) -> tuple[float, float]:
-    """Inverse of :func:`attack_coords`: g = d' + l, g' = d' - l."""
-    return d_prime + l, d_prime - l

@@ -15,24 +15,21 @@ Outside it only the :func:`decoupled` point (lossless symmetric links,
 lam = lam' = 0 at dtau = 0) has a rate, R = xi log2(mu / 4)
 (:func:`decoupled_rate`).
 
-The public functions only pick (lam, lam', chi) through the noise algebra
-of :mod:`cvmdi.core` and check the domain, and return a
-:class:`KeyRateReport` in bits per relay use (negative rates are reported
-unclamped and flagged via ``secure``): the general rate :func:`key_rate`
-against an explicit ancilla, the closed form :func:`key_rate_closed` at
-given (lam, lam'), and the worst cases :func:`key_rate_min_thermal` (known
-thermal noises) and :func:`key_rate_min_chi` (known equivalent noise chi).
-None of them branches on whether the link is symmetric, and all of them
-return the same report shape.
-
-The kernel is written once, in numpy, and takes the links as (tau_a,
-tau_b) so that lattices of links broadcast.  Single points run it on
-1-element arrays, through the same numpy loops as lattices, so a sweep
-cell equals the single-point call bit for bit (the sweep tests check it).
-Alice's raw key is always the reference; swapping tau_a and tau_b
-evaluates the opposite reference choice.  The formulas assume
-the large-modulation regime, so mu enters only through mu^(xi-1) and the
-mutual information.
+The kernel and the formulas around it take and return numpy arrays only,
+so that lattices of links broadcast.  The single-point API converts once,
+at its report: it picks (lam, lam', chi) through the noise algebra of
+:mod:`cvmdi.core`, runs the kernel on 1-element arrays, through the same
+numpy loops as a lattice, and returns a :class:`KeyRateReport` of
+Python floats in bits per relay use (negative rates unclamped, flagged by
+``secure``), so a sweep cell equals the single-point call bit for
+bit.  Its paths are the general rate :func:`key_rate` against an explicit
+ancilla, the closed form :func:`key_rate_closed` at given (lam, lam'), and
+the worst cases :func:`key_rate_min_thermal` (known thermal noises) and
+:func:`key_rate_min_chi` (known equivalent noise chi); none branches on
+whether the link is symmetric.  Alice's raw key is always the reference;
+swapping tau_a and tau_b evaluates the opposite reference choice.  The
+formulas assume the large-modulation regime, so mu enters only through
+mu^(xi-1) and the mutual information.
 """
 
 from __future__ import annotations
@@ -49,8 +46,8 @@ from .core import (
     LinkPair,
     NonphysicalStateError,
     ProtocolParams,
+    as_point,
     bisector_lam,
-    derive_noise,
     effective_noise,
     entropy_h,
     entropy_scaled,
@@ -101,9 +98,9 @@ def rate_kernel(mu, xi, tau_a, tau_b, lam, lam_prime, chi, out=None):
 def in_domain(tau_a, tau_b, lam, lam_prime, out=None):
     """Where :func:`rate_kernel` is defined: lam, lam' > 0 and
     |dtau| <= sqrt(lam lam') < inf, the first bound within the entropy clamp
-    slack.  Works on floats and elementwise on arrays.  (nu >= 1 follows:
-    (tau_a + lam)(tau_a + lam') >= (tau_a + s)^2 >= tau_b^2.)  ``out``: one
-    float array and two boolean ones."""
+    slack, elementwise.  (nu >= 1 follows: (tau_a + lam)(tau_a + lam') >=
+    (tau_a + s)^2 >= tau_b^2.)  ``out``: one float array and two boolean
+    ones."""
     o_s2, o_ok, o_flag = out or (None,) * 3
     floor = abs(tau_a - tau_b) * (1.0 - H_CLAMP_TOL)
     with np.errstate(over="ignore"):  # an overflowed product is inf, outside the domain
@@ -111,13 +108,12 @@ def in_domain(tau_a, tau_b, lam, lam_prime, out=None):
     ok = np.logical_and(np.greater(lam, 0.0, out=o_ok), np.greater(lam_prime, 0.0, out=o_flag),
                         out=o_ok)
     ok = np.logical_and(ok, np.greater_equal(s2, floor * floor, out=o_flag), out=o_ok)
-    ok = np.logical_and(ok, np.less(s2, math.inf, out=o_flag), out=o_ok)
-    return ok if np.ndim(ok) else bool(ok)
+    return np.logical_and(ok, np.less(s2, math.inf, out=o_flag), out=o_ok)
 
 
 def decoupled(tau_a, tau_b, lam, lam_prime):
     """Where the adversary is decoupled: lam = lam' = 0 at dtau = 0 (lossless
-    symmetric links), outside :func:`in_domain`; floats or arrays."""
+    symmetric links), outside :func:`in_domain`; elementwise."""
     return (lam == 0.0) & (lam_prime == 0.0) & (tau_a == tau_b)
 
 
@@ -127,35 +123,31 @@ def decoupled_rate(mu, xi):
 
 
 def min_thermal_noise(tau_a, tau_b, omega_a, omega_b):
-    """(lam_opt, chi_opt) of :func:`key_rate_min_thermal` on floats or arrays
-    of links: the noise lam_opt = kappa + u g_max at the anticorrelated
+    """(lam_opt, chi_opt) of :func:`key_rate_min_thermal` on arrays of
+    links: the noise lam_opt = kappa + u g_max at the anticorrelated
     physicality boundary (g, g') = (-g_max, g_max), and its chi."""
     gm = g_max(omega_a, omega_b)
     lam = effective_noise(tau_a, tau_b, omega_a, omega_b, -gm, gm)[0]
     return lam, equivalent_chi(tau_a, tau_b, lam, lam)
 
 
-def _report(
-    protocol: ProtocolParams, link: LinkPair, lam: float, lam_prime: float, chi: float
-) -> KeyRateReport:
-    """The report at one point: :func:`rate_kernel` on 1-element arrays, or
-    the :func:`decoupled` rate; a :class:`DomainError` anywhere else."""
-    mu, xi = protocol.mu, protocol.xi
-    if decoupled(link.tau_a, link.tau_b, lam, lam_prime):  # then i_ea = 0.0 exactly
-        chi, rate, nu = 4.0, decoupled_rate(mu, xi), 1.0
-    elif in_domain(link.tau_a, link.tau_b, lam, lam_prime):
-        rate, nu = (float(x[0]) for x in rate_kernel(
-            mu, xi, link.tau_a, link.tau_b, *np.atleast_1d(lam, lam_prime, chi)))
+def _report(protocol: ProtocolParams, tau_a, tau_b, lam, lam_prime, chi) -> KeyRateReport:
+    """The report at one point, given as 1-element arrays, in Python floats:
+    :func:`rate_kernel`, or the :func:`decoupled` rate; a
+    :class:`DomainError` anywhere else."""
+    ta, tb, x, y = (float(v[0]) for v in (tau_a, tau_b, lam, lam_prime))
+    if in_domain(tau_a, tau_b, lam, lam_prime)[0]:
+        chi, rate, nu = (float(v[0]) for v in (chi, *rate_kernel(
+            protocol.mu, protocol.xi, tau_a, tau_b, lam, lam_prime, chi)))
+    elif decoupled(tau_a, tau_b, lam, lam_prime)[0]:  # then i_ea = 0.0 exactly
+        chi, rate, nu = 4.0, decoupled_rate(protocol.mu, protocol.xi), 1.0
     else:
-        raise DomainError(
-            f"rate undefined at lam = {lam}, lam' = {lam_prime}: needs "
-            f"lam, lam' > 0 and sqrt(lam lam') >= |dtau| = {link.delta_tau}"
-        )
-    i_ab = mutual_information(mu, chi)
-    dtau = link.delta_tau
+        raise DomainError(f"rate undefined at lam = {x}, lam' = {y}: needs lam, lam' > 0 "
+                          f"and sqrt(lam lam') >= |dtau| = {abs(ta - tb)}")
+    i_ab, dtau = mutual_information(protocol.mu, chi), abs(ta - tb)
     return KeyRateReport(
-        chi=chi, rate=rate, i_ab=i_ab, i_ea=xi * i_ab - rate, nu=nu,
-        nu2=math.sqrt(lam * lam_prime) / dtau if dtau else None, secure=rate > 0.0,
+        chi=chi, rate=rate, i_ab=i_ab, i_ea=protocol.xi * i_ab - rate, nu=nu,
+        nu2=math.sqrt(x * y) / dtau if dtau else None, secure=rate > 0.0,
     )
 
 
@@ -172,72 +164,54 @@ def key_rate(
     protocol: ProtocolParams, link: LinkPair, ancilla: AncillaState
 ) -> KeyRateReport:
     """General rate xi * I_AB - I_EA against an explicit attack ancilla,
-    which must be physical."""
+    which must be physical: the closed form at its effective noises."""
     if not is_physical(ancilla):
         raise NonphysicalStateError(
             f"attack covariance is not physical: {ancilla}"
         )
-    noise = derive_noise(link, ancilla)
-    return _report(protocol, link, noise.lam, noise.lam_prime, noise.chi)
+    lam, lam_prime = effective_noise(link.tau_a, link.tau_b, ancilla.omega_a, ancilla.omega_b,
+                                     ancilla.g, ancilla.g_prime)
+    return key_rate_closed(protocol, link, lam, lam_prime)
 
 
 def key_rate_closed(
     protocol: ProtocolParams, link: LinkPair, lam: float, lam_prime: float
 ) -> KeyRateReport:
     """Closed form at given effective noises (lam, lam'), on any link pair:
-
-    R = log2(2 beta mu^(xi-1) / (e |dtau| chi^xi))
-        + h(nu) - h(sqrt(lam lam') / |dtau|),
-
-    evaluated as the kernel, so it is also defined at dtau = 0, where with
-    tau_a = tau_b = tau it is the symmetric form
-
-    R = log2(8 tau mu^(xi-1) / (e^2 chi^xi sqrt(lam lam'))) + h(nu),
-    nu = sqrt((tau + lam)(tau + lam')) / tau,
-
-    and lam = lam' = 0 (lossless links, adversary decoupled) degenerates to
-    R = xi log2(mu / 4).
-    """
-    chi = equivalent_chi(link.tau_a, link.tau_b, lam, lam_prime)
-    return _report(protocol, link, lam, lam_prime, chi)
+    the kernel at chi = :func:`cvmdi.core.equivalent_chi` of (lam, lam').  At
+    dtau = 0 that is the symmetric form log2(8 tau mu^(xi-1) / (e^2 chi^xi
+    sqrt(lam lam'))) + h(nu), and lam = lam' = 0 there (lossless links,
+    adversary decoupled) gives :func:`decoupled_rate`."""
+    ta, tb, lam, lam_prime = as_point(link.tau_a, link.tau_b, lam, lam_prime)
+    return _report(protocol, ta, tb, lam, lam_prime, equivalent_chi(ta, tb, lam, lam_prime))
 
 
 def key_rate_min_thermal(
     protocol: ProtocolParams, link: LinkPair, omega_a: float, omega_b: float
 ) -> KeyRateReport:
-    """Worst-case rate when the thermal noises are known.
-
-    The minimum over all physical correlations sits on the anticorrelation
+    """Worst-case rate when the thermal noises are known: the kernel at
+    the minimum over all physical correlations, on the anticorrelation
     bisector at the physicality boundary, lam = lam' = lam_opt = kappa +
-    u |g|_max, with chi_opt = beta (beta + lam_opt) / alpha.  On symmetric
-    links this is
-
-    R = h((tau + lam_opt)/tau) + log2(8 tau mu^(xi-1) / (e^2 chi_opt^xi lam_opt)),
-
-    and on asymmetric links the asymmetric closed form at lam_opt.
-    """
-    lam_opt, chi = min_thermal_noise(link.tau_a, link.tau_b, omega_a, omega_b)
-    return _report(protocol, link, lam_opt, lam_opt, chi)
+    u |g|_max, with chi_opt = beta (beta + lam_opt) / alpha
+    (:func:`min_thermal_noise`)."""
+    ta, tb = as_point(link.tau_a, link.tau_b)
+    lam_opt, chi = min_thermal_noise(ta, tb, omega_a, omega_b)
+    return _report(protocol, ta, tb, lam_opt, lam_opt, chi)
 
 
 def key_rate_min_chi(
     protocol: ProtocolParams, link: LinkPair, chi: float
 ) -> KeyRateReport:
-    """Worst-case rate when the equivalent noise chi is known, at
-    lam = lam' = (alpha chi - beta^2) / beta.  On symmetric links (pole at
-    the loss floor chi = 4):
-
-    R = h((chi - 2)/2) + log2(16 mu^(xi-1) / (e^2 chi^xi (chi - 4))).
-
-    On asymmetric links:
-
-    R = log2(2 beta mu^(xi-1) / (e |dtau| chi^xi))
-        + h(tau_a chi / beta - 1) - h((alpha chi - beta^2) / (|dtau| beta)).
-    """
-    lam = bisector_lam(link.tau_a, link.tau_b, chi)
-    if lam <= 0.0:
+    """Worst-case rate when the equivalent noise chi is known: the kernel
+    at lam = lam' = (alpha chi - beta^2) / beta (:func:`cvmdi.core.bisector_lam`),
+    on symmetric links h((chi - 2)/2) + log2(16 mu^(xi-1) / (e^2 chi^xi
+    (chi - 4))).  Its pole is the loss floor chi = beta^2 / alpha (4 on
+    symmetric links); at or below it, a :class:`DomainError`."""
+    ta, tb, c = as_point(link.tau_a, link.tau_b, chi)
+    lam = bisector_lam(ta, tb, c)
+    if lam[0] <= 0.0:
         raise DomainError(
             f"chi = {chi} is not above the loss floor beta^2/alpha = "
             f"{link.beta * link.beta / link.alpha}, where the rate formula has its pole"
         )
-    return _report(protocol, link, lam, lam, chi)
+    return _report(protocol, ta, tb, lam, lam, c)

@@ -287,13 +287,3 @@ def export(table: SweepTable, fmt: str = "csv") -> str:
     texts[0] = head + texts[0]
     texts[-1] += tail
     return sep.join(texts)
-
-
-def parse_csv(text: str) -> SweepTable:
-    """Inverse of CSV export (used for round-trip checks), without error text."""
-    lines = text.strip().split("\n")
-    if lines[0] != "tau_a,tau_b,chi,rate,secure":
-        raise ValueError(f"unexpected CSV header {lines[0]!r}")
-    cells = [[float(x) if x else math.nan for x in line.split(",")[:4]]
-             for line in lines[1:]]
-    return SweepTable(*np.array(cells, dtype=float).reshape(-1, 4).T, errors={})

@@ -239,7 +239,7 @@ def _min_rate_full_square(protocol, link, wa, wb, grid):
         elif not level:
             raise EmptyDomainError("no admissible lattice point")
     analytic = key_rate_min_thermal(protocol, link, wa, wb).rate
-    gm = g_max(wa, wb)
+    gm = float(g_max(wa, wb))
     return ArgMinReport(
         g_star, gp_star, rate_star, attack_coords(g_star, gp_star).d, analytic,
         rate_star - analytic, gm, abs(abs(g_star) - gm), float(ax[1] - ax[0]),

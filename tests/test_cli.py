@@ -1,8 +1,10 @@
 """Tests for the command-line front end: output schemas, exit codes and
 byte-level determinism."""
 
+import hashlib
 import json
 import math
+import random
 import re
 import subprocess
 import sys
@@ -291,6 +293,111 @@ class TestGoldenBytes:
         assert (got, out) == (code, stdout)
 
 
+def drawn_argv(seed):
+    """The drawn argv set of the byte pin below: rate under both models
+    (lossless and chi >= mu links among them), attack-opt on small grids,
+    and sweep/relay-scan tables, among them an epsilon = 0 sweep with the
+    chi-pole cell and a thermal sweep with the lossless (1, 1) corner.
+    Python's own generator draws it, whose stream does not change between
+    versions."""
+    rng = random.Random(seed)
+
+    def f(x):
+        return repr(float(x))
+
+    def thermal():
+        return ["--knowledge", "thermal", "--omega-a", f(rng.uniform(1.0, 10.0)),
+                "--omega-b", f(rng.uniform(1.0, 10.0))]
+
+    rate = [["rate", "--tau-a", "1", "--tau-b", "1", "--epsilon", "0"],
+            ["rate", "--tau-a", "1", "--tau-b", "1", "--epsilon", "0"] + thermal(),
+            ["rate", "--tau-a", "0.95", "--tau-b", "1e-6"],
+            ["rate", "--tau-a", "1e-160", "--tau-b", "1e-160"] + thermal()]
+    for k in range(40):
+        ta, tb = rng.uniform(0.02, 1.0), rng.uniform(0.02, 1.0)
+        if k % 4 == 1:
+            tb = ta
+        elif k % 4 == 2:
+            tb = ta - 10.0 ** rng.uniform(-10, -3)
+        if k % 10 == 3:
+            ta = 1.0
+        argv = ["rate", "--tau-a", f(ta), "--tau-b", f(tb),
+                "--epsilon", f(rng.choice([0.0, 0.01, 0.3, 5.0, 1e3])),
+                "--xi", f(rng.uniform(0.5, 1.0)), "--phi", f(rng.uniform(5.0, 100.0))]
+        rate.append(argv + (thermal() if k % 2 else []))
+    attack = []
+    for k in range(10):
+        ta, tb = rng.uniform(0.3, 1.0), rng.uniform(0.3, 1.0)
+        if k % 3 == 2:
+            tb = ta
+        if k == 4:
+            ta = 1.0
+        attack.append(["attack-opt", "--tau-a", f(ta), "--tau-b", f(tb),
+                       "--omega-a", f(rng.uniform(1.0, 10.0)),
+                       "--omega-b", f(rng.uniform(1.0, 10.0)),
+                       "--xi", f(rng.uniform(0.5, 1.0)),
+                       "--epsilon", f(rng.choice([0.0, 0.01, 3.0])),
+                       "--grid-n", str(rng.choice([21, 41, 61])),
+                       "--refine-n", str(rng.choice([41, 81, 201]))])
+    tables = [
+        ["sweep", "--tau-a-min", "0.9", "--tau-b-min", "0.9", "--steps-a", "6",
+         "--steps-b", "6", "--epsilon", "0"],
+        ["sweep", "--tau-a-min", "0.9", "--tau-b-min", "0.9", "--steps-a", "6",
+         "--steps-b", "6", "--epsilon", "0", "--format", "json"],
+        ["sweep", "--tau-a-min", "0.8", "--tau-b-min", "0.8", "--steps-a", "5",
+         "--steps-b", "7", "--format", "json"] + thermal(),
+        ["sweep", "--tau-a-min", "0.8", "--tau-b-min", "0.8", "--steps-a", "5",
+         "--steps-b", "7"] + thermal(),
+        ["relay-scan", "--total", "1.0", "--epsilon", "0"],
+        ["relay-scan", "--total", "0.9", "--epsilon", "0", "--steps", "11", "--format", "json"],
+    ]
+    for k in range(6):
+        lo_a, lo_b = rng.uniform(0.05, 0.9), rng.uniform(0.05, 0.9)
+        argv = ["sweep", "--tau-a-min", f(lo_a), "--tau-b-min", f(lo_b),
+                "--steps-a", str(rng.randrange(2, 20)), "--steps-b", str(rng.randrange(2, 20)),
+                "--epsilon", f(rng.choice([0.0, 0.01, 0.5])), "--format", ("csv", "json")[k % 2]]
+        tables.append(argv + (thermal() if k % 3 == 1 else []))
+    for k in range(4):
+        argv = ["relay-scan", "--total", f(rng.uniform(0.05, 0.95)),
+                "--steps", str(rng.randrange(2, 40)), "--format", ("csv", "json")[k % 2]]
+        tables.append(argv + (thermal() if k % 2 else []))
+    return {"rate": rate, "attack-opt": attack, "table": tables}
+
+
+DRAWN_SEED = 2021
+PINNED_ARGV = {
+    **drawn_argv(DRAWN_SEED),
+    "readme": [cmd.split() for cmd in (
+        "rate --tau-a 0.98 --tau-b 0.6",
+        "rate --tau-a 0.9 --tau-b 0.8 --knowledge thermal --omega-a 1.5 --omega-b 2.0",
+        "sweep", "sweep --format json", "relay-scan --total 0.588",
+        "relay-scan --total 0.588 --knowledge thermal --omega-a 1.5 --omega-b 2.0",
+        "attack-opt --tau-a 0.9 --tau-b 0.7 --omega-a 2 --omega-b 2",
+        "verify --seed 7", "optics-sim --trials 10000 --seed 0")],
+    "verify": [["verify", "--seed", seed] for seed in ("3", "7", "11")],
+}
+# md5 of code, stdout and stderr of each group's argv in order, recorded
+# before the shared formulas became arrays-only: they must not move by a byte
+PINNED_MD5 = {
+    "attack-opt": "4492574fa1e7c6055885a771bf50a0a1",
+    "rate": "05e9ddfb0129f154cb75ac7cb7be2357",
+    "readme": "c7343e083a97d6feb2730315b4f9ea50",
+    "table": "9c0375525c1f25e361487e5af9fe33cd",
+    "verify": "968ddcae623effa2888a9f334a81e069",
+}
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("group", sorted(PINNED_ARGV))
+    def test_md5_unchanged(self, capsys, group):
+        digest = hashlib.md5()
+        for argv in PINNED_ARGV[group]:
+            code = main(argv)
+            captured = capsys.readouterr()
+            digest.update(f"{code}\0{captured.out}\0{captured.err}\0".encode())
+        assert digest.hexdigest() == PINNED_MD5[group]
+
+
 class TestSweep:
     def test_csv_shape_and_values(self, capsys):
         code, out, err = run_cli(
@@ -556,8 +663,32 @@ class TestParameterErrors:
         ("relay-scan", "--total", "1.0", "--epsilon", "0"),
         ("attack-opt", "--tau-a", "1", "--tau-b", "1", "--omega-a", "1",
          "--omega-b", "1", "--grid-n", "5", "--refine-n", "5"),
+        # beta / alpha of admissible transmissivities is not finite: these
+        # died with a ZeroDivisionError traceback, or warned first
+        ("rate", "--tau-a", "1e-300", "--tau-b", "1e-300"),
+        ("rate", "--tau-a", "1e-300", "--tau-b", "1e-300", "--knowledge", "thermal",
+         "--omega-a", "2", "--omega-b", "2"),
+        ("rate", "--tau-a", "1", "--tau-b", "1e-320", "--knowledge", "thermal",
+         "--omega-a", "2", "--omega-b", "2"),
+        ("sweep", "--tau-a-min", "1e-300", "--tau-a-max", "1e-300", "--tau-b-min", "1e-300",
+         "--tau-b-max", "1e-300", "--steps-a", "2", "--steps-b", "2"),
+        ("relay-scan", "--total", "1e-320"),
+        ("attack-opt", "--tau-a", "1e-300", "--tau-b", "1e-300", "--omega-a", "2",
+         "--omega-b", "2", "--grid-n", "5", "--refine-n", "5"),
     ])
     def test_domain_errors_still_exit_one(self, capsys, argv):
         # admissible inputs on which every rate formula is undefined
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("target", ["missing/out.txt", "."],
+                             ids=["missing-directory", "directory"])
+    @pytest.mark.parametrize("argv", [RATE, ("sweep", "--steps-a", "2", "--steps-b", "2")],
+                             ids=" ".join)
+    def test_unwritable_output_exit_one(self, capsys, tmp_path, argv, target):
+        # an --output file that cannot be opened is an error line and exit 1,
+        # not a FileNotFoundError or IsADirectoryError traceback
+        code, out, err = run_cli(capsys, *argv, "--output", str(tmp_path / target))
+        assert code == 1 and out == ""
+        assert err.startswith("error: [Errno ") and str(tmp_path) in err
+        assert sorted(tmp_path.iterdir()) == []

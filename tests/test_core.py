@@ -21,7 +21,6 @@ from cvmdi import (
     ProtocolParams,
     attack_coords,
     chi_equivalent,
-    coords_to_correlations,
     derive_noise,
     entropy_h,
     g_max,
@@ -162,9 +161,12 @@ class TestEntropyScaled:
         with pytest.raises(DomainError):
             entropy_scaled(-1.0, 0.0)
 
-    def test_array_call_equals_float_calls(self):
-        # floats and arrays run one code path: an array call equals the
-        # per-element float calls bit for bit, and floats come back as floats
+    def test_array_call_equals_one_element_calls(self):
+        # the formulas take arrays only: an array call equals the calls on
+        # each element as a 1-element array (the single-point reports' form)
+        # bit for bit, and gives an array of the operands' shape; Python
+        # floats come back only from the reports (test_keyrate's
+        # TestReportShape)
         above_one = np.concatenate([[1.0, 1.0 - 5e-13],
                                     1.0 + np.geomspace(1e-12, 1e6, 200)])
         ratios = np.concatenate([[0.0, 1.0, 1.0 + 5e-13], np.geomspace(1e-15, 1.0 - 1e-15, 200)])
@@ -176,11 +178,11 @@ class TestEntropyScaled:
         )
         for fn, args in cases:
             xs = np.broadcast_arrays(*args)
-            floats = [fn(*(float(x[k]) for x in xs)) for k in range(xs[0].size)]
-            assert all(type(v) is float for v in floats)
+            points = [fn(*(x[k:k + 1] for x in xs)) for k in range(xs[0].size)]
+            assert all(type(v) is np.ndarray and v.shape == (1,) for v in points)
             arr = fn(*args)
             assert arr.shape == xs[0].shape
-            assert np.array_equal(arr.view(np.int64), np.array(floats).view(np.int64))
+            assert np.array_equal(arr.view(np.int64), np.concatenate(points).view(np.int64))
 
     @pytest.mark.parametrize("fn, good, bad", [
         (entropy_h, 2.0, 1.0 - 1e-9),
@@ -458,8 +460,10 @@ class TestAttackCoords:
         assert coords.d_prime == 1.0
         assert coords.l == 0.0
 
+    # the inverse g = d' + l, g' = d' - l is the ancilla of a fixed-thermal
+    # rate profile's sample (attack._thermal_profiles), written inline there
     def test_worked_round_trip(self):
-        g, gp = coords_to_correlations(0.3, -0.2)
+        g, gp = 0.3 + -0.2, 0.3 - -0.2
         assert (g, gp) == pytest.approx((0.1, 0.5), abs=1e-15)
         coords = attack_coords(g, gp)
         assert coords.d_prime == pytest.approx(0.3, abs=1e-15)
@@ -470,7 +474,7 @@ class TestAttackCoords:
         st.floats(min_value=-50.0, max_value=50.0),
     )
     def test_round_trip_property(self, d_prime, l):
-        g, gp = coords_to_correlations(d_prime, l)
+        g, gp = d_prime + l, d_prime - l
         back = attack_coords(g, gp)
         # rounding scales with the larger correlation, ~ulp(|d'| + |l|)
         scale = max(1.0, abs(d_prime), abs(l))

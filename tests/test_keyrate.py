@@ -27,6 +27,7 @@ from cvmdi import (
     key_rate_min_chi,
     key_rate_min_thermal,
     mutual_information,
+    symplectic_spectrum,
 )
 from cvmdi.core import OMEGA_MAX, bisector_lam
 from cvmdi.keyrate import KeyRateReport, in_domain, min_thermal_noise
@@ -484,6 +485,27 @@ class TestOverflowedNoise:
         with pytest.raises(DomainError, match="rate undefined"):
             key_rate_closed(FIG_PROTOCOL, SCEN_LINK, math.inf, 1.0)
 
+    @pytest.mark.parametrize("link", [LinkPair(1e-300, 1e-300), LinkPair(1.0, 1e-320)],
+                             ids=["alpha-underflows", "ratio-overflows"])
+    def test_too_lossy_links_raise_domain_error(self, link):
+        # each tau is admissible, but beta / alpha is not finite: one typed
+        # error from every path, where these raised ZeroDivisionError or warned
+        ta, tb = np.array([link.tau_a]), np.array([link.tau_b])
+        calls = [
+            lambda: chi_equivalent(link, 0.01),
+            lambda: key_rate_min_chi(FIG_PROTOCOL, link, 5.0),
+            lambda: key_rate_min_thermal(FIG_PROTOCOL, link, 2.0, 2.0),
+            lambda: key_rate_closed(FIG_PROTOCOL, link, 0.5, 0.5),
+            lambda: cvmdi.rate_profile_y(FIG_PROTOCOL, link, chi=5.0),
+            lambda: cvmdi.verify_p_prime_positive(ta, tb, np.array([5.0])),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match=r"beta / alpha .* overflows"):
+                call()
+        # alpha = 1e-320 is subnormal, not 0: still a finite rate
+        tiny = LinkPair(1e-160, 1e-160)
+        assert math.isfinite(key_rate_min_chi(FIG_PROTOCOL, tiny, chi_equivalent(tiny, 0.01)).rate)
+
 
 SHAPE_LINKS = [LinkPair(0.9, 0.9), LinkPair(0.6 + 1e-10, 0.6), LinkPair(0.98, 0.6)]
 """dtau = 0, 1e-10 and 0.38."""
@@ -525,6 +547,9 @@ class TestReportShape:
         "path", [_shape_general, _shape_closed, _shape_min_thermal, _shape_min_chi])
     def test_nu_and_nu2(self, path, link):
         report, lam, lam_prime = path(link)
+        # the single-point API converts once, at its report: Python scalars
+        nu2_type = type(None) if link.tau_a == link.tau_b else float
+        assert [type(v) for v in dataclasses.astuple(report)] == [float] * 5 + [nu2_type, bool]
         assert math.isfinite(report.nu) and report.nu >= 1.0
         if link.delta_tau == 0.0:
             assert report.nu2 is None
@@ -535,6 +560,19 @@ class TestReportShape:
     def test_decoupled_point(self):
         report = key_rate_closed(FIG_PROTOCOL, LinkPair(1.0, 1.0), 0.0, 0.0)
         assert (report.nu, report.nu2, report.i_ea) == (1.0, None, 0.0)
+        assert [type(v) for v in dataclasses.astuple(report)] == [float] * 5 + [
+            type(None), bool]
+
+    def test_other_single_points_are_python_floats(self):
+        # the shared formulas return arrays (numpy scalars on 0-d operands);
+        # the single-point API hands back Python floats
+        noise = derive_noise(SCEN_LINK, AncillaState(2.0, 3.0, 0.8, -0.5))
+        spectrum = symplectic_spectrum(AncillaState(2.0, 3.0, 0.8, -0.5))
+        values = (*dataclasses.astuple(noise), *dataclasses.astuple(spectrum),
+                  chi_equivalent(SCEN_LINK, 0.01))
+        assert [type(v) for v in values] == [float] * 8
+        assert type(g_max(2.0, 3.0)) is np.float64
+        assert type(in_domain(0.9, 0.8, 0.5, 0.5)) is np.bool_
 
     def test_values_from_the_split_reports(self):
         # literal pins: nu2 on the worked scenario, nu on a symmetric link
