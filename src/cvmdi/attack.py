@@ -12,10 +12,11 @@ domain unchanged bit for bit, so each level evaluates every unordered
 (lam, lam') pair once, on one cached pair layout per level size; a pair
 counts as two points, a bisector pair as one, and the tests check the
 mirror bitwise.  Grid rates come from the one rate kernel
-(:func:`cvmdi.keyrate.rate_kernel`) on the physical and admissible lattice
-points, with the physicality test and noise algebra of :mod:`cvmdi.core`;
-the reported minimum is the lattice's own rate.  The thermal rate profiles
-run through the same lattice evaluation, with
+(:func:`cvmdi.keyrate.rate_kernel`) on the whole lattice, with the
+physicality test and noise algebra of :mod:`cvmdi.core`; points off the
+physical and admissible ones are parked (:func:`cvmdi.keyrate.park`) and
+rated +inf.  The reported minimum is the lattice's own rate.  The thermal
+rate profiles run through the same lattice evaluation, with
 :func:`cvmdi.keyrate.decoupled_rate` at the decoupled samples.
 
 Lattice points that are physical but outside the kernel's domain
@@ -64,7 +65,7 @@ from .core import (
     require_omega,
     require_unit,
 )
-from .keyrate import decoupled, decoupled_rate, in_domain, rate_kernel
+from .keyrate import decoupled, decoupled_rate, in_domain, park, rate_kernel
 from .keyrate import key_rate_min_thermal
 
 
@@ -133,11 +134,6 @@ def _axis(hi: float, n: int) -> np.ndarray:
     return np.concatenate([-half[:0:-1], half])
 
 
-def _at(mask: np.ndarray, x):
-    """``x`` broadcast to ``mask`` and gathered where it holds; a float stays a float."""
-    return x if np.ndim(x) == 0 else np.broadcast_to(x, mask.shape)[mask]
-
-
 class _Level(NamedTuple):
     """A certificate level of n points per axis: the read-only pairs i <= j
     and the positions of those with i = j, and writable arrays of the pair
@@ -169,9 +165,10 @@ def _grid_rates(protocol: ProtocolParams, tau_a, tau_b, omega_a, omega_b, g, gp,
                 work: tuple[list[np.ndarray], list[np.ndarray]] | None = None):
     """Vectorized general rate over correlation arrays.
 
-    Returns (rates, physical mask, admissible mask); the kernel runs only
-    where physical & admissible, with the physicality test and noise
-    algebra of :func:`cvmdi.keyrate.key_rate`, and rates are +inf elsewhere.
+    Returns (rates, physical mask, admissible mask), with the physicality
+    test and noise algebra of :func:`cvmdi.keyrate.key_rate`; the kernel runs
+    on every point, those off physical & admissible parked
+    (:func:`cvmdi.keyrate.park`), and their rates are +inf.
     Links, ancilla variances and ``protocol.xi`` are floats or arrays
     broadcasting with ``g``, which has the shape of the lattice.  With
     ``work``, nine float and four boolean arrays of ``g.size`` (``g`` 1-D),
@@ -182,19 +179,12 @@ def _grid_rates(protocol: ProtocolParams, tau_a, tau_b, omega_a, omega_b, g, gp,
     physical = is_physical(AncillaState(omega_a, omega_b, g, gp), out=(*f[:6], *b[:2]))
     lam, lam_prime = effective_noise(tau_a, tau_b, omega_a, omega_b, g, gp, out=f[:2])
     admissible = in_domain(tau_a, tau_b, lam, lam_prime, out=(f[2], b[1], b[2]))
-    mask = np.logical_and(physical, admissible, out=b[2])
-    # the kernel runs on the first k elements of the workspace's arrays
-    k = int(np.count_nonzero(mask))
-    fk, bk = ([None if a is None else a[:k] for a in arrays] for arrays in (f, b))
-    ta, tb, xi = (_at(mask, t) for t in (tau_a, tau_b, protocol.xi))
-    lam, lam_prime = (np.compress(mask.ravel(), x, out=o)
-                      for x, o in ((lam, fk[2]), (lam_prime, fk[3])))
-    chi = equivalent_chi(ta, tb, lam, lam_prime, out=fk[4:6])
-    kernel = rate_kernel(protocol.mu, xi, ta, tb, lam, lam_prime, chi,
-                         out=(fk[0], fk[1], *fk[5:], bk[3]))[0]
-    rates = np.empty(g.shape) if work is None else f[1]
-    rates.fill(np.inf)
-    rates[mask] = kernel
+    off = np.logical_not(np.logical_and(physical, admissible, out=b[2]), out=b[2])
+    park(tau_a, tau_b, lam, lam_prime, off)
+    chi = equivalent_chi(tau_a, tau_b, lam, lam_prime, out=f[2:4])
+    rates = rate_kernel(protocol.mu, protocol.xi, tau_a, tau_b, lam, lam_prime, chi,
+                        out=(*f[3:], b[3]))[0]
+    np.copyto(rates, np.inf, where=off)
     return rates, physical, admissible
 
 
@@ -239,8 +229,8 @@ def min_rate_brute(
         # the lattice (ax[i], -ax[j]) holds each point's mirror (ax[j], -ax[i]):
         # the pairs i <= j stand for both, and once on the bisector i = j
         layout = _pair_layout(n)
-        g = np.take(ax, layout.i, out=layout.g)
-        gp = np.negative(np.take(ax, layout.j, out=layout.gp), out=layout.gp)
+        g = np.take(ax, layout.i, out=layout.g, mode="clip")
+        gp = np.negative(np.take(ax, layout.j, out=layout.gp, mode="clip"), out=layout.gp)
         rates, phys, adm = _grid_rates(protocol, ta, tb, omega_a, omega_b, g, gp,
                                        layout.work)
         mask = np.logical_and(phys, adm, out=layout.mask)
@@ -393,9 +383,8 @@ def _chi_profiles(protocol, tau_a, tau_b, chi, samples):
     lam_b = bisector_lam(ta, tb, chi) + off
     lam, lam_prime = lam_b - ud, lam_b + ud
     ok = present & in_domain(ta, tb, lam, lam_prime)
-    rates = np.zeros(ok.shape)
-    rates[ok] = rate_kernel(protocol.mu, *(
-        _at(ok, x) for x in (protocol.xi, ta, tb, lam, lam_prime, chi)))[0]
+    park(ta, tb, lam, lam_prime, ~ok)
+    rates = rate_kernel(protocol.mu, protocol.xi, ta, tb, lam, lam_prime, chi)[0]
     return _profiles("chi", present, ok, y, ud / np.where(u > 0.0, u, 1.0), rates)
 
 

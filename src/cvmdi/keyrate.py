@@ -13,7 +13,8 @@ it is log2(e s / 2), where the kernel is exactly the symmetric closed
 form.  Its domain is lam, lam' > 0 with |dtau| <= sqrt(lam lam') < inf.
 Outside it only the :func:`decoupled` point (lossless symmetric links,
 lam = lam' = 0 at dtau = 0) has a rate, R = xi log2(mu / 4)
-(:func:`decoupled_rate`).
+(:func:`decoupled_rate`).  Array callers run the kernel on whole arrays,
+each point outside the domain first moved inside it by :func:`park`.
 
 The kernel and the formulas around it take and return numpy arrays only,
 so that lattices of links broadcast.  The single-point API converts once,
@@ -109,6 +110,13 @@ def in_domain(tau_a, tau_b, lam, lam_prime, out=None):
                         out=o_ok)
     ok = np.logical_and(ok, np.greater_equal(s2, floor * floor, out=o_flag), out=o_ok)
     return np.logical_and(ok, np.less(s2, math.inf, out=o_flag), out=o_ok)
+
+
+def park(tau_a, tau_b, lam, lam_prime, off):
+    """lam = lam' = |dtau| + 1 in place where ``off`` holds: inside :func:`in_domain`,
+    with nu >= 1 and a finite chi; the caller masks the kernel's rates there."""
+    for x in (lam, lam_prime):
+        np.copyto(x, abs(tau_a - tau_b) + 1.0, where=off)
 
 
 def decoupled(tau_a, tau_b, lam, lam_prime):

@@ -6,7 +6,7 @@ columns.  Evaluation and export both go through the cells in blocks of
 ``BLOCK``, so their working memory is a block's, not the table's; every
 step is elementwise, so the blocks change no output byte.  In each block
 the knowledge model gives the worst-case (lam, chi) of the block's links,
-which make its cells inside the rate kernel's domain one kernel call, and
+which rate its in-domain cells in one kernel call on the whole block, and
 the single-point report of each other cell.  Cells whose rate formula is
 undefined get a NaN rate and the report's error message instead of
 aborting the sweep.  Export is CSV (9 significant digits, round-trips
@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import DomainError, LinkPair, ProtocolParams, bisector_lam, chi_equivalent
 from .core import excess_chi, require, require_count, require_omega, require_unit
-from .keyrate import KeyRateReport, in_domain, min_thermal_noise, rate_kernel
+from .keyrate import KeyRateReport, in_domain, min_thermal_noise, park, rate_kernel
 from .keyrate import key_rate_min_chi, key_rate_min_thermal
 
 BLOCK = 4096
@@ -149,11 +149,11 @@ def _eval_cells(
 ) -> SweepTable:
     """Table of the cells (tau_a[k], tau_b[k]), each equal to the
     knowledge model's single-point report bit for bit: the in-domain cells
-    of each block are one kernel call, the others go through the report
-    itself.  A cell whose report fails keeps the model's chi.  Only the chi
-    model fails cells: the thermal lam_opt = kappa + u g_max >= kappa >=
-    |dtau| is finite up to OMEGA_MAX, so its cells leave the domain only
-    where decoupled."""
+    of each block keep the rates of one kernel call on the whole block, the
+    others go through the report itself.  A cell whose report fails keeps
+    the model's chi.  Only the chi model fails cells: the thermal lam_opt =
+    kappa + u g_max >= kappa >= |dtau| is finite up to OMEGA_MAX, so its
+    cells leave the domain only where decoupled."""
     chi = np.empty(tau_a.shape)
     rate = np.full(tau_a.shape, math.nan)
     errors = {}
@@ -162,9 +162,9 @@ def _eval_cells(
         ta, tb = tau_a[cells], tau_b[cells]
         lam, chi[cells] = knowledge.noise(protocol, ta, tb)
         ok = in_domain(ta, tb, lam, lam)
-        rate[cells][ok] = rate_kernel(
-            protocol.mu, protocol.xi, ta[ok], tb[ok], lam[ok], lam[ok], chi[cells][ok]
-        )[0]
+        park(ta, tb, lam, lam, ~ok)
+        kernel = rate_kernel(protocol.mu, protocol.xi, ta, tb, lam, lam, chi[cells])[0]
+        np.copyto(rate[cells], kernel, where=ok)
         for k in (start + np.flatnonzero(~ok)).tolist():
             link = LinkPair(float(tau_a[k]), float(tau_b[k]))
             try:

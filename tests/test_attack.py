@@ -313,7 +313,8 @@ class TestZoomLevels:
     def test_repeated_default_grid_peak(self):
         # fresh lattice-sized temporaries peaked at 1.75-1.98 MB traced; a
         # repeated certificate computes in its cached level arrays and stays
-        # below three coarse float arrays (20 301 pairs at 201 points)
+        # below 1.5 coarse float arrays (20 301 pairs at 201 points): a
+        # buffered take's output and its index copy were 2.02 of them
         args = (ProtocolParams(), LinkPair(0.9, 0.7), 2.0, 2.0)
         min_rate_brute(*args)
         tracemalloc.start()
@@ -322,7 +323,7 @@ class TestZoomLevels:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * 8 * 20301
+        assert peak < 1.5 * 8 * 20301
 
     @pytest.mark.parametrize("refine_n", [803, 1003])
     def test_non_nested_within_a_final_cell(self, refine_n):
@@ -397,6 +398,41 @@ class TestGridRateSymmetries:
         )
         assert not admissible[0]
         assert admissible[1]
+
+
+class TestGridRatesMatchKeyRate:
+    """Every point of a lattice equals the single-point general rate bit for
+    bit, and is +inf exactly where :func:`key_rate` raises: the lattice runs
+    the kernel on parked points too, and the full-square reference calls
+    ``_grid_rates`` itself, so only this comparison sees a parked rate leak."""
+
+    @pytest.mark.parametrize("workspace", [False, True], ids=["fresh", "workspace"])
+    @pytest.mark.parametrize("link, omegas, n_inadmissible", [
+        (LinkPair(0.85, 0.55), (2.0, 2.0), 52),  # all of them nonphysical
+        (LinkPair(0.9, 0.3), (4.0, 4.0), 0),
+        (LinkPair(0.999, 0.2), (1e8, 5.0), 0),
+    ], ids=str)
+    def test_every_point_equals_key_rate(self, link, omegas, n_inadmissible, workspace):
+        protocol, (wa, wb) = ProtocolParams(), omegas
+        ax = np.linspace(-1.05, 1.05, 41) * physical_bounds(wa, wb)[1]
+        g, gp = (a.ravel() for a in np.meshgrid(ax, ax, indexing="ij"))
+        # a workspace filled with garbage, as a previous level could leave it
+        work = ([np.full(g.size, np.nan) for _ in range(9)],
+                [np.ones(g.size, bool) for _ in range(4)]) if workspace else None
+        want = np.empty(g.size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rates, phys, adm = _grid_rates(protocol, link.tau_a, link.tau_b, wa, wb,
+                                           g, gp, work)
+            for k, ancilla in enumerate(AncillaState(wa, wb, *x) for x in zip(g, gp)):
+                try:
+                    want[k] = key_rate(protocol, link, ancilla).rate
+                except DomainError:
+                    want[k] = math.inf
+        assert np.array_equal(rates.view(np.int64), want.view(np.int64))
+        assert np.array_equal(np.isinf(rates), ~(phys & adm))
+        assert (~phys).sum() > 100 and (phys & adm).sum() > 100
+        assert (~adm).sum() == n_inadmissible
 
 
 def _seeded_cases(count, seed=15):

@@ -7,6 +7,7 @@ xi = 0.97, phi = 60, epsilon = 0.01.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,8 +30,8 @@ from cvmdi import (
     mutual_information,
     symplectic_spectrum,
 )
-from cvmdi.core import OMEGA_MAX, bisector_lam
-from cvmdi.keyrate import KeyRateReport, in_domain, min_thermal_noise
+from cvmdi.core import OMEGA_MAX, bisector_lam, equivalent_chi
+from cvmdi.keyrate import KeyRateReport, in_domain, min_thermal_noise, park, rate_kernel
 
 FIG_PROTOCOL = ProtocolParams(xi=0.97, phi=60.0, epsilon=0.01)
 
@@ -505,6 +506,46 @@ class TestOverflowedNoise:
         # alpha = 1e-320 is subnormal, not 0: still a finite rate
         tiny = LinkPair(1e-160, 1e-160)
         assert math.isfinite(key_rate_min_chi(FIG_PROTOCOL, tiny, chi_equivalent(tiny, 0.01)).rate)
+
+
+class TestPark:
+    """park moves the points outside the kernel's domain to one inside it, so
+    the array callers run the kernel on whole arrays without a warning."""
+
+    def block(self):
+        rng = np.random.default_rng(22)
+        ta, tb = rng.uniform(0.3, 1.0, 64), rng.uniform(0.3, 1.0, 64)
+        tb[::4] = ta[::4]
+        lam, lam_prime = rng.uniform(-1.0, 2.0, (2, 64))
+        lam[:3] = lam_prime[:3] = 1e200, math.inf, math.nan  # 1e200: lam lam' overflows
+        lam[3:6], lam_prime[3:6] = 0.0, (0.0, 1.0, -1.0)
+        return ta, tb, lam, lam_prime
+
+    def test_moves_only_the_off_points_into_the_domain(self):
+        ta, tb, lam, lam_prime = self.block()
+        off = ~in_domain(ta, tb, lam, lam_prime)
+        assert 10 < off.sum() < 54
+        before = lam.copy(), lam_prime.copy()
+        park(ta, tb, lam, lam_prime, off)
+        for now, was in zip((lam, lam_prime), before):
+            assert np.array_equal(now[~off].view(np.int64), was[~off].view(np.int64))
+            assert np.array_equal(now[off], np.abs(ta - tb)[off] + 1.0)
+        assert in_domain(ta, tb, lam, lam_prime).all()
+
+    @pytest.mark.parametrize("taus", ["arrays", "floats"])
+    def test_kernel_on_a_parked_block_raises_no_warning(self, taus):
+        ta, tb, lam, lam_prime = self.block()
+        if taus == "floats":  # a certificate level: one link, a lattice of noises
+            ta, tb = 0.9, 0.6
+        with pytest.warns(RuntimeWarning):  # the overflowed point alone, unparked
+            rate_kernel(61.0, 0.97, 0.9, 0.6, lam[:1], lam_prime[:1], np.array([5.0]))
+        park(ta, tb, lam, lam_prime, ~in_domain(ta, tb, lam, lam_prime))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chi = equivalent_chi(ta, tb, lam, lam_prime)
+            rate, nu = rate_kernel(61.0, 0.97, ta, tb, lam, lam_prime, chi)
+        assert np.isfinite(chi).all() and np.isfinite(rate).all()
+        assert (nu >= 1.0).all()
 
 
 SHAPE_LINKS = [LinkPair(0.9, 0.9), LinkPair(0.6 + 1e-10, 0.6), LinkPair(0.98, 0.6)]
