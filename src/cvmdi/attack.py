@@ -379,7 +379,8 @@ def _chi_profiles(protocol, tau_a, tau_b, chi, samples):
     y = y_min + off
     # y = beta + delta and u d' = sqrt(y^2 - y_min^2); lam = delta -+ u d',
     # taken from the bisector noise at d' = 0, where beta + lam = y_min
-    ud = np.sqrt(np.maximum(y * y - y_min * y_min, 0.0))
+    with np.errstate(over="ignore"):  # an overflowed ud is inf, outside in_domain
+        ud = np.sqrt(np.maximum(y * y - y_min * y_min, 0.0))
     lam_b = bisector_lam(ta, tb, chi) + off
     lam, lam_prime = lam_b - ud, lam_b + ud
     ok = present & in_domain(ta, tb, lam, lam_prime)

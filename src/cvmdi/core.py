@@ -231,6 +231,15 @@ def as_point(*xs):
     return (np.array([x], dtype=float) for x in xs)
 
 
+def uniform_rows(u, *ranges):
+    """lo + (hi - lo) u of uniform [0, 1) draws ``u``, one (lo, hi) per column,
+    returned one row per column.  This is the arithmetic of ``rng.uniform``,
+    so a row equals the ``rng.uniform(lo, hi)`` calls, one per draw, that
+    would have drawn the same numbers."""
+    lo, hi = np.array(ranges).T
+    return (lo + (hi - lo) * u).T
+
+
 def entropy_scaled(a, c, out=None):
     """h(a/c) + log2(c) for a >= c >= 0, elementwise on arrays that
     broadcast, as two nonnegative terms, so nothing cancels:

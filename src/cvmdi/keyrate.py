@@ -97,7 +97,8 @@ def rate_kernel(mu, xi, tau_a, tau_b, lam, lam_prime, chi, out=None):
 
 
 def in_domain(tau_a, tau_b, lam, lam_prime, out=None):
-    """Where :func:`rate_kernel` is defined: lam, lam' > 0 and
+    """Where :func:`rate_kernel` is defined: lam > 0, lam lam' > 0 (so
+    lam' > 0, and an underflowed product is outside) and
     |dtau| <= sqrt(lam lam') < inf, the first bound within the entropy clamp
     slack, elementwise.  (nu >= 1 follows: (tau_a + lam)(tau_a + lam') >=
     (tau_a + s)^2 >= tau_b^2.)  ``out``: one float array and two boolean
@@ -106,7 +107,7 @@ def in_domain(tau_a, tau_b, lam, lam_prime, out=None):
     floor = abs(tau_a - tau_b) * (1.0 - H_CLAMP_TOL)
     with np.errstate(over="ignore"):  # an overflowed product is inf, outside the domain
         s2 = np.multiply(lam, lam_prime, out=o_s2)
-    ok = np.logical_and(np.greater(lam, 0.0, out=o_ok), np.greater(lam_prime, 0.0, out=o_flag),
+    ok = np.logical_and(np.greater(lam, 0.0, out=o_ok), np.greater(s2, 0.0, out=o_flag),
                         out=o_ok)
     ok = np.logical_and(ok, np.greater_equal(s2, floor * floor, out=o_flag), out=o_ok)
     return np.logical_and(ok, np.less(s2, math.inf, out=o_flag), out=o_ok)

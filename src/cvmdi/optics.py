@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import require, require_count
+from .core import require, require_count, uniform_rows
 
 H = "H"
 V = "V"
@@ -252,12 +252,6 @@ class AlignmentReport:
         return self.passed and self.control_passed
 
 
-# Per trial, in the order of one rng.uniform call each: the fiber drifts
-# a and b, then |encoding| and arg(encoding) for Alice, then for Bob.
-_DRAW_LO = np.array([0.0, 0.0, 0.5, 0.0, 0.5, 0.0])
-_DRAW_SPAN = np.array([TURN, TURN, 1.5, TURN, 1.5, TURN])
-
-
 def check_self_alignment(trials: int = 10000, seed: int = 0) -> AlignmentReport:
     """Monte-Carlo certificate of drift immunity.
 
@@ -268,16 +262,19 @@ def check_self_alignment(trials: int = 10000, seed: int = 0) -> AlignmentReport:
     deviation in at least 99% of the same trials.
 
     Each batch of ``BATCH`` trials is one pass of both layouts.  Its six
-    draws per trial, scaled as lo + (hi - lo) u, are the numbers that one
-    ``rng.uniform`` call per quantity and trial would give.
+    draws per trial, through :func:`cvmdi.core.uniform_rows`, are the
+    numbers that one ``rng.uniform`` call per quantity and trial would
+    give: the fiber drifts a and b, then |encoding| and arg(encoding) for
+    Alice, then for Bob.
     """
     require_count("trials", trials, 1)
     rng = np.random.default_rng(seed)
     max_err = 0.0
     control_failures = 0
     for start in range(0, trials, BATCH):
-        draws = _DRAW_LO + _DRAW_SPAN * rng.random((min(BATCH, trials - start), 6))
-        phi_a, phi_b, amp_a, arg_a, amp_b, arg_b = draws.T
+        phi_a, phi_b, amp_a, arg_a, amp_b, arg_b = uniform_rows(
+            rng.random((min(BATCH, trials - start), 6)),
+            (0.0, TURN), (0.0, TURN), (0.5, 2.0), (0.0, TURN), (0.5, 2.0), (0.0, TURN))
         config = SchemeConfig(
             phi_fiber_a=phi_a, phi_fiber_b=phi_b,
             alice_encoding=amp_a * np.exp(1j * arg_a),

@@ -27,7 +27,6 @@ from .core import (
     LOG2E,
     SYMMETRIC_TAU_TOL,
     DomainError,
-    LinkPair,
     ProtocolParams,
     SymmetricDegenerateError,
     effective_noise,
@@ -39,6 +38,7 @@ from .core import (
     require,
     require_count,
     require_unit,
+    uniform_rows,
 )
 from .attack import _chi_profiles, _thermal_profiles, chi_y_domain
 from .keyrate import min_thermal_noise, rate_kernel
@@ -50,8 +50,17 @@ REGION_SAMPLES = 65
 """Grid points of the region classification, in the suite whatever its ``samples``."""
 
 
+class _Probe:
+    """A probe's pass rule: a row passes where its ``worst_margin`` clears
+    ``-STRICT_SLACK``."""
+
+    @property
+    def verdict(self) -> np.ndarray:
+        return self.worst_margin > -STRICT_SLACK
+
+
 @dataclass(frozen=True)
-class MonotoneProbe:
+class MonotoneProbe(_Probe):
     """Sampled rate profiles plus the sign margins extracted from them.
 
     Each row of ``y`` and ``rate`` holds its ``count`` profile samples
@@ -64,8 +73,7 @@ class MonotoneProbe:
     empty where there is none; L for fixed chi on symmetric links, A on
     asymmetric links), claimed positive where ``bound_mask`` holds.  The
     nu traces are NaN on rows without a bound.  ``worst_margin`` is the
-    smallest of a row's margins and its verdict is
-    ``worst_margin > -STRICT_SLACK``."""
+    smallest of a row's margins."""
 
     y: np.ndarray
     rate: np.ndarray
@@ -85,13 +93,9 @@ class MonotoneProbe:
     def diffs(self) -> np.ndarray:
         return np.diff(self.rate, axis=1)
 
-    @property
-    def verdict(self) -> np.ndarray:
-        return self.worst_margin > -STRICT_SLACK
-
 
 @dataclass(frozen=True)
-class PositivityProbe:
+class PositivityProbe(_Probe):
     """Sampled values of a function claimed positive on its domain; the
     first ``count`` samples of a row are its own."""
 
@@ -100,13 +104,9 @@ class PositivityProbe:
     count: np.ndarray
     worst_margin: np.ndarray
 
-    @property
-    def verdict(self) -> np.ndarray:
-        return self.worst_margin > -STRICT_SLACK
-
 
 @dataclass(frozen=True)
-class LambdaProbe:
+class LambdaProbe(_Probe):
     """Rate versus the effective noise lam on the anticorrelation
     bisector and its entropy part; the logarithmic part is
     ``rate - h_part``."""
@@ -115,10 +115,6 @@ class LambdaProbe:
     h_part: np.ndarray
     rate: np.ndarray
     worst_margin: np.ndarray
-
-    @property
-    def verdict(self) -> np.ndarray:
-        return self.worst_margin > -STRICT_SLACK
 
 
 @dataclass(frozen=True)
@@ -324,20 +320,12 @@ def verify_lambda_minimization(
     return LambdaProbe(lams, h_part, rate, worst)
 
 
-def _draw_asym_link(rng: np.random.Generator) -> LinkPair:
+def _draw_asym_link(rng: np.random.Generator) -> tuple[float, float]:
+    """(tau_a, tau_b) uniform in [0.3, 0.999), redrawn until |dtau| >= 0.02."""
     while True:
         ta, tb = rng.uniform(0.3, 0.999, size=2)
         if abs(ta - tb) >= 0.02:
-            return LinkPair(ta, tb)
-
-
-def _scaled(u: np.ndarray, *ranges) -> np.ndarray:
-    """lo + (hi - lo) u of uniform [0, 1) draws ``u``, one (lo, hi) per column,
-    returned one row per column.  This is the arithmetic of ``rng.uniform``,
-    so a row equals the per-scenario ``rng.uniform(lo, hi)`` calls that
-    would have drawn the same numbers."""
-    lo, hi = np.array(ranges).T
-    return (lo + (hi - lo) * u).T
+            return ta, tb
 
 
 def _draw_links(rng, scenarios: int, sym_hi: float | None, *ranges):
@@ -350,39 +338,36 @@ def _draw_links(rng, scenarios: int, sym_hi: float | None, *ranges):
         if sym_hi is not None and i % 2 == 0:
             row[:2] = rng.uniform(0.55, sym_hi)
         else:
-            link = _draw_asym_link(rng)
-            row[:2] = link.tau_a, link.tau_b
+            row[:2] = _draw_asym_link(rng)
         row[2:] = rng.random(len(ranges))
-    return (*rows[:, :2].T, *_scaled(rows[:, 2:], *ranges))
+    return (*rows[:, :2].T, *uniform_rows(rows[:, 2:], *ranges))
 
 
-def _summary(worst: np.ndarray) -> dict:
-    """One check's report entry from its per-scenario worst margins."""
-    failures = int((~(worst > -STRICT_SLACK)).sum())
-    return {"scenarios": worst.size, "failures": failures,
-            "worst_margin": float(worst.min()), "pass": failures == 0}
+def _summary(probe: _Probe) -> dict:
+    """One check's report entry from its probe's per-scenario verdicts."""
+    failures = int((~probe.verdict).sum())
+    return {"scenarios": probe.worst_margin.size, "failures": failures,
+            "worst_margin": float(probe.worst_margin.min()), "pass": failures == 0}
 
 
 def _monotone_thermal_check(rng, protocol: ProtocolParams, samples: int) -> dict:
     """Fixed thermal noise: symmetric links, random bisector slice."""
-    tau, wa, wb, u = _scaled(rng.random((protocol.xi.size, 4)),
-                             (0.55, 0.95), (1.1, 5.0), (1.1, 5.0), (-0.85, 0.5))
+    tau, wa, wb, u = uniform_rows(rng.random((protocol.xi.size, 4)),
+                                  (0.55, 0.95), (1.1, 5.0), (1.1, 5.0), (-0.85, 0.5))
     probe = verify_monotone_thermal(protocol, tau, tau, wa, wb, u * g_max(wa, wb), samples)
-    return _summary(probe.worst_margin)
+    return _summary(probe)
 
 
 def _monotone_chi_check(rng, protocol: ProtocolParams, samples: int) -> dict:
     """Fixed equivalent noise, alternating symmetric/asymmetric links."""
     ta, tb, epsilon = _draw_links(rng, protocol.xi.size, 0.999, (0.01, 0.8))
-    return _summary(verify_monotone_chi(protocol, ta, tb, excess_chi(ta, tb, epsilon),
-                                        samples).worst_margin)
+    return _summary(verify_monotone_chi(protocol, ta, tb, excess_chi(ta, tb, epsilon), samples))
 
 
 def _p_prime_check(rng, scenarios: int, samples: int) -> dict:
     """p'(y) positivity on asymmetric links."""
     ta, tb, epsilon = _draw_links(rng, scenarios, None, (0.01, 1.0))
-    return _summary(verify_p_prime_positive(ta, tb, excess_chi(ta, tb, epsilon),
-                                            samples).worst_margin)
+    return _summary(verify_p_prime_positive(ta, tb, excess_chi(ta, tb, epsilon), samples))
 
 
 def _lambda_check(rng, protocol: ProtocolParams, samples: int) -> dict:
@@ -393,8 +378,7 @@ def _lambda_check(rng, protocol: ProtocolParams, samples: int) -> dict:
     dt = abs(ta - tb)
     lam_opt = min_thermal_noise(ta, tb, wa, wb)[0]
     lam_opt = np.where(lam_opt <= dt + 2e-9, dt + 0.5, lam_opt)
-    return _summary(verify_lambda_minimization(protocol, ta, tb, lam_opt,
-                                               samples).worst_margin)
+    return _summary(verify_lambda_minimization(protocol, ta, tb, lam_opt, samples))
 
 
 def _region_check(rng, scenarios: int) -> dict:

@@ -239,38 +239,30 @@ def _block_texts(table: SweepTable, fmt: str) -> list[str]:
     n = len(table)
     marked = ~(np.isfinite(table.tau_a) & np.isfinite(table.tau_b)
                & np.isfinite(table.chi) & np.isfinite(table.rate))
-    marked[list(table.errors)] = True
-    own = np.flatnonzero(marked)  # the rows that format their own text, ascending
-    clean = sep.join([row] * BLOCK) if n >= BLOCK else None
+    marked[list(table.errors)] = True  # once: filtering the errors per block is quadratic
     last_a, last_b = [None, None], [None, None]
     texts = []
     for start in range(0, n, BLOCK):
         cells = slice(start, min(start + BLOCK, n))
-        m = cells.stop - start
-        flat = [None] * (5 * m)  # row-major: tau_a, tau_b, chi, rate, secure
+        rows = [row] * (cells.stop - start)
+        flat = [None] * (5 * len(rows))  # row-major: tau_a, tau_b, chi, rate, secure
         flat[0::5] = _fmt_axis(table.tau_a[cells], spec, last_a)
         flat[1::5] = _fmt_axis(table.tau_b[cells], spec, last_b)
         flat[2::5], flat[3::5] = table.chi[cells].tolist(), table.rate[cells].tolist()
         flat[4::5] = _SECURE[(table.rate[cells] > 0.0).astype(int)].tolist()
-        lo, hi = own.searchsorted((start, cells.stop))
-        if lo == hi and m == BLOCK:
-            template = clean
-        else:
-            rows = [row] * m
-            for k in own[lo:hi].tolist():
-                j = 5 * (k - start)
-                ta, tb, chi, rate, secure = flat[j:j + 5]
-                chi, rate = (None if math.isnan(x) else x for x in (chi, rate))
-                if fmt == "csv":
-                    chi, rate = ("" if x is None else format(x, ".9g") for x in (chi, rate))
-                    flat[j] = f"{ta},{tb},{chi},{rate},{secure}\n"
-                else:
-                    flat[j] = json.dumps(dict(
-                        tau_a=float(table.tau_a[k]), tau_b=float(table.tau_b[k]), chi=chi,
-                        rate=rate, secure=secure == "true", error=table.errors.get(k)))
-                rows[k - start] = _OWN_ROW
-            template = sep.join(rows)
-        texts.append(template % tuple(flat))
+        for k in (start + np.flatnonzero(marked[cells])).tolist():
+            j = 5 * (k - start)
+            ta, tb, chi, rate, secure = flat[j:j + 5]
+            chi, rate = (None if math.isnan(x) else x for x in (chi, rate))
+            if fmt == "csv":
+                chi, rate = ("" if x is None else format(x, ".9g") for x in (chi, rate))
+                flat[j] = f"{ta},{tb},{chi},{rate},{secure}\n"
+            else:
+                flat[j] = json.dumps(dict(
+                    tau_a=float(table.tau_a[k]), tau_b=float(table.tau_b[k]), chi=chi,
+                    rate=rate, secure=secure == "true", error=table.errors.get(k)))
+            rows[k - start] = _OWN_ROW
+        texts.append(sep.join(rows) % tuple(flat))
     return texts
 
 

@@ -775,6 +775,25 @@ class TestRateProfileChi:
                 worst = max(worst, err)
         assert worst <= 1e-12
 
+    def test_underflowed_noise_sample_is_skipped(self):
+        # alpha = 1e-320 is subnormal: lam lam' underflows to 0 at the last
+        # sample, which is outside the domain, not a log2(0) rate of +inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            profile = rate_profile_y(ProtocolParams(), LinkPair(1e-160, 1e-160), chi=5.0,
+                                     samples=6)
+        assert len(profile.rate) == 5 and np.isfinite(profile.rate).all()
+        assert profile.skipped == 1
+
+    def test_overflowed_noise_samples_are_skipped_without_warning(self):
+        # y_max ~ 1e199 at chi = 1e100, so y * y overflows: an inf u d',
+        # outside the domain, and no overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            profile = rate_profile_y(ProtocolParams(), LinkPair(0.5, 0.99), chi=1e100)
+        assert len(profile.rate) == 1 and np.isfinite(profile.rate).all()
+        assert profile.skipped == 199
+
     def test_mode_selection_is_exclusive(self):
         with pytest.raises(ValueError):
             rate_profile_y(ProtocolParams(), LinkPair(0.9, 0.6), samples=10)

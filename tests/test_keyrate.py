@@ -508,6 +508,15 @@ class TestOverflowedNoise:
         assert math.isfinite(key_rate_min_chi(FIG_PROTOCOL, tiny, chi_equivalent(tiny, 0.01)).rate)
 
 
+class TestUnderflowedNoise:
+    """lam lam' = 0 by underflow is outside the kernel's domain, also at
+    dtau = 0, where the floor |dtau|^2 is 0 as well."""
+
+    def test_in_domain_rejects_underflowed_product(self):
+        assert not in_domain(0.5, 0.5, 1e-170, 1e-170)  # 1e-340 underflows to 0
+        assert in_domain(0.5, 0.5, 1e-150, 1e-150)
+
+
 class TestPark:
     """park moves the points outside the kernel's domain to one inside it, so
     the array callers run the kernel on whole arrays without a warning."""

@@ -354,7 +354,7 @@ def reference_suite(seed=7, scenarios=100, samples=200):
             tau = rng.uniform(0.55, 0.999)
             link = LinkPair(tau, tau)
         else:
-            link = proofs._draw_asym_link(rng)
+            link = LinkPair(*proofs._draw_asym_link(rng))
         chi = chi_equivalent(link, rng.uniform(0.01, 0.8))
         probe = verify_monotone_chi(protocol, *row(link, chi), samples=samples)
         worst = min(worst, probe.worst_margin[0])
@@ -363,7 +363,7 @@ def reference_suite(seed=7, scenarios=100, samples=200):
 
     worst, failures = math.inf, 0
     for i in range(scenarios):
-        link = proofs._draw_asym_link(rng)
+        link = LinkPair(*proofs._draw_asym_link(rng))
         chi = chi_equivalent(link, rng.uniform(0.01, 1.0))
         probe = verify_p_prime_positive(*row(link, chi), samples=samples)
         worst = min(worst, probe.worst_margin[0])
@@ -377,7 +377,7 @@ def reference_suite(seed=7, scenarios=100, samples=200):
             tau = rng.uniform(0.55, 0.95)
             link = LinkPair(tau, tau)
         else:
-            link = proofs._draw_asym_link(rng)
+            link = LinkPair(*proofs._draw_asym_link(rng))
         wa, wb = rng.uniform(1.1, 5.0, size=2)
         lam_opt = min_thermal_noise(link.tau_a, link.tau_b, wa, wb)[0]
         if lam_opt <= link.delta_tau + 2e-9:
@@ -389,7 +389,7 @@ def reference_suite(seed=7, scenarios=100, samples=200):
 
     disagreements = 0
     for _ in range(scenarios):
-        link = proofs._draw_asym_link(rng)
+        link = LinkPair(*proofs._draw_asym_link(rng))
         chi = (link.beta ** 2 / link.alpha) * rng.uniform(1.05, 4.0)
         disagreements += not classify_nu_regions(*row(link, chi)).agree[0]
     checks["classify_nu_regions"] = {

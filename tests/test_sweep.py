@@ -382,8 +382,12 @@ class TestSweepTable:
         errors = data.draw(st.dictionaries(st.integers(0, n - 1), st.text(max_size=8)))
         table = SweepTable(*(np.array(c, dtype=float) for c in (tau_a, tau_b, chi, rate)),
                            errors)
-        for fmt in ("csv", "json"):
-            assert export(table, fmt) == reference_export(list(table), fmt)
+        # at BLOCK = 3, rows with their own text land in later blocks too
+        for block in (sweep_module.BLOCK, 3):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(sweep_module, "BLOCK", block)
+                for fmt in ("csv", "json"):
+                    assert export(table, fmt) == reference_export(list(table), fmt)
 
     def test_sweep_and_export_build_no_rows(self, monkeypatch):
         def no_rows(*args, **kwargs):
