@@ -24,13 +24,14 @@ Lattice points that are physical but outside the kernel's domain
 nonpositive effective noise) are excluded from the argmin and counted in
 ``n_skipped``.
 
-Each level computes in place, in writable arrays cached per level size
-beside its pair layout (:func:`_pair_layout`): the lattice coordinates, a
-mask, and the workspace in which :func:`_grid_rates` runs the shared
-formulas through their ``out`` arrays (:mod:`cvmdi.core`).  A coarse
-level's float arrays are about 160 KB, above glibc's 128 KB mmap
+Each level computes in place, in writable float arrays cached per level
+size beside its pair layout (:func:`_pair_layout`): the lattice
+coordinates and the workspace in which :func:`_grid_rates` runs the
+shared formulas through their ``out`` arrays (:mod:`cvmdi.core`).  A
+coarse level's float arrays are about 160 KB, above glibc's 128 KB mmap
 threshold, and fresh ones were page-faulted in anew at every level, about
-40 % of a certificate.  Every cached array is written before it is read,
+40 % of a certificate; its masks are 20 KB, below it, and stay plain
+expressions.  Every cached array is written before it is read,
 so nothing carries over from one call to the next, and none escapes: the
 report holds floats, and the profiles compute in fresh arrays.  The
 arrays are shared by the process, so two threads must not run
@@ -136,8 +137,8 @@ def _axis(hi: float, n: int) -> np.ndarray:
 
 class _Level(NamedTuple):
     """A certificate level of n points per axis: the read-only pairs i <= j
-    and the positions of those with i = j, and writable arrays of the pair
-    count for the lattice coordinates, a mask and the workspace of
+    and the positions of those with i = j, and writable float arrays of the
+    pair count for the lattice coordinates and the nine of the workspace of
     :func:`_grid_rates`."""
 
     i: np.ndarray
@@ -145,8 +146,7 @@ class _Level(NamedTuple):
     diag: np.ndarray
     g: np.ndarray
     gp: np.ndarray
-    mask: np.ndarray
-    work: tuple[list[np.ndarray], list[np.ndarray]]
+    work: list[np.ndarray]
 
 
 @functools.lru_cache(maxsize=3)  # a certificate's sizes: grid.n, ZOOM_N, last + 1
@@ -156,13 +156,12 @@ def _pair_layout(n: int) -> _Level:
     layout = i, j, np.flatnonzero(i == j)
     for a in layout:
         a.flags.writeable = False
-    g, gp, *floats = (np.empty(i.size) for _ in range(11))
-    mask, *bools = (np.empty(i.size, bool) for _ in range(5))
-    return _Level(*layout, g, gp, mask, (floats, bools))
+    g, gp, *work = (np.empty(i.size) for _ in range(11))
+    return _Level(*layout, g, gp, work)
 
 
 def _grid_rates(protocol: ProtocolParams, tau_a, tau_b, omega_a, omega_b, g, gp,
-                work: tuple[list[np.ndarray], list[np.ndarray]] | None = None):
+                work: list[np.ndarray] | None = None):
     """Vectorized general rate over correlation arrays.
 
     Returns (rates, physical mask, admissible mask), with the physicality
@@ -171,19 +170,19 @@ def _grid_rates(protocol: ProtocolParams, tau_a, tau_b, omega_a, omega_b, g, gp,
     (:func:`cvmdi.keyrate.park`), and their rates are +inf.
     Links, ancilla variances and ``protocol.xi`` are floats or arrays
     broadcasting with ``g``, which has the shape of the lattice.  With
-    ``work``, nine float and four boolean arrays of ``g.size`` (``g`` 1-D),
-    every array is computed in them and the returned ones are views of
-    them; without, each is fresh.
+    ``work``, nine float arrays of ``g.size`` (``g`` 1-D), every float array
+    is computed in them and the returned rates are a view of one; without,
+    each is fresh.  The masks are fresh either way.
     """
-    f, b = work or ((None,) * 9, (None,) * 4)
-    physical = is_physical(AncillaState(omega_a, omega_b, g, gp), out=(*f[:6], *b[:2]))
+    f = work or (None,) * 9
+    physical = is_physical(AncillaState(omega_a, omega_b, g, gp), out=f[:6])
     lam, lam_prime = effective_noise(tau_a, tau_b, omega_a, omega_b, g, gp, out=f[:2])
-    admissible = in_domain(tau_a, tau_b, lam, lam_prime, out=(f[2], b[1], b[2]))
-    off = np.logical_not(np.logical_and(physical, admissible, out=b[2]), out=b[2])
+    admissible = in_domain(tau_a, tau_b, lam, lam_prime, out=f[2:3])
+    off = ~(physical & admissible)
     park(tau_a, tau_b, lam, lam_prime, off)
     chi = equivalent_chi(tau_a, tau_b, lam, lam_prime, out=f[2:4])
     rates = rate_kernel(protocol.mu, protocol.xi, tau_a, tau_b, lam, lam_prime, chi,
-                        out=(*f[3:], b[3]))[0]
+                        out=f[3:])[0]
     np.copyto(rates, np.inf, where=off)
     return rates, physical, admissible
 
@@ -233,7 +232,7 @@ def min_rate_brute(
         gp = np.negative(np.take(ax, layout.j, out=layout.gp, mode="clip"), out=layout.gp)
         rates, phys, adm = _grid_rates(protocol, ta, tb, omega_a, omega_b, g, gp,
                                        layout.work)
-        mask = np.logical_and(phys, adm, out=layout.mask)
+        mask = phys & adm
         n_level, n_phys = (2 * int(np.count_nonzero(m)) - int(np.count_nonzero(m[layout.diag]))
                            for m in (mask, phys))
         n_eval, n_skip = n_eval + n_level, n_skip + n_phys - n_level  # physical, not admissible
@@ -241,7 +240,7 @@ def min_rate_brute(
             rate_star = float(rates.min())  # +inf off the mask
             # a mirror (-g', -g) keeps |g + g'| and has no smaller g (the
             # pairs hold g <= -g'), so the full square's pick is a pair
-            ties = np.flatnonzero(np.equal(rates, rate_star, out=layout.mask))
+            ties = np.flatnonzero(rates == rate_star)
             k = min(ties, key=lambda k: (abs(g[k] + gp[k]), g[k], gp[k]))
             g_star, gp_star = float(g[k]), float(gp[k])
         elif not level:
@@ -286,7 +285,9 @@ def chi_y_domain(tau_a: np.ndarray, tau_b: np.ndarray, chi: np.ndarray):
     """Range of the fixed-chi variable y, elementwise on arrays of links:
     y_min = alpha chi / beta and y_max = (y_min^2 + beta^2) / (2 beta);
     :class:`ParameterError` if any tau is outside (0, 1] or any chi is not
-    finite, :class:`DomainError` if any chi is below the loss floor or alpha underflows."""
+    finite, :class:`DomainError` if any chi is below the loss floor, alpha
+    underflows, or chi^2 overflows (chi above about 1.34e154), as it would
+    in the fixed-chi formulas of y."""
     require_unit("tau_a", tau_a)
     require_unit("tau_b", tau_b)
     require(np.isfinite(chi), "chi", "be finite", chi)
@@ -296,6 +297,11 @@ def chi_y_domain(tau_a: np.ndarray, tau_b: np.ndarray, chi: np.ndarray):
     if below.any():
         raise DomainError(f"chi = {chi[below][0]} below the loss floor beta^2/alpha = "
                           f"{(beta * beta / alpha)[below][0]}")
+    with np.errstate(over="ignore"):
+        huge = np.isinf(chi * chi)
+    if huge.any():
+        raise DomainError(f"chi = {chi[huge][0]} is too large for double precision: "
+                          "chi^2 overflows")
     y_min = alpha * chi / beta
     return y_min, (y_min * y_min + beta * beta) / (2.0 * beta)
 

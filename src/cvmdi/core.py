@@ -19,16 +19,17 @@ single-point API (:func:`derive_noise`, :func:`chi_equivalent`,
 its report, whose fields are Python floats and bools.
 
 The array formulas can compute in place.  Each takes an optional ``out``:
-a tuple of writable arrays of the broadcast shape of its operands, floats
-first and then booleans, as many as its docstring says, and writes every
-step of its ufunc chain into one of them, in the operation order of the
-formula as written; the result lands in the first array of its kind.
-Without ``out`` (or where an entry is None) each step allocates its
-result, as the written expression does; both give the same bits.  The
-arrays must not overlap the operands.  A caller that evaluates many
-lattices of one size passes the same arrays each time: a fresh
-lattice-sized temporary above glibc's mmap threshold is page-faulted in
-anew on every use.
+a tuple of writable float arrays of the broadcast shape of its operands,
+as many as its docstring says, and writes every float step of its ufunc
+chain into one of them, in the operation order of the formula as written;
+a float result lands in the first.  Without ``out`` (or where an entry is
+None) each step allocates its result, as the written expression does;
+both give the same bits.  The arrays must not overlap the operands.
+Comparisons are plain expressions: their boolean arrays are an eighth of
+a float array, below glibc's mmap threshold on a certificate's lattices.
+A caller that evaluates many lattices of one size passes the same arrays
+each time: a fresh lattice-sized float temporary above that threshold is
+page-faulted in anew on every use.
 """
 
 from __future__ import annotations
@@ -250,10 +251,10 @@ def entropy_scaled(a, c, out=None):
     within ``H_CLAMP_TOL`` below c is clamped to c, so rounding at physical
     boundaries does not raise; below that window :class:`DomainError`
     signals a nonphysical intermediate quantity.  ``out``: three float
-    arrays and one boolean array (module docstring).
+    arrays (module docstring).
     """
-    o_h, o_t, o_tail, o_flag = out or (None,) * 4
-    low = np.less(a, c * (1.0 - H_CLAMP_TOL), out=o_flag)
+    o_h, o_t, o_tail = out or (None,) * 3
+    low = np.less(a, c * (1.0 - H_CLAMP_TOL))  # a numpy bool for float operands too
     if low.any():
         a, c = (float(np.broadcast_to(v, low.shape)[low][0]) for v in (a, c))
         raise DomainError(f"entropy argument {a!r} < {c!r}: nonphysical value")
@@ -262,7 +263,7 @@ def entropy_scaled(a, c, out=None):
         t = np.divide(2.0 * c, np.subtract(h, c, out=o_t), out=o_t)
         tail = np.divide(np.log1p(t, out=o_tail), t, out=o_tail)
     # fmax passes over the nan of the two limits: 1 at t = 0, 0 at t = inf
-    tail = np.fmax(tail, np.equal(t, 0.0, out=o_flag), out=o_tail)
+    tail = np.fmax(tail, t == 0.0, out=o_tail)
     h = np.log2(np.multiply(np.add(h, c, out=o_h), 0.5, out=o_h), out=o_h)
     return np.add(h, np.multiply(LOG2E, tail, out=o_tail), out=o_h)
 
@@ -289,7 +290,7 @@ def _invariants(ancilla: AncillaState, out=None):
     Delta = omega_a^2 + omega_b^2 + 2 g g', Delta^2 - 4 det with det =
     (m - g^2)(m - g'^2), and nu_minus, elementwise over the ancilla's
     arrays (Weedbrook et al., Rev. Mod. Phys. 84, 621).
-    ``out``: six float arrays and one boolean array (module docstring).
+    ``out``: six float arrays (module docstring).
 
     nu_minus^2 = (Delta - sqrt(Delta^2 - 4 det)) / 2 cancels once Delta >> 1,
     so it is taken as 2 det / (Delta + sqrt(Delta^2 - 4 det)), clamped at 0.
@@ -297,7 +298,7 @@ def _invariants(ancilla: AncillaState, out=None):
     (at omega = 1, |g| = 1, say) a margin already fails, and a unit
     denominator keeps the division finite."""
     wa, wb, g, gp = ancilla.omega_a, ancilla.omega_b, ancilla.g, ancilla.g_prime
-    o_pos_g, o_pos_gp, o_delta, o_det, o_disc, o_nu, o_flag = out or (None,) * 7
+    o_pos_g, o_pos_gp, o_delta, o_det, o_disc, o_nu = out or (None,) * 6
     m = wa * wb
     pos_g = np.subtract(m, np.multiply(g, g, out=o_pos_g), out=o_pos_g)
     pos_gp = np.subtract(m, np.multiply(gp, gp, out=o_pos_gp), out=o_pos_gp)
@@ -308,7 +309,7 @@ def _invariants(ancilla: AncillaState, out=None):
                        out=o_disc)
     big = np.add(delta, np.sqrt(np.maximum(disc, 0.0, out=o_nu), out=o_nu), out=o_nu)
     # np.where(big > 0, big, 1): fmax takes 1 where big > 0 fails, nan included
-    big = np.fmax(big, np.logical_not(np.greater(big, 0.0, out=o_flag), out=o_flag), out=o_nu)
+    big = np.fmax(big, ~(big > 0.0), out=o_nu)
     nu_minus = np.divide(np.multiply(2.0, det, out=o_det), big, out=o_det)
     nu_minus = np.sqrt(np.maximum(nu_minus, 0.0, out=o_det), out=o_nu)
     return pos_g, pos_gp, delta, disc, nu_minus
@@ -334,15 +335,10 @@ def is_physical(ancilla: AncillaState, out=None):
     """True iff the ancilla covariance is a bona fide Gaussian state:
     both quadrature blocks positive definite and nu_minus >= 1 (within
     ``PHYSICALITY_TOL``), elementwise over the ancilla's arrays: a boolean
-    array.  Never raises.  ``out``:
-    the six float arrays of :func:`_invariants`, then two boolean arrays."""
-    *o_inv, o_ok, o_flag = out or (None,) * 8
-    pos_g, pos_gp, _, _, nu_minus = _invariants(ancilla, out=(*o_inv, o_flag))
-    ok = np.logical_and(np.greater(pos_g, 0.0, out=o_ok), np.greater(pos_gp, 0.0, out=o_flag),
-                        out=o_ok)
-    ok = np.logical_and(ok, np.greater_equal(nu_minus, 1.0 - PHYSICALITY_TOL, out=o_flag),
-                        out=o_ok)
-    return ok
+    array.  Never raises.  ``out``: the six float arrays of
+    :func:`_invariants`."""
+    pos_g, pos_gp, _, _, nu_minus = _invariants(ancilla, out=out)
+    return (pos_g > 0.0) & (pos_gp > 0.0) & (nu_minus >= 1.0 - PHYSICALITY_TOL)
 
 
 def g_max(omega_a, omega_b):

@@ -82,9 +82,9 @@ def rate_kernel(mu, xi, tau_a, tau_b, lam, lam_prime, chi, out=None):
     """(R, nu) of the module-level kernel formula, elementwise over numpy
     arrays that broadcast together (``tau_a``/``tau_b`` may be floats).
     Every element must lie inside :func:`in_domain`; nothing is checked
-    here.  ``out``: six float arrays and one boolean array, as for the
-    array formulas of :mod:`cvmdi.core`."""
-    o_rate, o_nu, o_s, *o_h = out or (None,) * 7
+    here.  ``out``: six float arrays, as for the array formulas of
+    :mod:`cvmdi.core`."""
+    o_rate, o_nu, o_s, *o_h = out or (None,) * 6
     s = np.sqrt(np.multiply(lam, lam_prime, out=o_s), out=o_s)
     nu = np.multiply(np.add(tau_a, lam, out=o_nu), np.add(tau_a, lam_prime, out=o_h[1]), out=o_nu)
     nu = np.divide(np.sqrt(nu, out=o_nu), tau_b, out=o_nu)
@@ -101,16 +101,12 @@ def in_domain(tau_a, tau_b, lam, lam_prime, out=None):
     lam' > 0, and an underflowed product is outside) and
     |dtau| <= sqrt(lam lam') < inf, the first bound within the entropy clamp
     slack, elementwise.  (nu >= 1 follows: (tau_a + lam)(tau_a + lam') >=
-    (tau_a + s)^2 >= tau_b^2.)  ``out``: one float array and two boolean
-    ones."""
-    o_s2, o_ok, o_flag = out or (None,) * 3
+    (tau_a + s)^2 >= tau_b^2.)  ``out``: one float array, for lam lam'."""
     floor = abs(tau_a - tau_b) * (1.0 - H_CLAMP_TOL)
+    (o_s2,) = out or (None,)
     with np.errstate(over="ignore"):  # an overflowed product is inf, outside the domain
         s2 = np.multiply(lam, lam_prime, out=o_s2)
-    ok = np.logical_and(np.greater(lam, 0.0, out=o_ok), np.greater(s2, 0.0, out=o_flag),
-                        out=o_ok)
-    ok = np.logical_and(ok, np.greater_equal(s2, floor * floor, out=o_flag), out=o_ok)
-    return np.logical_and(ok, np.less(s2, math.inf, out=o_flag), out=o_ok)
+    return (lam > 0.0) & (s2 > 0.0) & (s2 >= floor * floor) & (s2 < math.inf)
 
 
 def park(tau_a, tau_b, lam, lam_prime, off):

@@ -212,9 +212,6 @@ def verify_monotone_chi(
     """
     prof = _chi_profiles(protocol, tau_a, tau_b, chi, samples)
     sym = abs(tau_a - tau_b) < SYMMETRIC_TAU_TOL
-    low = sym & (chi <= 4.0)
-    if low.any():
-        raise DomainError(f"chi = {chi[low][0]} <= 4 is outside the symmetric domain")
     valid = np.arange(samples) < prof.count[:, None]
     a1, a2, nu1, nu2 = _chi_nus(tau_a, tau_b, chi, prof.y)
     s = sym[:, None]

@@ -417,8 +417,7 @@ class TestGridRatesMatchKeyRate:
         ax = np.linspace(-1.05, 1.05, 41) * physical_bounds(wa, wb)[1]
         g, gp = (a.ravel() for a in np.meshgrid(ax, ax, indexing="ij"))
         # a workspace filled with garbage, as a previous level could leave it
-        work = ([np.full(g.size, np.nan) for _ in range(9)],
-                [np.ones(g.size, bool) for _ in range(4)]) if workspace else None
+        work = [np.full(g.size, np.nan) for _ in range(9)] if workspace else None
         want = np.empty(g.size)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -470,7 +469,7 @@ def _cached_arrays(sizes):
     arrays = []
     for n in sizes:
         level = _pair_layout(n)
-        arrays += [level.g, level.gp, level.mask, *level.work[0], *level.work[1]]
+        arrays += [level.g, level.gp, *level.work]
     return arrays
 
 
@@ -518,6 +517,18 @@ class TestWorkspace:
         monkeypatch.undo()
         report = min_rate_brute(*self.ARGS)
         assert report == want and repr(report) == repr(want)
+
+    def test_repeated_certificates_fault_in_no_pages(self):
+        # what the cached arrays are for: with fresh lattice-sized float
+        # arrays, above glibc's mmap threshold, these 20 certificates took
+        # about 14 000 minor page faults
+        resource = pytest.importorskip("resource")
+        args = (ProtocolParams(), LinkPair(0.9, 0.7), 2.0, 2.0)
+        min_rate_brute(*args)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(20):
+            min_rate_brute(*args)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 40
 
     def test_profiles_share_no_cached_array(self):
         # 231 samples match the pair count of FAST_GRID's last level
@@ -793,6 +804,16 @@ class TestRateProfileChi:
             profile = rate_profile_y(ProtocolParams(), LinkPair(0.5, 0.99), chi=1e100)
         assert len(profile.rate) == 1 and np.isfinite(profile.rate).all()
         assert profile.skipped == 199
+
+    def test_overflowing_chi_raises_before_any_warning(self):
+        # chi^2 overflows above about 1.34e154; 1e150 keeps its profile
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"chi\^2 overflows"):
+                rate_profile_y(ProtocolParams(), LinkPair(0.5, 0.99), chi=1e155)
+            profile = rate_profile_y(ProtocolParams(), LinkPair(0.5, 0.99), chi=1e150)
+        assert profile.y[0] == 3.322147651006711e+149 and profile.skipped == 199
+        assert profile.rate.tolist() == [-483.3713430667445]
 
     def test_mode_selection_is_exclusive(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -165,9 +166,13 @@ class TestMonotoneChi:
         assert bound.size > 0
         assert np.all(bound > -1e-10)
 
-    def test_symmetric_chi_domain(self):
+    @pytest.mark.parametrize("tau", [0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("chi", [3.9, 4.0, np.nextafter(4.0, 0.0)])
+    def test_symmetric_chi_domain(self, tau, chi):
+        # at chi <= 4 a symmetric profile has no admissible d' = 0 sample
+        # (lam <= 0), or chi is below the loss floor
         with pytest.raises(DomainError):
-            verify_monotone_chi(FIG_PROTOCOL, *row(LinkPair(0.9, 0.9), 3.9))
+            verify_monotone_chi(FIG_PROTOCOL, *row(LinkPair(tau, tau), chi))
 
 
 GREATER, EQUAL, LESS = 1, 0, -1  # sign of nu1 - nu2
@@ -263,6 +268,30 @@ class TestPPrimePositive:
         probe = verify_p_prime_positive(*row(link, chi_equivalent(link, 0.01)))
         assert probe.count[0] == 1
         assert probe.verdict[0]
+
+
+class TestHugeChi:
+    """chi^2 overflows above about 1.34e154; below that the fixed-chi
+    probes return what they always did, without a warning."""
+
+    LINK = LinkPair(0.5, 0.99)
+
+    @pytest.mark.parametrize("probe", [verify_p_prime_positive, classify_nu_regions])
+    def test_overflowing_chi_raises_before_any_warning(self, probe):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"chi\^2 overflows"):
+                probe(*row(self.LINK, 1e155))
+
+    def test_large_chi_unchanged(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            positivity = verify_p_prime_positive(*row(self.LINK, 1e150))
+            regions = classify_nu_regions(*row(self.LINK, 1e150))
+        assert positivity.worst_margin[0] == 3.071531642960215e-150
+        assert positivity.verdict[0] and positivity.count[0] == 200
+        assert regions.predicted[0] == regions.observed[0] == LESS
+        assert regions.min_gap[0] == -3.4241884673332415e+149
 
 
 class TestLambdaMinimization:
