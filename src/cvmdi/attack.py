@@ -12,17 +12,17 @@ domain unchanged bit for bit, so each level evaluates every unordered
 (lam, lam') pair once, on one cached pair layout per level size; a pair
 counts as two points, a bisector pair as one, and the tests check the
 mirror bitwise.  Grid rates come from the one rate kernel
-(:func:`cvmdi.keyrate.rate_kernel`) on the whole lattice, with the
-physicality test and noise algebra of :mod:`cvmdi.core`; points off the
-physical and admissible ones are parked (:func:`cvmdi.keyrate.park`) and
-rated +inf.  The reported minimum is the lattice's own rate.  The thermal
-rate profiles run through the same lattice evaluation, with
-:func:`cvmdi.keyrate.decoupled_rate` at the decoupled samples.
+(:func:`cvmdi.keyrate.rate_kernel`) on the whole lattice, with the physicality
+test, noise algebra and domain of :func:`cvmdi.keyrate.key_rate`: points off
+the physical ones and the domain are parked (:func:`cvmdi.keyrate.park`) and
+rated +inf, but physical decoupled ones (lossless symmetric links) get
+:func:`cvmdi.keyrate.decoupled_rate`.  The minimum is the lattice's own
+rate; the thermal rate profiles run through the same lattice evaluation.
 
-Lattice points that are physical but outside the kernel's domain
+Lattice points that are physical but neither inside the kernel's domain
 (:func:`cvmdi.keyrate.in_domain`: sqrt(lam lam') below |dtau|, or a
-nonpositive effective noise) are excluded from the argmin and counted in
-``n_skipped``.
+nonpositive effective noise) nor decoupled are excluded from the argmin
+and counted in ``n_skipped``.
 
 Each level computes in place, in writable float arrays cached per level
 size beside its pair layout (:func:`_pair_layout`): the lattice
@@ -66,7 +66,7 @@ from .core import (
     require_omega,
     require_unit,
 )
-from .keyrate import decoupled, decoupled_rate, in_domain, park, rate_kernel
+from .keyrate import decoupled, decoupled_rate, park, rate_kernel
 from .keyrate import key_rate_min_thermal
 
 
@@ -164,27 +164,30 @@ def _grid_rates(protocol: ProtocolParams, tau_a, tau_b, omega_a, omega_b, g, gp,
                 work: list[np.ndarray] | None = None):
     """Vectorized general rate over correlation arrays.
 
-    Returns (rates, physical mask, admissible mask), with the physicality
-    test and noise algebra of :func:`cvmdi.keyrate.key_rate`; the kernel runs
-    on every point, those off physical & admissible parked
-    (:func:`cvmdi.keyrate.park`), and their rates are +inf.
-    Links, ancilla variances and ``protocol.xi`` are floats or arrays
-    broadcasting with ``g``, which has the shape of the lattice.  With
-    ``work``, nine float arrays of ``g.size`` (``g`` 1-D), every float array
-    is computed in them and the returned rates are a view of one; without,
-    each is fresh.  The masks are fresh either way.
+    Returns (rates, physical mask, rated mask) by the physicality test, noise
+    algebra and domain of :func:`cvmdi.keyrate.key_rate`: rated = physical & (in
+    domain | decoupled), rates are :func:`cvmdi.keyrate.decoupled_rate` at the
+    decoupled points and +inf off rated, and the kernel runs on every point,
+    parked (:func:`cvmdi.keyrate.park`) off physical & in domain.  Links, ancilla
+    variances and ``protocol.xi`` are floats or arrays broadcasting with ``g``,
+    which has the shape of the lattice.  With ``work``, nine float arrays of
+    ``g.size`` (``g`` 1-D), every float array is computed in them and the
+    returned rates are a view of one; without, each is fresh.  Masks are fresh.
     """
     f = work or (None,) * 9
     physical = is_physical(AncillaState(omega_a, omega_b, g, gp), out=f[:6])
     lam, lam_prime = effective_noise(tau_a, tau_b, omega_a, omega_b, g, gp, out=f[:2])
-    admissible = in_domain(tau_a, tau_b, lam, lam_prime, out=f[2:3])
-    off = ~(physical & admissible)
-    park(tau_a, tau_b, lam, lam_prime, off)
+    off = park(tau_a, tau_b, lam, lam_prime, physical, out=f[2:3])
     chi = equivalent_chi(tau_a, tau_b, lam, lam_prime, out=f[2:4])
     rates = rate_kernel(protocol.mu, protocol.xi, tau_a, tau_b, lam, lam_prime, chi,
                         out=f[3:])[0]
     np.copyto(rates, np.inf, where=off)
-    return rates, physical, admissible
+    free = physical & off
+    if free.any():  # decoupled points are among these, and park moved their noises
+        lam, lam_prime = effective_noise(tau_a, tau_b, omega_a, omega_b, g, gp, out=f[:2])
+        free &= decoupled(tau_a, tau_b, lam, lam_prime)
+        np.copyto(rates, decoupled_rate(protocol.mu, protocol.xi), where=free)
+    return rates, physical, ~off | free
 
 
 def min_rate_brute(
@@ -230,12 +233,10 @@ def min_rate_brute(
         layout = _pair_layout(n)
         g = np.take(ax, layout.i, out=layout.g, mode="clip")
         gp = np.negative(np.take(ax, layout.j, out=layout.gp, mode="clip"), out=layout.gp)
-        rates, phys, adm = _grid_rates(protocol, ta, tb, omega_a, omega_b, g, gp,
-                                       layout.work)
-        mask = phys & adm
+        rates, phys, rated = _grid_rates(protocol, ta, tb, omega_a, omega_b, g, gp, layout.work)
         n_level, n_phys = (2 * int(np.count_nonzero(m)) - int(np.count_nonzero(m[layout.diag]))
-                           for m in (mask, phys))
-        n_eval, n_skip = n_eval + n_level, n_skip + n_phys - n_level  # physical, not admissible
+                           for m in (rated, phys))
+        n_eval, n_skip = n_eval + n_level, n_skip + n_phys - n_level  # physical, not rated
         if n_level:  # a zoom window misses only single-point domains
             rate_star = float(rates.min())  # +inf off the mask
             # a mirror (-g', -g) keeps |g + g'| and has no smaller g (the
@@ -362,11 +363,8 @@ def _thermal_profiles(protocol, tau_a, tau_b, omega_a, omega_b, l, samples):
     present = (spread | frozen)[:, None] | (np.arange(samples) == 0)
     ta, tb, wa, wb, lc, uc = (x[:, None] for x in (tau_a, tau_b, omega_a, omega_b, l, u))
     g, gp = d + lc, d - lc
-    rates, physical, admissible = _grid_rates(protocol, ta, tb, wa, wb, g, gp)
-    free = decoupled(ta, tb, *effective_noise(ta, tb, wa, wb, g, gp))
-    rates = np.where(free, decoupled_rate(protocol.mu, protocol.xi), rates)
-    ok = present & physical & (admissible | free)
-    return _profiles("thermal", present, ok, uc * uc * d * d, d, rates)
+    rates, _, rated = _grid_rates(protocol, ta, tb, wa, wb, g, gp)
+    return _profiles("thermal", present, present & rated, uc * uc * d * d, d, rates)
 
 
 def _chi_profiles(protocol, tau_a, tau_b, chi, samples):
@@ -389,10 +387,9 @@ def _chi_profiles(protocol, tau_a, tau_b, chi, samples):
         ud = np.sqrt(np.maximum(y * y - y_min * y_min, 0.0))
     lam_b = bisector_lam(ta, tb, chi) + off
     lam, lam_prime = lam_b - ud, lam_b + ud
-    ok = present & in_domain(ta, tb, lam, lam_prime)
-    park(ta, tb, lam, lam_prime, ~ok)
+    off = park(ta, tb, lam, lam_prime, present)
     rates = rate_kernel(protocol.mu, protocol.xi, ta, tb, lam, lam_prime, chi)[0]
-    return _profiles("chi", present, ok, y, ud / np.where(u > 0.0, u, 1.0), rates)
+    return _profiles("chi", present, ~off, y, ud / np.where(u > 0.0, u, 1.0), rates)
 
 
 def rate_profile_y(

@@ -13,8 +13,8 @@ it is log2(e s / 2), where the kernel is exactly the symmetric closed
 form.  Its domain is lam, lam' > 0 with |dtau| <= sqrt(lam lam') < inf.
 Outside it only the :func:`decoupled` point (lossless symmetric links,
 lam = lam' = 0 at dtau = 0) has a rate, R = xi log2(mu / 4)
-(:func:`decoupled_rate`).  Array callers run the kernel on whole arrays,
-each point outside the domain first moved inside it by :func:`park`.
+(:func:`decoupled_rate`).  Array callers run the kernel on whole arrays:
+:func:`park`, the domain's one array form, moves the points outside it inside.
 
 The kernel and the formulas around it take and return numpy arrays only,
 so that lattices of links broadcast.  The single-point API converts once,
@@ -109,11 +109,15 @@ def in_domain(tau_a, tau_b, lam, lam_prime, out=None):
     return (lam > 0.0) & (s2 > 0.0) & (s2 >= floor * floor) & (s2 < math.inf)
 
 
-def park(tau_a, tau_b, lam, lam_prime, off):
-    """lam = lam' = |dtau| + 1 in place where ``off`` holds: inside :func:`in_domain`,
-    with nu >= 1 and a finite chi; the caller masks the kernel's rates there."""
+def park(tau_a, tau_b, lam, lam_prime, ok=True, out=None):
+    """The kernel's domain on arrays: ``off = ~(ok & in_domain)``, returned for the
+    caller to mask the kernel's rates, with lam = lam' = |dtau| + 1 set there in
+    place (in the domain, nu >= 1, chi finite).  ``out``: in_domain's float array."""
+    off = in_domain(tau_a, tau_b, lam, lam_prime, out)
+    np.invert(np.logical_and(off, ok, out=off), out=off)
     for x in (lam, lam_prime):
         np.copyto(x, abs(tau_a - tau_b) + 1.0, where=off)
+    return off
 
 
 def decoupled(tau_a, tau_b, lam, lam_prime):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import DomainError, LinkPair, ProtocolParams, bisector_lam, chi_equivalent
 from .core import excess_chi, require, require_count, require_omega, require_unit
-from .keyrate import KeyRateReport, in_domain, min_thermal_noise, park, rate_kernel
+from .keyrate import KeyRateReport, min_thermal_noise, park, rate_kernel
 from .keyrate import key_rate_min_chi, key_rate_min_thermal
 
 BLOCK = 4096
@@ -161,11 +161,10 @@ def _eval_cells(
         cells = slice(start, start + BLOCK)
         ta, tb = tau_a[cells], tau_b[cells]
         lam, chi[cells] = knowledge.noise(protocol, ta, tb)
-        ok = in_domain(ta, tb, lam, lam)
-        park(ta, tb, lam, lam, ~ok)
+        off = park(ta, tb, lam, lam)
         kernel = rate_kernel(protocol.mu, protocol.xi, ta, tb, lam, lam, chi[cells])[0]
-        np.copyto(rate[cells], kernel, where=ok)
-        for k in (start + np.flatnonzero(~ok)).tolist():
+        np.copyto(rate[cells], kernel, where=~off)
+        for k in (start + np.flatnonzero(off)).tolist():
             link = LinkPair(float(tau_a[k]), float(tau_b[k]))
             try:
                 report = knowledge.report(protocol, link)

@@ -40,6 +40,8 @@ from cvmdi.attack import (
     _profiles,
     _thermal_profiles,
 )
+from cvmdi.core import effective_noise
+from cvmdi.keyrate import in_domain
 
 FAST_GRID = AttackGrid(n=101, refine_n=201)
 
@@ -411,6 +413,8 @@ class TestGridRatesMatchKeyRate:
         (LinkPair(0.85, 0.55), (2.0, 2.0), 52),  # all of them nonphysical
         (LinkPair(0.9, 0.3), (4.0, 4.0), 0),
         (LinkPair(0.999, 0.2), (1e8, 5.0), 0),
+        # lossless: lam = lam' = 0 everywhere, outside in_domain but decoupled
+        (LinkPair(1.0, 1.0), (2.0, 3.0), 41 * 41),
     ], ids=str)
     def test_every_point_equals_key_rate(self, link, omegas, n_inadmissible, workspace):
         protocol, (wa, wb) = ProtocolParams(), omegas
@@ -421,17 +425,19 @@ class TestGridRatesMatchKeyRate:
         want = np.empty(g.size)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rates, phys, adm = _grid_rates(protocol, link.tau_a, link.tau_b, wa, wb,
-                                           g, gp, work)
+            rates, phys, rated = _grid_rates(protocol, link.tau_a, link.tau_b, wa, wb,
+                                             g, gp, work)
             for k, ancilla in enumerate(AncillaState(wa, wb, *x) for x in zip(g, gp)):
                 try:
                     want[k] = key_rate(protocol, link, ancilla).rate
                 except DomainError:
                     want[k] = math.inf
         assert np.array_equal(rates.view(np.int64), want.view(np.int64))
-        assert np.array_equal(np.isinf(rates), ~(phys & adm))
-        assert (~phys).sum() > 100 and (phys & adm).sum() > 100
-        assert (~adm).sum() == n_inadmissible
+        assert np.array_equal(np.isinf(rates), ~rated)
+        assert (~phys).sum() > 100 and rated.sum() > 100
+        assert (phys & ~rated).sum() == 0
+        lam, lam_prime = effective_noise(link.tau_a, link.tau_b, wa, wb, g, gp)
+        assert (~in_domain(link.tau_a, link.tau_b, lam, lam_prime)).sum() == n_inadmissible
 
 
 def _seeded_cases(count, seed=15):
@@ -680,6 +686,7 @@ class TestArrayPathsSkipSinglePointReports:
         (LinkPair(0.9, 0.7), (2.0, 2.0)),
         (LinkPair(0.8, 0.8), (1.3, 2.5)),
         (LinkPair(0.6, 0.95), (3.0, 1.5)),
+        (LinkPair(1.0, 1.0), (2.0, 3.0)),  # lossless: every physical point decoupled
     ])
     def test_min_rate_brute_reports_once(self, monkeypatch, link, omegas):
         protocol = ProtocolParams()

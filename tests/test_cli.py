@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -192,9 +193,10 @@ class TestDeterminism:
 
 
 # stdout of the README attack-opt, of small-grid certificates at the edges
-# (xi 0.5 and 1.0, omega 1e76, symmetric links, tau_a = 1, one run with no
-# admissible point) and of a rate per knowledge mode, recorded before the
-# shared formulas were rewritten in place: they must not move by a bit
+# (xi 0.5 and 1.0, omega 1e76, symmetric links, tau_a = 1, a lossless link)
+# and of a rate per knowledge mode, recorded before the shared formulas were
+# rewritten in place: they must not move by a bit.  The lossless certificate,
+# which exited 1 until lattices rated decoupled points, was recorded after
 GOLDEN = [
     ('attack-opt --tau-a 0.9 --tau-b 0.7 --omega-a 2 --omega-b 2', 0,
      '{"g_star": -1.732, "g_prime_star": 1.732, '
@@ -263,8 +265,12 @@ GOLDEN = [
      '"gap": 0.0, "g_max": 0.0, "gmax_distance": 0.0, "cell_size": 2.0, '
      '"n_evaluated": 2, "n_skipped": 0}\n'),
     ('attack-opt --tau-a 1 --tau-b 1 --omega-a 2 --omega-b 2 --grid-n 11 '
-     '--refine-n 21', 1,
-     ''),
+     '--refine-n 21', 0,
+     '{"g_star": -1.7000000000000002, "g_prime_star": 1.7000000000000002, '
+     '"rate_star": 3.8128152174359995, "bisector_distance": 0.0, '
+     '"analytic_rate": 3.8128152174359995, "gap": 0.0, '
+     '"g_max": 1.7320508075688772, "gmax_distance": 0.032050807568877016, '
+     '"cell_size": 0.06000000000000005, "n_evaluated": 291, "n_skipped": 0}\n'),
     ('rate --tau-a 0.98 --tau-b 0.6', 0,
      '{"tau_a": 0.98, "tau_b": 0.6, "xi": 0.97, "phi": 60.0, "epsilon": 0.01, '
      '"knowledge": "chi", "chi": 5.384149659863946, "rate": 0.3793921919588146, '
@@ -488,6 +494,30 @@ class TestAttackOpt:
         assert payload["bisector_distance"] <= 2.0 * payload["cell_size"]
         assert payload["n_evaluated"] > 0
 
+    @pytest.mark.parametrize("argv", [
+        ("--omega-a", "1", "--omega-b", "1", "--grid-n", "5", "--refine-n", "5"),
+        ("--omega-a", "2", "--omega-b", "3"),
+    ], ids=" ".join)
+    def test_lossless_link_certifies_the_decoupled_rate(self, capsys, argv):
+        # on tau_a = tau_b = 1 every physical ancilla leaves lam = lam' = 0,
+        # the decoupled point, so every one of them has the rate of `rate`
+        link = ("--tau-a", "1", "--tau-b", "1")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(capsys, "attack-opt", *link, *argv)
+            assert code == 0
+            rate = json.loads(run_cli(capsys, "rate", *link, "--knowledge", "thermal",
+                                      *argv[:4])[1])["rate"]
+        payload = json.loads(out)
+        assert payload["rate_star"] == payload["analytic_rate"] == rate == 3.8128152174359995
+        assert payload["gap"] == 0.0 and payload["n_skipped"] == 0
+        if argv[1] == "1":  # vacuum ancillas: only (0, 0) is physical, once per level
+            assert out == (
+                '{"g_star": 0.0, "g_prime_star": -0.0, "rate_star": 3.8128152174359995, '
+                '"bisector_distance": 0.0, "analytic_rate": 3.8128152174359995, '
+                '"gap": 0.0, "g_max": 0.0, "gmax_distance": 0.0, "cell_size": 0.5, '
+                '"n_evaluated": 2, "n_skipped": 0}\n')
+
     def test_even_grid_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "attack-opt", "--tau-a", "0.9", "--tau-b", "0.7",
@@ -661,8 +691,6 @@ class TestParameterErrors:
 
     @pytest.mark.parametrize("argv", [
         ("relay-scan", "--total", "1.0", "--epsilon", "0"),
-        ("attack-opt", "--tau-a", "1", "--tau-b", "1", "--omega-a", "1",
-         "--omega-b", "1", "--grid-n", "5", "--refine-n", "5"),
         # beta / alpha of admissible transmissivities is not finite: these
         # died with a ZeroDivisionError traceback, or warned first
         ("rate", "--tau-a", "1e-300", "--tau-b", "1e-300"),

@@ -531,15 +531,18 @@ class TestPark:
         return ta, tb, lam, lam_prime
 
     def test_moves_only_the_off_points_into_the_domain(self):
-        ta, tb, lam, lam_prime = self.block()
-        off = ~in_domain(ta, tb, lam, lam_prime)
-        assert 10 < off.sum() < 54
-        before = lam.copy(), lam_prime.copy()
-        park(ta, tb, lam, lam_prime, off)
-        for now, was in zip((lam, lam_prime), before):
-            assert np.array_equal(now[~off].view(np.int64), was[~off].view(np.int64))
-            assert np.array_equal(now[off], np.abs(ta - tb)[off] + 1.0)
-        assert in_domain(ta, tb, lam, lam_prime).all()
+        # park returns off = ~(ok & in_domain), for ok = True and for a mask
+        for ok in (True, np.random.default_rng(25).random(64) < 0.7):
+            ta, tb, lam, lam_prime = self.block()
+            want = ~(ok & in_domain(ta, tb, lam, lam_prime))
+            assert 10 < want.sum() < 54
+            before = lam.copy(), lam_prime.copy()
+            off = park(ta, tb, lam, lam_prime, ok)
+            assert np.array_equal(off, want)
+            for now, was in zip((lam, lam_prime), before):
+                assert np.array_equal(now[~off].view(np.int64), was[~off].view(np.int64))
+                assert np.array_equal(now[off], np.abs(ta - tb)[off] + 1.0)
+            assert in_domain(ta, tb, lam, lam_prime).all()
 
     @pytest.mark.parametrize("taus", ["arrays", "floats"])
     def test_kernel_on_a_parked_block_raises_no_warning(self, taus):
@@ -548,7 +551,7 @@ class TestPark:
             ta, tb = 0.9, 0.6
         with pytest.warns(RuntimeWarning):  # the overflowed point alone, unparked
             rate_kernel(61.0, 0.97, 0.9, 0.6, lam[:1], lam_prime[:1], np.array([5.0]))
-        park(ta, tb, lam, lam_prime, ~in_domain(ta, tb, lam, lam_prime))
+        park(ta, tb, lam, lam_prime)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             chi = equivalent_chi(ta, tb, lam, lam_prime)

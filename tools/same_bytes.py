@@ -38,6 +38,11 @@ EDGES = (
     "sweep --epsilon 0 --format json",
     "sweep --knowledge thermal --omega-a 1e76 --omega-b 1e76 --steps-a 11 --steps-b 11"
     " --format json",
+    # the decoupled point of a lossless link, which the thermal sweep above
+    # meets at its (1, 1) corner: the single point, a relay contour of it
+    # and the certificate
+    "rate --tau-a 1 --tau-b 1 --knowledge thermal --omega-a 2 --omega-b 3",
+    "relay-scan --total 1 --knowledge thermal --omega-a 2 --omega-b 3 --format json",
     "attack-opt --tau-a 1 --tau-b 1 --omega-a 2 --omega-b 3",
     "attack-opt --tau-a 1 --tau-b 0.7 --omega-a 2 --omega-b 3",
     "verify --seed 3",
