@@ -268,6 +268,7 @@ def check_self_alignment(trials: int = 10000, seed: int = 0) -> AlignmentReport:
     Alice, then for Bob.
     """
     require_count("trials", trials, 1)
+    require_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     max_err = 0.0
     control_failures = 0

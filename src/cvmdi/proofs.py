@@ -10,7 +10,8 @@ positivity of p'(y), the region classification of the nu1/nu2 crossing,
 and monotone decrease of the rate in the effective noise lam.  Results
 hold the sampled traces, rows x samples, with each row's sample count or
 mask, and per-row margins and verdicts; ``protocol.xi`` may be a column
-of one xi per row.
+of one xi per row.  The suite reads its scenarios, in order, from one
+seeded stream of uniform doubles.
 
 Strict inequalities are tested with slack ``STRICT_SLACK`` so rounding at
 non-strict boundary points does not fail a verdict; the margins themselves
@@ -20,6 +21,7 @@ are reported so callers can see how far from zero the checks sit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -48,6 +50,9 @@ STRICT_SLACK = 1e-10
 
 REGION_SAMPLES = 65
 """Grid points of the region classification, in the suite whatever its ``samples``."""
+
+READ_SIZE = 256
+"""Doubles the suite's reader takes from its generator in one read."""
 
 
 class _Probe:
@@ -317,26 +322,31 @@ def verify_lambda_minimization(
     return LambdaProbe(lams, h_part, rate, worst)
 
 
-def _draw_asym_link(rng: np.random.Generator) -> tuple[float, float]:
-    """(tau_a, tau_b) uniform in [0.3, 0.999), redrawn until |dtau| >= 0.02."""
+def _uniforms(rng: np.random.Generator):
+    """The uniform [0, 1) doubles of ``rng``'s stream as Python floats, in
+    stream order, read ``READ_SIZE`` at a time: scaled as lo + (hi - lo) u,
+    each is the number one ``rng.uniform(lo, hi)`` call would draw there."""
     while True:
-        ta, tb = rng.uniform(0.3, 0.999, size=2)
-        if abs(ta - tb) >= 0.02:
-            return ta, tb
+        yield from rng.random(READ_SIZE).tolist()
 
 
-def _draw_links(rng, scenarios: int, sym_hi: float | None, *ranges):
-    """(tau_a, tau_b, one array per (lo, hi) in ``ranges``), drawn per
-    scenario in this order: a link, then one uniform draw per range.  The
-    link is symmetric, tau uniform in [0.55, sym_hi), on even scenarios if
-    ``sym_hi`` is given, and from :func:`_draw_asym_link` otherwise."""
-    rows = np.empty((scenarios, 2 + len(ranges)))
-    for i, row in enumerate(rows):
+def _draw_links(stream, scenarios: int, sym_hi: float | None, *ranges):
+    """(tau_a, tau_b, one array per (lo, hi) in ``ranges``), read from the
+    doubles ``stream`` per scenario in this order: a link, then one number per
+    range.  The link is symmetric, tau uniform in [0.55, sym_hi), on even
+    scenarios if ``sym_hi`` is given; otherwise (tau_a, tau_b) is uniform
+    in [0.3, 0.999), redrawn as a pair until |dtau| >= 0.02."""
+    lo, span, rows = 0.3, 0.999 - 0.3, []
+    for i in range(scenarios):
         if sym_hi is not None and i % 2 == 0:
-            row[:2] = rng.uniform(0.55, sym_hi)
+            ta = tb = 0.55 + (sym_hi - 0.55) * next(stream)
         else:
-            row[:2] = _draw_asym_link(rng)
-        row[2:] = rng.random(len(ranges))
+            while True:
+                ta, tb = lo + span * next(stream), lo + span * next(stream)
+                if abs(ta - tb) >= 0.02:
+                    break
+        rows.append((ta, tb, *islice(stream, len(ranges))))
+    rows = np.array(rows)
     return (*rows[:, :2].T, *uniform_rows(rows[:, 2:], *ranges))
 
 
@@ -347,40 +357,41 @@ def _summary(probe: _Probe) -> dict:
             "worst_margin": float(probe.worst_margin.min()), "pass": failures == 0}
 
 
-def _monotone_thermal_check(rng, protocol: ProtocolParams, samples: int) -> dict:
+def _monotone_thermal_check(stream, protocol: ProtocolParams, samples: int) -> dict:
     """Fixed thermal noise: symmetric links, random bisector slice."""
-    tau, wa, wb, u = uniform_rows(rng.random((protocol.xi.size, 4)),
+    n = protocol.xi.size
+    tau, wa, wb, u = uniform_rows(np.fromiter(islice(stream, 4 * n), float).reshape(n, 4),
                                   (0.55, 0.95), (1.1, 5.0), (1.1, 5.0), (-0.85, 0.5))
     probe = verify_monotone_thermal(protocol, tau, tau, wa, wb, u * g_max(wa, wb), samples)
     return _summary(probe)
 
 
-def _monotone_chi_check(rng, protocol: ProtocolParams, samples: int) -> dict:
+def _monotone_chi_check(stream, protocol: ProtocolParams, samples: int) -> dict:
     """Fixed equivalent noise, alternating symmetric/asymmetric links."""
-    ta, tb, epsilon = _draw_links(rng, protocol.xi.size, 0.999, (0.01, 0.8))
+    ta, tb, epsilon = _draw_links(stream, protocol.xi.size, 0.999, (0.01, 0.8))
     return _summary(verify_monotone_chi(protocol, ta, tb, excess_chi(ta, tb, epsilon), samples))
 
 
-def _p_prime_check(rng, scenarios: int, samples: int) -> dict:
+def _p_prime_check(stream, scenarios: int, samples: int) -> dict:
     """p'(y) positivity on asymmetric links."""
-    ta, tb, epsilon = _draw_links(rng, scenarios, None, (0.01, 1.0))
+    ta, tb, epsilon = _draw_links(stream, scenarios, None, (0.01, 1.0))
     return _summary(verify_p_prime_positive(ta, tb, excess_chi(ta, tb, epsilon), samples))
 
 
-def _lambda_check(rng, protocol: ProtocolParams, samples: int) -> dict:
+def _lambda_check(stream, protocol: ProtocolParams, samples: int) -> dict:
     """Minimization over lam, alternating symmetric/asymmetric links; the
     lam endpoint is the worst-case noise lam_opt of a random thermal
     environment."""
-    ta, tb, wa, wb = _draw_links(rng, protocol.xi.size, 0.95, (1.1, 5.0), (1.1, 5.0))
+    ta, tb, wa, wb = _draw_links(stream, protocol.xi.size, 0.95, (1.1, 5.0), (1.1, 5.0))
     dt = abs(ta - tb)
     lam_opt = min_thermal_noise(ta, tb, wa, wb)[0]
     lam_opt = np.where(lam_opt <= dt + 2e-9, dt + 0.5, lam_opt)
     return _summary(verify_lambda_minimization(protocol, ta, tb, lam_opt, samples))
 
 
-def _region_check(rng, scenarios: int) -> dict:
+def _region_check(stream, scenarios: int) -> dict:
     """nu1/nu2 region classification on asymmetric links."""
-    ta, tb, factor = _draw_links(rng, scenarios, None, (1.05, 4.0))
+    ta, tb, factor = _draw_links(stream, scenarios, None, (1.05, 4.0))
     chi = (ta + tb) ** 2 / (ta * tb) * factor
     failures = int((~classify_nu_regions(ta, tb, chi, REGION_SAMPLES).agree).sum())
     return {"scenarios": scenarios, "samples": REGION_SAMPLES, "failures": failures,
@@ -399,19 +410,23 @@ def run_verification_suite(
     column, 1 on even scenarios and 0.97 on odd ones, at phi = 60.
     ``samples`` (integer >= 2) sets every check but the region
     classification, which runs ``REGION_SAMPLES`` and reports them as its
-    entry's ``samples``; ``scenarios`` must be an integer >= 1.
+    entry's ``samples``; ``scenarios`` must be an integer >= 1.  ``seed``
+    (integer >= 0) seeds the suite's own generator, whose doubles the checks
+    take in turn from one :func:`_uniforms` reader: the numbers of one
+    ``rng.uniform`` call per quantity and scenario, as no one else draws.
     """
+    require_count("seed", seed, 0)
     require_count("scenarios", scenarios, 1)
     require_count("samples", samples, 2)
-    rng = np.random.default_rng(seed)
+    stream = _uniforms(np.random.default_rng(seed))
     xi = np.where(np.arange(scenarios) % 2, 0.97, 1.0)[:, None]
     protocol = ProtocolParams(xi=xi, phi=60.0, epsilon=0.01)
     checks = {
-        "monotone_thermal": _monotone_thermal_check(rng, protocol, samples),
-        "monotone_chi": _monotone_chi_check(rng, protocol, samples),
-        "p_prime_positive": _p_prime_check(rng, scenarios, samples),
-        "lambda_minimization": _lambda_check(rng, protocol, samples),
-        "classify_nu_regions": _region_check(rng, scenarios),
+        "monotone_thermal": _monotone_thermal_check(stream, protocol, samples),
+        "monotone_chi": _monotone_chi_check(stream, protocol, samples),
+        "p_prime_positive": _p_prime_check(stream, scenarios, samples),
+        "lambda_minimization": _lambda_check(stream, protocol, samples),
+        "classify_nu_regions": _region_check(stream, scenarios),
     }
     return {
         "seed": seed,

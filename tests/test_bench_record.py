@@ -3,6 +3,7 @@ checked on the committed records and on a record assembled from stub runs."""
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,9 +40,14 @@ def check_schema(record: dict) -> None:
         check_cli(record["cli"], record["pr"])
     assert isinstance(record["pr"], int) and isinstance(record["src_lines"], int)
     host = record["host"]
-    assert set(host) == {"nproc", "python", "numpy"}
+    # from BENCH_26 on the cli children import a compiled copy of src
+    bytecode = {"dont_write_bytecode", "cli_bytecode"} if record["pr"] >= 26 else set()
+    assert set(host) == {"nproc", "python", "numpy"} | bytecode
     assert isinstance(host["nproc"], int) and host["nproc"] >= 1
     assert all(isinstance(host[k], str) for k in ("python", "numpy"))
+    if bytecode:
+        assert isinstance(host["dont_write_bytecode"], bool)
+        assert host["cli_bytecode"] == "compiled copy of src"
     assert set(record["settings"]) == {"seed", "seconds"}
     assert set(record["workloads"]) == {"surface", "attack", "certify"}
     for runs in record["workloads"].values():
@@ -105,7 +111,7 @@ def test_record_keeps_each_run_unchanged():
         calls.append((workload, seed, seconds, trace))
         return _result(workload, trace)
 
-    record = bench_record.record(20, ROOT, 3, 0.5, run=run, cli=_cli)
+    record = bench_record.record(26, ROOT, 3, 0.5, run=run, cli=_cli)
     check_schema(record)
     assert record["cli"] == _cli(ROOT)
     assert sorted(calls) == sorted((w, 3, 0.5, t) for w in ("surface", "attack", "certify")
@@ -148,3 +154,20 @@ def test_time_child_runs_on_the_checkout(tmp_path):
     with pytest.raises(RuntimeError, match="exited 3: boom"):
         bench_record.time_child(
             tmp_path, tmp_path, ["-c", "import sys; print('boom', file=sys.stderr); sys.exit(3)"])
+
+
+def test_compiled_copy_leaves_the_checkout_as_it_was(tmp_path):
+    checkout, build = tmp_path / "checkout", tmp_path / "build"
+    (checkout / "src" / "pkg").mkdir(parents=True)
+    (checkout / "src" / "pkg" / "__init__.py").write_text("X = 1\n")
+    (checkout / "src" / "probe.py").write_text("import pkg\n")
+    build.mkdir()
+    assert bench_record.compiled_copy(checkout, build) == build
+    assert sorted(p.name for p in (build / "src").rglob("*.pyc")) == [
+        f"{name}.{sys.implementation.cache_tag}.pyc" for name in ("__init__", "probe")]
+    assert not list((checkout / "src").rglob("__pycache__"))
+    timing = bench_record.time_child(build, tmp_path, ["-c", "import probe"])
+    assert timing["s"] > 0.0
+    (checkout / "src" / "broken.py").write_text("def\n")
+    with pytest.raises(RuntimeError, match="does not compile"):
+        bench_record.compiled_copy(checkout, tmp_path / "again")

@@ -625,6 +625,8 @@ REJECTED = [
     (("verify", "--scenarios", "0"), "--scenarios"),
     (("verify", "--samples", "1"), "--samples"),
     (("optics-sim", "--trials", "0"), "--trials"),
+    (("verify", "--seed", "-1"), "--seed"),
+    (("optics-sim", "--seed", "-1"), "--seed"),
     # non-finite values that a range check written in accepting form rejects
     (RATE + ("--xi", "nan"), "--xi"),
     (("rate", "--tau-a", "nan", "--tau-b", "0.8"), "--tau-a"),

@@ -351,6 +351,31 @@ class TestVerificationSuite:
         assert a == b
 
 
+def draw_asym_link(rng):
+    """(tau_a, tau_b) uniform in [0.3, 0.999), redrawn until |dtau| >= 0.02:
+    the suite's asymmetric link as ``rng.uniform`` calls."""
+    while True:
+        ta, tb = rng.uniform(0.3, 0.999, size=2)
+        if abs(ta - tb) >= 0.02:
+            return ta, tb
+
+
+def draw_links(rng, scenarios, sym_hi, *ranges):
+    """The suite's link draws as one ``rng.uniform`` call per number:
+    (tau_a, tau_b, one array per (lo, hi) in ``ranges``), drawn per scenario
+    in this order: a link, then one number per range.  The link is
+    symmetric, tau uniform in [0.55, sym_hi), on even scenarios if
+    ``sym_hi`` is given, and from :func:`draw_asym_link` otherwise."""
+    rows = []
+    for i in range(scenarios):
+        if sym_hi is not None and i % 2 == 0:
+            link = (rng.uniform(0.55, sym_hi),) * 2
+        else:
+            link = draw_asym_link(rng)
+        rows.append((*link, *(rng.uniform(lo, hi) for lo, hi in ranges)))
+    return tuple(np.array(rows).T)
+
+
 def reference_suite(seed=7, scenarios=100, samples=200):
     """The suite as one one-row verifier call per scenario: the
     per-scenario loop the batched suite replaced."""
@@ -383,7 +408,7 @@ def reference_suite(seed=7, scenarios=100, samples=200):
             tau = rng.uniform(0.55, 0.999)
             link = LinkPair(tau, tau)
         else:
-            link = LinkPair(*proofs._draw_asym_link(rng))
+            link = LinkPair(*draw_asym_link(rng))
         chi = chi_equivalent(link, rng.uniform(0.01, 0.8))
         probe = verify_monotone_chi(protocol, *row(link, chi), samples=samples)
         worst = min(worst, probe.worst_margin[0])
@@ -392,7 +417,7 @@ def reference_suite(seed=7, scenarios=100, samples=200):
 
     worst, failures = math.inf, 0
     for i in range(scenarios):
-        link = LinkPair(*proofs._draw_asym_link(rng))
+        link = LinkPair(*draw_asym_link(rng))
         chi = chi_equivalent(link, rng.uniform(0.01, 1.0))
         probe = verify_p_prime_positive(*row(link, chi), samples=samples)
         worst = min(worst, probe.worst_margin[0])
@@ -406,7 +431,7 @@ def reference_suite(seed=7, scenarios=100, samples=200):
             tau = rng.uniform(0.55, 0.95)
             link = LinkPair(tau, tau)
         else:
-            link = LinkPair(*proofs._draw_asym_link(rng))
+            link = LinkPair(*draw_asym_link(rng))
         wa, wb = rng.uniform(1.1, 5.0, size=2)
         lam_opt = min_thermal_noise(link.tau_a, link.tau_b, wa, wb)[0]
         if lam_opt <= link.delta_tau + 2e-9:
@@ -418,7 +443,7 @@ def reference_suite(seed=7, scenarios=100, samples=200):
 
     disagreements = 0
     for _ in range(scenarios):
-        link = LinkPair(*proofs._draw_asym_link(rng))
+        link = LinkPair(*draw_asym_link(rng))
         chi = (link.beta ** 2 / link.alpha) * rng.uniform(1.05, 4.0)
         disagreements += not classify_nu_regions(*row(link, chi)).agree[0]
     checks["classify_nu_regions"] = {
@@ -427,6 +452,58 @@ def reference_suite(seed=7, scenarios=100, samples=200):
     }
     return {"seed": seed, "scenarios": scenarios, "samples": samples, "checks": checks,
             "all_pass": all(c["pass"] for c in checks.values())}
+
+
+def reference_draws(seed, scenarios):
+    """Per verifier, the arrays the suite passes it, from one ``rng.uniform``
+    call per drawn number in the suite's order: the thermal check's four
+    numbers per scenario, then the links of the chi, p', lam and region
+    checks."""
+    rng = np.random.default_rng(seed)
+    tau, wa, wb, u = np.array([[rng.uniform(lo, hi) for lo, hi in (
+        (0.55, 0.95), (1.1, 5.0), (1.1, 5.0), (-0.85, 0.5))] for _ in range(scenarios)]).T
+    draws = {"verify_monotone_thermal": (tau, tau, wa, wb, u * g_max(wa, wb))}
+    ta, tb, epsilon = draw_links(rng, scenarios, 0.999, (0.01, 0.8))
+    draws["verify_monotone_chi"] = (ta, tb, excess_chi(ta, tb, epsilon))
+    ta, tb, epsilon = draw_links(rng, scenarios, None, (0.01, 1.0))
+    draws["verify_p_prime_positive"] = (ta, tb, excess_chi(ta, tb, epsilon))
+    ta, tb, wa, wb = draw_links(rng, scenarios, 0.95, (1.1, 5.0), (1.1, 5.0))
+    lam_opt = min_thermal_noise(ta, tb, wa, wb)[0]
+    dt = abs(ta - tb)
+    draws["verify_lambda_minimization"] = (ta, tb, np.where(lam_opt <= dt + 2e-9, dt + 0.5,
+                                                            lam_opt))
+    ta, tb, factor = draw_links(rng, scenarios, None, (1.05, 4.0))
+    draws["classify_nu_regions"] = (ta, tb, (ta + tb) ** 2 / (ta * tb) * factor)
+    return draws
+
+
+class TestStreamDraws:
+    @pytest.mark.parametrize("read_size", [proofs.READ_SIZE, 1])
+    @pytest.mark.parametrize("seed", [3, 7, 11, 42, 12345])
+    def test_draws_equal_per_call_reference(self, monkeypatch, seed, read_size):
+        # the suite reads its generator in blocks; a read size of 1 puts a
+        # refill between the two numbers of every asymmetric link
+        monkeypatch.setattr(proofs, "READ_SIZE", read_size)
+        got = {}
+
+        def recorded(name, verifier):
+            def call(*args):
+                got[name] = [a for a in args if isinstance(a, np.ndarray)]
+                return verifier(*args)
+            return call
+
+        for name in VERIFIERS:
+            monkeypatch.setattr(proofs, name, recorded(name, getattr(proofs, name)))
+        for scenarios in (1, 2, 3, 20, 100, 250):
+            got.clear()
+            run_verification_suite(seed, scenarios, 2)
+            want = reference_draws(seed, scenarios)
+            assert got.keys() == want.keys()
+            for name, arrays in want.items():
+                assert len(got[name]) == len(arrays), name
+                for g, w in zip(got[name], arrays):
+                    assert g.dtype == w.dtype and g.shape == w.shape == (scenarios,), name
+                    assert g.tobytes() == w.tobytes(), (name, scenarios)
 
 
 def _thermal_endpoint(xi, mu, tau, _tau_b, omega_a, omega_b, l):
@@ -550,7 +627,7 @@ class TestBatchedSuite:
                   for parity, x in enumerate((1.0, 0.97))]
         tau, wa, wb, u = rng.uniform((0.55, 1.1, 1.1, -0.85), (0.95, 5.0, 5.0, 0.5),
                                      (n, 4)).T
-        ta, tb, epsilon = proofs._draw_links(rng, n, 0.999, (0.01, 0.8))
+        ta, tb, epsilon = draw_links(rng, n, 0.999, (0.01, 0.8))
         lam_max = abs(ta - tb) + rng.uniform(0.1, 1.0, n)
         cases = [
             (verify_monotone_thermal, (tau, tau, wa, wb, u * g_max(wa, wb))),

@@ -11,21 +11,29 @@ Every run takes seed ``SEED`` and ``SECONDS`` of busy time.
 Under ``cli`` it times the ``cvmdi`` commands as a user runs them, each in
 a fresh ``python -m cvmdi.cli`` child in a temporary directory: every
 example command of the README (its ``--output`` files land in that
-directory) and the ``LARGE_SWEEPS``.  Each gets the best of ``REPEATS``
-runs of its wall time, of its peak RSS and of its minor page faults
-(``minflt``), which ``os.wait4`` reports for the child alone.  A bare
-interpreter (``interpreter``) and ``import cvmdi.cli`` (``import``,
-interpreter included) are timed the same way, so the import cost of every
-command can be read off.
+directory) and the ``LARGE_SWEEPS``.  The children import a copy of the
+checkout's ``src/`` compiled to bytecode in another temporary directory,
+so none of them compiles the package, also where
+``PYTHONDONTWRITEBYTECODE`` keeps Python from writing its caches, and the
+checkout is left as it was.  Each gets the best of ``REPEATS`` runs of its
+wall time, of its peak RSS and of its minor page faults (``minflt``),
+which ``os.wait4`` reports for the child alone.  A bare interpreter
+(``interpreter``) and ``import cvmdi.cli`` (``import``, interpreter
+included) are timed the same way, so the import cost of every command can
+be read off.
 
 Beside them the file holds the ``src/`` line count of the checkout, the
 settings, and the host: processors available (as ``nproc`` counts them),
-the Python and numpy versions.  ``--root`` defaults to the checkout this
-script lives in; point it at a second checkout to record another commit
-with the same settings.  The file goes beside this script's checkout
-either way.  Standard library only; a record takes about a minute and a
-half.  Records before ``BENCH_19.json`` are schema 1, without ``cli``;
-``minflt`` is in the ``cli`` timings from ``BENCH_20.json`` on.
+the Python and numpy versions, whether Python writes no bytecode
+(``dont_write_bytecode``) and what the ``cli`` children import
+(``cli_bytecode``, from ``BENCH_26.json`` on; before it they compiled the
+checkout's ``src/`` wherever its caches were missing).  ``--root``
+defaults to the checkout this script lives in; point it at a second
+checkout to record another commit with the same settings.  The file goes
+beside this script's checkout either way.  Standard library only; a record
+takes about a minute and a half.  Records before ``BENCH_19.json`` are
+schema 1, without ``cli``; ``minflt`` is in the ``cli`` timings from
+``BENCH_20.json`` on.
 
 The frozen benchmark's own text is stale in three places; read its
 numbers with these corrections:
@@ -45,11 +53,13 @@ numbers with these corrections:
 from __future__ import annotations
 
 import argparse
+import compileall
 import importlib.metadata
 import json
 import os
 import platform
 import shlex
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -110,16 +120,27 @@ def time_child(root: Path, cwd: Path, args: list[str]) -> dict:
             for k, key in enumerate(("s", "peak_rss_mb", "minflt"))}
 
 
+def compiled_copy(root: Path, dest: Path) -> Path:
+    """``dest``, now holding a copy of the checkout's ``src`` with every
+    module compiled to bytecode; raises if one does not compile."""
+    shutil.copytree(root / "src", dest / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    if not compileall.compile_dir(dest / "src", quiet=1):
+        raise RuntimeError(f"{root / 'src'} does not compile")
+    return dest
+
+
 def time_cli(root: Path) -> dict:
     """The ``cli`` object of a record: best-of-``REPEATS`` times and peaks
-    of the interpreter, the import and each command."""
-    with tempfile.TemporaryDirectory() as tmp:
-        cwd = Path(tmp)
+    of the interpreter, the import and each command, on a compiled copy of
+    the checkout's ``src``."""
+    with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryDirectory() as build:
+        cwd, copy = Path(tmp), compiled_copy(root, Path(build))
         return {
             "repeats": REPEATS,
-            "interpreter": time_child(root, cwd, ["-c", "pass"]),
-            "import": time_child(root, cwd, ["-c", "import cvmdi.cli"]),
-            "commands": {cmd: time_child(root, cwd, ["-m", "cvmdi.cli", *shlex.split(cmd)])
+            "interpreter": time_child(copy, cwd, ["-c", "pass"]),
+            "import": time_child(copy, cwd, ["-c", "import cvmdi.cli"]),
+            "commands": {cmd: time_child(copy, cwd, ["-m", "cvmdi.cli", *shlex.split(cmd)])
                          for cmd in [*readme_commands(root), *LARGE_SWEEPS]},
         }
 
@@ -132,7 +153,9 @@ def host() -> dict:
     affinity = getattr(os, "sched_getaffinity", None)
     nproc = len(affinity(0)) if affinity else os.cpu_count()
     return {"nproc": nproc, "python": platform.python_version(),
-            "numpy": importlib.metadata.version("numpy")}
+            "numpy": importlib.metadata.version("numpy"),
+            "dont_write_bytecode": sys.dont_write_bytecode,
+            "cli_bytecode": "compiled copy of src"}
 
 
 def record(pr: int, root: Path, seed: int, seconds: float, run, cli) -> dict:

@@ -48,6 +48,9 @@ EDGES = (
     "verify --seed 3",
     "verify --seed 7",
     "verify --seed 11",
+    # the shortest suite, and one that reads its generator in several blocks
+    "verify --seed 3 --scenarios 1 --samples 2",
+    "verify --seed 12345 --scenarios 250",
 )
 
 
