@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Machine-readable output (JSON, or CSV for sweeps) goes to stdout or the
-``--output`` file; a short human summary goes to stderr.  Exit status: 0
-on success, 1 on domain errors, on failed verdicts (``verify``,
+Each subcommand only computes: it returns its machine-readable output
+(JSON, or CSV for sweeps), a short human summary and whether its verdict
+passed.  :func:`main` alone writes the output to stdout or the
+``--output`` file, prints the summary to stderr after it, and turns the
+outcome into the exit status, the same on every subcommand: 0 on
+success, 1 on domain errors, on failed verdicts (``verify``,
 ``optics-sim``) and when the ``--output`` file cannot be written, 2 when a
-parameter fails validation, on every subcommand.
+parameter fails validation.
 Flags are checked only by the library types and entry points they reach,
 which raise :class:`cvmdi.core.ParameterError` naming the parameter; the
 front end maps that name to its flag.  Its one rule of its own is that
@@ -119,14 +122,6 @@ def _flag(name: str) -> str:
     return _FLAGS.get(name, "--" + name.replace("_", "-"))
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w") as fh:
-            fh.write(text)
-
-
 def _knowledge_from(args: argparse.Namespace):
     if args.knowledge == "thermal":
         return ThermalKnowledge(args.omega_a, args.omega_b)
@@ -136,89 +131,71 @@ def _knowledge_from(args: argparse.Namespace):
     return ChiKnowledge()
 
 
-def _cmd_rate(args: argparse.Namespace) -> int:
-    protocol = ProtocolParams(xi=args.xi, phi=args.phi, epsilon=args.epsilon)
+def _cmd_rate(args: argparse.Namespace) -> tuple[str, str, bool]:
     link = LinkPair(args.tau_a, args.tau_b)
-    report = _knowledge_from(args).report(protocol, link)
+    report = _knowledge_from(args).report(args.protocol, link)
     inputs = {name: getattr(args, name)
               for name in ("tau_a", "tau_b", "xi", "phi", "epsilon", "knowledge")}
-    _emit(json.dumps({**inputs, **vars(report)}) + "\n", args.output)
     state = "secure" if report.secure else "insecure"
-    print(f"rate {report.rate:.6f} bits/use ({state})", file=sys.stderr)
-    return 0
+    return (json.dumps({**inputs, **vars(report)}) + "\n",
+            f"rate {report.rate:.6f} bits/use ({state})", True)
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> tuple[str, str, bool]:
     config = SweepConfig(
         tau_a_range=(args.tau_a_min, args.tau_a_max),
         tau_b_range=(args.tau_b_min, args.tau_b_max),
         steps_a=args.steps_a,
         steps_b=args.steps_b,
-        protocol=ProtocolParams(xi=args.xi, phi=args.phi, epsilon=args.epsilon),
+        protocol=args.protocol,
         knowledge=_knowledge_from(args),
     )
     table = run_sweep(config)
-    _emit(export(table, args.format), args.output)
     secure = int((table.rate > 0.0).sum())
-    print(f"{len(table)} cells, {secure} secure, {len(table.errors)} errors",
-          file=sys.stderr)
-    return 0
+    return (export(table, args.format),
+            f"{len(table)} cells, {secure} secure, {len(table.errors)} errors", True)
 
 
-def _cmd_relay_scan(args: argparse.Namespace) -> int:
-    protocol = ProtocolParams(xi=args.xi, phi=args.phi, epsilon=args.epsilon)
-    scan = relay_scan(args.total, protocol, steps=args.steps,
+def _cmd_relay_scan(args: argparse.Namespace) -> tuple[str, str, bool]:
+    scan = relay_scan(args.total, args.protocol, steps=args.steps,
                       knowledge=_knowledge_from(args))
-    _emit(export(scan.records, args.format), args.output)
     best = scan.argmax
-    print(
-        f"argmax rate {best.rate:.6f} bits/use at tau_a={best.tau_a:.6f}, "
-        f"tau_b={best.tau_b:.6f}",
-        file=sys.stderr,
-    )
-    return 0
+    return (export(scan.records, args.format),
+            f"argmax rate {best.rate:.6f} bits/use at tau_a={best.tau_a:.6f}, "
+            f"tau_b={best.tau_b:.6f}", True)
 
 
-def _cmd_attack_opt(args: argparse.Namespace) -> int:
-    protocol = ProtocolParams(xi=args.xi, phi=args.phi, epsilon=args.epsilon)
+def _cmd_attack_opt(args: argparse.Namespace) -> tuple[str, str, bool]:
     link = LinkPair(args.tau_a, args.tau_b)
     report = min_rate_brute(
-        protocol, link, args.omega_a, args.omega_b,
+        args.protocol, link, args.omega_a, args.omega_b,
         AttackGrid(n=args.grid_n, refine_n=args.refine_n),
     )
-    _emit(json.dumps(vars(report)) + "\n", args.output)
-    print(
-        f"argmin at g={report.g_star:.9g}, g'={report.g_prime_star:.9g}; "
-        f"rate {report.rate_star:.6f} vs analytic {report.analytic_rate:.6f} "
-        f"(gap {report.gap:.3e})",
-        file=sys.stderr,
-    )
-    return 0
+    return (json.dumps(vars(report)) + "\n",
+            f"argmin at g={report.g_star:.9g}, g'={report.g_prime_star:.9g}; "
+            f"rate {report.rate_star:.6f} vs analytic {report.analytic_rate:.6f} "
+            f"(gap {report.gap:.3e})", True)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[str, str, bool]:
     report = run_verification_suite(
         seed=args.seed, scenarios=args.scenarios, samples=args.samples
     )
-    _emit(json.dumps(report) + "\n", args.output)
-    for name, check in report["checks"].items():
-        state = "pass" if check["pass"] else "FAIL"
-        print(f"{name}: {state} ({check['failures']} failures)", file=sys.stderr)
-    return 0 if report["all_pass"] else 1
+    summary = "\n".join(
+        f"{name}: {'pass' if check['pass'] else 'FAIL'} ({check['failures']} failures)"
+        for name, check in report["checks"].items())
+    return json.dumps(report) + "\n", summary, report["all_pass"]
 
 
-def _cmd_optics_sim(args: argparse.Namespace) -> int:
+def _cmd_optics_sim(args: argparse.Namespace) -> tuple[str, str, bool]:
     report = check_self_alignment(trials=args.trials, seed=args.seed)
-    _emit(json.dumps(vars(report)) + "\n", args.output)
     state = "pass" if report.ok else "FAIL"
-    print(
-        f"self-alignment {state}: max error {report.max_phase_error:.3e} rad, "
-        f"control fail fraction {report.control_fail_fraction:.4f}",
-        file=sys.stderr,
-    )
-    return 0 if report.ok else 1
+    return (json.dumps(vars(report)) + "\n",
+            f"self-alignment {state}: max error {report.max_phase_error:.3e} rad, "
+            f"control fail fraction {report.control_fail_fraction:.4f}", report.ok)
 
 
+# each command computes only: (output text, stderr summary, verdict passed)
 _COMMANDS = {
     "rate": _cmd_rate,
     "sweep": _cmd_sweep,
@@ -238,13 +215,22 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already reported the problem
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        if "xi" in args:  # the four commands that take the protocol flags
+            args.protocol = ProtocolParams(xi=args.xi, phi=args.phi, epsilon=args.epsilon)
+        text, summary, passed = _COMMANDS[args.command](args)
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.output, "w") as fh:
+                fh.write(text)
     except ParameterError as exc:
         print(f"error: {_flag(exc.name)} {exc.rule}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:  # a domain error, or --output not writable
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(summary, file=sys.stderr)
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -206,18 +206,13 @@ def relay_scan(
     return RelayScanReport(records=table, argmax=table[int(np.nanargmax(table.rate))])
 
 
-def _fmt_axis(values: np.ndarray, spec: str, last: list) -> list[str]:
+def _fmt_axis(values: np.ndarray, spec: str) -> list[str]:
     """``spec % x`` of each cell of a block, formatting each distinct value
-    (by bit pattern, so -0.0 is not 0.0) once.  ``last`` is the axis's
-    [distinct values, their text] of the previous block, reused when the
-    values are the same (consecutive blocks of a lattice repeat its inner
-    axis) and replaced in place otherwise."""
+    (by bit pattern, so -0.0 is not 0.0) once."""
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
     distinct, index = np.unique(bits, return_inverse=True)
-    if not np.array_equal(distinct, last[0]):
-        last[:] = distinct, np.array(
-            [spec % x for x in distinct.view(np.float64).tolist()], dtype=object)
-    return last[1][index].tolist()
+    texts = np.array([spec % x for x in distinct.view(np.float64).tolist()], dtype=object)
+    return texts[index].tolist()
 
 
 # head, row template, row separator, tail and axis spec of each format
@@ -239,14 +234,13 @@ def _block_texts(table: SweepTable, fmt: str) -> list[str]:
     marked = ~(np.isfinite(table.tau_a) & np.isfinite(table.tau_b)
                & np.isfinite(table.chi) & np.isfinite(table.rate))
     marked[list(table.errors)] = True  # once: filtering the errors per block is quadratic
-    last_a, last_b = [None, None], [None, None]
     texts = []
     for start in range(0, n, BLOCK):
         cells = slice(start, min(start + BLOCK, n))
         rows = [row] * (cells.stop - start)
         flat = [None] * (5 * len(rows))  # row-major: tau_a, tau_b, chi, rate, secure
-        flat[0::5] = _fmt_axis(table.tau_a[cells], spec, last_a)
-        flat[1::5] = _fmt_axis(table.tau_b[cells], spec, last_b)
+        flat[0::5] = _fmt_axis(table.tau_a[cells], spec)
+        flat[1::5] = _fmt_axis(table.tau_b[cells], spec)
         flat[2::5], flat[3::5] = table.chi[cells].tolist(), table.rate[cells].tolist()
         flat[4::5] = _SECURE[(table.rate[cells] > 0.0).astype(int)].tolist()
         for k in (start + np.flatnonzero(marked[cells])).tolist():

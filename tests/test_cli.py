@@ -16,7 +16,8 @@ import pytest
 
 import mp_oracle
 
-from cvmdi import ProtocolParams, ThermalKnowledge, export, relay_scan
+from cvmdi import AlignmentReport, ProtocolParams, ThermalKnowledge, export, relay_scan
+from cvmdi import run_verification_suite
 from cvmdi import cli
 from cvmdi.cli import main
 
@@ -542,6 +543,17 @@ class TestVerify:
         assert err.count("pass") == 5
 
 
+def failing_suite(**_):
+    report = run_verification_suite(seed=3, scenarios=2, samples=20)
+    report["checks"]["monotone_chi"].update({"pass": False, "failures": 1})
+    return {**report, "all_pass": False}
+
+
+def failing_alignment(**_):
+    return AlignmentReport(trials=3, seed=0, max_phase_error=1.0, passed=False,
+                           control_fail_fraction=1.0, control_passed=True)
+
+
 class TestOpticsSim:
     def test_report(self, capsys):
         code, out, _ = run_cli(capsys, "optics-sim", "--trials", "300", "--seed", "2")
@@ -552,14 +564,7 @@ class TestOpticsSim:
         assert payload["control_fail_fraction"] >= 0.99
 
     def test_failed_certificate_exit_one(self, capsys, monkeypatch):
-        import cvmdi.cli
-        from cvmdi import AlignmentReport
-
-        failing = AlignmentReport(
-            trials=3, seed=0, max_phase_error=1.0, passed=False,
-            control_fail_fraction=1.0, control_passed=True,
-        )
-        monkeypatch.setattr(cvmdi.cli, "check_self_alignment", lambda **_: failing)
+        monkeypatch.setattr(cli, "check_self_alignment", failing_alignment)
         code, out, err = run_cli(capsys, "optics-sim", "--trials", "3")
         assert code == 1
         assert json.loads(out)["passed"] is False
@@ -722,3 +727,32 @@ class TestParameterErrors:
         assert code == 1 and out == ""
         assert err.startswith("error: [Errno ") and str(tmp_path) in err
         assert sorted(tmp_path.iterdir()) == []
+
+
+class TestOutputParity:
+    # main is the one writer: --output moves the stdout bytes into the file
+    # and changes neither the exit code nor the stderr summary
+    @pytest.mark.parametrize("argv, patch, code", [
+        (RATE, None, 0),
+        (("sweep", "--steps-a", "3", "--steps-b", "4", "--format", "json"), None, 0),
+        (("relay-scan", "--total", "0.588", "--steps", "5"), None, 0),
+        (ATTACK, None, 0),
+        (("verify", "--seed", "3", "--scenarios", "2", "--samples", "20"), None, 0),
+        (("optics-sim", "--trials", "50", "--seed", "1"), None, 0),
+        (("verify",), ("run_verification_suite", failing_suite), 1),
+        (("optics-sim", "--trials", "3"), ("check_self_alignment", failing_alignment), 1),
+    ], ids=["rate", "sweep", "relay-scan", "attack-opt", "verify", "optics-sim",
+            "verify-fail", "optics-sim-fail"])
+    def test_output_file_holds_the_stdout_bytes(self, capsys, monkeypatch, tmp_path,
+                                                 argv, patch, code):
+        if patch is not None:
+            monkeypatch.setattr(cli, *patch)
+        target = tmp_path / "out.txt"
+        got, out, err = run_cli(capsys, *argv)
+        got_file, out_file, err_file = run_cli(capsys, *argv, "--output", str(target))
+        assert got == got_file == code
+        assert err_file == err and err.endswith("\n")
+        assert out_file == "" and out != ""
+        assert target.read_bytes() == out.encode()
+        if code:
+            assert "FAIL" in err

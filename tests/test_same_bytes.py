@@ -1,4 +1,4 @@
-"""tools/same_bytes.py: the CLI's bytes digest, run twice in one process."""
+"""tools/same_bytes.py: the CLI's bytes digest, run twice in one process and pinned."""
 
 import importlib.util
 import json
@@ -21,3 +21,6 @@ def test_two_runs_in_one_process_give_one_digest(monkeypatch, capsys):
     assert first == second
     # seed 1 draws 54 surface, 6 attack and 4 certify calls
     assert json.loads(first)["calls"] == 64 + len(same_bytes.EDGES)
+    # the bytes themselves: a change that moves any of them updates this
+    # pin and quotes each moved argv in CHANGES.md
+    assert json.loads(first) == {"calls": 76, "md5": "e3f3c4e5b65a27ebb99b4da3edf85272"}
