@@ -60,18 +60,15 @@ from .sweep import (
     SweepRecord,
     SweepTable,
     ThermalKnowledge,
-    distance_to_tau,
     export,
     relay_scan,
     run_sweep,
 )
 from .optics import (
     AlignmentReport,
-    BsmOutcome,
     Pulse,
     RoutingError,
     SchemeConfig,
-    bsm_measure,
     check_self_alignment,
     propagate,
 )

@@ -42,13 +42,13 @@ def _add_protocol_flags(p: argparse.ArgumentParser) -> None:
                    help="reconciliation efficiency in (0, 1] (default 0.97)")
     p.add_argument("--phi", type=float, default=60.0,
                    help="modulation variance in SNU (default 60)")
-    p.add_argument("--epsilon", type=float, default=0.01,
-                   help="excess noise in SNU (default 0.01)")
 
 
 def _add_knowledge_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--knowledge", choices=("chi", "thermal"), default="chi",
                    help="adversary knowledge model (default chi)")
+    p.add_argument("--epsilon", type=float, default=0.01,
+                   help="excess noise in SNU (chi model; default 0.01)")
     p.add_argument("--omega-a", type=float, default=None,
                    help="ancilla variance on Alice's link (thermal model)")
     p.add_argument("--omega-b", type=float, default=None,
@@ -216,7 +216,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         if "xi" in args:  # the four commands that take the protocol flags
-            args.protocol = ProtocolParams(xi=args.xi, phi=args.phi, epsilon=args.epsilon)
+            args.protocol = ProtocolParams(**{name: getattr(args, name)
+                                              for name in ("xi", "phi", "epsilon")
+                                              if name in args})
         text, summary, passed = _COMMANDS[args.command](args)
         if args.output is None:
             sys.stdout.write(text)

@@ -3,8 +3,8 @@
 Two pulses leave the relay splitter, retro-reflect off the far mirrors of
 both parties and interfere back at the relay.  Polarization is tracked as
 a discrete H/V label (the layout keeps every pulse in a definite linear
-polarization), phase as an accumulated real number and the field as a
-real gain at that phase.  No quantum noise is sampled: the attack model
+polarization) and phase as an accumulated real number; an encoding enters
+by its argument alone.  No quantum noise is sampled: the attack model
 lives in the covariance-matrix modules, while this module certifies the
 routing and the phase bookkeeping behind the drift-immunity claim.
 
@@ -23,7 +23,10 @@ Fiber drifts are static per round trip by default (slow-drift regime).
 The ``drift_rate_*`` options add a per-pass linear phase ramp, indexed by
 the pulse's segment-traversal slot (0..3), to quantify the residual error
 when that assumption is relaxed; only the differential rate between the
-two fibers survives in the relative phase.
+two fibers survives in the relative phase.  The relative phase is linear
+in the four drift inputs, so one path run per unit input gives it exactly:
+``tests/test_optics.py::TestDriftIdentity`` pins its constant pi/2 and
+its coefficients (0, 0, -4, 4) on the fiber phases and drift rates.
 """
 
 from __future__ import annotations
@@ -61,13 +64,7 @@ class RoutingError(RuntimeError):
 class Pulse:
     polarization: str
     phase: float | np.ndarray = 0.0
-    gain: float | np.ndarray = 1.0
     trace: list[str] = field(default_factory=list)
-
-    @property
-    def amplitude(self) -> complex | np.ndarray:
-        """Complex mean field: the real gain at the accumulated phase."""
-        return self.gain * np.exp(1j * self.phase)
 
 
 @dataclass(frozen=True)
@@ -90,13 +87,6 @@ class SchemeConfig:
             encoding = getattr(self, name)
             require(np.isfinite(encoding) & (abs(encoding) > 0.0), name,
                     "be a finite nonzero mean field", encoding)
-
-
-@dataclass(frozen=True)
-class BsmOutcome:
-    x_minus: float
-    p_plus: float
-    gamma: complex
 
 
 @dataclass(frozen=True)
@@ -143,7 +133,6 @@ class Encoder:
 
     def apply(self, pulse: Pulse) -> None:
         pulse.phase += self.extra_phase + np.angle(self.value)
-        pulse.gain *= np.abs(self.value)
         pulse.trace.append(self.name)
 
 
@@ -226,16 +215,6 @@ def relative_phase(left: Pulse, right: Pulse):
 def expected_relative_phase(config: SchemeConfig):
     enc_a, enc_b = config.alice_encoding, config.bob_encoding
     return _wrap(BOB_EXTRA_PHASE + np.angle(enc_b) - np.angle(enc_a))
-
-
-def bsm_measure(alpha_a: complex, alpha_b: complex) -> BsmOutcome:
-    """Dual-homodyne mean values: x- = (x_A - x_B)/sqrt(2),
-    p+ = (p_A + p_B)/sqrt(2), gamma = (x- + i p+)/sqrt(2)."""
-    x_minus = (alpha_a.real - alpha_b.real) / math.sqrt(2.0)
-    p_plus = (alpha_a.imag + alpha_b.imag) / math.sqrt(2.0)
-    return BsmOutcome(
-        x_minus=x_minus, p_plus=p_plus, gamma=(x_minus + 1j * p_plus) / math.sqrt(2.0)
-    )
 
 
 @dataclass(frozen=True)

@@ -420,7 +420,7 @@ def run_verification_suite(
     require_count("samples", samples, 2)
     stream = _uniforms(np.random.default_rng(seed))
     xi = np.where(np.arange(scenarios) % 2, 0.97, 1.0)[:, None]
-    protocol = ProtocolParams(xi=xi, phi=60.0, epsilon=0.01)
+    protocol = ProtocolParams(xi=xi)
     checks = {
         "monotone_thermal": _monotone_thermal_check(stream, protocol, samples),
         "monotone_chi": _monotone_chi_check(stream, protocol, samples),

@@ -133,14 +133,6 @@ class RelayScanReport:
     argmax: SweepRecord
 
 
-def distance_to_tau(d_km: float, loss_db_per_km: float = 0.2) -> float:
-    """Fiber transmissivity 10^(-loss * d / 10) of d_km of fiber."""
-    require(0.0 <= d_km < math.inf, "d_km", "be finite and >= 0", d_km)
-    require(0.0 < loss_db_per_km < math.inf, "loss_db_per_km", "be finite and > 0",
-            loss_db_per_km)
-    return 10.0 ** (-loss_db_per_km * d_km / 10.0)
-
-
 def _eval_cells(
     protocol: ProtocolParams,
     knowledge: Knowledge,

@@ -7,10 +7,8 @@ import numpy as np
 import pytest
 
 from cvmdi import (
-    BsmOutcome,
     RoutingError,
     SchemeConfig,
-    bsm_measure,
     check_self_alignment,
     propagate,
 )
@@ -69,15 +67,6 @@ class TestPropagate:
         left, right = propagate(config)
         expected = math.pi / 2 + (-0.9) - 0.4
         assert relative_phase(left, right) == pytest.approx(expected, abs=1e-12)
-        assert abs(left.amplitude) == pytest.approx(2.0, rel=1e-12)
-
-    def test_phase_and_amplitude_consistent(self):
-        config = SchemeConfig(phi_fiber_a=0.7, phi_fiber_b=1.9,
-                              bob_encoding=1.5 + 0.5j)
-        left, _ = propagate(config)
-        assert cmath.phase(left.amplitude) == pytest.approx(
-            math.remainder(left.phase, 2.0 * math.pi), abs=1e-12
-        )
 
     def test_differential_drift_rate_leaks(self):
         # equal per-pass ramps still cancel; only the differential rate
@@ -161,6 +150,32 @@ class TestArmLayout:
         assert [s.name for s in steps] == [n for n in self.RIGHT if n != "fiber_a"]
 
 
+class TestDriftIdentity:
+    """The relative phase is linear in the fiber phases and drift rates:
+    one run at zero input and one per unit input give its constant and
+    coefficients exactly, for every drift, where the Monte Carlo checks
+    the drifts it draws."""
+
+    INPUTS = ("phi_fiber_a", "phi_fiber_b", "drift_rate_a", "drift_rate_b")
+
+    @staticmethod
+    def left_minus_right(skip_fiber_a, **drifts):
+        config = SchemeConfig(**drifts)
+        left = run_path(left_path(config))
+        right = run_path(right_path(config, skip_fiber_a=skip_fiber_a))
+        return left.phase - right.phase
+
+    @pytest.mark.parametrize("skip_fiber_a, coefficients", [
+        (False, [0.0, 0.0, -4.0, 4.0]),  # static drifts cancel, 4x lever on rates
+        (True, [2.0, 0.0, 1.0, 4.0]),  # the control's right arm skips fiber A
+    ], ids=["intact", "skip_fiber_a"])
+    def test_constant_and_coefficients(self, skip_fiber_a, coefficients):
+        constant = self.left_minus_right(skip_fiber_a)
+        assert constant == BOB_EXTRA_PHASE == math.pi / 2
+        assert [self.left_minus_right(skip_fiber_a, **{name: 1.0}) - constant
+                for name in self.INPUTS] == coefficients
+
+
 class TestWrap:
     def test_matches_ieee_remainder(self):
         rng = np.random.default_rng(8)
@@ -201,42 +216,6 @@ def reference_self_alignment(trials, seed):
             2.0 * math.pi))
         control_failures += broken_err > 1e-3
     return max_err, control_failures / trials
-
-
-class TestBsmMeasure:
-    def test_anticorrelated_inputs(self):
-        out = bsm_measure(1 + 2j, 1 - 2j)
-        assert out.x_minus == 0.0
-        assert out.p_plus == 0.0
-        assert out.gamma == 0.0
-
-    def test_single_arm(self):
-        alpha = 0.7 + 1.3j
-        out = bsm_measure(alpha, 0.0)
-        assert out.gamma == pytest.approx(alpha / 2.0, rel=1e-12)
-
-    def test_worked_values(self):
-        out = bsm_measure(3 + 1j, 1 + 1j)
-        assert out.x_minus == pytest.approx(math.sqrt(2.0), rel=1e-12)
-        assert out.p_plus == pytest.approx(math.sqrt(2.0), rel=1e-12)
-        assert out.gamma == pytest.approx(1 + 1j, rel=1e-12)
-
-    def test_linearity(self):
-        rng = np.random.default_rng(42)
-        for _ in range(50):
-            a1, a2, b1, b2 = (complex(*rng.normal(size=2)) for _ in range(4))
-            combined = bsm_measure(a1 + a2, b1 + b2)
-            first = bsm_measure(a1, b1)
-            second = bsm_measure(a2, b2)
-            assert combined.x_minus == pytest.approx(
-                first.x_minus + second.x_minus, rel=1e-12, abs=1e-12
-            )
-            assert combined.p_plus == pytest.approx(
-                first.p_plus + second.p_plus, rel=1e-12, abs=1e-12
-            )
-            assert combined.gamma == pytest.approx(
-                first.gamma + second.gamma, rel=1e-12, abs=1e-12
-            )
 
 
 class TestSelfAlignment:

@@ -20,7 +20,6 @@ from cvmdi import (
     chi_equivalent,
     check_self_alignment,
     classify_nu_regions,
-    distance_to_tau,
     g_max,
     physical_bounds,
     rate_profile_y,
@@ -76,8 +75,6 @@ CASES = [
     ("epsilon", lambda: chi_equivalent(LINK, 1e77)),
     ("alice_encoding", lambda: SchemeConfig(alice_encoding=0j)),
     ("bob_encoding", lambda: SchemeConfig(bob_encoding=np.array([1.0, NAN]))),
-    ("d_km", lambda: distance_to_tau(-1.0)),
-    ("loss_db_per_km", lambda: distance_to_tau(10.0, INF)),
 ]
 
 # Arrays with one inadmissible element, and counts that are not integers;
@@ -276,7 +273,6 @@ def test_admissible_edges_pass():
     SweepConfig(tau_a_range=(1.0, 1.0), steps_a=2)
     SweepConfig(steps_a=np.int64(2), steps_b=np.int32(3))
     AttackGrid(n=3, refine_n=3)
-    assert distance_to_tau(0.0) == 1.0
     assert verify_monotone_thermal(P, *rows(*THERMAL), samples=2).verdict.all()
     assert verify_monotone_chi(P, *rows(*CHI), samples=2).verdict.all()
     assert verify_p_prime_positive(*rows(*CHI), samples=2).verdict.all()

@@ -21,7 +21,6 @@ from cvmdi import (
     SweepTable,
     ThermalKnowledge,
     chi_equivalent,
-    distance_to_tau,
     export,
     key_rate_min_chi,
     key_rate_min_thermal,
@@ -74,25 +73,6 @@ def reference_export(records: list[SweepRecord], fmt: str) -> str:
         for r in records
     ]
     return json.dumps(payload) + "\n"
-
-
-class TestDistanceToTau:
-    def test_zero_distance(self):
-        assert distance_to_tau(0.0, 0.2) == 1.0
-
-    def test_ten_db(self):
-        assert distance_to_tau(50.0, 0.2) == pytest.approx(0.1, rel=1e-15)
-
-    def test_frozen(self):
-        assert distance_to_tau(15.0, 0.2) == pytest.approx(
-            0.501187233627272, rel=1e-12
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            distance_to_tau(-1.0, 0.2)
-        with pytest.raises(ValueError):
-            distance_to_tau(10.0, 0.0)
 
 
 def assert_single_point_cells(protocol, knowledge, records) -> int:
