@@ -7,7 +7,10 @@ passed.  :func:`main` alone writes the output to stdout or the
 outcome into the exit status, the same on every subcommand: 0 on
 success, 1 on domain errors, on failed verdicts (``verify``,
 ``optics-sim``) and when the ``--output`` file cannot be written, 2 when a
-parameter fails validation.
+parameter fails validation.  ``sweep`` and ``relay-scan`` hand an
+``--output`` file their table's text in pieces, which ``main`` writes
+block by block; stdout gets one ``export`` string in one write.  An
+unknown argument is reported with the usage of the subcommand it follows.
 Flags are checked only by the library types and entry points they reach,
 which raise :class:`cvmdi.core.ParameterError` naming the parameter; the
 front end maps that name to its flag.  Its one rule of its own is that
@@ -22,6 +25,7 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Iterator
 
 from .core import LinkPair, ParameterError, ProtocolParams, require
 from .attack import AttackGrid, min_rate_brute
@@ -30,11 +34,23 @@ from .optics import check_self_alignment
 from .sweep import (
     ChiKnowledge,
     SweepConfig,
+    SweepTable,
     ThermalKnowledge,
+    _block_texts,
     export,
     relay_scan,
     run_sweep,
 )
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser that reports an unknown argument with its own usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
 
 
 def _add_protocol_flags(p: argparse.ArgumentParser) -> None:
@@ -56,7 +72,7 @@ def _add_knowledge_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cvmdi",
         description="Worst-case secret-key-rate analysis for a dual-homodyne "
                     "relay protocol under correlated two-mode Gaussian attacks.",
@@ -141,7 +157,15 @@ def _cmd_rate(args: argparse.Namespace) -> tuple[str, str, bool]:
             f"rate {report.rate:.6f} bits/use ({state})", True)
 
 
-def _cmd_sweep(args: argparse.Namespace) -> tuple[str, str, bool]:
+def _table_text(args: argparse.Namespace, table: SweepTable) -> str | Iterator[str]:
+    """One export string for stdout; the pieces, for main to write block by
+    block, for an --output file."""
+    if args.output is None:
+        return export(table, args.format)
+    return _block_texts(table, args.format)
+
+
+def _cmd_sweep(args: argparse.Namespace) -> tuple[str | Iterator[str], str, bool]:
     config = SweepConfig(
         tau_a_range=(args.tau_a_min, args.tau_a_max),
         tau_b_range=(args.tau_b_min, args.tau_b_max),
@@ -152,15 +176,15 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[str, str, bool]:
     )
     table = run_sweep(config)
     secure = int((table.rate > 0.0).sum())
-    return (export(table, args.format),
+    return (_table_text(args, table),
             f"{len(table)} cells, {secure} secure, {len(table.errors)} errors", True)
 
 
-def _cmd_relay_scan(args: argparse.Namespace) -> tuple[str, str, bool]:
+def _cmd_relay_scan(args: argparse.Namespace) -> tuple[str | Iterator[str], str, bool]:
     scan = relay_scan(args.total, args.protocol, steps=args.steps,
                       knowledge=_knowledge_from(args))
     best = scan.argmax
-    return (export(scan.records, args.format),
+    return (_table_text(args, scan.records),
             f"argmax rate {best.rate:.6f} bits/use at tau_a={best.tau_a:.6f}, "
             f"tau_b={best.tau_b:.6f}", True)
 
@@ -195,7 +219,7 @@ def _cmd_optics_sim(args: argparse.Namespace) -> tuple[str, str, bool]:
             f"control fail fraction {report.control_fail_fraction:.4f}", report.ok)
 
 
-# each command computes only: (output text, stderr summary, verdict passed)
+# each command computes only: (output text or pieces, stderr summary, verdict passed)
 _COMMANDS = {
     "rate": _cmd_rate,
     "sweep": _cmd_sweep,
@@ -224,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(text)
         else:
             with open(args.output, "w") as fh:
-                fh.write(text)
+                fh.writelines([text] if isinstance(text, str) else text)
     except ParameterError as exc:
         print(f"error: {_flag(exc.name)} {exc.rule}", file=sys.stderr)
         return 2

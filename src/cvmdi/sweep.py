@@ -11,15 +11,21 @@ the single-point report of each other cell.  Cells whose rate formula is
 undefined get a NaN rate and the report's error message instead of
 aborting the sweep.  Export is CSV (9 significant digits, round-trips
 byte-identically) or JSON (``repr`` floats, as ``json.dumps`` writes): one
-``%`` operation per block over its flat fields with one row template per
-cell, the block texts joined into the one returned string.  Only rows with
-a non-finite field or an error entry format their own text.
+``%`` operation per block over its rows' tau_b, chi and rate, with one row
+template per row that already holds the row's tau_a text and secure flag.
+The rows of a run of equal tau_a (one lattice row of a sweep) share one
+false/true template pair, so each row formats only its three other fields.
+Only rows with a non-finite field or an error entry format their own text.
+The block texts come framed, one piece at a time, from ``_block_texts``:
+``export`` joins them into one string, and the CLI writes an ``--output``
+file piece by piece, so it never holds the whole text.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,60 +213,73 @@ def _fmt_axis(values: np.ndarray, spec: str) -> list[str]:
     return texts[index].tolist()
 
 
-# head, row template, row separator, tail and axis spec of each format
+# head, tau_a spec, the rest of a row with a %s for its secure flag, row
+# separator, tail and tau_b spec of each format; the tau_a spec opens a row
 _FORMATS = {
-    "csv": ("tau_a,tau_b,chi,rate,secure\n", "%s,%s,%.9g,%.9g,%s\n", "", "", "%.9g"),
-    "json": ("[", '{"tau_a": %s, "tau_b": %s, "chi": %r, "rate": %r, "secure": %s, '
-                  '"error": null}', ", ", "]\n", "%r"),
+    "csv": ("tau_a,tau_b,chi,rate,secure\n", "%.9g", ",%%s,%%.9g,%%.9g,%s\n", "", "", "%.9g"),
+    "json": ("[", '{"tau_a": %r', ', "tau_b": %%s, "chi": %%r, "rate": %%r, "secure": %s, '
+                                  '"error": null}', ", ", "]\n", "%r"),
 }
-_OWN_ROW = "%s" + "%.0s" * 4  # a row's own text; its other four fields print nothing
-_SECURE = np.array(["false", "true"], dtype=object)
+_OWN_ROW = "%s%.0s%.0s"  # a row's own text; its other two fields print nothing
 
 
-def _block_texts(table: SweepTable, fmt: str) -> list[str]:
-    """The unframed text of each block of rows: one ``%`` operation over the
-    block's flat fields with one row template per row.  Its lists die with
-    this call, so the caller's join holds only the texts."""
-    _, row, sep, _, spec = _FORMATS[fmt]
+def _block_texts(table: SweepTable, fmt: str) -> Iterator[str]:
+    """The framed pieces of a table's text, in order: the head, the text of
+    each block of rows (led by the row separator after the first block)
+    and the tail.  A block's text is one ``%`` operation over its rows'
+    tau_b, chi and rate, with one row template per row that already holds
+    the row's tau_a text and secure flag.  The rows of a run of equal tau_a
+    (by bit pattern, as ``_fmt_axis`` keys values, so -0.0 is not 0.0)
+    share one false/true template pair, built once per run and block; a run
+    is one lattice row of a sweep and one row of a relay contour.  Each
+    piece's lists die before the next piece, so a caller that writes the
+    pieces one by one holds one block's text at a time."""
     n = len(table)
+    if not n:
+        raise ValueError("no records to export")
+    if fmt not in _FORMATS:
+        raise ValueError(f"unknown export format {fmt!r}")
+    head, spec_a, rest, sep, tail, spec_b = _FORMATS[fmt]
+    ends = (rest % "false", rest % "true")
     marked = ~(np.isfinite(table.tau_a) & np.isfinite(table.tau_b)
                & np.isfinite(table.chi) & np.isfinite(table.rate))
     marked[list(table.errors)] = True  # once: filtering the errors per block is quadratic
-    texts = []
+    secure = table.rate > 0.0
+    bits = np.ascontiguousarray(table.tau_a, dtype=np.float64).view(np.int64)
+    new_run = np.ones(n, dtype=bool)
+    new_run[1:] = bits[1:] != bits[:-1]
+    yield head
     for start in range(0, n, BLOCK):
         cells = slice(start, min(start + BLOCK, n))
-        rows = [row] * (cells.stop - start)
-        flat = [None] * (5 * len(rows))  # row-major: tau_a, tau_b, chi, rate, secure
-        flat[0::5] = _fmt_axis(table.tau_a[cells], spec)
-        flat[1::5] = _fmt_axis(table.tau_b[cells], spec)
-        flat[2::5], flat[3::5] = table.chi[cells].tolist(), table.rate[cells].tolist()
-        flat[4::5] = _SECURE[(table.rate[cells] > 0.0).astype(int)].tolist()
+        runs = new_run[cells].copy()
+        runs[0] = True
+        run_texts = [spec_a % x for x in table.tau_a[start + np.flatnonzero(runs)].tolist()]
+        pairs = np.array([x + end for x in run_texts for end in ends], dtype=object)
+        rows = pairs[2 * np.cumsum(runs) - 2 + secure[cells]].tolist()
+        flat = [None] * (3 * len(rows))  # row-major: tau_b, chi, rate
+        flat[0::3] = _fmt_axis(table.tau_b[cells], spec_b)
+        flat[1::3], flat[2::3] = table.chi[cells].tolist(), table.rate[cells].tolist()
         for k in (start + np.flatnonzero(marked[cells])).tolist():
-            j = 5 * (k - start)
-            ta, tb, chi, rate, secure = flat[j:j + 5]
+            j = 3 * (k - start)
+            tb, chi, rate = flat[j:j + 3]
             chi, rate = (None if math.isnan(x) else x for x in (chi, rate))
             if fmt == "csv":
                 chi, rate = ("" if x is None else format(x, ".9g") for x in (chi, rate))
-                flat[j] = f"{ta},{tb},{chi},{rate},{secure}\n"
+                flat[j] = (f"{spec_a % float(table.tau_a[k])},{tb},{chi},{rate},"
+                           f"{'true' if secure[k] else 'false'}\n")
             else:
                 flat[j] = json.dumps(dict(
                     tau_a=float(table.tau_a[k]), tau_b=float(table.tau_b[k]), chi=chi,
-                    rate=rate, secure=secure == "true", error=table.errors.get(k)))
+                    rate=rate, secure=bool(secure[k]), error=table.errors.get(k)))
             rows[k - start] = _OWN_ROW
-        texts.append(sep.join(rows) % tuple(flat))
-    return texts
+        if start:
+            rows[0] = sep + rows[0]
+        yield sep.join(rows) % tuple(flat)
+    yield tail
 
 
 def export(table: SweepTable, fmt: str = "csv") -> str:
     """Serialize a table; CSV header is exactly `tau_a,tau_b,chi,rate,secure`
     and NaN rate/chi cells become empty fields (CSV) or nulls plus an
     `error` tag (JSON)."""
-    if not len(table):
-        raise ValueError("no records to export")
-    if fmt not in _FORMATS:
-        raise ValueError(f"unknown export format {fmt!r}")
-    head, _, sep, tail, _ = _FORMATS[fmt]
-    texts = _block_texts(table, fmt)
-    texts[0] = head + texts[0]
-    texts[-1] += tail
-    return sep.join(texts)
+    return "".join(_block_texts(table, fmt))

@@ -404,6 +404,70 @@ class TestSweepTable:
             table[15]
 
 
+def runs_table(tau_a, rate, errors=None) -> SweepTable:
+    """A table with the given tau_a and rate columns, tau_b counting up and
+    chi a constant."""
+    n = len(tau_a)
+    return SweepTable(np.array(tau_a, dtype=float), np.linspace(0.5, 0.9, n),
+                      np.full(n, 4.0), np.array(rate, dtype=float), errors or {})
+
+
+class TestRowTemplates:
+    """Each row's template holds its tau_a text and secure flag, one
+    false/true pair per run of equal tau_a; the export still matches the
+    record-per-cell reference wherever a run starts, ends or breaks."""
+
+    @pytest.mark.parametrize("make, block", [
+        # 7 is no multiple of steps_b = 5: blocks start inside lattice rows
+        (lambda: run_sweep(SweepConfig(
+            tau_a_range=(0.6, 0.9), tau_b_range=(0.5, 1.0), steps_a=4, steps_b=5,
+            protocol=FIG_PROTOCOL)), 7),
+        # the chi pole (1, 1) in the middle of the tau_a = 1 run, with
+        # secure rows on both sides of it
+        (lambda: sweep_module._eval_cells(
+            NO_EXCESS, ChiKnowledge(), np.repeat([0.9, 1.0], 5),
+            np.tile([0.8, 0.95, 1.0, 0.99, 0.85], 2)), None),
+        # NaN and non-finite fields inside runs, secure flags mixed
+        (lambda: runs_table([0.7] * 4 + [0.8] * 4, [0.5, math.nan, -0.5, 0.5,
+                                                   -0.5, math.inf, 0.5, -math.inf]), None),
+        (lambda: relay_scan(0.5, FIG_PROTOCOL, steps=21).records, None),
+        (lambda: relay_scan(0.5, FIG_PROTOCOL, steps=21, knowledge=THERMAL).records, 4),
+        (lambda: runs_table([0.8], [0.5]), None),
+        (lambda: runs_table([0.8], [math.nan], {0: "pole"}), None),
+        # -0.0 and 0.0 compare equal but print apart: each is its own run
+        (lambda: runs_table([0.0, 0.0, -0.0, -0.0, 0.0, -0.0],
+                            [0.5, -0.5, 0.5, -0.5, -0.5, 0.5]), None),
+        (lambda: runs_table([-0.0, 0.0, 0.0, -0.0], [-0.5, 0.5, -0.5, 0.5]), 3),
+    ], ids=["block-inside-run", "pole-mid-run", "nan-mid-run", "relay-chi",
+            "relay-thermal", "one-row", "one-error-row", "signed-zero-runs",
+            "signed-zero-blocks"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_export_matches_record_reference(self, monkeypatch, make, block, fmt):
+        table = make()
+        if block is not None:
+            monkeypatch.setattr(sweep_module, "BLOCK", block)
+        assert export(table, fmt) == reference_export(list(table), fmt)
+
+    def test_pole_is_mid_run(self):
+        table = sweep_module._eval_cells(NO_EXCESS, ChiKnowledge(), np.repeat([0.9, 1.0], 5),
+                                         np.tile([0.8, 0.95, 1.0, 0.99, 0.85], 2))
+        assert list(table.errors) == [7]
+        assert (table.rate[[5, 6, 8, 9]] > 0).all()
+
+    def test_pieces_are_framed_blocks(self, monkeypatch):
+        monkeypatch.setattr(sweep_module, "BLOCK", 2)
+        table = runs_table([0.7, 0.7, 0.8, 0.8, 0.9], [0.5, -0.5, 0.5, 0.5, -0.5])
+        pieces = list(sweep_module._block_texts(table, "json"))
+        assert pieces[0] == "[" and pieces[-1] == "]\n"
+        # head, three blocks of at most two rows, each after the first led
+        # by the row separator, tail
+        assert len(pieces) == 5
+        assert pieces[1].startswith('{"tau_a": 0.7, "tau_b": 0.5, ')
+        assert pieces[2].startswith(', {"tau_a": 0.8, "tau_b": 0.7, ')
+        assert pieces[3].startswith(', {"tau_a": 0.9, "tau_b": 0.9, ')
+        assert "".join(pieces) == export(table, "json")
+
+
 def boundary_table(protocol: ProtocolParams, knowledge, block: int) -> SweepTable:
     """A sweep of three blocks and five cells whose (1, 1) cells, outside
     the kernel's domain, sit at the last cell of the first block, the first
