@@ -14,9 +14,9 @@ unknown argument is reported with the usage of the subcommand it follows.
 Flags are checked only by the library types and entry points they reach,
 which raise :class:`cvmdi.core.ParameterError` naming the parameter; the
 front end maps that name to its flag.  Its one rule of its own is that
-``--omega-a``/``--omega-b`` come only with ``--knowledge thermal``, the
-one model that reads them.  Identical argv and seed produce byte-identical
-output.
+a knowledge model's flags are its fields: ``--epsilon`` comes only with
+``--knowledge chi``, ``--omega-a``/``--omega-b`` only with ``thermal``.
+Identical argv and seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def _add_protocol_flags(p: argparse.ArgumentParser) -> None:
 def _add_knowledge_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--knowledge", choices=("chi", "thermal"), default="chi",
                    help="adversary knowledge model (default chi)")
-    p.add_argument("--epsilon", type=float, default=0.01,
+    p.add_argument("--epsilon", type=float, default=None,
                    help="excess noise in SNU (chi model; default 0.01)")
     p.add_argument("--omega-a", type=float, default=None,
                    help="ancilla variance on Alice's link (thermal model)")
@@ -140,18 +140,21 @@ def _flag(name: str) -> str:
 
 def _knowledge_from(args: argparse.Namespace):
     if args.knowledge == "thermal":
-        return ThermalKnowledge(args.omega_a, args.omega_b)
-    for name in ("omega_a", "omega_b"):
-        omega = getattr(args, name)
-        require(omega is None, name, "be given only with --knowledge thermal", omega)
-    return ChiKnowledge()
+        model = ThermalKnowledge(args.omega_a, args.omega_b)
+    else:
+        model = ChiKnowledge() if args.epsilon is None else ChiKnowledge(args.epsilon)
+    for name, knowledge in (("epsilon", "chi"), ("omega_a", "thermal"), ("omega_b", "thermal")):
+        value = getattr(args, name)
+        require(knowledge == args.knowledge or value is None, name,
+                f"be given only with --knowledge {knowledge}", value)
+    return model
 
 
 def _cmd_rate(args: argparse.Namespace) -> tuple[str, str, bool]:
-    link = LinkPair(args.tau_a, args.tau_b)
-    report = _knowledge_from(args).report(args.protocol, link)
-    inputs = {name: getattr(args, name)
-              for name in ("tau_a", "tau_b", "xi", "phi", "epsilon", "knowledge")}
+    model = _knowledge_from(args)
+    report = model.report(args.protocol, LinkPair(args.tau_a, args.tau_b))
+    inputs = {"tau_a": args.tau_a, "tau_b": args.tau_b, "xi": args.xi, "phi": args.phi,
+              **vars(model), "knowledge": args.knowledge}  # a model echoes its own fields
     state = "secure" if report.secure else "insecure"
     return (json.dumps({**inputs, **vars(report)}) + "\n",
             f"rate {report.rate:.6f} bits/use ({state})", True)
@@ -240,9 +243,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         if "xi" in args:  # the four commands that take the protocol flags
-            args.protocol = ProtocolParams(**{name: getattr(args, name)
-                                              for name in ("xi", "phi", "epsilon")
-                                              if name in args})
+            args.protocol = ProtocolParams(args.xi, args.phi)
         text, summary, passed = _COMMANDS[args.command](args)
         if args.output is None:
             sys.stdout.write(text)

@@ -127,20 +127,18 @@ def require_count(name: str, value: int, least: int) -> None:
 @dataclass(frozen=True)
 class ProtocolParams:
     """Trusted-party knobs: reconciliation efficiency ``xi`` (dimensionless,
-    in (0, 1]), Gaussian modulation variance ``phi`` (SNU, > 0) and excess
-    noise ``epsilon`` (SNU, >= 0).  Defaults reproduce the reference
-    simulation parameter set.  ``xi`` may also be an array that broadcasts
-    against the rows of a batch, such as a column of one xi per scenario;
-    ``mu`` stays a float."""
+    in (0, 1]) and Gaussian modulation variance ``phi`` (SNU, > 0); the
+    adversary's noise belongs to the knowledge models of :mod:`cvmdi.sweep`.
+    Defaults reproduce the reference simulation parameter set.  ``xi`` may
+    also be an array that broadcasts against the rows of a batch, such as
+    a column of one xi per scenario; ``mu`` stays a float."""
 
     xi: float = 0.97
     phi: float = 60.0
-    epsilon: float = 0.01
 
     def __post_init__(self) -> None:
         require_unit("xi", self.xi)
         require(0.0 < self.phi < math.inf, "phi", "be finite and > 0", self.phi)
-        require_epsilon(self.epsilon)
 
     @property
     def mu(self) -> float:

@@ -5,20 +5,21 @@ outer, tau_b inner, both ascending) lattice into a :class:`SweepTable` of
 columns.  Evaluation and export both go through the cells in blocks of
 ``BLOCK``, so their working memory is a block's, not the table's; every
 step is elementwise, so the blocks change no output byte.  In each block
-the knowledge model gives the worst-case (lam, chi) of the block's links,
-which rate its in-domain cells in one kernel call on the whole block, and
-the single-point report of each other cell.  Cells whose rate formula is
-undefined get a NaN rate and the report's error message instead of
-aborting the sweep.  Export is CSV (9 significant digits, round-trips
-byte-identically) or JSON (``repr`` floats, as ``json.dumps`` writes): one
-``%`` operation per block over its rows' tau_b, chi and rate, with one row
-template per row that already holds the row's tau_a text and secure flag.
-The rows of a run of equal tau_a (one lattice row of a sweep) share one
-false/true template pair, so each row formats only its three other fields.
-Only rows with a non-finite field or an error entry format their own text.
-The block texts come framed, one piece at a time, from ``_block_texts``:
-``export`` joins them into one string, and the CLI writes an ``--output``
-file piece by piece, so it never holds the whole text.
+the knowledge model, which holds the adversary's noise parameters, gives
+the worst-case (lam, chi) of the block's links, which rate its in-domain
+cells in one kernel call on the whole block, and the single-point report
+of each other cell.  Cells whose rate formula is undefined get a NaN rate
+and the report's error message instead of aborting the sweep.  Export is
+CSV (9 significant digits, round-trips byte-identically) or JSON (``repr``
+floats, as ``json.dumps`` writes): one ``%`` operation per block over its
+rows' tau_b, chi and rate, with one row template per row that already
+holds the row's tau_a text and secure flag.  The rows of a run of equal
+tau_a (one lattice row of a sweep) share one false/true template pair, so
+each row formats only its three other fields.  Only rows with a
+non-finite field or an error entry format their own text.  The block
+texts come framed, one piece at a time, from ``_block_texts``: ``export``
+joins them into one string, and the CLI writes an ``--output`` file piece
+by piece, so it never holds the whole text.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DomainError, LinkPair, ProtocolParams, bisector_lam, chi_equivalent
-from .core import excess_chi, require, require_count, require_omega, require_unit
+from .core import excess_chi, require, require_count, require_epsilon, require_omega, require_unit
 from .keyrate import KeyRateReport, min_thermal_noise, park, rate_kernel
 from .keyrate import key_rate_min_chi, key_rate_min_thermal
 
@@ -43,16 +44,21 @@ stay this size whatever the table's."""
 
 @dataclass(frozen=True)
 class ChiKnowledge:
-    """Equivalent-noise knowledge model: chi = 2 beta / alpha + epsilon
-    per link, with epsilon taken from the protocol parameters, and lam on
-    the bisector."""
+    """Equivalent-noise knowledge model: chi = 2 beta / alpha + epsilon per
+    link, with excess noise ``epsilon`` (SNU; a float, or an array that
+    broadcasts against the links), and lam on the bisector."""
 
-    def noise(self, protocol: ProtocolParams, tau_a, tau_b):
-        chi = excess_chi(tau_a, tau_b, protocol.epsilon)
+    epsilon: float = 0.01
+
+    def __post_init__(self) -> None:
+        require_epsilon(self.epsilon)
+
+    def noise(self, tau_a, tau_b):
+        chi = excess_chi(tau_a, tau_b, self.epsilon)
         return bisector_lam(tau_a, tau_b, chi), chi
 
     def report(self, protocol: ProtocolParams, link: LinkPair) -> KeyRateReport:
-        return key_rate_min_chi(protocol, link, chi_equivalent(link, protocol.epsilon))
+        return key_rate_min_chi(protocol, link, chi_equivalent(link, self.epsilon))
 
 
 @dataclass(frozen=True)
@@ -67,7 +73,7 @@ class ThermalKnowledge:
         require_omega("omega_a", self.omega_a)
         require_omega("omega_b", self.omega_b)
 
-    def noise(self, protocol: ProtocolParams, tau_a, tau_b):
+    def noise(self, tau_a, tau_b):
         return min_thermal_noise(tau_a, tau_b, self.omega_a, self.omega_b)
 
     def report(self, protocol: ProtocolParams, link: LinkPair) -> KeyRateReport:
@@ -158,7 +164,7 @@ def _eval_cells(
     for start in range(0, len(tau_a), BLOCK):
         cells = slice(start, start + BLOCK)
         ta, tb = tau_a[cells], tau_b[cells]
-        lam, chi[cells] = knowledge.noise(protocol, ta, tb)
+        lam, chi[cells] = knowledge.noise(ta, tb)
         off = park(ta, tb, lam, lam)
         kernel = rate_kernel(protocol.mu, protocol.xi, ta, tb, lam, lam, chi[cells])[0]
         np.copyto(rate[cells], kernel, where=~off)

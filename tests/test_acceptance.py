@@ -32,7 +32,7 @@ from cvmdi import (
 )
 from test_proofs import suite_endpoint_errors
 
-FIG_PROTOCOL = ProtocolParams(xi=0.97, phi=60.0, epsilon=0.01)
+FIG_PROTOCOL = ProtocolParams(xi=0.97, phi=60.0)
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:
@@ -84,7 +84,7 @@ def test_criterion_2_minimization_certificate():
         wa, wb = rng.uniform(1.0, 10.0, size=2)
         xi = (1.0, 0.97)[i % 2]
         rep = min_rate_brute(
-            ProtocolParams(xi=xi, phi=60.0, epsilon=0.01),
+            ProtocolParams(xi=xi, phi=60.0),
             LinkPair(ta, tb), wa, wb, grid,
         )
         cell = rep.cell_size
@@ -136,7 +136,7 @@ def test_criterion_4_derived_worked_values():
     want = float(mp_oracle.rate_min_chi_asym("0.97", 61, "0.6", "0.98", mp_oracle.chi_equivalent("0.6", "0.98", "0.01")))
     checks.append(("mirror (0.6, 0.98)", got, want, -1.0881))
 
-    pure = ProtocolParams(xi=1.0, phi=60.0, epsilon=0.0)
+    pure = ProtocolParams(xi=1.0, phi=60.0)
     got = key_rate_min_thermal(pure, LinkPair(0.9, 0.9), 1.0, 1.0).rate
     want = float(mp_oracle.rate_min_thermal(1, 61, "0.9", "0.9", 1, 1))
     checks.append(("pure-loss thermal tau=0.9", got, want, 0.6536))

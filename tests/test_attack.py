@@ -271,7 +271,7 @@ def _min_rate_one_window(protocol, link, wa, wb, grid):
     return g_star, gp_star, rate, float(ax_g[1] - ax_g[0])
 
 
-_FIG = dict(phi=60.0, epsilon=0.01)
+_FIG = dict(phi=60.0)
 ZOOM_CASES = [
     (ProtocolParams(), LinkPair(0.9, 0.7), 2.0, 2.0),
     (ProtocolParams(), LinkPair(0.85, 0.55), 3.0, 1.7),

@@ -156,6 +156,16 @@ def test_time_child_runs_on_the_checkout(tmp_path):
             tmp_path, tmp_path, ["-c", "import sys; print('boom', file=sys.stderr); sys.exit(3)"])
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="Linux's ru_maxrss rules")
+def test_child_peak_excludes_the_callers(tmp_path):
+    # a child spawned directly starts at its parent's peak RSS: a bare
+    # interpreter read 179.8 MB after its caller touched 150 MB
+    ballast = b"\1" * (150 << 20)
+    timing = bench_record.time_child(tmp_path, tmp_path, ["-c", "pass"])
+    assert len(ballast) == 150 << 20
+    assert timing["peak_rss_mb"] < 50.0
+
+
 def test_compiled_copy_leaves_the_checkout_as_it_was(tmp_path):
     checkout, build = tmp_path / "checkout", tmp_path / "build"
     (checkout / "src" / "pkg").mkdir(parents=True)

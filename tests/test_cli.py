@@ -160,8 +160,12 @@ class TestRateSchema:
          "--omega-a", "1.5", "--omega-b", "2"),
     ], ids=["chi-asymmetric", "chi-symmetric", "thermal", "thermal-decoupled"])
     def test_keys_in_readme_order(self, capsys, argv):
+        # each model echoes its own fields: the chi model its epsilon, the
+        # thermal model omega_a and omega_b in epsilon's place
         keys = readme_rate_keys()
-        assert len(keys) == 13 and keys[:2] == ["tau_a", "tau_b"]
+        assert len(keys) == 13 and keys[:2] == ["tau_a", "tau_b"] and keys[4] == "epsilon"
+        if "thermal" in argv:
+            keys[4:5] = ["omega_a", "omega_b"]
         code, out, _ = run_cli(capsys, "rate", *argv)
         assert code == 0
         assert list(json.loads(out)) == keys
@@ -297,8 +301,8 @@ GOLDEN = [
      '"nu2": 4.2705882352941185, "secure": false}\n'),
     ('rate --tau-a 0.9 --tau-b 0.8 --knowledge thermal --omega-a 1.5 '
      '--omega-b 2.0', 0,
-     '{"tau_a": 0.9, "tau_b": 0.8, "xi": 0.97, "phi": 60.0, "epsilon": 0.01, '
-     '"knowledge": "thermal", "chi": 6.13041288135197, '
+     '{"tau_a": 0.9, "tau_b": 0.8, "xi": 0.97, "phi": 60.0, "omega_a": 1.5, '
+     '"omega_b": 2.0, "knowledge": "thermal", "chi": 6.13041288135197, '
      '"rate": -1.1155965034466138, "i_ab": 3.314753095323878, '
      '"i_ea": 4.330907005910776, "nu": 2.2455127018922187, '
      '"nu2": 8.964101615137753, "secure": false}\n'),
@@ -329,7 +333,7 @@ def drawn_argv(seed):
                 "--omega-b", f(rng.uniform(1.0, 10.0))]
 
     rate = [["rate", "--tau-a", "1", "--tau-b", "1", "--epsilon", "0"],
-            ["rate", "--tau-a", "1", "--tau-b", "1", "--epsilon", "0"] + thermal(),
+            ["rate", "--tau-a", "1", "--tau-b", "1"] + thermal(),
             ["rate", "--tau-a", "0.95", "--tau-b", "1e-6"],
             ["rate", "--tau-a", "1e-160", "--tau-b", "1e-160"] + thermal()]
     for k in range(40):
@@ -340,8 +344,10 @@ def drawn_argv(seed):
             tb = ta - 10.0 ** rng.uniform(-10, -3)
         if k % 10 == 3:
             ta = 1.0
-        argv = ["rate", "--tau-a", f(ta), "--tau-b", f(tb),
-                "--epsilon", f(rng.choice([0.0, 0.01, 0.3, 5.0, 1e3])),
+        # every argv draws an epsilon, so the later draws stay put; only
+        # the chi argv pass it, since --epsilon is the chi model's flag
+        epsilon = ["--epsilon", f(rng.choice([0.0, 0.01, 0.3, 5.0, 1e3]))]
+        argv = ["rate", "--tau-a", f(ta), "--tau-b", f(tb), *([] if k % 2 else epsilon),
                 "--xi", f(rng.uniform(0.5, 1.0)), "--phi", f(rng.uniform(5.0, 100.0))]
         rate.append(argv + (thermal() if k % 2 else []))
     attack = []
@@ -373,8 +379,9 @@ def drawn_argv(seed):
     for k in range(6):
         lo_a, lo_b = rng.uniform(0.05, 0.9), rng.uniform(0.05, 0.9)
         argv = ["sweep", "--tau-a-min", f(lo_a), "--tau-b-min", f(lo_b),
-                "--steps-a", str(rng.randrange(2, 20)), "--steps-b", str(rng.randrange(2, 20)),
-                "--epsilon", f(rng.choice([0.0, 0.01, 0.5])), "--format", ("csv", "json")[k % 2]]
+                "--steps-a", str(rng.randrange(2, 20)), "--steps-b", str(rng.randrange(2, 20))]
+        epsilon = ["--epsilon", f(rng.choice([0.0, 0.01, 0.5]))]  # drawn as for rate
+        argv += ([] if k % 3 == 1 else epsilon) + ["--format", ("csv", "json")[k % 2]]
         tables.append(argv + (thermal() if k % 3 == 1 else []))
     for k in range(4):
         argv = ["relay-scan", "--total", f(rng.uniform(0.05, 0.95)),
@@ -396,11 +403,13 @@ PINNED_ARGV = {
     "verify": [["verify", "--seed", seed] for seed in ("3", "7", "11")],
 }
 # md5 of code, stdout and stderr of each group's argv in order, recorded
-# before the shared formulas became arrays-only: they must not move by a byte
+# before the shared formulas became arrays-only: they must not move by a
+# byte.  rate and readme moved once since, in their thermal rate argv only,
+# when the echo's "epsilon" gave way to the thermal model's omega_a, omega_b
 PINNED_MD5 = {
     "attack-opt": "4492574fa1e7c6055885a771bf50a0a1",
-    "rate": "05e9ddfb0129f154cb75ac7cb7be2357",
-    "readme": "c7343e083a97d6feb2730315b4f9ea50",
+    "rate": "a50c344a97a52252592716b988c5b6aa",
+    "readme": "f78f498706a72fd72da5aedb19b234b9",
     "table": "9c0375525c1f25e361487e5af9fe33cd",
     "verify": "968ddcae623effa2888a9f334a81e069",
 }
@@ -623,6 +632,7 @@ REJECTED = [
     (RATE + ("--knowledge", "thermal", "--omega-a", "2"), "--omega-b"),
     (RATE + THERMAL + ("--omega-a", "0.5"), "--omega-a"),
     (RATE + THERMAL + ("--omega-b", "0.5"), "--omega-b"),
+    (RATE + THERMAL + ("--epsilon", "0.3"), "--epsilon"),
     (("sweep", "--xi", "2"), "--xi"),
     (("sweep", "--phi", "-1"), "--phi"),
     (("sweep", "--epsilon", "-1"), "--epsilon"),
@@ -633,12 +643,14 @@ REJECTED = [
     (("sweep", "--steps-b", "1"), "--steps-b"),
     (("sweep", "--knowledge", "thermal"), "--omega-a"),
     (("sweep",) + THERMAL + ("--omega-b", "0.5"), "--omega-b"),
+    (("sweep",) + THERMAL + ("--epsilon", "0.3"), "--epsilon"),
     (("relay-scan", "--total", "1.5"), "--total"),
     (("relay-scan", "--total", "0"), "--total"),
     (("relay-scan", "--total", "0.5", "--steps", "1"), "--steps"),
     (("relay-scan", "--total", "0.5", "--xi", "0"), "--xi"),
     (("relay-scan", "--total", "0.5", "--phi", "0"), "--phi"),
     (("relay-scan", "--total", "0.5", "--epsilon", "-1"), "--epsilon"),
+    (("relay-scan", "--total", "0.5") + THERMAL + ("--epsilon", "0.3"), "--epsilon"),
     (ATTACK + ("--tau-a", "0"), "--tau-a"),
     (ATTACK + ("--tau-b", "1.5"), "--tau-b"),
     (ATTACK + ("--omega-a", "0.5"), "--omega-a"),
@@ -708,6 +720,12 @@ class TestParameterErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and flag in err
+
+    def test_epsilon_under_thermal_names_the_chi_model(self, capsys):
+        # --epsilon was accepted and ignored under thermal knowledge
+        code, out, err = run_cli(capsys, *RATE, *THERMAL, "--epsilon", "0.3")
+        assert (code, out) == (2, "")
+        assert err == "error: --epsilon must be given only with --knowledge chi, got 0.3\n"
 
     def test_no_output_file_on_rejection(self, capsys, tmp_path):
         target = tmp_path / "rate.json"
@@ -866,7 +884,8 @@ EVERY_FLAG = [
     (OPTICS, "--trials", "50"), (OPTICS, "--seed", "1"),
 ]
 # JSON keys that only repeat an input, at any depth
-ECHOES = {"rate": {"tau_a", "tau_b", "xi", "phi", "epsilon", "knowledge"},
+ECHOES = {"rate": {"tau_a", "tau_b", "xi", "phi", "epsilon", "omega_a", "omega_b",
+                   "knowledge"},
           "verify": {"seed", "scenarios", "samples"}, "optics-sim": {"trials", "seed"}}
 COMMANDS = list(cli._COMMANDS)  # the six subcommands
 

@@ -15,6 +15,7 @@ import mp_oracle
 from cvmdi import core
 from cvmdi import (
     AncillaState,
+    ChiKnowledge,
     DomainError,
     LinkPair,
     NonphysicalStateError,
@@ -52,14 +53,27 @@ def ancilla_sigma(ancilla):
 
 class TestProtocolParams:
     def test_mu_definition(self):
-        assert ProtocolParams(xi=0.97, phi=60.0, epsilon=0.01).mu == 61.0
+        assert ProtocolParams(xi=0.97, phi=60.0).mu == 61.0
 
-    @pytest.mark.parametrize(
-        "kwargs", [dict(xi=0.0), dict(xi=1.2), dict(phi=0.0), dict(epsilon=-0.1)]
-    )
+    @pytest.mark.parametrize("kwargs", [dict(xi=0.0), dict(xi=1.2), dict(phi=0.0)])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ProtocolParams(**kwargs)
+
+    def test_holds_only_the_trusted_parties_knobs(self):
+        # the adversary's excess noise is the chi knowledge model's field
+        assert list(vars(ProtocolParams())) == ["xi", "phi"]
+        with pytest.raises(TypeError):
+            ProtocolParams(epsilon=0.01)
+
+
+class TestChiKnowledge:
+    def test_default_epsilon(self):
+        assert ChiKnowledge().epsilon == 0.01
+
+    def test_invalid(self):
+        with pytest.raises(ValueError):
+            ChiKnowledge(epsilon=-0.1)
 
 
 class TestLinkPair:

@@ -33,7 +33,7 @@ from cvmdi import (
 from cvmdi.core import OMEGA_MAX, bisector_lam, equivalent_chi
 from cvmdi.keyrate import KeyRateReport, in_domain, min_thermal_noise, park, rate_kernel
 
-FIG_PROTOCOL = ProtocolParams(xi=0.97, phi=60.0, epsilon=0.01)
+FIG_PROTOCOL = ProtocolParams(xi=0.97, phi=60.0)
 
 # tau_a = 0.98, tau_b = 0.6, epsilon = 0.01 worked scenario
 SCEN_LINK = LinkPair(0.98, 0.6)
@@ -165,7 +165,7 @@ class TestKeyRateGeneral:
 
 class TestClosedSym:
     def test_pure_loss_frozen(self):
-        p = ProtocolParams(xi=1.0, phi=60.0, epsilon=0.0)
+        p = ProtocolParams(xi=1.0, phi=60.0)
         report = key_rate_closed(p, LinkPair(0.9, 0.9), 0.2, 0.2)
         assert report.rate == pytest.approx(PURE_LOSS_RATE, rel=1e-12)
         assert report.nu == pytest.approx(11.0 / 9.0, rel=1e-14)
@@ -231,7 +231,7 @@ class TestClosedAsym:
 
 class TestMinThermal:
     def test_pure_loss_symmetric(self):
-        p = ProtocolParams(xi=1.0, phi=60.0, epsilon=0.0)
+        p = ProtocolParams(xi=1.0, phi=60.0)
         report = key_rate_min_thermal(p, LinkPair(0.9, 0.9), 1.0, 1.0)
         assert report.rate == pytest.approx(PURE_LOSS_RATE, rel=1e-12)
 
@@ -435,7 +435,7 @@ def test_near_symmetric_band_matches_oracle(path):
 def test_tau_one_edges_match_oracle():
     # tau_b = 1 at epsilon = 0 puts an entropy argument at exactly 1, which
     # float chi can round just below 1; lossless links decouple the adversary
-    protocol = ProtocolParams(xi=0.97, phi=60.0, epsilon=0.0)
+    protocol = ProtocolParams(xi=0.97, phi=60.0)
     worst = 0.0
     for tau_a in np.linspace(0.3, 0.99, 200):
         link = LinkPair(float(tau_a), 1.0)

@@ -10,6 +10,7 @@ import pytest
 from cvmdi import (
     AncillaState,
     AttackGrid,
+    ChiKnowledge,
     DomainError,
     LinkPair,
     ParameterError,
@@ -41,9 +42,9 @@ CASES = [
     ("phi", lambda: ProtocolParams(phi=NAN)),
     ("phi", lambda: ProtocolParams(phi=INF)),
     ("phi", lambda: ProtocolParams(phi=0.0)),
-    ("epsilon", lambda: ProtocolParams(epsilon=NAN)),
-    ("epsilon", lambda: ProtocolParams(epsilon=INF)),
-    ("epsilon", lambda: ProtocolParams(epsilon=-0.1)),
+    ("epsilon", lambda: ChiKnowledge(epsilon=NAN)),
+    ("epsilon", lambda: ChiKnowledge(epsilon=INF)),
+    ("epsilon", lambda: ChiKnowledge(epsilon=-0.1)),
     ("tau_a", lambda: LinkPair(NAN, 0.5)),
     ("tau_b", lambda: LinkPair(0.5, INF)),
     ("omega_a", lambda: AncillaState(NAN, 2.0, 0.0, 0.0)),
@@ -82,8 +83,8 @@ CASES = [
 ARRAY_AND_COUNT_CASES = {
     "xi-array": ("xi", lambda: ProtocolParams(xi=np.array([0.5, 2.0]))),
     "xi-array-nan": ("xi", lambda: ProtocolParams(xi=np.array([[1.0], [NAN]]))),
-    "epsilon-array": ("epsilon", lambda: ProtocolParams(epsilon=np.array([0.01, -1.0]))),
-    "epsilon-array-nan": ("epsilon", lambda: ProtocolParams(epsilon=np.array([0.0, NAN]))),
+    "epsilon-array": ("epsilon", lambda: ChiKnowledge(epsilon=np.array([0.01, -1.0]))),
+    "epsilon-array-nan": ("epsilon", lambda: ChiKnowledge(epsilon=np.array([0.0, NAN]))),
     "steps_a-float": ("steps_a", lambda: SweepConfig(steps_a=2.5)),
     "steps_b-float": ("steps_b", lambda: SweepConfig(steps_b=51.0)),
     "steps-float": ("steps", lambda: relay_scan(0.5, ProtocolParams(), steps=2.5)),
@@ -247,7 +248,7 @@ MESSAGES = {
                         "omega_a must be at most 1e+76 SNU, got 1e+77"),
     "omega_b-ceiling-array": (lambda: g_max(2.0, np.array([3.0, 1e77])),
                               "omega_b must be at most 1e+76 SNU, got 1e+77 at index 1"),
-    "epsilon-ceiling": (lambda: ProtocolParams(epsilon=1e300),
+    "epsilon-ceiling": (lambda: ChiKnowledge(epsilon=1e300),
                         "epsilon must be at most 1e+76 SNU, got 1e+300"),
     "tau_range-scalar": (lambda: SweepConfig(tau_a_range=(0.5, NAN)),
                          "tau_a_range must satisfy 0 < lo <= hi <= 1, got (0.5, nan)"),
@@ -262,8 +263,10 @@ def test_message_names_the_bad_value(call, message):
 
 
 def test_admissible_edges_pass():
-    ProtocolParams(xi=1.0, phi=1e-12, epsilon=0.0)
-    ProtocolParams(xi=np.array([[1.0], [1e-300]]), epsilon=np.array([0.0, 1e76]))
+    ProtocolParams(xi=1.0, phi=1e-12)
+    ProtocolParams(xi=np.array([[1.0], [1e-300]]))
+    ChiKnowledge(epsilon=0.0)
+    ChiKnowledge(epsilon=np.array([0.0, 1e76]))
     LinkPair(1.0, 1e-300)
     AncillaState(1.0, np.array([1.0, 5.0]), 0.0, 0.0)
     assert g_max(1.0, 1.0) == 0.0

@@ -31,7 +31,7 @@ from cvmdi import (
 
 VERIFIERS = ("verify_monotone_thermal", "verify_monotone_chi", "verify_p_prime_positive",
              "verify_lambda_minimization", "classify_nu_regions")
-FIG_PROTOCOL = ProtocolParams(xi=0.97, phi=60.0, epsilon=0.01)
+FIG_PROTOCOL = ProtocolParams(xi=0.97, phi=60.0)
 
 
 def rel_err(a, b):
@@ -383,7 +383,7 @@ def reference_suite(seed=7, scenarios=100, samples=200):
     checks = {}
 
     def protocol_for(i):
-        return ProtocolParams(xi=1.0 if i % 2 == 0 else 0.97, phi=60.0, epsilon=0.01)
+        return ProtocolParams(xi=1.0 if i % 2 == 0 else 0.97, phi=60.0)
 
     def summary(failures, worst):
         return {"scenarios": scenarios, "failures": failures, "worst_margin": worst,
@@ -622,8 +622,8 @@ class TestBatchedSuite:
         n, samples = 9, 40
         rng = np.random.default_rng(5)
         xi = np.where(np.arange(n) % 2, 0.97, 1.0)[:, None]
-        mixed = ProtocolParams(xi=xi, phi=60.0, epsilon=0.01)
-        groups = [(slice(parity, None, 2), ProtocolParams(xi=x, phi=60.0, epsilon=0.01))
+        mixed = ProtocolParams(xi=xi, phi=60.0)
+        groups = [(slice(parity, None, 2), ProtocolParams(xi=x, phi=60.0))
                   for parity, x in enumerate((1.0, 0.97))]
         tau, wa, wb, u = rng.uniform((0.55, 1.1, 1.1, -0.85), (0.95, 5.0, 5.0, 0.5),
                                      (n, 4)).T

@@ -28,8 +28,10 @@ from cvmdi import (
     run_sweep,
 )
 from cvmdi.core import OMEGA_MAX
+from cvmdi.keyrate import min_thermal_noise
 
-FIG_PROTOCOL = ProtocolParams(xi=0.97, phi=60.0, epsilon=0.01)
+FIG_PROTOCOL = ProtocolParams(xi=0.97, phi=60.0)
+NO_EXCESS = ChiKnowledge(epsilon=0.0)
 
 
 def read_csv(text: str) -> SweepTable:
@@ -88,7 +90,7 @@ def assert_single_point_cells(protocol, knowledge, records) -> int:
                 expected = key_rate_min_thermal(protocol, link, wa, wb)
                 chi = expected.chi
             else:
-                chi = chi_equivalent(link, protocol.epsilon)
+                chi = chi_equivalent(link, knowledge.epsilon)
                 expected = key_rate_min_chi(protocol, link, chi)
         except DomainError as exc:
             errors += 1
@@ -133,7 +135,6 @@ class TestRunSweep:
         # lattice cells come from one kernel call, out-of-domain cells from
         # the single-point functions; either way a record must equal the
         # single-point call bit for bit, error text included
-        no_excess = ProtocolParams(xi=0.97, phi=60.0, epsilon=0.0)
         thermal = ThermalKnowledge(1.5, 2.0)
         cases = [
             (FIG_PROTOCOL, ChiKnowledge(), run_sweep(SweepConfig(
@@ -145,9 +146,9 @@ class TestRunSweep:
                 steps_a=6, steps_b=6, protocol=FIG_PROTOCOL, knowledge=thermal,
             ))),
             # reaches tau = 1: the chi-pole cell at (1, 1)
-            (no_excess, ChiKnowledge(), run_sweep(SweepConfig(
+            (FIG_PROTOCOL, NO_EXCESS, run_sweep(SweepConfig(
                 tau_a_range=(0.9, 1.0), tau_b_range=(0.8, 1.0),
-                steps_a=3, steps_b=5, protocol=no_excess,
+                steps_a=3, steps_b=5, protocol=FIG_PROTOCOL, knowledge=NO_EXCESS,
             ))),
             (FIG_PROTOCOL, ChiKnowledge(),
              relay_scan(0.5, FIG_PROTOCOL, steps=9).records),
@@ -171,7 +172,7 @@ class TestRunSweep:
         # epsilon = 0 makes the lossless symmetric corner hit the chi pole
         config = SweepConfig(
             tau_a_range=(0.99, 1.0), tau_b_range=(0.99, 1.0), steps_a=2, steps_b=2,
-            protocol=ProtocolParams(xi=0.97, phi=60.0, epsilon=0.0),
+            protocol=FIG_PROTOCOL, knowledge=NO_EXCESS,
         )
         records = run_sweep(config)
         corner = records[-1]
@@ -216,13 +217,29 @@ def count_reports(monkeypatch, knowledge_type) -> list:
     return calls
 
 
+class TestKnowledgeModels:
+    """Each model holds its own noise parameters; ``noise`` reads only the links."""
+
+    def test_chi_noise_per_link_epsilon(self):
+        ta, tb = np.array([0.9, 0.8]), np.array([0.7, 0.8])
+        lam, chi = ChiKnowledge(epsilon=np.array([0.0, 0.3])).noise(ta, tb)
+        links = (LinkPair(0.9, 0.7), LinkPair(0.8, 0.8))
+        assert chi.tolist() == [chi_equivalent(links[0], 0.0), chi_equivalent(links[1], 0.3)]
+        assert lam.shape == (2,)
+
+    def test_thermal_noise(self):
+        ta, tb = np.array([0.9, 0.8]), np.array([0.7, 0.8])
+        got, want = THERMAL.noise(ta, tb), min_thermal_noise(ta, tb, 1.5, 2.0)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 class TestSinglePointReports:
     """Only the cells outside the rate kernel's domain reach the knowledge
     model's single-point report."""
 
     @pytest.mark.parametrize("config, reached", [
         (SweepConfig(), []),
-        (SweepConfig(protocol=ProtocolParams(epsilon=0.0)), [(1.0, 1.0)]),
+        (SweepConfig(knowledge=NO_EXCESS), [(1.0, 1.0)]),
         (SweepConfig(knowledge=ThermalKnowledge(1.5, 2.0)), [(1.0, 1.0)]),
     ], ids=["default", "epsilon-0", "thermal"])
     def test_only_out_of_domain_cells(self, monkeypatch, config, reached):
@@ -316,7 +333,6 @@ class TestExport:
             export([], "csv")
 
 
-NO_EXCESS = ProtocolParams(xi=0.97, phi=60.0, epsilon=0.0)
 THERMAL = ThermalKnowledge(1.5, 2.0)
 
 
@@ -331,7 +347,7 @@ class TestSweepTable:
         # epsilon = 0 reaches the chi pole at the (1, 1) corner
         lambda: run_sweep(SweepConfig(
             tau_a_range=(0.5, 1.0), tau_b_range=(0.5, 1.0),
-            steps_a=11, steps_b=11, protocol=NO_EXCESS,
+            steps_a=11, steps_b=11, protocol=FIG_PROTOCOL, knowledge=NO_EXCESS,
         )),
         # thermal knowledge with the lossless (1, 1) corner
         lambda: run_sweep(SweepConfig(
@@ -374,7 +390,7 @@ class TestSweepTable:
             raise AssertionError("a SweepRecord row was built")
 
         monkeypatch.setattr(sweep_module, "SweepRecord", no_rows)
-        table = run_sweep(SweepConfig(protocol=NO_EXCESS))  # reaches the pole
+        table = run_sweep(SweepConfig(knowledge=NO_EXCESS))  # reaches the pole
         assert len(table.errors) == 1
         export(table, "csv")
         export(table, "json")
@@ -382,15 +398,15 @@ class TestSweepTable:
     def test_row_view(self):
         table = run_sweep(SweepConfig(
             tau_a_range=(0.9, 1.0), tau_b_range=(0.8, 1.0),
-            steps_a=3, steps_b=5, protocol=NO_EXCESS,
+            steps_a=3, steps_b=5, protocol=FIG_PROTOCOL, knowledge=NO_EXCESS,
         ))
         assert len(table) == 15
         rate = key_rate_min_chi(
-            NO_EXCESS, LinkPair(0.9, 0.8), chi_equivalent(LinkPair(0.9, 0.8), 0.0)
+            FIG_PROTOCOL, LinkPair(0.9, 0.8), chi_equivalent(LinkPair(0.9, 0.8), 0.0)
         ).rate
         assert table[0] == SweepRecord(0.9, 0.8, table.chi[0], rate, rate > 0.0)
         with pytest.raises(DomainError) as pole:
-            key_rate_min_chi(NO_EXCESS, LinkPair(1.0, 1.0), 4.0)
+            key_rate_min_chi(FIG_PROTOCOL, LinkPair(1.0, 1.0), 4.0)
         assert table[-15] == table[0]
         assert (table[-1].tau_a, table[-1].tau_b, table[-1].chi) == (1.0, 1.0, 4.0)
         assert math.isnan(table[-1].rate) and not table[-1].secure
@@ -425,7 +441,7 @@ class TestRowTemplates:
         # the chi pole (1, 1) in the middle of the tau_a = 1 run, with
         # secure rows on both sides of it
         (lambda: sweep_module._eval_cells(
-            NO_EXCESS, ChiKnowledge(), np.repeat([0.9, 1.0], 5),
+            FIG_PROTOCOL, NO_EXCESS, np.repeat([0.9, 1.0], 5),
             np.tile([0.8, 0.95, 1.0, 0.99, 0.85], 2)), None),
         # NaN and non-finite fields inside runs, secure flags mixed
         (lambda: runs_table([0.7] * 4 + [0.8] * 4, [0.5, math.nan, -0.5, 0.5,
@@ -449,7 +465,7 @@ class TestRowTemplates:
         assert export(table, fmt) == reference_export(list(table), fmt)
 
     def test_pole_is_mid_run(self):
-        table = sweep_module._eval_cells(NO_EXCESS, ChiKnowledge(), np.repeat([0.9, 1.0], 5),
+        table = sweep_module._eval_cells(FIG_PROTOCOL, NO_EXCESS, np.repeat([0.9, 1.0], 5),
                                          np.tile([0.8, 0.95, 1.0, 0.99, 0.85], 2))
         assert list(table.errors) == [7]
         assert (table.rate[[5, 6, 8, 9]] > 0).all()
@@ -484,35 +500,35 @@ class TestBlocks:
     """Sweeps evaluate and export in blocks of BLOCK cells; a table of
     several blocks gives what one cell at a time would."""
 
-    @pytest.mark.parametrize("knowledge, errors", [(ChiKnowledge(), 3), (THERMAL, 0)],
+    @pytest.mark.parametrize("knowledge, errors", [(NO_EXCESS, 3), (THERMAL, 0)],
                              ids=["chi-pole", "thermal-lossless"])
     def test_cells_at_block_edges_match_single_point_calls(self, monkeypatch, knowledge,
                                                            errors):
         monkeypatch.setattr(sweep_module, "BLOCK", 8)
-        table = boundary_table(NO_EXCESS, knowledge, 8)
-        assert assert_single_point_cells(NO_EXCESS, knowledge, table) == errors
+        table = boundary_table(FIG_PROTOCOL, knowledge, 8)
+        assert assert_single_point_cells(FIG_PROTOCOL, knowledge, table) == errors
         if errors:
             assert sorted(table.errors) == [7, 8, len(table) - 1]
 
-    @pytest.mark.parametrize("knowledge", [ChiKnowledge(), THERMAL],
+    @pytest.mark.parametrize("knowledge", [NO_EXCESS, THERMAL],
                              ids=["chi-pole", "thermal-lossless"])
     def test_blocks_match_one_block(self, monkeypatch, knowledge):
         block = sweep_module.BLOCK
-        blocked = boundary_table(NO_EXCESS, knowledge, block)
+        blocked = boundary_table(FIG_PROTOCOL, knowledge, block)
         monkeypatch.setattr(sweep_module, "BLOCK", len(blocked))
-        whole = boundary_table(NO_EXCESS, knowledge, block)
+        whole = boundary_table(FIG_PROTOCOL, knowledge, block)
         for column in ("tau_a", "tau_b", "chi", "rate"):
             got, want = getattr(blocked, column), getattr(whole, column)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))  # bit for bit
         assert blocked.errors == whole.errors
 
     @pytest.mark.parametrize("block", [8, sweep_module.BLOCK], ids=["block-8", "block"])
-    @pytest.mark.parametrize("knowledge", [ChiKnowledge(), THERMAL],
+    @pytest.mark.parametrize("knowledge", [NO_EXCESS, THERMAL],
                              ids=["chi-pole", "thermal-lossless"])
     def test_export_at_block_edges_matches_record_reference(self, monkeypatch, block,
                                                             knowledge):
         monkeypatch.setattr(sweep_module, "BLOCK", block)
-        table = boundary_table(NO_EXCESS, knowledge, block)
+        table = boundary_table(FIG_PROTOCOL, knowledge, block)
         for fmt in ("csv", "json"):
             assert export(table, fmt) == reference_export(list(table), fmt)
         text = export(table, "csv")

@@ -17,7 +17,10 @@ so none of them compiles the package, also where
 ``PYTHONDONTWRITEBYTECODE`` keeps Python from writing its caches, and the
 checkout is left as it was.  Each gets the best of ``REPEATS`` runs of its
 wall time, of its peak RSS and of its minor page faults (``minflt``),
-which ``os.wait4`` reports for the child alone.  A bare interpreter
+which ``os.wait4`` reports for the child alone.  The children are spawned
+by a bare interpreter (``MEASURE``), not by this script: on Linux a
+child's peak RSS starts at its parent's (``BENCH_29.json`` and earlier
+carry this script's peak as a floor).  A bare interpreter
 (``interpreter``) and ``import cvmdi.cli`` (``import``, interpreter
 included) are timed the same way, so the import cost of every command can
 be read off.
@@ -63,7 +66,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 SCHEMA = 2
@@ -96,26 +98,39 @@ def readme_commands(root: Path) -> list[str]:
             if line.startswith("cvmdi ")]
 
 
+# Spawns one child and prints its exit code, wall seconds, ru_maxrss (KiB)
+# and minor faults.  On Linux a child's ru_maxrss starts at its parent's
+# peak, so the parent is this bare interpreter; posix_spawn, unlike
+# subprocess, imports nothing that would raise that peak.
+MEASURE = """
+import os, sys, time
+start = time.perf_counter()
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ,
+                     file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+_, status, usage = os.wait4(pid, 0)
+wall = time.perf_counter() - start
+print(os.waitstatus_to_exitcode(status), wall, usage.ru_maxrss, usage.ru_minflt)
+"""
+
+
 def time_child(root: Path, cwd: Path, args: list[str]) -> dict:
     """Best of ``REPEATS`` runs of ``python ARGS`` on the checkout's
     ``src``: wall seconds, the child's peak RSS in MB and its minor page
-    faults (``ru_minflt``)."""
+    faults (``ru_minflt``), each read by ``MEASURE``, so that the caller's
+    own peak does not leak into the child's."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
     runs = []
     for _ in range(REPEATS):
-        start = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, *args], cwd=cwd, env=env,
-                                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-        stderr = proc.stderr.read()
-        _, status, usage = os.wait4(proc.pid, 0)
-        wall = time.perf_counter() - start
-        proc.stderr.close()
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        if proc.returncode != 0:
-            raise RuntimeError(f"python {shlex.join(args)} exited {proc.returncode}: "
-                               f"{stderr.decode().strip()[-500:]}")
-        runs.append((wall, usage.ru_maxrss / 1024.0, usage.ru_minflt))  # ru_maxrss is in KiB
+        proc = subprocess.run([sys.executable, "-c", MEASURE, *args], cwd=cwd, env=env,
+                              capture_output=True, text=True)
+        measured = proc.stdout.split()
+        if proc.returncode != 0 or measured[0] != "0":
+            code = measured[0] if measured else proc.returncode
+            raise RuntimeError(f"python {shlex.join(args)} exited {code}: "
+                               f"{proc.stderr.strip()[-500:]}")
+        wall, peak_kib, minflt = float(measured[1]), int(measured[2]), int(measured[3])
+        runs.append((wall, peak_kib / 1024.0, minflt))
     return {key: min(run[k] for run in runs)
             for k, key in enumerate(("s", "peak_rss_mb", "minflt"))}
 
