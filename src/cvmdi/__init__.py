@@ -7,7 +7,6 @@ classical simulation of the self-aligned plug-and-play optics."""
 from .core import (
     AncillaState,
     AttackCoords,
-    DerivedNoise,
     DomainError,
     EmptyDomainError,
     LinkPair,
@@ -15,15 +14,12 @@ from .core import (
     ParameterError,
     ProtocolParams,
     SymmetricDegenerateError,
-    SymplecticPair,
     attack_coords,
     chi_equivalent,
-    derive_noise,
     entropy_h,
     g_max,
     is_physical,
     log_ratio_g,
-    symplectic_spectrum,
 )
 from .keyrate import (
     KeyRateReport,

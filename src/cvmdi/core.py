@@ -14,9 +14,8 @@ All functions are pure and the dataclasses are frozen.  Only this module
 maps an ancilla to (lam, lam', chi) and to physicality.  The formulas here
 and in :mod:`cvmdi.keyrate` take numpy arrays that broadcast and return
 arrays (numpy's 0-d results for 0-d operands); none has a float mode.  The
-single-point API (:func:`derive_noise`, :func:`chi_equivalent`,
-:func:`symplectic_spectrum`, the ``key_rate*`` reports) converts once, at
-its report, whose fields are Python floats and bools.
+single-point API (:func:`chi_equivalent` and the ``key_rate*`` reports)
+converts once, to Python floats and bools.
 
 The array formulas can compute in place.  Each takes an optional ``out``:
 a tuple of writable float arrays of the broadcast shape of its operands,
@@ -165,15 +164,6 @@ class LinkPair:
     def beta(self) -> float:
         return self.tau_a + self.tau_b
 
-    @property
-    def u(self) -> float:
-        """Loss-coupling factor 2 sqrt((1 - tau_a)(1 - tau_b))."""
-        return 2.0 * math.sqrt((1.0 - self.tau_a) * (1.0 - self.tau_b))
-
-    @property
-    def delta_tau(self) -> float:
-        return abs(self.tau_a - self.tau_b)
-
 
 @dataclass(frozen=True)
 class AncillaState:
@@ -192,21 +182,6 @@ class AncillaState:
 
 
 @dataclass(frozen=True)
-class DerivedNoise:
-    """Noise quantities induced by a (LinkPair, AncillaState) pair.
-
-    ``kappa`` is the total back-injected thermal noise, ``lam``/``lam_prime``
-    the effective noises of the two quadrature branches, ``delta`` their
-    mean, and ``chi`` the equivalent input-referred noise."""
-
-    kappa: float
-    lam: float
-    lam_prime: float
-    delta: float
-    chi: float
-
-
-@dataclass(frozen=True)
 class AttackCoords:
     """Rotated correlation coordinates: ``d`` is the distance of
     ``(g, g_prime)`` from the anticorrelation bisector g = -g', ``d_prime``
@@ -215,14 +190,6 @@ class AttackCoords:
     d: float
     d_prime: float
     l: float
-
-
-@dataclass(frozen=True)
-class SymplecticPair:
-    """The two symplectic eigenvalues of a two-mode covariance, sorted."""
-
-    nu_minus: float
-    nu_plus: float
 
 
 def as_point(*xs):
@@ -313,22 +280,6 @@ def _invariants(ancilla: AncillaState, out=None):
     return pos_g, pos_gp, delta, disc, nu_minus
 
 
-def symplectic_spectrum(ancilla: AncillaState) -> SymplecticPair:
-    """Symplectic eigenvalues of the two-mode ancilla covariance from its
-    invariants (:func:`_invariants`), with nu_plus^2 = Delta - nu_minus^2."""
-    pos_g, pos_gp, delta, disc, nu_minus = _invariants(ancilla)
-    if pos_g <= 0.0 or pos_gp <= 0.0:
-        m, g, gp = ancilla.omega_a * ancilla.omega_b, ancilla.g, ancilla.g_prime
-        raise NonphysicalStateError(
-            f"covariance not positive definite: omega_a*omega_b = {m} "
-            f"vs g = {g}, g_prime = {gp}"
-        )
-    if disc < -1e-9 * max(1.0, delta * delta):
-        raise NonphysicalStateError("complex symplectic spectrum")
-    nu_minus = float(nu_minus)
-    return SymplecticPair(nu_minus, math.sqrt(delta - nu_minus * nu_minus))
-
-
 def is_physical(ancilla: AncillaState, out=None):
     """True iff the ancilla covariance is a bona fide Gaussian state:
     both quadrature blocks positive definite and nu_minus >= 1 (within
@@ -406,19 +357,6 @@ def bisector_lam(tau_a, tau_b, chi):
     beta_over_alpha(tau_a, tau_b)  # its rule: alpha must not underflow
     alpha, beta, dtau = tau_a * tau_b, tau_a + tau_b, tau_a - tau_b
     return alpha / beta * ((chi - 4.0) - dtau * dtau / alpha)
-
-
-def derive_noise(link: LinkPair, ancilla: AncillaState) -> DerivedNoise:
-    """Noise algebra of a link/ancilla pair (:func:`effective_noise`,
-    :func:`equivalent_chi`): kappa is the noise at zero correlation,
-    (lam, lam') the noise at (g, g'), delta = kappa - u l at l = (g - g')/2."""
-    ta, tb, wa, wb = link.tau_a, link.tau_b, ancilla.omega_a, ancilla.omega_b
-    kappa, _ = effective_noise(ta, tb, wa, wb, 0.0, 0.0)
-    lam, lam_prime = effective_noise(ta, tb, wa, wb, ancilla.g, ancilla.g_prime)
-    l = attack_coords(ancilla.g, ancilla.g_prime).l
-    delta, _ = effective_noise(ta, tb, wa, wb, l, -l)
-    chi = equivalent_chi(ta, tb, lam, lam_prime)
-    return DerivedNoise(*(float(x) for x in (kappa, lam, lam_prime, delta, chi)))
 
 
 def excess_chi(tau_a, tau_b, epsilon):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, LinkPair, ProtocolParams, bisector_lam, chi_equivalent
+from .core import DomainError, LinkPair, ProtocolParams, bisector_lam
 from .core import excess_chi, require, require_count, require_epsilon, require_omega, require_unit
 from .keyrate import KeyRateReport, min_thermal_noise, park, rate_kernel
 from .keyrate import key_rate_min_chi, key_rate_min_thermal
@@ -58,7 +58,7 @@ class ChiKnowledge:
         return bisector_lam(tau_a, tau_b, chi), chi
 
     def report(self, protocol: ProtocolParams, link: LinkPair) -> KeyRateReport:
-        return key_rate_min_chi(protocol, link, chi_equivalent(link, self.epsilon))
+        return key_rate_min_chi(protocol, link, excess_chi(link.tau_a, link.tau_b, self.epsilon))
 
 
 @dataclass(frozen=True)

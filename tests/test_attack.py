@@ -19,7 +19,6 @@ from cvmdi import (
     LinkPair,
     ProtocolParams,
     attack_coords,
-    derive_noise,
     g_max,
     is_physical,
     key_rate,
@@ -392,7 +391,8 @@ class TestGridRateSymmetries:
         link = LinkPair(0.9, 0.3)
         wa = wb = 4.0
         kappa = (1.0 - 0.9) * wa + (1.0 - 0.3) * wb
-        g_violating = (kappa - 0.1) / link.u  # lam = 0.1 < dtau = 0.6
+        u = 2.0 * math.sqrt((1.0 - 0.9) * (1.0 - 0.3))
+        g_violating = (kappa - 0.1) / u  # lam = 0.1 < dtau = 0.6
         g = np.array([g_violating, 0.0])
         gp = np.array([-g_violating, 0.0])
         _, _, admissible = _grid_rates(
@@ -605,7 +605,7 @@ def _thermal_profile_by_sample(protocol, link, omegas, l, samples):
     on the sample grid of rate_profile_y."""
     wa, wb = omegas
     kappa = (1.0 - link.tau_a) * wa + (1.0 - link.tau_b) * wb
-    u = link.u
+    u = 2.0 * math.sqrt((1.0 - link.tau_a) * (1.0 - link.tau_b))
     delta = kappa - u * l
     d_phys = _physical_dprime_max(wa, wb, l)
     if u == 0.0:

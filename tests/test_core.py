@@ -18,19 +18,16 @@ from cvmdi import (
     ChiKnowledge,
     DomainError,
     LinkPair,
-    NonphysicalStateError,
     ProtocolParams,
     attack_coords,
     chi_equivalent,
-    derive_noise,
     entropy_h,
     g_max,
     is_physical,
     log_ratio_g,
-    symplectic_spectrum,
 )
 from cvmdi.attack import _axis, physical_bounds
-from cvmdi.core import entropy_scaled
+from cvmdi.core import effective_noise, entropy_scaled, equivalent_chi
 
 
 def symplectic_eigenvalues_generic(sigma):
@@ -81,8 +78,9 @@ class TestLinkPair:
         link = LinkPair(0.9, 0.7)
         assert link.alpha == pytest.approx(0.63, rel=1e-15)
         assert link.beta == pytest.approx(1.6, rel=1e-15)
-        assert link.u == pytest.approx(0.346410161513775, rel=1e-12)
-        assert link.delta_tau == pytest.approx(0.2, rel=1e-12)
+        # lam' at unit g' and no thermal noise is the loss coupling u
+        u = effective_noise(0.9, 0.7, 0.0, 0.0, 0.0, 1.0)[1]
+        assert u == pytest.approx(0.346410161513775, rel=1e-12)
 
     def test_invalid_tau(self):
         with pytest.raises(ValueError):
@@ -235,24 +233,20 @@ class TestLogRatioG:
 
 
 class TestSymplecticSpectrum:
+    """nu_minus of :func:`core._invariants`, the eigenvalue that
+    :func:`is_physical` tests."""
+
     def test_identity(self):
-        sp = symplectic_spectrum(AncillaState(1, 1, 0, 0))
-        assert (sp.nu_minus, sp.nu_plus) == (1.0, 1.0)
+        *_, nu = core._invariants(AncillaState(1, 1, 0, 0))
+        assert nu == 1.0
 
     def test_uncorrelated_thermal(self):
-        sp = symplectic_spectrum(AncillaState(2, 3, 0, 0))
-        assert sp.nu_minus == pytest.approx(2.0, rel=1e-15)
-        assert sp.nu_plus == pytest.approx(3.0, rel=1e-15)
+        *_, nu = core._invariants(AncillaState(2, 3, 0, 0))
+        assert nu == pytest.approx(2.0, rel=1e-15)
 
     def test_anticorrelated(self):
-        sp = symplectic_spectrum(AncillaState(2, 2, 1.5, -1.5))
-        expected = math.sqrt(4.0 - 2.25)
-        assert sp.nu_minus == pytest.approx(expected, rel=1e-12)
-        assert sp.nu_plus == pytest.approx(expected, rel=1e-12)
-
-    def test_nonpositive_definite(self):
-        with pytest.raises(NonphysicalStateError):
-            symplectic_spectrum(AncillaState(2, 2, 2.0, 0.0))
+        *_, nu = core._invariants(AncillaState(2, 2, 1.5, -1.5))
+        assert nu == pytest.approx(math.sqrt(4.0 - 2.25), rel=1e-12)
 
     def test_matches_generic_route(self):
         rng = np.random.default_rng(11)
@@ -264,10 +258,9 @@ class TestSymplecticSpectrum:
             anc = AncillaState(wa, wb, g, gp)
             if not is_physical(anc):
                 continue
-            sp = symplectic_spectrum(anc)
-            lo, hi = symplectic_eigenvalues_generic(ancilla_sigma(anc))
-            assert sp.nu_minus == pytest.approx(lo, rel=1e-9)
-            assert sp.nu_plus == pytest.approx(hi, rel=1e-9)
+            *_, nu = core._invariants(anc)
+            lo, _ = symplectic_eigenvalues_generic(ancilla_sigma(anc))
+            assert nu == pytest.approx(lo, rel=1e-9)
             checked += 1
 
     def test_determinant_invariant(self):
@@ -280,11 +273,10 @@ class TestSymplecticSpectrum:
             anc = AncillaState(wa, wb, g, gp)
             if not is_physical(anc):
                 continue
-            sp = symplectic_spectrum(anc)
+            _, _, delta, _, nu = core._invariants(anc)
             det = np.linalg.det(ancilla_sigma(anc))
-            assert sp.nu_minus * sp.nu_plus == pytest.approx(
-                math.sqrt(det), rel=1e-10
-            )
+            # nu_plus^2 = Delta - nu_minus^2
+            assert nu**2 * (delta - nu**2) == pytest.approx(det, rel=1e-10)
             checked += 1
 
 
@@ -294,6 +286,7 @@ class TestIsPhysical:
 
     def test_overcorrelated(self):
         assert not is_physical(AncillaState(2, 2, 2.0, -2.0))
+        assert not is_physical(AncillaState(2, 2, 2.0, 0.0))  # not positive definite
 
     def test_strongly_but_admissibly_correlated(self):
         assert is_physical(AncillaState(2, 2, 1.7, -1.7))
@@ -361,7 +354,7 @@ class TestGMax:
         # boundary happens to sit at sqrt(2) for (1.5, 3)
         gm = g_max(1.5, 3.0)
         assert gm == pytest.approx(1.41421356237310, abs=1e-10)
-        nu = symplectic_spectrum(AncillaState(1.5, 3.0, gm, -gm)).nu_minus
+        *_, nu = core._invariants(AncillaState(1.5, 3.0, gm, -gm))
         assert nu == pytest.approx(1.0, abs=1e-10)
 
     def test_one_vacuum_mode_pins_to_zero(self):
@@ -402,31 +395,33 @@ class TestGMax:
             assert abs(got - want) <= mp.mpf("1e-40") * max(want, 1)
 
 
-class TestDeriveNoise:
+class TestNoiseAlgebra:
+    """:func:`effective_noise` and :func:`equivalent_chi`; kappa is the
+    effective noise at zero correlation."""
+
     def test_lossless_decoupling(self):
-        link = LinkPair(1.0, 1.0)
-        noise = derive_noise(link, AncillaState(3.0, 2.0, 1.0, -1.0))
-        assert noise.kappa == 0.0
-        assert noise.lam == 0.0
-        assert noise.lam_prime == 0.0
-        assert noise.chi == pytest.approx(4.0, rel=1e-15)
+        kappa, _ = effective_noise(1.0, 1.0, 3.0, 2.0, 0.0, 0.0)
+        lam, lam_prime = effective_noise(1.0, 1.0, 3.0, 2.0, 1.0, -1.0)
+        assert kappa == 0.0
+        assert lam == 0.0
+        assert lam_prime == 0.0
+        assert equivalent_chi(1.0, 1.0, lam, lam_prime) == pytest.approx(4.0, rel=1e-15)
 
     def test_pure_loss_values(self):
-        link = LinkPair(0.9, 0.7)
-        noise = derive_noise(link, AncillaState(1.0, 1.0, 0.0, 0.0))
-        assert noise.kappa == pytest.approx(0.4, rel=1e-15)
-        assert noise.lam == pytest.approx(0.4, rel=1e-15)
-        assert noise.lam_prime == pytest.approx(0.4, rel=1e-15)
-        assert noise.chi == pytest.approx(5.07936507936508, rel=1e-12)
+        # at zero correlation lam = lam' = kappa
+        lam, lam_prime = effective_noise(0.9, 0.7, 1.0, 1.0, 0.0, 0.0)
+        assert lam == pytest.approx(0.4, rel=1e-15)
+        assert lam_prime == pytest.approx(0.4, rel=1e-15)
+        chi = equivalent_chi(0.9, 0.7, lam, lam_prime)
+        assert chi == pytest.approx(5.07936507936508, rel=1e-12)
 
     def test_pure_loss_matches_chi_equivalent(self):
         rng = np.random.default_rng(14)
         for _ in range(50):
             ta, tb = rng.uniform(0.2, 1.0, size=2)
-            link = LinkPair(ta, tb)
-            noise = derive_noise(link, AncillaState(1.0, 1.0, 0.0, 0.0))
-            ref = chi_equivalent(link, 0.0)
-            assert abs(noise.chi - ref) <= 1e-12 * ref
+            chi = equivalent_chi(ta, tb, *effective_noise(ta, tb, 1.0, 1.0, 0.0, 0.0))
+            ref = chi_equivalent(LinkPair(ta, tb), 0.0)
+            assert abs(chi - ref) <= 1e-12 * ref
 
     def test_bisector_lambda_equality_and_inversion(self):
         rng = np.random.default_rng(15)
@@ -435,10 +430,11 @@ class TestDeriveNoise:
             link = LinkPair(ta, tb)
             wa, wb = rng.uniform(1.0, 8.0, size=2)
             g = rng.uniform(0.0, g_max(wa, wb)) if g_max(wa, wb) > 0 else 0.0
-            noise = derive_noise(link, AncillaState(wa, wb, g, -g))
-            assert noise.lam == noise.lam_prime  # bitwise under g' = -g
-            lam_back = link.alpha * noise.chi / link.beta - link.beta
-            assert abs(lam_back - noise.lam) <= 1e-12 * max(1.0, abs(noise.lam))
+            lam, lam_prime = effective_noise(ta, tb, wa, wb, g, -g)
+            assert lam == lam_prime  # bitwise under g' = -g
+            chi = equivalent_chi(ta, tb, lam, lam_prime)
+            lam_back = link.alpha * chi / link.beta - link.beta
+            assert abs(lam_back - lam) <= 1e-12 * max(1.0, abs(lam))
 
 
 class TestChiEquivalent:

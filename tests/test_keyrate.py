@@ -21,16 +21,14 @@ from cvmdi import (
     ParameterError,
     ProtocolParams,
     chi_equivalent,
-    derive_noise,
     g_max,
     key_rate,
     key_rate_closed,
     key_rate_min_chi,
     key_rate_min_thermal,
     mutual_information,
-    symplectic_spectrum,
 )
-from cvmdi.core import OMEGA_MAX, bisector_lam, equivalent_chi
+from cvmdi.core import OMEGA_MAX, bisector_lam, effective_noise, equivalent_chi
 from cvmdi.keyrate import KeyRateReport, in_domain, min_thermal_noise, park, rate_kernel
 
 FIG_PROTOCOL = ProtocolParams(xi=0.97, phi=60.0)
@@ -57,16 +55,16 @@ def rel_err(a, b):
 def bisector_ancilla(link, lam_target, omega=1.1):
     """Ancilla (g, -g) with equal variances reproducing lam = lam'."""
     kappa = ((1.0 - link.tau_a) + (1.0 - link.tau_b)) * omega
-    g = (kappa - lam_target) / link.u
+    u = 2.0 * math.sqrt((1.0 - link.tau_a) * (1.0 - link.tau_b))
+    g = (kappa - lam_target) / u
     assert abs(g) <= g_max(omega, omega), "target lam not reachable at this omega"
     return AncillaState(omega, omega, g, -g)
 
 
-def holevo(link, noise, mu):
-    """I_EA of the report at the noise's (lam, lam'), for coherent-state
-    variance mu."""
+def holevo(link, lam, lam_prime, mu):
+    """I_EA of the report at (lam, lam'), for coherent-state variance mu."""
     protocol = ProtocolParams(xi=1.0, phi=mu - 1.0)
-    return key_rate_closed(protocol, link, noise.lam, noise.lam_prime).i_ea
+    return key_rate_closed(protocol, link, lam, lam_prime).i_ea
 
 
 class TestMutualInformation:
@@ -88,44 +86,42 @@ class TestMutualInformation:
 
 class TestEveHolevo:
     def test_worked_scenario(self):
-        noise = derive_noise(SCEN_LINK, bisector_ancilla(SCEN_LINK, SCEN_LAM))
-        assert noise.lam == pytest.approx(SCEN_LAM, rel=1e-12)
-        value = holevo(SCEN_LINK, noise, 61.0)
+        ancilla = bisector_ancilla(SCEN_LINK, SCEN_LAM)
+        lam, lam_prime = effective_noise(0.98, 0.6, *dataclasses.astuple(ancilla))
+        assert lam == pytest.approx(SCEN_LAM, rel=1e-12)
+        value = holevo(SCEN_LINK, lam, lam_prime, 61.0)
         assert value == pytest.approx(SCEN_I_EA, rel=1e-10)
 
     def test_boundary_lambda_hits_h_limit(self):
         # lam = lam' = |dtau|: the first entropy term vanishes exactly
-        from cvmdi import DerivedNoise
-
         link = LinkPair(0.9, 0.6)
-        lam = link.delta_tau
-        chi = link.beta / link.alpha * (link.beta + lam)
-        noise = DerivedNoise(kappa=lam, lam=lam, lam_prime=lam, delta=lam, chi=chi)
+        lam = abs(link.tau_a - link.tau_b)
         mu = 10.0
         expected = math.log2(math.e * 0.3 * mu / 3.0) - mp_oracle_h(
             (0.9 + 0.3) / 0.6
         )
-        assert holevo(link, noise, mu) == pytest.approx(expected, rel=1e-12)
+        assert holevo(link, lam, lam, mu) == pytest.approx(expected, rel=1e-12)
 
     def test_cancellation_zero(self):
         # lam/dtau == nu makes both entropy terms cancel; the log argument
         # is tuned to 1, so the Holevo bound is exactly zero
         link = LinkPair(0.9, 0.6)
-        lam0 = link.delta_tau * link.tau_a / (link.tau_b - link.delta_tau)
-        noise = derive_noise(link, bisector_ancilla(link, lam0, omega=1.6))
-        mu = 2.0 * link.beta / (math.e * link.delta_tau)
-        assert holevo(link, noise, mu) == pytest.approx(0.0, abs=1e-12)
+        dtau = abs(link.tau_a - link.tau_b)
+        lam0 = dtau * link.tau_a / (link.tau_b - dtau)
+        ancilla = bisector_ancilla(link, lam0, omega=1.6)
+        lams = effective_noise(0.9, 0.6, *dataclasses.astuple(ancilla))
+        mu = 2.0 * link.beta / (math.e * dtau)
+        assert holevo(link, *lams, mu) == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetric_matches_closed_sym(self):
         # the Holevo term is defined at dtau = 0 and equals the symmetric
         # closed form's xi * I_AB - R, here from the 50-digit oracle
         link = LinkPair(0.8, 0.8)
-        noise = derive_noise(link, AncillaState(1.5, 1.5, 0.1, -0.1))
-        lam, lam_prime = noise.lam, noise.lam_prime
+        lam, lam_prime = effective_noise(0.8, 0.8, 1.5, 1.5, 0.1, -0.1)
         chi = mp_oracle.chi_from_lams(0.8, 0.8, lam, lam_prime)
         want = (0.97 * mp_oracle.mp.log(61 / chi, 2)
                 - mp_oracle.rate_sym_closed(0.97, 61, 0.8, lam, lam_prime))
-        assert rel_err(holevo(link, noise, 61.0), float(want)) <= 1e-14
+        assert rel_err(holevo(link, lam, lam_prime, 61.0), float(want)) <= 1e-14
 
 
 def mp_oracle_h(x):
@@ -183,11 +179,9 @@ class TestClosedSym:
             omega = rng.uniform(1.05, 6.0)
             g = rng.uniform(-1.0, 1.0) * g_max(omega, omega)
             ancilla = AncillaState(omega, omega, g, -g)
-            noise = derive_noise(link, ancilla)
+            lam, lam_prime = effective_noise(tau, tau, omega, omega, g, -g)
             via_general = key_rate(FIG_PROTOCOL, link, ancilla).rate
-            direct = key_rate_closed(
-                FIG_PROTOCOL, link, noise.lam, noise.lam_prime
-            ).rate
+            direct = key_rate_closed(FIG_PROTOCOL, link, lam, lam_prime).rate
             assert rel_err(via_general, direct) <= 1e-9
 
 
@@ -255,7 +249,7 @@ class TestMinThermal:
             link = LinkPair(ta, tb)
             wa, wb = rng.uniform(1.0, 8.0, size=2)
             kappa = (1.0 - ta) * wa + (1.0 - tb) * wb
-            lam_opt = kappa + link.u * g_max(wa, wb)
+            lam_opt = kappa + 2.0 * math.sqrt((1.0 - ta) * (1.0 - tb)) * g_max(wa, wb)
             direct = key_rate_min_thermal(FIG_PROTOCOL, link, wa, wb).rate
             via_closed = key_rate_closed(FIG_PROTOCOL, link, lam_opt, lam_opt).rate
             assert rel_err(direct, via_closed) <= 1e-12
@@ -298,12 +292,13 @@ class TestCrossFormulaInvariants:
             omega = rng.uniform(1.02, 6.0)
             g = rng.uniform(-1.0, 1.0) * g_max(omega, omega)
             ancilla = AncillaState(omega, omega, g, -g)
-            noise = derive_noise(link, ancilla)
-            if math.sqrt(noise.lam * noise.lam_prime) <= link.delta_tau * (1 + 1e-9):
+            lam, lam_prime = effective_noise(ta, tb, omega, omega, g, -g)
+            if math.sqrt(lam * lam_prime) <= abs(ta - tb) * (1 + 1e-9):
                 continue
             r_general = key_rate(FIG_PROTOCOL, link, ancilla).rate
-            r_closed = key_rate_closed(FIG_PROTOCOL, link, noise.lam, noise.lam_prime).rate
-            r_chi = key_rate_min_chi(FIG_PROTOCOL, link, noise.chi).rate
+            r_closed = key_rate_closed(FIG_PROTOCOL, link, lam, lam_prime).rate
+            chi = equivalent_chi(ta, tb, lam, lam_prime)
+            r_chi = key_rate_min_chi(FIG_PROTOCOL, link, chi).rate
             assert rel_err(r_general, r_closed) <= 1e-9
             assert rel_err(r_general, r_chi) <= 1e-9
             checked += 1
@@ -359,8 +354,8 @@ class TestCrossFormulaInvariants:
             link = LinkPair(ta, tb)
             chi = chi_equivalent(link, rng.uniform(0.0, 1.0))
             lam = link.alpha * chi / link.beta - link.beta
-            lhs = (link.alpha * chi - link.beta**2) / (link.delta_tau * link.beta)
-            rhs = lam / link.delta_tau
+            lhs = (link.alpha * chi - link.beta**2) / (abs(ta - tb) * link.beta)
+            rhs = lam / abs(ta - tb)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
@@ -565,9 +560,8 @@ SHAPE_LINKS = [LinkPair(0.9, 0.9), LinkPair(0.6 + 1e-10, 0.6), LinkPair(0.98, 0.
 
 
 def _shape_general(link):
-    ancilla = AncillaState(2.0, 3.0, 0.8, -0.5)
-    noise = derive_noise(link, ancilla)
-    return key_rate(FIG_PROTOCOL, link, ancilla), noise.lam, noise.lam_prime
+    lams = effective_noise(link.tau_a, link.tau_b, 2.0, 3.0, 0.8, -0.5)
+    return key_rate(FIG_PROTOCOL, link, AncillaState(2.0, 3.0, 0.8, -0.5)), *lams
 
 
 def _shape_closed(link):
@@ -604,10 +598,11 @@ class TestReportShape:
         nu2_type = type(None) if link.tau_a == link.tau_b else float
         assert [type(v) for v in dataclasses.astuple(report)] == [float] * 5 + [nu2_type, bool]
         assert math.isfinite(report.nu) and report.nu >= 1.0
-        if link.delta_tau == 0.0:
+        dtau = abs(link.tau_a - link.tau_b)
+        if dtau == 0.0:
             assert report.nu2 is None
         else:
-            assert report.nu2 == math.sqrt(lam * lam_prime) / link.delta_tau
+            assert report.nu2 == math.sqrt(lam * lam_prime) / dtau
         assert report.i_ea == FIG_PROTOCOL.xi * report.i_ab - report.rate
 
     def test_decoupled_point(self):
@@ -619,11 +614,7 @@ class TestReportShape:
     def test_other_single_points_are_python_floats(self):
         # the shared formulas return arrays (numpy scalars on 0-d operands);
         # the single-point API hands back Python floats
-        noise = derive_noise(SCEN_LINK, AncillaState(2.0, 3.0, 0.8, -0.5))
-        spectrum = symplectic_spectrum(AncillaState(2.0, 3.0, 0.8, -0.5))
-        values = (*dataclasses.astuple(noise), *dataclasses.astuple(spectrum),
-                  chi_equivalent(SCEN_LINK, 0.01))
-        assert [type(v) for v in values] == [float] * 8
+        assert type(chi_equivalent(SCEN_LINK, 0.01)) is float
         assert type(g_max(2.0, 3.0)) is np.float64
         assert type(in_domain(0.9, 0.8, 0.5, 0.5)) is np.bool_
 

@@ -207,7 +207,7 @@ class TestClassifyNuRegions:
         link = LinkPair(0.7, 0.6)
         threshold = (
             link.beta
-            * (3.0 * link.tau_b - link.tau_a + link.delta_tau)
+            * (3.0 * link.tau_b - link.tau_a + abs(link.tau_a - link.tau_b))
             / (link.tau_a * (2.0 * link.tau_b - link.tau_a))
         )
         chi = max(link.beta**2 / link.alpha, threshold * 0.9)
@@ -330,7 +330,7 @@ class TestLambdaMinimization:
         link = LinkPair(0.8, 0.5)
         wa, wb = 1.3, 2.0
         kappa = (1.0 - 0.8) * wa + (1.0 - 0.5) * wb
-        lam_opt = kappa + link.u * g_max(wa, wb)
+        lam_opt = kappa + 2.0 * math.sqrt((1.0 - 0.8) * (1.0 - 0.5)) * g_max(wa, wb)
         probe = verify_lambda_minimization(FIG_PROTOCOL, *row(link, lam_opt), samples=60)
         target = key_rate_min_thermal(FIG_PROTOCOL, link, wa, wb).rate
         assert rel_err(float(probe.rate[0, -1]), target) <= 1e-9
@@ -434,8 +434,9 @@ def reference_suite(seed=7, scenarios=100, samples=200):
             link = LinkPair(*draw_asym_link(rng))
         wa, wb = rng.uniform(1.1, 5.0, size=2)
         lam_opt = min_thermal_noise(link.tau_a, link.tau_b, wa, wb)[0]
-        if lam_opt <= link.delta_tau + 2e-9:
-            lam_opt = link.delta_tau + 0.5
+        dtau = abs(link.tau_a - link.tau_b)
+        if lam_opt <= dtau + 2e-9:
+            lam_opt = dtau + 0.5
         probe = verify_lambda_minimization(protocol, *row(link, lam_opt), samples=samples)
         worst = min(worst, probe.worst_margin[0])
         failures += not probe.verdict[0]
