@@ -6,16 +6,12 @@ classical simulation of the self-aligned plug-and-play optics."""
 
 from .core import (
     AncillaState,
-    AttackCoords,
     DomainError,
     EmptyDomainError,
     LinkPair,
-    NonphysicalStateError,
     ParameterError,
     ProtocolParams,
     SymmetricDegenerateError,
-    attack_coords,
-    chi_equivalent,
     entropy_h,
     g_max,
     is_physical,
@@ -23,8 +19,6 @@ from .core import (
 )
 from .keyrate import (
     KeyRateReport,
-    key_rate,
-    key_rate_closed,
     key_rate_min_chi,
     key_rate_min_thermal,
     mutual_information,

@@ -13,7 +13,7 @@ domain unchanged bit for bit, so each level evaluates every unordered
 counts as two points, a bisector pair as one, and the tests check the
 mirror bitwise.  Grid rates come from the one rate kernel
 (:func:`cvmdi.keyrate.rate_kernel`) on the whole lattice, with the physicality
-test, noise algebra and domain of :func:`cvmdi.keyrate.key_rate`: points off
+test and the noise algebra and domain of :func:`cvmdi.keyrate._report`: points off
 the physical ones and the domain are parked (:func:`cvmdi.keyrate.park`) and
 rated +inf, but physical decoupled ones (lossless symmetric links) get
 :func:`cvmdi.keyrate.decoupled_rate`.  The minimum is the lattice's own
@@ -54,7 +54,6 @@ from .core import (
     LinkPair,
     ProtocolParams,
     as_point,
-    attack_coords,
     beta_over_alpha,
     bisector_lam,
     effective_noise,
@@ -165,7 +164,7 @@ def _grid_rates(protocol: ProtocolParams, tau_a, tau_b, omega_a, omega_b, g, gp,
     """Vectorized general rate over correlation arrays.
 
     Returns (rates, physical mask, rated mask) by the physicality test, noise
-    algebra and domain of :func:`cvmdi.keyrate.key_rate`: rated = physical & (in
+    algebra and domain of :func:`cvmdi.keyrate._report`: rated = physical & (in
     domain | decoupled), rates are :func:`cvmdi.keyrate.decoupled_rate` at the
     decoupled points and +inf off rated, and the kernel runs on every point,
     parked (:func:`cvmdi.keyrate.park`) off physical & in domain.  Links, ancilla
@@ -223,7 +222,7 @@ def min_rate_brute(
     for level, n in enumerate(levels + [last + 1]):
         if level:
             # the g' axis mirrors the g axis: clipped windows stay on the bisector
-            gc = attack_coords(g_star, gp_star).l
+            gc = (g_star - gp_star) / 2.0
             half = REFINE_MARGIN * (ax[1] - ax[0])
             if level == len(levels):
                 half *= last * cut / span
@@ -255,7 +254,7 @@ def min_rate_brute(
         g_star=g_star,
         g_prime_star=gp_star,
         rate_star=rate_star,
-        bisector_distance=attack_coords(g_star, gp_star).d,
+        bisector_distance=abs(g_star + gp_star) / math.sqrt(2.0),
         analytic_rate=analytic,
         gap=rate_star - analytic,
         g_max=gm,

@@ -14,8 +14,8 @@ All functions are pure and the dataclasses are frozen.  Only this module
 maps an ancilla to (lam, lam', chi) and to physicality.  The formulas here
 and in :mod:`cvmdi.keyrate` take numpy arrays that broadcast and return
 arrays (numpy's 0-d results for 0-d operands); none has a float mode.  The
-single-point API (:func:`chi_equivalent` and the ``key_rate*`` reports)
-converts once, to Python floats and bools.
+single-point API, :func:`cvmdi.keyrate.key_rate_min_thermal` and
+:func:`cvmdi.keyrate.key_rate_min_chi`, converts once, to Python floats and bools.
 
 The array formulas can compute in place.  Each takes an optional ``out``:
 a tuple of writable float arrays of the broadcast shape of its operands,
@@ -59,10 +59,6 @@ LOG2E = math.log2(math.e)
 
 class DomainError(ValueError):
     """A quantity left the mathematical domain of a rate or entropy formula."""
-
-
-class NonphysicalStateError(DomainError):
-    """A covariance matrix is not a valid Gaussian quantum state."""
 
 
 class SymmetricDegenerateError(DomainError):
@@ -179,17 +175,6 @@ class AncillaState:
     def __post_init__(self) -> None:
         require_omega("omega_a", self.omega_a)
         require_omega("omega_b", self.omega_b)
-
-
-@dataclass(frozen=True)
-class AttackCoords:
-    """Rotated correlation coordinates: ``d`` is the distance of
-    ``(g, g_prime)`` from the anticorrelation bisector g = -g', ``d_prime``
-    the signed half-sum, ``l`` the bisector projection."""
-
-    d: float
-    d_prime: float
-    l: float
 
 
 def as_point(*xs):
@@ -360,23 +345,6 @@ def bisector_lam(tau_a, tau_b, chi):
 
 
 def excess_chi(tau_a, tau_b, epsilon):
-    """2 beta / alpha + epsilon of :func:`chi_equivalent`, elementwise."""
+    """Equivalent noise 2 beta / alpha + epsilon of lossy links with excess
+    noise epsilon (:func:`require_epsilon`), elementwise; >= beta^2 / alpha."""
     return 2.0 * beta_over_alpha(tau_a, tau_b) + epsilon
-
-
-def chi_equivalent(link: LinkPair, epsilon: float) -> float:
-    """Equivalent input-referred noise 2 beta / alpha + epsilon of a lossy
-    link pair with excess noise epsilon; always >= beta^2 / alpha."""
-    require_epsilon(epsilon)
-    return float(excess_chi(link.tau_a, link.tau_b, epsilon))
-
-
-def attack_coords(g: float, g_prime: float) -> AttackCoords:
-    """Rotate correlations into bisector coordinates: d' = (g + g')/2,
-    l = (g - g')/2, d = |g + g'| / sqrt(2).  Intended for the sector
-    g + g' >= 0 (the other sector is its mirror image)."""
-    return AttackCoords(
-        d=abs(g + g_prime) / math.sqrt(2.0),
-        d_prime=(g + g_prime) / 2.0,
-        l=(g - g_prime) / 2.0,
-    )

@@ -23,14 +23,12 @@ at its report: it picks (lam, lam', chi) through the noise algebra of
 numpy loops as a lattice, and returns a :class:`KeyRateReport` of
 Python floats in bits per relay use (negative rates unclamped, flagged by
 ``secure``), so a sweep cell equals the single-point call bit for
-bit.  Its paths are the general rate :func:`key_rate` against an explicit
-ancilla, the closed form :func:`key_rate_closed` at given (lam, lam'), and
-the worst cases :func:`key_rate_min_thermal` (known thermal noises) and
-:func:`key_rate_min_chi` (known equivalent noise chi); none branches on
-whether the link is symmetric.  Alice's raw key is always the reference;
-swapping tau_a and tau_b evaluates the opposite reference choice.  The
-formulas assume the large-modulation regime, so mu enters only through
-mu^(xi-1) and the mutual information.
+bit.  Its paths are the worst cases :func:`key_rate_min_thermal` (known
+thermal noises) and :func:`key_rate_min_chi` (known equivalent noise chi);
+neither branches on whether the link is symmetric.  Alice's raw key is
+always the reference; swapping tau_a and tau_b evaluates the opposite
+reference choice.  The formulas assume the large-modulation regime, so mu
+enters only through mu^(xi-1) and the mutual information.
 """
 
 from __future__ import annotations
@@ -42,10 +40,8 @@ import numpy as np
 
 from .core import (
     H_CLAMP_TOL,
-    AncillaState,
     DomainError,
     LinkPair,
-    NonphysicalStateError,
     ProtocolParams,
     as_point,
     bisector_lam,
@@ -54,7 +50,6 @@ from .core import (
     entropy_scaled,
     equivalent_chi,
     g_max,
-    is_physical,
 )
 
 
@@ -167,32 +162,6 @@ def mutual_information(mu: float, chi: float) -> float:
     if mu <= 0.0:
         raise DomainError(f"mu must be > 0, got {mu}")
     return math.log2(mu / chi)
-
-
-def key_rate(
-    protocol: ProtocolParams, link: LinkPair, ancilla: AncillaState
-) -> KeyRateReport:
-    """General rate xi * I_AB - I_EA against an explicit attack ancilla,
-    which must be physical: the closed form at its effective noises."""
-    if not is_physical(ancilla):
-        raise NonphysicalStateError(
-            f"attack covariance is not physical: {ancilla}"
-        )
-    lam, lam_prime = effective_noise(link.tau_a, link.tau_b, ancilla.omega_a, ancilla.omega_b,
-                                     ancilla.g, ancilla.g_prime)
-    return key_rate_closed(protocol, link, lam, lam_prime)
-
-
-def key_rate_closed(
-    protocol: ProtocolParams, link: LinkPair, lam: float, lam_prime: float
-) -> KeyRateReport:
-    """Closed form at given effective noises (lam, lam'), on any link pair:
-    the kernel at chi = :func:`cvmdi.core.equivalent_chi` of (lam, lam').  At
-    dtau = 0 that is the symmetric form log2(8 tau mu^(xi-1) / (e^2 chi^xi
-    sqrt(lam lam'))) + h(nu), and lam = lam' = 0 there (lossless links,
-    adversary decoupled) gives :func:`decoupled_rate`."""
-    ta, tb, lam, lam_prime = as_point(link.tau_a, link.tau_b, lam, lam_prime)
-    return _report(protocol, ta, tb, lam, lam_prime, equivalent_chi(ta, tb, lam, lam_prime))
 
 
 def key_rate_min_thermal(

@@ -32,7 +32,7 @@ its coefficients (0, 0, -4, 4) on the fiber phases and drift rates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +64,6 @@ class RoutingError(RuntimeError):
 class Pulse:
     polarization: str
     phase: float | np.ndarray = 0.0
-    trace: list[str] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,6 @@ class Splitter:
                 f"{self.name}: {pulse.polarization}-polarized pulse exits the "
                 f"{routed} port but the path continues via {self.port}"
             )
-        pulse.trace.append(self.name)
 
 
 @dataclass(frozen=True)
@@ -111,7 +109,6 @@ class Fiber:
 
     def apply(self, pulse: Pulse) -> None:
         pulse.phase += self.phase
-        pulse.trace.append(self.name)
 
 
 @dataclass(frozen=True)
@@ -122,7 +119,6 @@ class FaradayMirror:
     def apply(self, pulse: Pulse) -> None:
         if self.flip:
             pulse.polarization = V if pulse.polarization == H else H
-        pulse.trace.append(self.name)
 
 
 @dataclass(frozen=True)
@@ -133,7 +129,6 @@ class Encoder:
 
     def apply(self, pulse: Pulse) -> None:
         pulse.phase += self.extra_phase + np.angle(self.value)
-        pulse.trace.append(self.name)
 
 
 PathStep = Splitter | Fiber | FaradayMirror | Encoder
@@ -172,12 +167,11 @@ def right_path(config: SchemeConfig, skip_fiber_a: bool = False) -> list[PathSte
     return steps
 
 
-def run_path(steps: list[PathStep], label: str = "pulse") -> Pulse:
+def run_path(steps: list[PathStep]) -> Pulse:
     """Propagate an H-polarized unit pulse through a step sequence."""
     pulse = Pulse(polarization=H)
     for step in steps:
         step.apply(pulse)
-    pulse.trace.append(f"relay_bs[{label}]")
     return pulse
 
 
@@ -188,9 +182,7 @@ def propagate(config: SchemeConfig) -> tuple[Pulse, Pulse]:
     drift-ramp terms); their relative phase is pi/2 plus the encoding
     phase difference, independent of the fiber drifts.
     """
-    left = run_path(left_path(config), "left")
-    right = run_path(right_path(config), "right")
-    return left, right
+    return run_path(left_path(config)), run_path(right_path(config))
 
 
 def _wrap(angle):
@@ -262,7 +254,7 @@ def check_self_alignment(trials: int = 10000, seed: int = 0) -> AlignmentReport:
         )
         expected = expected_relative_phase(config)
         left, right = propagate(config)
-        broken = run_path(right_path(config, skip_fiber_a=True), "right-broken")
+        broken = run_path(right_path(config, skip_fiber_a=True))
         err, broken_err = (np.abs(_wrap(relative_phase(left, p) - expected))
                            for p in (right, broken))
         max_err = max(max_err, float(err.max()))

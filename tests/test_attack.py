@@ -1,5 +1,6 @@
 """Tests for the brute-force worst-case search and the rate profiles."""
 
+import contextlib
 import math
 import tracemalloc
 import warnings
@@ -18,10 +19,8 @@ from cvmdi import (
     EmptyDomainError,
     LinkPair,
     ProtocolParams,
-    attack_coords,
     g_max,
     is_physical,
-    key_rate,
     key_rate_min_chi,
     key_rate_min_thermal,
     min_rate_brute,
@@ -39,8 +38,8 @@ from cvmdi.attack import (
     _profiles,
     _thermal_profiles,
 )
-from cvmdi.core import effective_noise
-from cvmdi.keyrate import in_domain
+from cvmdi.core import as_point, effective_noise, equivalent_chi
+from cvmdi.keyrate import _report, in_domain
 
 FAST_GRID = AttackGrid(n=101, refine_n=201)
 
@@ -147,11 +146,10 @@ class TestMinRateBrute:
     def test_rate_star_matches_scalar_path(self):
         link = LinkPair(0.85, 0.55)
         report = min_rate_brute(ProtocolParams(), link, 3.0, 1.7, FAST_GRID)
-        direct = key_rate(
-            ProtocolParams(),
-            link,
-            AncillaState(3.0, 1.7, report.g_star, report.g_prime_star),
-        ).rate
+        ancilla = AncillaState(3.0, 1.7, report.g_star, report.g_prime_star)
+        assert is_physical(ancilla)
+        point = [*as_point(0.85, 0.55, *effective_noise(0.85, 0.55, *astuple(ancilla)))]
+        direct = _report(ProtocolParams(), *point, equivalent_chi(*point)).rate
         assert report.rate_star == direct
 
     def test_bisector_proximity_random(self):
@@ -224,7 +222,7 @@ def _min_rate_full_square(protocol, link, wa, wb, grid):
     n_eval = n_skip = 0
     for level, n in enumerate(levels + [last + 1]):
         if level:
-            gc = attack_coords(g_star, gp_star).l
+            gc = (g_star - gp_star) / 2.0
             half = REFINE_MARGIN * (ax[1] - ax[0])
             if level == len(levels):
                 half *= last * cut / span
@@ -242,7 +240,7 @@ def _min_rate_full_square(protocol, link, wa, wb, grid):
     analytic = key_rate_min_thermal(protocol, link, wa, wb).rate
     gm = float(g_max(wa, wb))
     return ArgMinReport(
-        g_star, gp_star, rate_star, attack_coords(g_star, gp_star).d, analytic,
+        g_star, gp_star, rate_star, abs(g_star + gp_star) / math.sqrt(2.0), analytic,
         rate_star - analytic, gm, abs(abs(g_star) - gm), float(ax[1] - ax[0]),
         n_eval, n_skip,
     )
@@ -257,7 +255,7 @@ def _min_rate_one_window(protocol, link, wa, wb, grid):
     g, gp = np.meshgrid(axis, axis, indexing="ij")
     rates, phys, adm = _grid_rates(protocol, link.tau_a, link.tau_b, wa, wb, g, gp)
     g0, gp0 = _argmin_tiebreak(g, gp, rates, phys & adm)
-    gc = attack_coords(g0, gp0).l
+    gc = (g0 - gp0) / 2.0
     half = REFINE_MARGIN * (axis[1] - axis[0])
     ax_g = np.linspace(max(lo, gc - half), min(hi, gc + half), grid.refine_n)
     rg, rgp = np.meshgrid(ax_g, -ax_g[::-1], indexing="ij")
@@ -266,7 +264,11 @@ def _min_rate_one_window(protocol, link, wa, wb, grid):
     g_star, gp_star = (
         _argmin_tiebreak(rg, rgp, rrates, rmask) if rmask.any() else (g0, gp0)
     )
-    rate = key_rate(protocol, link, AncillaState(wa, wb, g_star, gp_star)).rate
+    ancilla = AncillaState(wa, wb, g_star, gp_star)
+    assert is_physical(ancilla)
+    lams = effective_noise(link.tau_a, link.tau_b, *astuple(ancilla))
+    point = [*as_point(link.tau_a, link.tau_b, *lams)]
+    rate = _report(protocol, *point, equivalent_chi(*point)).rate
     return g_star, gp_star, rate, float(ax_g[1] - ax_g[0])
 
 
@@ -404,7 +406,8 @@ class TestGridRateSymmetries:
 
 class TestGridRatesMatchKeyRate:
     """Every point of a lattice equals the single-point general rate bit for
-    bit, and is +inf exactly where :func:`key_rate` raises: the lattice runs
+    bit, and is +inf exactly where the ancilla is not physical or
+    :func:`cvmdi.keyrate._report` raises: the lattice runs
     the kernel on parked points too, and the full-square reference calls
     ``_grid_rates`` itself, so only this comparison sees a parked rate leak."""
 
@@ -428,10 +431,12 @@ class TestGridRatesMatchKeyRate:
             rates, phys, rated = _grid_rates(protocol, link.tau_a, link.tau_b, wa, wb,
                                              g, gp, work)
             for k, ancilla in enumerate(AncillaState(wa, wb, *x) for x in zip(g, gp)):
-                try:
-                    want[k] = key_rate(protocol, link, ancilla).rate
-                except DomainError:
-                    want[k] = math.inf
+                want[k] = math.inf
+                if is_physical(ancilla):
+                    lams = effective_noise(link.tau_a, link.tau_b, *astuple(ancilla))
+                    point = [*as_point(link.tau_a, link.tau_b, *lams)]
+                    with contextlib.suppress(DomainError):
+                        want[k] = _report(protocol, *point, equivalent_chi(*point)).rate
         assert np.array_equal(rates.view(np.int64), want.view(np.int64))
         assert np.array_equal(np.isinf(rates), ~rated)
         assert (~phys).sum() > 100 and rated.sum() > 100
@@ -565,9 +570,10 @@ class TestRateProfileThermal:
             protocol, link, omegas=(1.3, 2.0), l=-0.3, samples=100
         )
         assert profile.y[0] == 0.0
-        anchor = key_rate(
-            protocol, link, AncillaState(1.3, 2.0, -0.3, 0.3)
-        ).rate
+        ancilla = AncillaState(1.3, 2.0, -0.3, 0.3)
+        assert is_physical(ancilla)
+        point = [*as_point(0.8, 0.5, *effective_noise(0.8, 0.5, *astuple(ancilla)))]
+        anchor = _report(protocol, *point, equivalent_chi(*point)).rate
         assert profile.rate[0] == anchor
 
     def test_monotone_increasing(self):
@@ -601,7 +607,7 @@ class TestRateProfileThermal:
 
 
 def _thermal_profile_by_sample(protocol, link, omegas, l, samples):
-    """Reference: the thermal profile as one key_rate call per sample,
+    """Reference: the thermal profile as one single-point report per sample,
     on the sample grid of rate_profile_y."""
     wa, wb = omegas
     kappa = (1.0 - link.tau_a) * wa + (1.0 - link.tau_b) * wb
@@ -622,7 +628,9 @@ def _thermal_profile_by_sample(protocol, link, omegas, l, samples):
             if not is_physical(ancilla):
                 skipped += 1
                 continue
-            rates.append(key_rate(protocol, link, ancilla).rate)
+            lams = effective_noise(link.tau_a, link.tau_b, *astuple(ancilla))
+            point = [*as_point(link.tau_a, link.tau_b, *lams)]
+            rates.append(_report(protocol, *point, equivalent_chi(*point)).rate)
         except DomainError:
             skipped += 1
             continue
@@ -695,7 +703,10 @@ class TestArrayPathsSkipSinglePointReports:
         assert len(calls) == 1  # key_rate_min_thermal's analytic minimum
         # the lattice's own rate at the argmin is the general rate there
         ancilla = AncillaState(*omegas, report.g_star, report.g_prime_star)
-        assert report.rate_star == key_rate(protocol, link, ancilla).rate  # 0 ulp
+        assert is_physical(ancilla)
+        lams = effective_noise(link.tau_a, link.tau_b, *astuple(ancilla))
+        point = [*as_point(link.tau_a, link.tau_b, *lams)]
+        assert report.rate_star == _report(protocol, *point, equivalent_chi(*point)).rate  # 0 ulp
 
     def test_lossless_profile_reports_nothing(self, monkeypatch):
         protocol, link = ProtocolParams(), LinkPair(1.0, 1.0)
@@ -718,7 +729,9 @@ class TestArrayPathsSkipSinglePointReports:
                                  np.array([0.1, 0.0, -0.2]), 20)
         for row, x in enumerate(xi[:, 0]):
             ancilla = AncillaState(omegas[row], omegas[row], 0.0, 0.0)
-            want = key_rate(ProtocolParams(xi=x), LinkPair(1.0, 1.0), ancilla).rate
+            assert is_physical(ancilla)
+            point = [*as_point(1.0, 1.0, *effective_noise(1.0, 1.0, *astuple(ancilla)))]
+            want = _report(ProtocolParams(xi=x), *point, equivalent_chi(*point)).rate
             assert np.all(prof.rate[row] == want)
 
 

@@ -9,7 +9,6 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 import mp_oracle
 from cvmdi import core
@@ -19,15 +18,13 @@ from cvmdi import (
     DomainError,
     LinkPair,
     ProtocolParams,
-    attack_coords,
-    chi_equivalent,
     entropy_h,
     g_max,
     is_physical,
     log_ratio_g,
 )
 from cvmdi.attack import _axis, physical_bounds
-from cvmdi.core import effective_noise, entropy_scaled, equivalent_chi
+from cvmdi.core import effective_noise, entropy_scaled, equivalent_chi, excess_chi
 
 
 def symplectic_eigenvalues_generic(sigma):
@@ -415,12 +412,12 @@ class TestNoiseAlgebra:
         chi = equivalent_chi(0.9, 0.7, lam, lam_prime)
         assert chi == pytest.approx(5.07936507936508, rel=1e-12)
 
-    def test_pure_loss_matches_chi_equivalent(self):
+    def test_pure_loss_matches_excess_chi(self):
         rng = np.random.default_rng(14)
         for _ in range(50):
             ta, tb = rng.uniform(0.2, 1.0, size=2)
             chi = equivalent_chi(ta, tb, *effective_noise(ta, tb, 1.0, 1.0, 0.0, 0.0))
-            ref = chi_equivalent(LinkPair(ta, tb), 0.0)
+            ref = excess_chi(ta, tb, 0.0)
             assert abs(chi - ref) <= 1e-12 * ref
 
     def test_bisector_lambda_equality_and_inversion(self):
@@ -437,15 +434,15 @@ class TestNoiseAlgebra:
             assert abs(lam_back - lam) <= 1e-12 * max(1.0, abs(lam))
 
 
-class TestChiEquivalent:
+class TestExcessChi:
     def test_lossless(self):
-        assert chi_equivalent(LinkPair(1.0, 1.0), 0.0) == 4.0
+        assert excess_chi(1.0, 1.0, 0.0) == 4.0
 
     def test_values(self):
-        assert chi_equivalent(LinkPair(0.9, 0.7), 0.01) == pytest.approx(
+        assert excess_chi(0.9, 0.7, 0.01) == pytest.approx(
             5.08936507936508, rel=1e-12
         )
-        assert chi_equivalent(LinkPair(0.95, 0.95), 0.01) == pytest.approx(
+        assert excess_chi(0.95, 0.95, 0.01) == pytest.approx(
             4.22052631578947, rel=1e-12
         )
 
@@ -454,42 +451,7 @@ class TestChiEquivalent:
         for _ in range(50):
             link = LinkPair(*rng.uniform(0.2, 1.0, size=2))
             eps = rng.uniform(0.0, 1.0)
-            assert chi_equivalent(link, eps) >= link.beta**2 / link.alpha
-
-
-class TestAttackCoords:
-    def test_on_bisector(self):
-        coords = attack_coords(1.0, -1.0)
-        assert coords.d_prime == 0.0
-        assert coords.l == 1.0
-        assert coords.d == 0.0
-
-    def test_off_bisector(self):
-        coords = attack_coords(1.0, 1.0)
-        assert coords.d == pytest.approx(math.sqrt(2.0), rel=1e-15)
-        assert coords.d_prime == 1.0
-        assert coords.l == 0.0
-
-    # the inverse g = d' + l, g' = d' - l is the ancilla of a fixed-thermal
-    # rate profile's sample (attack._thermal_profiles), written inline there
-    def test_worked_round_trip(self):
-        g, gp = 0.3 + -0.2, 0.3 - -0.2
-        assert (g, gp) == pytest.approx((0.1, 0.5), abs=1e-15)
-        coords = attack_coords(g, gp)
-        assert coords.d_prime == pytest.approx(0.3, abs=1e-15)
-        assert coords.l == pytest.approx(-0.2, abs=1e-15)
-
-    @given(
-        st.floats(min_value=0.0, max_value=50.0),
-        st.floats(min_value=-50.0, max_value=50.0),
-    )
-    def test_round_trip_property(self, d_prime, l):
-        g, gp = d_prime + l, d_prime - l
-        back = attack_coords(g, gp)
-        # rounding scales with the larger correlation, ~ulp(|d'| + |l|)
-        scale = max(1.0, abs(d_prime), abs(l))
-        assert abs(back.d_prime - d_prime) <= 1e-15 * scale
-        assert abs(back.l - l) <= 1e-15 * scale
+            assert excess_chi(link.tau_a, link.tau_b, eps) >= link.beta**2 / link.alpha
 
 
 class TestAncillaState:

@@ -20,16 +20,14 @@ from cvmdi import (
     LinkPair,
     ParameterError,
     ProtocolParams,
-    chi_equivalent,
     g_max,
-    key_rate,
-    key_rate_closed,
+    is_physical,
     key_rate_min_chi,
     key_rate_min_thermal,
     mutual_information,
 )
-from cvmdi.core import OMEGA_MAX, bisector_lam, effective_noise, equivalent_chi
-from cvmdi.keyrate import KeyRateReport, in_domain, min_thermal_noise, park, rate_kernel
+from cvmdi.core import OMEGA_MAX, as_point, bisector_lam, effective_noise, equivalent_chi, excess_chi
+from cvmdi.keyrate import KeyRateReport, _report, in_domain, min_thermal_noise, park, rate_kernel
 
 FIG_PROTOCOL = ProtocolParams(xi=0.97, phi=60.0)
 
@@ -64,7 +62,8 @@ def bisector_ancilla(link, lam_target, omega=1.1):
 def holevo(link, lam, lam_prime, mu):
     """I_EA of the report at (lam, lam'), for coherent-state variance mu."""
     protocol = ProtocolParams(xi=1.0, phi=mu - 1.0)
-    return key_rate_closed(protocol, link, lam, lam_prime).i_ea
+    point = [*as_point(link.tau_a, link.tau_b, lam, lam_prime)]
+    return _report(protocol, *point, equivalent_chi(*point)).i_ea
 
 
 class TestMutualInformation:
@@ -130,71 +129,67 @@ def mp_oracle_h(x):
 
 class TestKeyRateGeneral:
     def test_worked_scenario(self):
-        report = key_rate(FIG_PROTOCOL, SCEN_LINK, bisector_ancilla(SCEN_LINK, SCEN_LAM))
+        ancilla = bisector_ancilla(SCEN_LINK, SCEN_LAM)
+        assert is_physical(ancilla)
+        point = [*as_point(0.98, 0.6, *effective_noise(0.98, 0.6, *dataclasses.astuple(ancilla)))]
+        report = _report(FIG_PROTOCOL, *point, equivalent_chi(*point))
         assert report.rate == pytest.approx(SCEN_RATE, rel=1e-10)
         assert report.i_ab == pytest.approx(SCEN_I_AB, rel=1e-10)
         assert report.i_ea == pytest.approx(SCEN_I_EA, rel=1e-10)
         assert report.secure
 
     def test_report_identity(self):
-        report = key_rate(FIG_PROTOCOL, SCEN_LINK, bisector_ancilla(SCEN_LINK, SCEN_LAM))
+        ancilla = bisector_ancilla(SCEN_LINK, SCEN_LAM)
+        assert is_physical(ancilla)
+        point = [*as_point(0.98, 0.6, *effective_noise(0.98, 0.6, *dataclasses.astuple(ancilla)))]
+        report = _report(FIG_PROTOCOL, *point, equivalent_chi(*point))
         assert abs(report.rate - (FIG_PROTOCOL.xi * report.i_ab - report.i_ea)) <= 1e-12
 
     def test_lossless_symmetric_dispatch(self):
-        report = key_rate(FIG_PROTOCOL, LinkPair(1.0, 1.0), AncillaState(1, 1, 0, 0))
+        assert is_physical(AncillaState(1, 1, 0, 0))
+        point = [*as_point(1.0, 1.0, *effective_noise(1.0, 1.0, 1, 1, 0, 0))]
+        report = _report(FIG_PROTOCOL, *point, equivalent_chi(*point))
         assert report.rate == pytest.approx(0.97 * math.log2(61.0 / 4.0), rel=1e-14)
         assert report.chi == pytest.approx(4.0, rel=1e-15)
 
     def test_insecure_reported_unclamped(self):
         mirror = LinkPair(0.6, 0.98)
-        lam = mirror.alpha * chi_equivalent(mirror, 0.01) / mirror.beta - mirror.beta
-        report = key_rate(FIG_PROTOCOL, mirror, bisector_ancilla(mirror, lam))
+        lam = mirror.alpha * excess_chi(0.6, 0.98, 0.01) / mirror.beta - mirror.beta
+        ancilla = bisector_ancilla(mirror, lam)
+        assert is_physical(ancilla)
+        point = [*as_point(0.6, 0.98, *effective_noise(0.6, 0.98, *dataclasses.astuple(ancilla)))]
+        report = _report(FIG_PROTOCOL, *point, equivalent_chi(*point))
         assert report.rate < 0.0
         assert not report.secure
-
-    def test_nonphysical_ancilla_rejected(self):
-        from cvmdi import NonphysicalStateError
-
-        with pytest.raises(NonphysicalStateError):
-            key_rate(FIG_PROTOCOL, SCEN_LINK, AncillaState(2, 2, 2.0, -2.0))
 
 
 class TestClosedSym:
     def test_pure_loss_frozen(self):
         p = ProtocolParams(xi=1.0, phi=60.0)
-        report = key_rate_closed(p, LinkPair(0.9, 0.9), 0.2, 0.2)
+        point = [*as_point(0.9, 0.9, 0.2, 0.2)]
+        report = _report(p, *point, equivalent_chi(*point))
         assert report.rate == pytest.approx(PURE_LOSS_RATE, rel=1e-12)
         assert report.nu == pytest.approx(11.0 / 9.0, rel=1e-14)
 
     def test_lossless_limit(self):
-        report = key_rate_closed(FIG_PROTOCOL, LinkPair(1.0, 1.0), 0.0, 0.0)
+        point = [*as_point(1.0, 1.0, 0.0, 0.0)]
+        report = _report(FIG_PROTOCOL, *point, equivalent_chi(*point))
         assert report.rate == pytest.approx(0.97 * math.log2(61.0 / 4.0), rel=1e-14)
         assert report.i_ea == 0.0
-
-    def test_matches_general_on_bisector(self):
-        rng = np.random.default_rng(21)
-        for _ in range(100):
-            tau = rng.uniform(0.4, 0.999)
-            link = LinkPair(tau, tau)
-            omega = rng.uniform(1.05, 6.0)
-            g = rng.uniform(-1.0, 1.0) * g_max(omega, omega)
-            ancilla = AncillaState(omega, omega, g, -g)
-            lam, lam_prime = effective_noise(tau, tau, omega, omega, g, -g)
-            via_general = key_rate(FIG_PROTOCOL, link, ancilla).rate
-            direct = key_rate_closed(FIG_PROTOCOL, link, lam, lam_prime).rate
-            assert rel_err(via_general, direct) <= 1e-9
 
 
 class TestClosedAsym:
     def test_worked_scenario(self):
-        report = key_rate_closed(FIG_PROTOCOL, SCEN_LINK, SCEN_LAM, SCEN_LAM)
+        point = [*as_point(0.98, 0.6, SCEN_LAM, SCEN_LAM)]
+        report = _report(FIG_PROTOCOL, *point, equivalent_chi(*point))
         assert report.rate == pytest.approx(SCEN_RATE, rel=1e-10)
         assert report.nu == pytest.approx(2.33953586497890, rel=1e-10)
 
     def test_mirror_insecure(self):
         mirror = LinkPair(0.6, 0.98)
-        lam = mirror.alpha * chi_equivalent(mirror, 0.01) / mirror.beta - mirror.beta
-        report = key_rate_closed(FIG_PROTOCOL, mirror, lam, lam)
+        lam = mirror.alpha * excess_chi(0.6, 0.98, 0.01) / mirror.beta - mirror.beta
+        point = [*as_point(0.6, 0.98, lam, lam)]
+        report = _report(FIG_PROTOCOL, *point, equivalent_chi(*point))
         assert report.rate == pytest.approx(MIRROR_RATE, rel=1e-10)
         assert not report.secure
 
@@ -205,22 +200,25 @@ class TestClosedAsym:
             if abs(ta - tb) < 1e-3:
                 continue
             link = LinkPair(ta, tb)
-            chi = chi_equivalent(link, rng.uniform(0.0, 0.5))
+            chi = excess_chi(ta, tb, rng.uniform(0.0, 0.5))
             lam = link.alpha * chi / link.beta - link.beta
-            via_lam = key_rate_closed(FIG_PROTOCOL, link, lam, lam).rate
+            point = [*as_point(ta, tb, lam, lam)]
+            via_lam = _report(FIG_PROTOCOL, *point, equivalent_chi(*point)).rate
             via_chi = key_rate_min_chi(FIG_PROTOCOL, link, chi).rate
             assert rel_err(via_lam, via_chi) <= 1e-9
 
     def test_symmetric_matches_closed_sym(self):
         # the kernel is defined at dtau = 0, where it is the symmetric form
         for lam, lam_prime in ((0.5, 0.5), (0.2, 0.9)):
-            got = key_rate_closed(FIG_PROTOCOL, LinkPair(0.7, 0.7), lam, lam_prime)
+            point = [*as_point(0.7, 0.7, lam, lam_prime)]
+            got = rate_kernel(61.0, 0.97, *point, equivalent_chi(*point))[0]
             want = mp_oracle.rate_sym_closed(0.97, 61, 0.7, lam, lam_prime)
-            assert rel_err(got.rate, float(want)) <= 1e-14
+            assert rel_err(float(got[0]), float(want)) <= 1e-14
 
     def test_lambda_domain(self):
+        point = [*as_point(0.98, 0.6, 0.1, 0.1)]
         with pytest.raises(DomainError):
-            key_rate_closed(FIG_PROTOCOL, SCEN_LINK, 0.1, 0.1)
+            _report(FIG_PROTOCOL, *point, equivalent_chi(*point))
 
 
 class TestMinThermal:
@@ -251,7 +249,8 @@ class TestMinThermal:
             kappa = (1.0 - ta) * wa + (1.0 - tb) * wb
             lam_opt = kappa + 2.0 * math.sqrt((1.0 - ta) * (1.0 - tb)) * g_max(wa, wb)
             direct = key_rate_min_thermal(FIG_PROTOCOL, link, wa, wb).rate
-            via_closed = key_rate_closed(FIG_PROTOCOL, link, lam_opt, lam_opt).rate
+            point = [*as_point(ta, tb, lam_opt, lam_opt)]
+            via_closed = _report(FIG_PROTOCOL, *point, equivalent_chi(*point)).rate
             assert rel_err(direct, via_closed) <= 1e-12
 
     def test_lossless(self):
@@ -262,13 +261,13 @@ class TestMinThermal:
 class TestMinChi:
     def test_symmetric_frozen(self):
         link = LinkPair(0.95, 0.95)
-        chi = chi_equivalent(link, 0.01)
+        chi = excess_chi(0.95, 0.95, 0.01)
         assert chi == pytest.approx(SYM95_CHI, rel=1e-12)
         report = key_rate_min_chi(FIG_PROTOCOL, link, chi)
         assert report.rate == pytest.approx(SYM95_RATE, rel=1e-10)
 
     def test_asymmetric_frozen(self):
-        report = key_rate_min_chi(FIG_PROTOCOL, SCEN_LINK, chi_equivalent(SCEN_LINK, 0.01))
+        report = key_rate_min_chi(FIG_PROTOCOL, SCEN_LINK, excess_chi(0.98, 0.6, 0.01))
         assert report.rate == pytest.approx(SCEN_RATE, rel=1e-10)
 
     def test_symmetric_pole(self):
@@ -283,7 +282,8 @@ class TestMinChi:
 
 class TestCrossFormulaInvariants:
     def test_closed_form_consistency_on_bisector(self):
-        # general, closed and minimized-chi paths agree where all defined
+        # the general rate at a physical bisector ancilla and the
+        # minimized-chi path agree where both are defined
         rng = np.random.default_rng(24)
         checked = 0
         while checked < 200:
@@ -295,11 +295,11 @@ class TestCrossFormulaInvariants:
             lam, lam_prime = effective_noise(ta, tb, omega, omega, g, -g)
             if math.sqrt(lam * lam_prime) <= abs(ta - tb) * (1 + 1e-9):
                 continue
-            r_general = key_rate(FIG_PROTOCOL, link, ancilla).rate
-            r_closed = key_rate_closed(FIG_PROTOCOL, link, lam, lam_prime).rate
+            assert is_physical(ancilla)
+            point = [*as_point(ta, tb, lam, lam_prime)]
+            r_general = _report(FIG_PROTOCOL, *point, equivalent_chi(*point)).rate
             chi = equivalent_chi(ta, tb, lam, lam_prime)
             r_chi = key_rate_min_chi(FIG_PROTOCOL, link, chi).rate
-            assert rel_err(r_general, r_closed) <= 1e-9
             assert rel_err(r_general, r_chi) <= 1e-9
             checked += 1
 
@@ -307,12 +307,14 @@ class TestCrossFormulaInvariants:
         for tau in (0.7, 0.9, 0.95):
             d = 1e-4
             link = LinkPair(tau + d, tau - d)
-            chi = chi_equivalent(link, 0.01)
+            chi = excess_chi(link.tau_a, link.tau_b, 0.01)
             lam = link.alpha * chi / link.beta - link.beta
-            asymmetric = key_rate_closed(FIG_PROTOCOL, link, lam, lam).rate
-            chi_s = chi_equivalent(LinkPair(tau, tau), 0.01)
+            point = [*as_point(link.tau_a, link.tau_b, lam, lam)]
+            asymmetric = _report(FIG_PROTOCOL, *point, equivalent_chi(*point)).rate
+            chi_s = excess_chi(tau, tau, 0.01)
             lam_s = tau * chi_s / 2.0 - 2.0 * tau
-            symmetric = key_rate_closed(FIG_PROTOCOL, LinkPair(tau, tau), lam_s, lam_s).rate
+            point = [*as_point(tau, tau, lam_s, lam_s)]
+            symmetric = _report(FIG_PROTOCOL, *point, equivalent_chi(*point)).rate
             assert abs(asymmetric - symmetric) <= 1e-3
 
     def test_xi_monotonicity(self):
@@ -320,7 +322,7 @@ class TestCrossFormulaInvariants:
         for _ in range(50):
             ta, tb = rng.uniform(0.5, 0.99, size=2)
             link = LinkPair(ta, tb)
-            chi = chi_equivalent(link, 0.01)
+            chi = excess_chi(ta, tb, 0.01)
             if mutual_information(61.0, chi) <= 0.0:
                 continue
             xi = rng.uniform(0.5, 0.999)
@@ -330,7 +332,7 @@ class TestCrossFormulaInvariants:
 
     def test_mu_independence_at_unit_xi(self):
         link = LinkPair(0.9, 0.6)
-        chi = chi_equivalent(link, 0.01)
+        chi = excess_chi(0.9, 0.6, 0.01)
         rates_chi = {
             phi: key_rate_min_chi(ProtocolParams(xi=1.0, phi=phi), link, chi).rate
             for phi in (9.0, 60.0, 999.0)
@@ -352,7 +354,7 @@ class TestCrossFormulaInvariants:
             if abs(ta - tb) < 1e-3:
                 continue
             link = LinkPair(ta, tb)
-            chi = chi_equivalent(link, rng.uniform(0.0, 1.0))
+            chi = excess_chi(ta, tb, rng.uniform(0.0, 1.0))
             lam = link.alpha * chi / link.beta - link.beta
             lhs = (link.alpha * chi - link.beta**2) / (abs(ta - tb) * link.beta)
             rhs = lam / abs(ta - tb)
@@ -367,8 +369,9 @@ class TestOracleAgreement:
         value = float(
             mp_oracle.rate_general("0.97", 61, "0.98", "0.6", SCEN_LAM, SCEN_LAM)
         )
-        report = key_rate_closed(FIG_PROTOCOL, SCEN_LINK, SCEN_LAM, SCEN_LAM)
-        assert rel_err(report.rate, value) <= 1e-12
+        point = [*as_point(0.98, 0.6, SCEN_LAM, SCEN_LAM)]
+        rate = rate_kernel(61.0, 0.97, *point, equivalent_chi(*point))[0]
+        assert rel_err(float(rate[0]), value) <= 1e-12
 
     def test_min_thermal_against_general_oracle(self):
         # oracle evaluates the general rate at the anticorrelated boundary;
@@ -388,7 +391,7 @@ def _band_links():
 
 
 def _band_min_chi(link):
-    chi = chi_equivalent(link, 0.01)
+    chi = excess_chi(link.tau_a, link.tau_b, 0.01)
     got = key_rate_min_chi(FIG_PROTOCOL, link, chi).rate
     return got, mp_oracle.rate_min_chi_asym(0.97, 61, link.tau_a, link.tau_b, chi)
 
@@ -399,13 +402,17 @@ def _band_min_thermal(link):
 
 
 def _band_closed_asym(link):
-    got = key_rate_closed(FIG_PROTOCOL, link, 0.4, 0.7).rate
+    point = [*as_point(link.tau_a, link.tau_b, 0.4, 0.7)]
+    got = rate_kernel(61.0, 0.97, *point, equivalent_chi(*point))[0][0]
     return got, mp_oracle.rate_asym_closed(0.97, 61, link.tau_a, link.tau_b, 0.4, 0.7)
 
 
 def _band_general(link):
     g, g_prime = 0.8, -0.5
-    got = key_rate(FIG_PROTOCOL, link, AncillaState(2.0, 3.0, g, g_prime)).rate
+    assert is_physical(AncillaState(2.0, 3.0, g, g_prime))
+    lams = effective_noise(link.tau_a, link.tau_b, 2.0, 3.0, g, g_prime)
+    point = [*as_point(link.tau_a, link.tau_b, *lams)]
+    got = _report(FIG_PROTOCOL, *point, equivalent_chi(*point)).rate
     mp = mp_oracle.mp
     ta, tb = mp.mpf(link.tau_a), mp.mpf(link.tau_b)
     kappa = (1 - ta) * 2 + (1 - tb) * 3
@@ -434,7 +441,7 @@ def test_tau_one_edges_match_oracle():
     worst = 0.0
     for tau_a in np.linspace(0.3, 0.99, 200):
         link = LinkPair(float(tau_a), 1.0)
-        chi = chi_equivalent(link, 0.0)
+        chi = excess_chi(link.tau_a, 1.0, 0.0)
         got = key_rate_min_chi(protocol, link, chi).rate
         want = mp_oracle.rate_min_chi_asym(0.97, 61, link.tau_a, 1.0, chi)
         worst = max(worst, rel_err(got, float(want)))
@@ -478,8 +485,9 @@ class TestOverflowedNoise:
         assert math.isfinite(report.rate) and math.isfinite(report.chi)
 
     def test_closed_form_raises_domain_error(self):
+        point = [*as_point(0.98, 0.6, math.inf, 1.0)]
         with pytest.raises(DomainError, match="rate undefined"):
-            key_rate_closed(FIG_PROTOCOL, SCEN_LINK, math.inf, 1.0)
+            _report(FIG_PROTOCOL, *point, equivalent_chi(*point))
 
     @pytest.mark.parametrize("link", [LinkPair(1e-300, 1e-300), LinkPair(1.0, 1e-320)],
                              ids=["alpha-underflows", "ratio-overflows"])
@@ -488,10 +496,10 @@ class TestOverflowedNoise:
         # error from every path, where these raised ZeroDivisionError or warned
         ta, tb = np.array([link.tau_a]), np.array([link.tau_b])
         calls = [
-            lambda: chi_equivalent(link, 0.01),
+            lambda: excess_chi(link.tau_a, link.tau_b, 0.01),
             lambda: key_rate_min_chi(FIG_PROTOCOL, link, 5.0),
             lambda: key_rate_min_thermal(FIG_PROTOCOL, link, 2.0, 2.0),
-            lambda: key_rate_closed(FIG_PROTOCOL, link, 0.5, 0.5),
+            lambda: equivalent_chi(ta, tb, *as_point(0.5, 0.5)),
             lambda: cvmdi.rate_profile_y(FIG_PROTOCOL, link, chi=5.0),
             lambda: cvmdi.verify_p_prime_positive(ta, tb, np.array([5.0])),
         ]
@@ -500,7 +508,7 @@ class TestOverflowedNoise:
                 call()
         # alpha = 1e-320 is subnormal, not 0: still a finite rate
         tiny = LinkPair(1e-160, 1e-160)
-        assert math.isfinite(key_rate_min_chi(FIG_PROTOCOL, tiny, chi_equivalent(tiny, 0.01)).rate)
+        assert math.isfinite(key_rate_min_chi(FIG_PROTOCOL, tiny, excess_chi(1e-160, 1e-160, 0.01)).rate)
 
 
 class TestUnderflowedNoise:
@@ -560,12 +568,15 @@ SHAPE_LINKS = [LinkPair(0.9, 0.9), LinkPair(0.6 + 1e-10, 0.6), LinkPair(0.98, 0.
 
 
 def _shape_general(link):
+    assert is_physical(AncillaState(2.0, 3.0, 0.8, -0.5))
     lams = effective_noise(link.tau_a, link.tau_b, 2.0, 3.0, 0.8, -0.5)
-    return key_rate(FIG_PROTOCOL, link, AncillaState(2.0, 3.0, 0.8, -0.5)), *lams
+    point = [*as_point(link.tau_a, link.tau_b, *lams)]
+    return _report(FIG_PROTOCOL, *point, equivalent_chi(*point)), *lams
 
 
 def _shape_closed(link):
-    return key_rate_closed(FIG_PROTOCOL, link, 0.4, 0.7), 0.4, 0.7
+    point = [*as_point(link.tau_a, link.tau_b, 0.4, 0.7)]
+    return _report(FIG_PROTOCOL, *point, equivalent_chi(*point)), 0.4, 0.7
 
 
 def _shape_min_thermal(link):
@@ -574,7 +585,7 @@ def _shape_min_thermal(link):
 
 
 def _shape_min_chi(link):
-    chi = chi_equivalent(link, 0.01)
+    chi = excess_chi(link.tau_a, link.tau_b, 0.01)
     lam = bisector_lam(link.tau_a, link.tau_b, chi)
     return key_rate_min_chi(FIG_PROTOCOL, link, chi), lam, lam
 
@@ -585,7 +596,9 @@ class TestReportShape:
     def test_fields_in_schema_order(self):
         names = [f.name for f in dataclasses.fields(KeyRateReport)]
         assert names == ["chi", "rate", "i_ab", "i_ea", "nu", "nu2", "secure"]
-        assert "key_rate_closed" in cvmdi.__dict__
+        gone = {"key_rate", "key_rate_closed", "chi_equivalent", "NonphysicalStateError",
+                "attack_coords", "AttackCoords"}
+        assert not gone & set(cvmdi.__dict__)
         assert not {"key_rate_closed_sym", "key_rate_closed_asym", "eve_holevo"} & set(
             cvmdi.__dict__)
 
@@ -606,22 +619,22 @@ class TestReportShape:
         assert report.i_ea == FIG_PROTOCOL.xi * report.i_ab - report.rate
 
     def test_decoupled_point(self):
-        report = key_rate_closed(FIG_PROTOCOL, LinkPair(1.0, 1.0), 0.0, 0.0)
+        point = [*as_point(1.0, 1.0, 0.0, 0.0)]
+        report = _report(FIG_PROTOCOL, *point, equivalent_chi(*point))
         assert (report.nu, report.nu2, report.i_ea) == (1.0, None, 0.0)
         assert [type(v) for v in dataclasses.astuple(report)] == [float] * 5 + [
             type(None), bool]
 
     def test_other_single_points_are_python_floats(self):
         # the shared formulas return arrays (numpy scalars on 0-d operands);
-        # the single-point API hands back Python floats
-        assert type(chi_equivalent(SCEN_LINK, 0.01)) is float
+        # only the reports hand back Python floats
         assert type(g_max(2.0, 3.0)) is np.float64
         assert type(in_domain(0.9, 0.8, 0.5, 0.5)) is np.bool_
 
     def test_values_from_the_split_reports(self):
         # literal pins: nu2 on the worked scenario, nu on a symmetric link
-        scen = key_rate_min_chi(FIG_PROTOCOL, SCEN_LINK, chi_equivalent(SCEN_LINK, 0.01))
+        scen = key_rate_min_chi(FIG_PROTOCOL, SCEN_LINK, excess_chi(0.98, 0.6, 0.01))
         assert scen.nu2 == 1.115056628914057
         sym = LinkPair(0.9, 0.9)
-        assert key_rate_min_chi(FIG_PROTOCOL, sym, chi_equivalent(sym, 0.01)).nu == (
+        assert key_rate_min_chi(FIG_PROTOCOL, sym, excess_chi(0.9, 0.9, 0.01)).nu == (
             1.2272222222222222)

@@ -18,7 +18,6 @@ from cvmdi import (
     SchemeConfig,
     SweepConfig,
     ThermalKnowledge,
-    chi_equivalent,
     check_self_alignment,
     classify_nu_regions,
     g_max,
@@ -72,8 +71,7 @@ CASES = [
     ("samples", lambda: rate_profile_y(ProtocolParams(), LINK, chi=6.0, samples=1)),
     ("samples", lambda: rate_profile_y(ProtocolParams(), LINK, omegas=(2.0, 2.0),
                                        l=0.0, samples=1)),
-    ("epsilon", lambda: chi_equivalent(LINK, NAN)),
-    ("epsilon", lambda: chi_equivalent(LINK, 1e77)),
+    ("epsilon", lambda: ChiKnowledge(epsilon=1e77)),
     ("alice_encoding", lambda: SchemeConfig(alice_encoding=0j)),
     ("bob_encoding", lambda: SchemeConfig(bob_encoding=np.array([1.0, NAN]))),
 ]

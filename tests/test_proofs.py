@@ -9,17 +9,15 @@ import pytest
 
 import mp_oracle
 from cvmdi import attack, keyrate, proofs
-from cvmdi.core import excess_chi
+from cvmdi.core import as_point, equivalent_chi, excess_chi
 from cvmdi.keyrate import min_thermal_noise
 from cvmdi import (
     DomainError,
     LinkPair,
     ProtocolParams,
     SymmetricDegenerateError,
-    chi_equivalent,
     classify_nu_regions,
     g_max,
-    key_rate_closed,
     key_rate_min_chi,
     key_rate_min_thermal,
     run_verification_suite,
@@ -71,9 +69,8 @@ class TestMonotoneThermal:
         rate = probe.rate[0, :probe.count[0]]
         assert probe.y[0, 0] == 0.0
         assert float(np.argmin(rate)) == 0.0
-        anchor = key_rate_closed(
-            ProtocolParams(xi=1.0), LinkPair(0.9, 0.9), 0.4, 0.4
-        ).rate  # lam = kappa - u*l = 2*(0.1)*2 = 0.4 at l = 0
+        point = [*as_point(0.9, 0.9, 0.4, 0.4)]  # lam = kappa - u*l = 2*(0.1)*2 = 0.4 at l = 0
+        anchor = keyrate._report(ProtocolParams(xi=1.0), *point, equivalent_chi(*point)).rate
         assert rate[0] == pytest.approx(anchor, rel=1e-12)
 
     def test_bound_growth_from_origin(self):
@@ -126,7 +123,7 @@ class TestMonotoneThermal:
 class TestMonotoneChi:
     def test_symmetric_endpoint_matches_minimized_form(self):
         link = LinkPair(0.95, 0.95)
-        chi = chi_equivalent(link, 0.01)
+        chi = excess_chi(link.tau_a, link.tau_b, 0.01)
         probe = verify_monotone_chi(FIG_PROTOCOL, *row(link, chi), samples=200)
         assert probe.verdict[0]
         target = key_rate_min_chi(FIG_PROTOCOL, link, chi).rate
@@ -135,7 +132,7 @@ class TestMonotoneChi:
 
     def test_asymmetric_endpoint_matches_minimized_form(self):
         link = LinkPair(0.98, 0.6)
-        chi = chi_equivalent(link, 0.01)
+        chi = excess_chi(link.tau_a, link.tau_b, 0.01)
         probe = verify_monotone_chi(FIG_PROTOCOL, *row(link, chi), samples=200)
         assert probe.verdict[0]
         target = key_rate_min_chi(FIG_PROTOCOL, link, chi).rate
@@ -145,22 +142,22 @@ class TestMonotoneChi:
     def test_d_prime_zero_at_y_min(self):
         link = LinkPair(0.9, 0.6)
         probe = verify_monotone_chi(
-            FIG_PROTOCOL, *row(link, chi_equivalent(link, 0.05)), samples=100
+            FIG_PROTOCOL, *row(link, excess_chi(link.tau_a, link.tau_b, 0.05)), samples=100
         )
         assert probe.y[0, 0] == pytest.approx(
-            link.alpha * chi_equivalent(link, 0.05) / link.beta, rel=1e-15
+            link.alpha * excess_chi(link.tau_a, link.tau_b, 0.05) / link.beta, rel=1e-15
         )
 
     def test_symmetric_bound_positive(self):
         link = LinkPair(0.9, 0.9)
-        probe = verify_monotone_chi(FIG_PROTOCOL, *row(link, chi_equivalent(link, 0.1)))
+        probe = verify_monotone_chi(FIG_PROTOCOL, *row(link, excess_chi(link.tau_a, link.tau_b, 0.1)))
         assert probe.bound_label[0] == "L"
         assert np.all(probe.bound[0][probe.bound_mask[0]] > 0.0)
 
     def test_asymmetric_bound_positive_where_claimed(self):
         # tau_a < tau_b puts the profile inside the nu1 < nu2 regime
         link = LinkPair(0.5, 0.9)
-        probe = verify_monotone_chi(FIG_PROTOCOL, *row(link, chi_equivalent(link, 0.1)))
+        probe = verify_monotone_chi(FIG_PROTOCOL, *row(link, excess_chi(link.tau_a, link.tau_b, 0.1)))
         assert probe.bound_label[0] == "A"
         bound = probe.bound[0][probe.bound_mask[0]]
         assert bound.size > 0
@@ -190,7 +187,7 @@ class TestClassifyNuRegions:
 
     def test_double_ratio_greater(self):
         link = LinkPair(0.9, 0.4)
-        verdict = classify_nu_regions(*row(link, chi_equivalent(link, 0.01)))
+        verdict = classify_nu_regions(*row(link, excess_chi(link.tau_a, link.tau_b, 0.01)))
         assert verdict.predicted[0] == GREATER
         assert verdict.agree[0]
 
@@ -253,7 +250,7 @@ class TestNearSymmetricChiNus:
 class TestPPrimePositive:
     def test_wide_ratio(self):
         link = LinkPair(0.9, 0.4)
-        probe = verify_p_prime_positive(*row(link, chi_equivalent(link, 0.01)))
+        probe = verify_p_prime_positive(*row(link, excess_chi(link.tau_a, link.tau_b, 0.01)))
         assert probe.verdict[0]
         assert probe.worst_margin[0] > 0.0
 
@@ -265,7 +262,7 @@ class TestPPrimePositive:
 
     def test_lossless_single_point(self):
         link = LinkPair(1.0, 0.7)  # u = 0
-        probe = verify_p_prime_positive(*row(link, chi_equivalent(link, 0.01)))
+        probe = verify_p_prime_positive(*row(link, excess_chi(link.tau_a, link.tau_b, 0.01)))
         assert probe.count[0] == 1
         assert probe.verdict[0]
 
@@ -323,7 +320,8 @@ class TestLambdaMinimization:
         link = LinkPair(0.8, 0.5)
         probe = verify_lambda_minimization(FIG_PROTOCOL, *row(link, 1.5), samples=20)
         for lam, rate in zip(probe.lam[0], probe.rate[0]):
-            direct = key_rate_closed(FIG_PROTOCOL, link, lam, lam).rate
+            point = [*as_point(0.8, 0.5, lam, lam)]
+            direct = keyrate._report(FIG_PROTOCOL, *point, equivalent_chi(*point)).rate
             assert rel_err(float(rate), direct) <= 1e-12
 
     def test_endpoint_reaches_thermal_minimum(self):
@@ -409,7 +407,7 @@ def reference_suite(seed=7, scenarios=100, samples=200):
             link = LinkPair(tau, tau)
         else:
             link = LinkPair(*draw_asym_link(rng))
-        chi = chi_equivalent(link, rng.uniform(0.01, 0.8))
+        chi = excess_chi(link.tau_a, link.tau_b, rng.uniform(0.01, 0.8))
         probe = verify_monotone_chi(protocol, *row(link, chi), samples=samples)
         worst = min(worst, probe.worst_margin[0])
         failures += not probe.verdict[0]
@@ -418,7 +416,7 @@ def reference_suite(seed=7, scenarios=100, samples=200):
     worst, failures = math.inf, 0
     for i in range(scenarios):
         link = LinkPair(*draw_asym_link(rng))
-        chi = chi_equivalent(link, rng.uniform(0.01, 1.0))
+        chi = excess_chi(link.tau_a, link.tau_b, rng.uniform(0.01, 1.0))
         probe = verify_p_prime_positive(*row(link, chi), samples=samples)
         worst = min(worst, probe.worst_margin[0])
         failures += not probe.verdict[0]

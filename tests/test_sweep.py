@@ -20,14 +20,13 @@ from cvmdi import (
     SweepRecord,
     SweepTable,
     ThermalKnowledge,
-    chi_equivalent,
     export,
     key_rate_min_chi,
     key_rate_min_thermal,
     relay_scan,
     run_sweep,
 )
-from cvmdi.core import OMEGA_MAX
+from cvmdi.core import OMEGA_MAX, excess_chi
 from cvmdi.keyrate import min_thermal_noise
 
 FIG_PROTOCOL = ProtocolParams(xi=0.97, phi=60.0)
@@ -90,7 +89,7 @@ def assert_single_point_cells(protocol, knowledge, records) -> int:
                 expected = key_rate_min_thermal(protocol, link, wa, wb)
                 chi = expected.chi
             else:
-                chi = chi_equivalent(link, knowledge.epsilon)
+                chi = excess_chi(link.tau_a, link.tau_b, knowledge.epsilon)
                 expected = key_rate_min_chi(protocol, link, chi)
         except DomainError as exc:
             errors += 1
@@ -223,8 +222,7 @@ class TestKnowledgeModels:
     def test_chi_noise_per_link_epsilon(self):
         ta, tb = np.array([0.9, 0.8]), np.array([0.7, 0.8])
         lam, chi = ChiKnowledge(epsilon=np.array([0.0, 0.3])).noise(ta, tb)
-        links = (LinkPair(0.9, 0.7), LinkPair(0.8, 0.8))
-        assert chi.tolist() == [chi_equivalent(links[0], 0.0), chi_equivalent(links[1], 0.3)]
+        assert chi.tolist() == [excess_chi(0.9, 0.7, 0.0), excess_chi(0.8, 0.8, 0.3)]
         assert lam.shape == (2,)
 
     def test_thermal_noise(self):
@@ -258,12 +256,12 @@ class TestRelayScan:
         midpoint_rate = key_rate_min_chi(
             FIG_PROTOCOL,
             LinkPair(math.sqrt(0.588), math.sqrt(0.588)),
-            chi_equivalent(LinkPair(math.sqrt(0.588), math.sqrt(0.588)), 0.01),
+            excess_chi(math.sqrt(0.588), math.sqrt(0.588), 0.01),
         ).rate
         assert midpoint_rate == pytest.approx(-0.644952626003161, rel=1e-10)
         asym_rate = key_rate_min_chi(
             FIG_PROTOCOL, LinkPair(0.98, 0.6),
-            chi_equivalent(LinkPair(0.98, 0.6), 0.01),
+            excess_chi(0.98, 0.6, 0.01),
         ).rate
         assert asym_rate == pytest.approx(0.379392191958814, rel=1e-10)
         assert asym_rate > midpoint_rate
@@ -275,7 +273,7 @@ class TestRelayScan:
 
     def test_mirror_point_insecure(self):
         link = LinkPair(0.6, 0.98)
-        rate = key_rate_min_chi(FIG_PROTOCOL, link, chi_equivalent(link, 0.01)).rate
+        rate = key_rate_min_chi(FIG_PROTOCOL, link, excess_chi(link.tau_a, link.tau_b, 0.01)).rate
         assert rate == pytest.approx(-1.08803005629537, rel=1e-10)
 
     def test_contour_product(self):
@@ -402,7 +400,7 @@ class TestSweepTable:
         ))
         assert len(table) == 15
         rate = key_rate_min_chi(
-            FIG_PROTOCOL, LinkPair(0.9, 0.8), chi_equivalent(LinkPair(0.9, 0.8), 0.0)
+            FIG_PROTOCOL, LinkPair(0.9, 0.8), excess_chi(0.9, 0.8, 0.0)
         ).rate
         assert table[0] == SweepRecord(0.9, 0.8, table.chi[0], rate, rate > 0.0)
         with pytest.raises(DomainError) as pole:

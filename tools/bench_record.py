@@ -48,9 +48,9 @@ numbers with these corrections:
   round.  It is a 201-point coarse pass and 41-point zoom levels, each
   evaluated on its unordered (lam, lam') pairs: ``attack.lattice_points``
   reads 6 x (20301 + 861 + 861 + 45) = 132408.
-- The ``keyrate.key_rate_closed_sym`` and ``keyrate.key_rate_closed_asym``
-  metrics read 0: both closed forms are one ``keyrate.key_rate_closed``,
-  which the tracer does not wrap.
+- The ``keyrate.key_rate``, ``keyrate.key_rate_closed_sym`` and
+  ``keyrate.key_rate_closed_asym`` metrics read 0: the package no longer
+  has these functions, and the tracer skips a target that is missing.
 """
 
 from __future__ import annotations
