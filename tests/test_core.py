@@ -24,7 +24,7 @@ from cvmdi import (
     log_ratio_g,
 )
 from cvmdi.attack import _axis, physical_bounds
-from cvmdi.core import effective_noise, entropy_scaled, equivalent_chi, excess_chi
+from cvmdi.core import bisector_lam, effective_noise, entropy_scaled, equivalent_chi, excess_chi
 
 
 def symplectic_eigenvalues_generic(sigma):
@@ -433,6 +433,16 @@ class TestNoiseAlgebra:
             lam_back = link.alpha * chi / link.beta - link.beta
             assert abs(lam_back - lam) <= 1e-12 * max(1.0, abs(lam))
 
+    def test_bisector_lam_near_loss_floor(self):
+        # symmetric links put the floor at chi = 4, where chi - 4 is exact:
+        # lam = alpha chi / beta - beta would lose about 4 digits at 1e-12
+        rng = np.random.default_rng(17)
+        for k in range(50):
+            tau = rng.uniform(0.3, 1.0)
+            chi = 4.0 + 1e-12 * (k + 1)
+            want = float(mp_oracle.lam_from_chi(tau, tau, chi))
+            assert abs(bisector_lam(tau, tau, chi) - want) <= 1e-15 * want
+
 
 class TestExcessChi:
     def test_lossless(self):
@@ -452,6 +462,17 @@ class TestExcessChi:
             link = LinkPair(*rng.uniform(0.2, 1.0, size=2))
             eps = rng.uniform(0.0, 1.0)
             assert excess_chi(link.tau_a, link.tau_b, eps) >= link.beta**2 / link.alpha
+
+    def test_elementwise(self):
+        rng = np.random.default_rng(18)
+        ta, tb, eps = rng.uniform(0.2, 1.0, size=(3, 20))
+        chi = excess_chi(ta, tb, eps)
+        assert [float(c) for c in chi] == [excess_chi(*x) for x in zip(ta, tb, eps)]
+
+    @pytest.mark.parametrize("taus", [(1e-300, 1e-300), (1.0, 1e-320)])
+    def test_too_lossy_links_raise(self, taus):
+        with pytest.raises(DomainError, match="too lossy"):
+            excess_chi(*taus, 0.01)
 
 
 class TestAncillaState:

@@ -26,6 +26,7 @@ from cvmdi import (
     key_rate_min_thermal,
     mutual_information,
 )
+from cvmdi.attack import _grid_rates
 from cvmdi.core import OMEGA_MAX, as_point, bisector_lam, effective_noise, equivalent_chi, excess_chi
 from cvmdi.keyrate import KeyRateReport, _report, in_domain, min_thermal_noise, park, rate_kernel
 
@@ -162,6 +163,17 @@ class TestKeyRateGeneral:
         assert report.rate < 0.0
         assert not report.secure
 
+    def test_nonphysical_ancilla_rejected(self):
+        # its noise is in domain, so only the physicality test keeps the
+        # lattice from rating it
+        assert not is_physical(AncillaState(2, 2, 2.0, -2.0))
+        lam, lam_prime = effective_noise(0.98, 0.6, 2.0, 2.0, 2.0, -2.0)
+        assert in_domain(*as_point(0.98, 0.6, lam, lam_prime))[0]
+        rates, phys, rated = _grid_rates(FIG_PROTOCOL, 0.98, 0.6, 2.0, 2.0,
+                                         np.array([2.0]), np.array([-2.0]))
+        assert rates[0] == math.inf
+        assert not phys[0] and not rated[0]
+
 
 class TestClosedSym:
     def test_pure_loss_frozen(self):
@@ -176,6 +188,21 @@ class TestClosedSym:
         report = _report(FIG_PROTOCOL, *point, equivalent_chi(*point))
         assert report.rate == pytest.approx(0.97 * math.log2(61.0 / 4.0), rel=1e-14)
         assert report.i_ea == 0.0
+
+    def test_matches_general_on_bisector(self):
+        # the general path at a symmetric anticorrelated ancilla against the
+        # 50-digit symmetric closed form at its (lam, lam')
+        rng = np.random.default_rng(21)
+        for _ in range(100):
+            tau = rng.uniform(0.4, 0.999)
+            omega = rng.uniform(1.05, 6.0)
+            g = rng.uniform(-1.0, 1.0) * g_max(omega, omega)
+            assert is_physical(AncillaState(omega, omega, g, -g))
+            lam, lam_prime = effective_noise(tau, tau, omega, omega, g, -g)
+            point = [*as_point(tau, tau, lam, lam_prime)]
+            via_general = _report(FIG_PROTOCOL, *point, equivalent_chi(*point)).rate
+            direct = mp_oracle.rate_sym_closed(0.97, 61, tau, lam, lam_prime)
+            assert rel_err(via_general, float(direct)) <= 1e-9
 
 
 class TestClosedAsym:

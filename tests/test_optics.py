@@ -54,6 +54,19 @@ class TestPropagate:
             left, right = propagate(config)
             assert abs(relative_phase(left, right) - math.pi / 2) <= 1e-12
 
+    def test_mirror_visit_order(self):
+        # each arm meets its near mirror first and its far party's encoder
+        # after the far mirror, whatever the drifts and encodings
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            phases = rng.uniform(0.0, 2.0 * math.pi, size=4)
+            config = SchemeConfig(*phases[:2], cmath.exp(1j * phases[2]),
+                                  cmath.exp(1j * phases[3]), *rng.normal(size=2))
+            left = [s.name for s in left_path(config)]
+            right = [s.name for s in right_path(config)]
+            assert left.index("fm_a") < left.index("fm_b") < left.index("encode_bob")
+            assert right.index("fm_b") < right.index("fm_a") < right.index("encode_alice")
+
     def test_encoding_enters_relative_phase(self):
         config = SchemeConfig(
             alice_encoding=cmath.exp(0.4j), bob_encoding=2.0 * cmath.exp(-0.9j)

@@ -72,6 +72,7 @@ CASES = [
     ("samples", lambda: rate_profile_y(ProtocolParams(), LINK, omegas=(2.0, 2.0),
                                        l=0.0, samples=1)),
     ("epsilon", lambda: ChiKnowledge(epsilon=1e77)),
+    ("epsilon", lambda: ChiKnowledge(epsilon=-INF)),
     ("alice_encoding", lambda: SchemeConfig(alice_encoding=0j)),
     ("bob_encoding", lambda: SchemeConfig(bob_encoding=np.array([1.0, NAN]))),
 ]
