@@ -1,17 +1,17 @@
 """Numerical certification of the rate-minimization arguments.
 
 Each verifier takes 1-D arrays of links and parameters, one scenario per
-row (a single link is a one-row call), samples the rate or one of the
-auxiliary bounding functions along the relevant scalar variable as one
-(scenario x sample) array, and checks the claimed sign conditions row by
-row: monotone growth of the rate in the off-bisector variable y under
-both knowledge models, positivity of the bounding functions F / L / A,
-positivity of p'(y), the region classification of the nu1/nu2 crossing,
-and monotone decrease of the rate in the effective noise lam.  Results
-hold the sampled traces, rows x samples, with each row's sample count or
-mask, and per-row margins and verdicts; ``protocol.xi`` may be a column
-of one xi per row.  The suite reads its scenarios, in order, from one
-seeded stream of uniform doubles.
+row (a single link is a one-row call), and checks the claimed sign
+conditions row by row: monotone growth of the rate in the off-bisector
+variable y under both knowledge models, positivity of the bounding
+functions F / L / A and of p'(y), the nu1/nu2 region classification, and
+monotone decrease of the rate in the effective noise lam.  The two
+monotonicity checks and the lam check sample along their variable as one
+(scenario x sample) array and hold the traces, rows x samples, with each
+row's sample count or mask; p' and the nu1/nu2 ordering are signs of
+functions linear in y, decided exactly at y_min.  Results hold per-row
+margins and verdicts; ``protocol.xi`` may be a column of one xi per row.
+The suite reads its scenarios, in order, from one seeded stream.
 
 Strict inequalities are tested with slack ``STRICT_SLACK`` so rounding at
 non-strict boundary points does not fail a verdict; the margins themselves
@@ -29,6 +29,7 @@ from .core import (
     LOG2E,
     SYMMETRIC_TAU_TOL,
     DomainError,
+    EmptyDomainError,
     ProtocolParams,
     SymmetricDegenerateError,
     effective_noise,
@@ -47,9 +48,6 @@ from .keyrate import min_thermal_noise, rate_kernel
 
 STRICT_SLACK = 1e-10
 """Allowed rounding noise on strictly-positive checks."""
-
-REGION_SAMPLES = 65
-"""Grid points of the region classification, in the suite whatever its ``samples``."""
 
 READ_SIZE = 256
 """Doubles the suite's reader takes from its generator in one read."""
@@ -101,12 +99,9 @@ class MonotoneProbe(_Probe):
 
 @dataclass(frozen=True)
 class PositivityProbe(_Probe):
-    """Sampled values of a function claimed positive on its domain; the
-    first ``count`` samples of a row are its own."""
+    """A function claimed positive on its domain, decided per row at ``y``."""
 
     y: np.ndarray
-    values: np.ndarray
-    count: np.ndarray
     worst_margin: np.ndarray
 
 
@@ -239,19 +234,21 @@ def verify_monotone_chi(
                          None, bound, mask, np.where(sym, "L", "A"), worst, degenerate)
 
 
-def classify_nu_regions(tau_a, tau_b, chi, samples: int = REGION_SAMPLES) -> RegionVerdict:
+def classify_nu_regions(tau_a, tau_b, chi) -> RegionVerdict:
     """Predicted-versus-observed ordering of nu1 and nu2, one asymmetric
     link per element of the 1-D arrays ``tau_a``, ``tau_b`` and ``chi``.
 
     Prediction follows the case table: tau_a >= 2 tau_b implies nu1 > nu2
     everywhere; otherwise a region with nu1 < nu2 exists exactly when chi
     clears the threshold beta (3 tau_b - tau_a + |dtau|) /
-    (tau_a (2 tau_b - tau_a)).  Observation evaluates nu1 - nu2 on a grid
-    that includes the lower domain endpoint.  Classifications within
-    ~1e-9 of the threshold resolve to "equal".
+    (tau_a (2 tau_b - tau_a)).  Observation is exact at y_min: nu1^2 -
+    nu2^2 is linear in y and, at y_max, where nu2 = 0, equals tau_a (tau_a^2
+    tau_b chi^2 - beta^3) / (beta^3 tau_b) > 0 for chi >= beta^2 / alpha, so
+    such a region is [y_min, y*) if nu1 < nu2 at y_min and empty otherwise;
+    (nu1 - nu2)' = 2 p' > 0 puts ``min_gap`` there.  Within ~1e-9 of the
+    threshold a classification resolves to "equal".
     """
-    require_count("samples", samples, 2)
-    y_min, y_max = chi_y_domain(tau_a, tau_b, chi)
+    y_min = chi_y_domain(tau_a, tau_b, chi)[0]
     if (abs(tau_a - tau_b) < SYMMETRIC_TAU_TOL).any():
         raise SymmetricDegenerateError("region classification requires tau_a != tau_b")
     beta, dtau = tau_a + tau_b, abs(tau_a - tau_b)
@@ -260,30 +257,27 @@ def classify_nu_regions(tau_a, tau_b, chi, samples: int = REGION_SAMPLES) -> Reg
         tau_a * np.where(crossing, 2.0 * tau_b - tau_a, 1.0)), np.nan)
     predicted = np.where(~crossing, 1, np.where(
         abs(chi - threshold) <= 1e-9 * threshold, 0, np.where(chi > threshold, -1, 1)))
-    lossy = (1.0 - tau_a) * (1.0 - tau_b) > 0.0
-    ys = np.where(lossy[:, None], np.linspace(y_min, y_max, samples).T,
-                  y_min[:, None])
-    _, _, nu1, nu2 = _chi_nus(tau_a, tau_b, chi, ys)
-    min_gap = (nu1 - nu2).min(axis=1)
+    _, _, nu1, nu2 = _chi_nus(tau_a, tau_b, chi, y_min[:, None])
+    min_gap = (nu1 - nu2)[:, 0]
     observed = (min_gap > 1e-9).astype(int) - (min_gap < -1e-9)
     return RegionVerdict(predicted, observed, threshold, min_gap)
 
 
-def verify_p_prime_positive(tau_a, tau_b, chi, samples: int = 200) -> PositivityProbe:
-    """Positivity of p'(y) = (a2 nu1 - a1 nu2) / (4 nu1 nu2) over the
-    fixed-chi domain (upper endpoint excluded, where nu2 vanishes), one
-    scenario per element of the 1-D arrays ``tau_a``, ``tau_b`` and
-    ``chi``; u = 0 leaves a row the one point y_min."""
-    require_count("samples", samples, 2)
+def verify_p_prime_positive(tau_a, tau_b, chi) -> PositivityProbe:
+    """Positivity of p'(y) = (a2 nu1 - a1 nu2) / (4 nu1 nu2) on the
+    fixed-chi domain [y_min, y_max), one scenario per element of the 1-D
+    arrays ``tau_a``, ``tau_b`` and ``chi``, decided exactly at y_min: p'
+    has the sign of a2^2 nu1^2 - a1^2 nu2^2, linear in y and positive at
+    y_max (:func:`classify_nu_regions`).  Where p' > 0 it grows in y (p'' > 0
+    where nu1 >= nu2, a2 > a1 where nu1 < nu2), so ``worst_margin`` =
+    p'(y_min) is its least value.  :class:`EmptyDomainError` where chi is on
+    the loss floor (y_max <= y_min, or nu2 rounds to 0 at y_min)."""
     y_min, y_max = chi_y_domain(tau_a, tau_b, chi)
-    lossy = (1.0 - tau_a) * (1.0 - tau_b) > 0.0
-    frac = np.where(lossy[:, None], np.linspace(0.0, 1.0 - 1e-9, samples), 0.0)
-    ys = y_min[:, None] + (y_max - y_min)[:, None] * frac
-    a1, a2, nu1, nu2 = _chi_nus(tau_a, tau_b, chi, ys)
-    values = (a2 * nu1 - a1 * nu2) / (4.0 * nu1 * nu2)
-    count = np.where(lossy, samples, 1)
-    return PositivityProbe(ys, values, count,
-                           _row_min(values, np.arange(samples) < count[:, None]))
+    a1, a2, nu1, nu2 = (x[:, 0] for x in _chi_nus(tau_a, tau_b, chi, y_min[:, None]))
+    empty = (y_max <= y_min) | (nu2 == 0.0)
+    if empty.any():
+        raise EmptyDomainError(f"chi = {chi[empty][0]} on the loss floor leaves p' no domain")
+    return PositivityProbe(y_min, (a2 * nu1 - a1 * nu2) / (4.0 * nu1 * nu2))
 
 
 def verify_lambda_minimization(
@@ -372,10 +366,10 @@ def _monotone_chi_check(stream, protocol: ProtocolParams, samples: int) -> dict:
     return _summary(verify_monotone_chi(protocol, ta, tb, excess_chi(ta, tb, epsilon), samples))
 
 
-def _p_prime_check(stream, scenarios: int, samples: int) -> dict:
+def _p_prime_check(stream, scenarios: int) -> dict:
     """p'(y) positivity on asymmetric links."""
     ta, tb, epsilon = _draw_links(stream, scenarios, None, (0.01, 1.0))
-    return _summary(verify_p_prime_positive(ta, tb, excess_chi(ta, tb, epsilon), samples))
+    return _summary(verify_p_prime_positive(ta, tb, excess_chi(ta, tb, epsilon)))
 
 
 def _lambda_check(stream, protocol: ProtocolParams, samples: int) -> dict:
@@ -393,9 +387,8 @@ def _region_check(stream, scenarios: int) -> dict:
     """nu1/nu2 region classification on asymmetric links."""
     ta, tb, factor = _draw_links(stream, scenarios, None, (1.05, 4.0))
     chi = (ta + tb) ** 2 / (ta * tb) * factor
-    failures = int((~classify_nu_regions(ta, tb, chi, REGION_SAMPLES).agree).sum())
-    return {"scenarios": scenarios, "samples": REGION_SAMPLES, "failures": failures,
-            "pass": failures == 0}
+    failures = int((~classify_nu_regions(ta, tb, chi).agree).sum())
+    return {"scenarios": scenarios, "failures": failures, "pass": failures == 0}
 
 
 def run_verification_suite(
@@ -408,9 +401,9 @@ def run_verification_suite(
     function, draws all its scenarios, derives their parameters as arrays,
     then calls its verifier once over all of them: the protocol's xi is a
     column, 1 on even scenarios and 0.97 on odd ones, at phi = 60.
-    ``samples`` (integer >= 2) sets every check but the region
-    classification, which runs ``REGION_SAMPLES`` and reports them as its
-    entry's ``samples``; ``scenarios`` must be an integer >= 1.  ``seed``
+    ``samples`` (integer >= 2) sets the two monotonicity profiles and the
+    lam probe; p' and the region classification are decided at y_min and
+    take none.  ``scenarios`` must be an integer >= 1.  ``seed``
     (integer >= 0) seeds the suite's own generator, whose doubles the checks
     take in turn from one :func:`_uniforms` reader: the numbers of one
     ``rng.uniform`` call per quantity and scenario, as no one else draws.
@@ -424,7 +417,7 @@ def run_verification_suite(
     checks = {
         "monotone_thermal": _monotone_thermal_check(stream, protocol, samples),
         "monotone_chi": _monotone_chi_check(stream, protocol, samples),
-        "p_prime_positive": _p_prime_check(stream, scenarios, samples),
+        "p_prime_positive": _p_prime_check(stream, scenarios),
         "lambda_minimization": _lambda_check(stream, protocol, samples),
         "classify_nu_regions": _region_check(stream, scenarios),
     }

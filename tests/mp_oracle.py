@@ -163,3 +163,34 @@ def rate_min_thermal(xi, mu, tau_a, tau_b, omega_a, omega_b):
     if ta == tb:
         return rate_sym_closed(xi, mu, ta, lam_opt, lam_opt)
     return rate_general(xi, mu, ta, tb, lam_opt, lam_opt)
+
+
+def chi_y_domain(tau_a, tau_b, chi):
+    """(y_min, y_max) of the fixed-chi variable: y_min = alpha chi / beta and
+    y_max = (y_min^2 + beta^2) / (2 beta)."""
+    ta, tb, chi = mp.mpf(tau_a), mp.mpf(tau_b), mp.mpf(chi)
+    beta = ta + tb
+    y_min = ta * tb * chi / beta
+    return y_min, (y_min ** 2 + beta ** 2) / (2 * beta)
+
+
+def chi_nus_sq(tau_a, tau_b, chi, y):
+    """(a1, a2, nu1^2, nu2^2) on the fixed-chi domain of an asymmetric link:
+    nu1^2 = b1 - a1 y with a1 = 2 / tau_b, b1 = 1 + tau_a^2 chi^2 / beta^2,
+    and nu2^2 = b2 - a2 y with a2 = 2 beta / dtau^2, b2 = (beta^2 + alpha^2
+    chi^2 / beta^2) / dtau^2.  The differences cancel near y_max, so they
+    are taken at twice the module's digits."""
+    ta, tb, chi, y = mp.mpf(tau_a), mp.mpf(tau_b), mp.mpf(chi), mp.mpf(y)
+    with mp.workdps(2 * mp.mp.dps):
+        alpha, beta, dt2 = ta * tb, ta + tb, (ta - tb) ** 2
+        a1, b1 = 2 / tb, 1 + ta ** 2 * chi ** 2 / beta ** 2
+        a2, b2 = 2 * beta / dt2, (beta ** 2 + alpha ** 2 * chi ** 2 / beta ** 2) / dt2
+        return a1, a2, b1 - a1 * y, b2 - a2 * y
+
+
+def p_prime(tau_a, tau_b, chi, y):
+    """p'(y) = (a2 nu1 - a1 nu2) / (4 nu1 nu2), the y-derivative of
+    (nu1 - nu2) / 2, at a y where nu2 > 0."""
+    a1, a2, nu1_sq, nu2_sq = chi_nus_sq(tau_a, tau_b, chi, y)
+    nu1, nu2 = mp.sqrt(nu1_sq), mp.sqrt(nu2_sq)
+    return (a2 * nu1 - a1 * nu2) / (4 * nu1 * nu2)

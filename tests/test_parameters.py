@@ -117,20 +117,12 @@ VERIFIER_CASES = {
         P, *rows(*THERMAL), samples=1)),
     "chi-samples-float": ("samples", lambda: verify_monotone_chi(
         P, *rows(*CHI), samples=2.5)),
-    "p_prime-samples-0": ("samples", lambda: verify_p_prime_positive(*rows(*CHI), samples=0)),
-    "p_prime-samples-1": ("samples", lambda: verify_p_prime_positive(*rows(*CHI), samples=1)),
-    "p_prime-samples-float": ("samples", lambda: verify_p_prime_positive(
-        *rows(*CHI), samples=2.5)),
     "lambda-samples-0": ("samples", lambda: verify_lambda_minimization(
         P, *rows(*LAMBDA), samples=0)),
     "lambda-samples-1": ("samples", lambda: verify_lambda_minimization(
         P, *rows(*LAMBDA), samples=1)),
     "lambda-samples-float": ("samples", lambda: verify_lambda_minimization(
         P, *rows(*LAMBDA), samples=2.5)),
-    "regions-samples-0": ("samples", lambda: classify_nu_regions(*rows(*CHI), samples=0)),
-    "regions-samples-1": ("samples", lambda: classify_nu_regions(*rows(*CHI), samples=1)),
-    "regions-samples-float": ("samples", lambda: classify_nu_regions(
-        *rows(*CHI), samples=2.5)),
     "chi-nan-monotone_chi": ("chi", lambda: verify_monotone_chi(
         P, *with_column(CHI, 2, [NAN, NAN]))),
     "chi-inf-monotone_chi": ("chi", lambda: verify_monotone_chi(
@@ -277,7 +269,7 @@ def test_admissible_edges_pass():
     AttackGrid(n=3, refine_n=3)
     assert verify_monotone_thermal(P, *rows(*THERMAL), samples=2).verdict.all()
     assert verify_monotone_chi(P, *rows(*CHI), samples=2).verdict.all()
-    assert verify_p_prime_positive(*rows(*CHI), samples=2).verdict.all()
+    assert verify_p_prime_positive(*rows(*CHI)).verdict.all()
     assert verify_lambda_minimization(P, *rows(*LAMBDA), samples=2).verdict.all()
-    assert classify_nu_regions(*rows(*CHI), samples=2).min_gap.size == 2
+    assert classify_nu_regions(*rows(*CHI)).min_gap.size == 2
 

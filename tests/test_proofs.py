@@ -13,6 +13,7 @@ from cvmdi.core import as_point, equivalent_chi, excess_chi
 from cvmdi.keyrate import min_thermal_noise
 from cvmdi import (
     DomainError,
+    EmptyDomainError,
     LinkPair,
     ProtocolParams,
     SymmetricDegenerateError,
@@ -231,9 +232,12 @@ class TestClassifyNuRegions:
         keep = abs(ta - tb) >= 1e-9
         ta, tb, m = ta[keep], tb[keep], m[keep]
         floor = (ta + tb) ** 2 / (ta * tb)
-        verdict = classify_nu_regions(ta, tb, floor * m, samples=33)
+        verdict = classify_nu_regions(ta, tb, floor * m)
         assert verdict.agree.size > 45000
         assert int((~verdict.agree).sum()) == 0
+        # both y_min verdicts against the sampled references, in slices
+        for rows in np.array_split(np.arange(ta.size), 5):
+            assert_matches_sampled(ta[rows], tb[rows], (floor * m)[rows], 33)
 
 
 class TestNearSymmetricChiNus:
@@ -263,7 +267,6 @@ class TestPPrimePositive:
     def test_lossless_single_point(self):
         link = LinkPair(1.0, 0.7)  # u = 0
         probe = verify_p_prime_positive(*row(link, excess_chi(link.tau_a, link.tau_b, 0.01)))
-        assert probe.count[0] == 1
         assert probe.verdict[0]
 
 
@@ -286,9 +289,33 @@ class TestHugeChi:
             positivity = verify_p_prime_positive(*row(self.LINK, 1e150))
             regions = classify_nu_regions(*row(self.LINK, 1e150))
         assert positivity.worst_margin[0] == 3.071531642960215e-150
-        assert positivity.verdict[0] and positivity.count[0] == 200
+        assert positivity.verdict[0]
         assert regions.predicted[0] == regions.observed[0] == LESS
         assert regions.min_gap[0] == -3.4241884673332415e+149
+
+
+class TestLossFloor:
+    """At chi = beta^2 / alpha, y_min = y_max and nu2 = 0: p' has no domain,
+    while the region ordering is still defined there."""
+
+    @pytest.mark.parametrize("link, factor", [
+        (LinkPair(0.9, 0.4), 1.0), (LinkPair(0.5, 0.9), 1.0), (LinkPair(0.7, 0.6), 1.0),
+        (LinkPair(0.6000001, 0.6), 1.0),
+        (LinkPair(0.3, 0.9), 1.0),  # y_max = y_min, nu2 rounds to 3e-8
+        (LinkPair(0.9, 0.4), 1.0 + 1e-8),  # y_max - y_min is one ulp, nu2 rounds to 0
+    ])
+    def test_p_prime_raises_before_dividing(self, link, factor):
+        chi = link.beta ** 2 / link.alpha * factor
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyDomainError, match="loss floor"):
+                verify_p_prime_positive(*row(link, chi))
+            regions = classify_nu_regions(*row(link, chi))
+        # nu2 ~ 0, so the gap is nu1 = tau_a chi / beta - 1, up to the
+        # cancellation in nu2^2 = b2 - a2 y
+        assert regions.predicted[0] == regions.observed[0] == GREATER
+        assert regions.min_gap[0] == pytest.approx(link.tau_a * chi / link.beta - 1.0,
+                                                   abs=1e-6)
 
 
 class TestLambdaMinimization:
@@ -417,7 +444,7 @@ def reference_suite(seed=7, scenarios=100, samples=200):
     for i in range(scenarios):
         link = LinkPair(*draw_asym_link(rng))
         chi = excess_chi(link.tau_a, link.tau_b, rng.uniform(0.01, 1.0))
-        probe = verify_p_prime_positive(*row(link, chi), samples=samples)
+        probe = verify_p_prime_positive(*row(link, chi))
         worst = min(worst, probe.worst_margin[0])
         failures += not probe.verdict[0]
     checks["p_prime_positive"] = summary(failures, worst)
@@ -446,7 +473,7 @@ def reference_suite(seed=7, scenarios=100, samples=200):
         chi = (link.beta ** 2 / link.alpha) * rng.uniform(1.05, 4.0)
         disagreements += not classify_nu_regions(*row(link, chi)).agree[0]
     checks["classify_nu_regions"] = {
-        "scenarios": scenarios, "samples": 65, "failures": disagreements,
+        "scenarios": scenarios, "failures": disagreements,
         "pass": disagreements == 0,
     }
     return {"seed": seed, "scenarios": scenarios, "samples": samples, "checks": checks,
@@ -648,3 +675,99 @@ class TestBatchedSuite:
                         assert g[rows_of].tobytes() == w.tobytes(), verifier.__name__
                     else:
                         assert g == w, verifier.__name__
+
+
+def sampled_p_prime(tau_a, tau_b, chi, samples=200):
+    """Reference: the sampled p' check that deciding at y_min replaced, its
+    worst margin over ``samples`` points of [y_min, y_max) per row (only
+    y_min on a lossless row)."""
+    y_min, y_max = attack.chi_y_domain(tau_a, tau_b, chi)
+    lossy = (1.0 - tau_a) * (1.0 - tau_b) > 0.0
+    frac = np.where(lossy[:, None], np.linspace(0.0, 1.0 - 1e-9, samples), 0.0)
+    ys = y_min[:, None] + (y_max - y_min)[:, None] * frac
+    a1, a2, nu1, nu2 = proofs._chi_nus(tau_a, tau_b, chi, ys)
+    values = (a2 * nu1 - a1 * nu2) / (4.0 * nu1 * nu2)
+    return np.where(lossy[:, None] | (np.arange(samples) == 0), values, np.inf).min(axis=1)
+
+
+def sampled_min_gap(tau_a, tau_b, chi, samples=65):
+    """Reference: the sampled region observation that deciding at y_min
+    replaced, the least nu1 - nu2 on a ``samples``-point grid from y_min to
+    y_max per row (only y_min on a lossless row)."""
+    y_min, y_max = attack.chi_y_domain(tau_a, tau_b, chi)
+    lossy = (1.0 - tau_a) * (1.0 - tau_b) > 0.0
+    ys = np.where(lossy[:, None], np.linspace(y_min, y_max, samples).T, y_min[:, None])
+    _, _, nu1, nu2 = proofs._chi_nus(tau_a, tau_b, chi, ys)
+    return (nu1 - nu2).min(axis=1)
+
+
+def assert_matches_sampled(tau_a, tau_b, chi, samples):
+    """Both y_min verifiers against their sampled references, bit for bit."""
+    positivity = verify_p_prime_positive(tau_a, tau_b, chi)
+    want = sampled_p_prime(tau_a, tau_b, chi, samples)
+    assert positivity.worst_margin.tobytes() == want.tobytes()
+    assert (positivity.verdict == (want > -proofs.STRICT_SLACK)).all()
+    regions = classify_nu_regions(tau_a, tau_b, chi)
+    gap = sampled_min_gap(tau_a, tau_b, chi, samples)
+    assert regions.min_gap.tobytes() == gap.tobytes()
+    assert (regions.observed == (gap > 1e-9).astype(int) - (gap < -1e-9)).all()
+
+
+class TestSampledReference:
+    @pytest.mark.parametrize("seed", [3, 7, 11, 12345])
+    def test_suite_draws(self, seed):
+        draws = reference_draws(seed, 100)
+        # each check at its old default sample count
+        for name, samples in (("verify_p_prime_positive", 200), ("classify_nu_regions", 65)):
+            assert_matches_sampled(*draws[name], samples)
+
+
+def _closed_form_cases():
+    """(tau_a, tau_b, chi) rows: the suite's asymmetric draws of seeds 3, 7
+    and 11, then the edges: chi at 1 + 1e-12 of the loss floor, |dtau| =
+    1e-8 and chi = 1e150."""
+    rows = []
+    for seed in (3, 7, 11):
+        draws = reference_draws(seed, 100)
+        for name in ("verify_p_prime_positive", "classify_nu_regions"):
+            rows += zip(*draws[name])
+    for ta, tb in ((0.9, 0.4), (0.5, 0.9), (0.7, 0.6), (0.3, 0.9), (0.62, 0.6)):
+        rows.append((ta, tb, (ta + tb) ** 2 / (ta * tb) * (1.0 + 1e-12)))
+    for tau in (0.3, 0.6, 0.95):
+        for ta, tb in ((tau + 1e-8, tau), (tau, tau + 1e-8)):
+            rows += [(ta, tb, 2.0 * (ta + tb) / (ta * tb) + eps) for eps in (0.1, 30.0)]
+    rows += [(0.5, 0.99, 1e150), (0.99, 0.5, 1e150), (0.7, 0.3, 1e150)]
+    return [tuple(map(float, r)) for r in rows]
+
+
+class TestClosedFormAtYMin:
+    """The closed forms that decide p' and the nu1/nu2 ordering at y_min,
+    at 50 digits: nu2(y_max) = 0, nu1(y_max)^2 = tau_a (tau_a^2 tau_b chi^2 -
+    beta^3) / (beta^3 tau_b) > 0, and each y_min verdict is the 50-digit
+    sign there."""
+
+    def test_closed_forms_and_verdicts(self):
+        mpf = mp_oracle.mp.mpf
+        floor_rows = 0
+        for ta, tb, chi in _closed_form_cases():
+            y_min, y_max = mp_oracle.chi_y_domain(ta, tb, chi)
+            _, a2, nu1_sq, nu2_sq = mp_oracle.chi_nus_sq(ta, tb, chi, y_max)
+            assert abs(nu2_sq) <= mpf("1e-45") * a2 * y_max, (ta, tb, chi)
+            t_a, t_b, beta = mpf(ta), mpf(tb), mpf(ta) + mpf(tb)
+            closed = t_a * (t_a ** 2 * t_b * mpf(chi) ** 2 - beta ** 3) / (beta ** 3 * t_b)
+            assert closed > 0 and abs(nu1_sq - closed) <= mpf("1e-45") * closed, (ta, tb, chi)
+
+            args = [np.array([x]) for x in (ta, tb, chi)]
+            _, _, nu1_sq, nu2_sq = mp_oracle.chi_nus_sq(ta, tb, chi, y_min)
+            gap = mp_oracle.mp.sqrt(nu1_sq) - mp_oracle.mp.sqrt(nu2_sq)
+            sign = int(gap > 1e-9) - int(gap < -1e-9)
+            assert classify_nu_regions(*args).observed[0] == sign, (ta, tb, chi)
+            try:
+                verdict = verify_p_prime_positive(*args).verdict[0]
+            except EmptyDomainError:
+                # only where [y_min, y_max) is narrower than a double's resolution
+                assert y_max - y_min <= mpf("1e-15") * y_min, (ta, tb, chi)
+                floor_rows += 1
+                continue
+            assert verdict == (mp_oracle.p_prime(ta, tb, chi, y_min) > 0), (ta, tb, chi)
+        assert 0 < floor_rows <= 5
